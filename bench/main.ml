@@ -244,7 +244,53 @@ let bench_lock_server_contended_pass =
          done;
          Sys.opaque_identity (Seqdlm.Lock_server.stats server).grants))
 
-let micro_tests =
+(* The early-grant steady state of Fig. 20's strided pattern: the table
+   holds N cached grants, and each run releases one of them and grants
+   its block again.  The table stays at N, so the per-grant cost should
+   not depend on N: the expansion bound, the conflict scan and the
+   early-grant probe all go through the interval index.  The fixture is
+   built up front, in descending block order so each greedy grant stops
+   at the block above it. *)
+let bench_lock_server_grant_over n =
+  let block = 65536 in
+  let params = Netsim.Params.default in
+  let eng = Dessim.Engine.create () in
+  let node = Netsim.Node.create eng params ~name:"s" () in
+  let server =
+    Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+      ~policy:Seqdlm.Policy.seqdlm
+  in
+  let cn = Netsim.Node.create eng params ~name:"c0" () in
+  Seqdlm.Lock_server.register_client server 0
+    (Netsim.Rpc.endpoint eng params ~node:cn ~name:"c0.cb"
+       ~handler:(fun _ ~reply -> reply ()));
+  let ids = Array.make n 0 in
+  let grant k =
+    Seqdlm.Lock_server.submit server
+      {
+        Seqdlm.Types.client = 0;
+        rid = 1;
+        mode = Seqdlm.Mode.NBW;
+        ranges = [ iv (k * block) ((k + 1) * block) ];
+      }
+      ~on_grant:(fun g -> ids.(k) <- g.Seqdlm.Types.lock_id)
+  in
+  for k = n - 1 downto 0 do
+    grant k
+  done;
+  let next = ref 0 in
+  Test.make
+    ~name:(Printf.sprintf "lock_server: grant over %dk cached grants" (n / 1000))
+    (Staged.stage (fun () ->
+         let k = !next mod n in
+         incr next;
+         Seqdlm.Lock_server.control server
+           (Seqdlm.Types.Release { rid = 1; lock_id = ids.(k) });
+         grant k;
+         Sys.opaque_identity ids.(k)))
+
+(* Built when the microbenchmarks run: some fixtures take a while. *)
+let micro_tests () =
   Test.make_grouped ~name:"seqdlm-micro"
     [
       bench_extent_map_set;
@@ -255,6 +301,8 @@ let micro_tests =
       bench_interval_index_query;
       Test.make_grouped ~name:"arrivals" bench_arrival_gaps;
       bench_lock_server_contended_pass;
+      bench_lock_server_grant_over 1024;
+      bench_lock_server_grant_over 16384;
       bench_engine_events;
       bench_lock_handoff;
       bench_mini_cluster;
@@ -265,7 +313,7 @@ let micro_schema = "ccpfs.micro/1"
 let run_micro () =
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let raw =
-    Benchmark.all cfg Instance.[ monotonic_clock ] micro_tests
+    Benchmark.all cfg Instance.[ monotonic_clock ] (micro_tests ())
   in
   let results =
     Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false

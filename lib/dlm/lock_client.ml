@@ -19,6 +19,9 @@ type cached_lock = {
   mutable cancel_started : bool;
   idle : Condition.t;
   mutable merged_into : cached_lock option;
+  stamp : int;
+      (* per-client install order: among the usable locks covering a
+         request, the lookup picks the highest (the newest install) *)
 }
 
 type handle = cached_lock
@@ -55,7 +58,10 @@ type t = {
   route : Types.resource_id -> Lock_server.t;
   hooks : hooks;
   locks : (Types.resource_id * int, cached_lock) Hashtbl.t;
-  by_rid : (Types.resource_id, cached_lock list ref) Hashtbl.t;
+  by_rid : (Types.resource_id, cached_lock Interval_index.t ref) Hashtbl.t;
+      (* the cached locks of each resource, keyed by (range hull,
+         stamp) *)
+  mutable next_stamp : int;
   registered : (string, unit) Hashtbl.t;
   pending_revokes : (Types.resource_id * int, unit) Hashtbl.t;
   pb : (string, pb_queue) Hashtbl.t; (* server node name -> pending ctl *)
@@ -78,14 +84,18 @@ let rid_locks t rid =
   match Hashtbl.find_opt t.by_rid rid with
   | Some r -> r
   | None ->
-      let r = ref [] in
+      let r = ref Interval_index.empty in
       Hashtbl.add t.by_rid rid r;
       r
 
+(* Idempotent: removing a lock that is no longer cached is a no-op. *)
 let remove_lock t (l : cached_lock) =
-  Hashtbl.remove t.locks (l.rid, l.lock_id);
-  let r = rid_locks t l.rid in
-  r := List.filter (fun x -> x.lock_id <> l.lock_id) !r
+  match Hashtbl.find_opt t.locks (l.rid, l.lock_id) with
+  | Some l' when l' == l ->
+      Hashtbl.remove t.locks (l.rid, l.lock_id);
+      let r = rid_locks t l.rid in
+      r := Interval_index.remove !r (Types.ranges_hull l.ranges) ~id:l.stamp
+  | Some _ | None -> ()
 
 let server t rid =
   let srv = t.route rid in
@@ -292,6 +302,7 @@ let create eng params ~node ~client_id ~route ~hooks =
       eng; params; node; id = client_id; route; hooks;
       locks = Hashtbl.create 64;
       by_rid = Hashtbl.create 16;
+      next_stamp = 0;
       registered = Hashtbl.create 8;
       pending_revokes = Hashtbl.create 8;
       pb = Hashtbl.create 8;
@@ -326,14 +337,26 @@ let covers (l : cached_lock) ranges =
     (fun iv -> List.exists (fun r -> Interval.contains r iv) l.ranges)
     ranges
 
+(* The newest-installed usable lock covering [ranges].  A covering lock
+   contains the first range, so its hull overlaps it: the index probe
+   visits only those candidates and keeps the highest stamp among the
+   usable ones. *)
 let find_usable t ~rid ~mode ~ranges =
-  let r = rid_locks t rid in
-  List.find_opt
-    (fun (l : cached_lock) ->
-      l.state = Lcm.Granted && (not l.cancel_started)
-      && Mode.subsumes ~cached:l.cmode ~wanted:mode
-      && covers l ranges)
-    !r
+  match Hashtbl.find_opt t.by_rid rid with
+  | None -> None
+  | Some r ->
+      let probe = match ranges with q :: _ -> q | [] -> Interval.to_eof ~lo:0 in
+      Interval_index.fold_overlapping !r probe ~init:None
+        ~f:(fun best _ _ (l : cached_lock) ->
+          match best with
+          | Some (b : cached_lock) when b.stamp > l.stamp -> best
+          | _ ->
+              if
+                l.state = Lcm.Granted && (not l.cancel_started)
+                && Mode.subsumes ~cached:l.cmode ~wanted:mode
+                && covers l ranges
+              then Some l
+              else best)
 
 let install_grant t (g : Types.grant) =
   (* Lock upgrading merged some of our own locks into this grant: retire
@@ -355,12 +378,15 @@ let install_grant t (g : Types.grant) =
       cancel_started = false;
       idle = Condition.create t.eng;
       merged_into = None;
+      stamp = t.next_stamp;
     }
   in
+  t.next_stamp <- t.next_stamp + 1;
   List.iter (fun old -> old.merged_into <- Some l) merged;
+  Option.iter (remove_lock t) (Hashtbl.find_opt t.locks (g.rid, g.lock_id));
   Hashtbl.replace t.locks (g.rid, g.lock_id) l;
   let r = rid_locks t g.rid in
-  r := l :: !r;
+  r := Interval_index.add !r (Types.ranges_hull l.ranges) ~id:l.stamp l;
   if Hashtbl.mem t.pending_revokes (g.rid, g.lock_id) then begin
     Hashtbl.remove t.pending_revokes (g.rid, g.lock_id);
     if l.state = Lcm.Granted then begin
@@ -451,6 +477,7 @@ let with_lock t ~rid ~mode ~ranges f =
       release t h;
       raise e
 
+let lock_id h = (resolve h).lock_id
 let sn h = (resolve h).csn
 let mode h = (resolve h).cmode
 let granted_ranges h = (resolve h).ranges

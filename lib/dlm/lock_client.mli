@@ -56,6 +56,9 @@ val with_lock :
   t -> rid:Types.resource_id -> mode:Mode.t ->
   ranges:Ccpfs_util.Interval.t list -> (handle -> 'a) -> 'a
 
+val lock_id : handle -> int
+(** The server-assigned id of the held lock. *)
+
 val sn : handle -> int
 (** Sequence number tagging data written under this hold. *)
 

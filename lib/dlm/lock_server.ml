@@ -190,35 +190,39 @@ let granted_remove rs (g : lock) =
   | 1 -> Hashtbl.remove rs.by_client g.client
   | n -> Hashtbl.replace rs.by_client g.client (n - 1)
 
-(* Grant-set fold on the per-request hot path (PR 4's 15x win): raw
-   table order, no sort.  Safe because every caller is order-insensitive
-   — a min-fold over hulls (expansion bounds), set-shaped invariant
-   checks, or a collection that is sorted before anything order-visible
-   (granted_locks). *)
+(* Whole-table grant fold in raw table order, no sort.  Off the
+   per-request path (those go through [granted_idx]); its callers are
+   migration, [granted_locks] and the invariant sweep, each of which
+   either sorts the result before anything order-visible or folds it
+   into a set-shaped check. *)
 let granted_fold f rs acc =
   (Hashtbl.fold
      [@lint.allow
-       "D001 hot-path fold; all callers are commutative min/set folds or \
-        sort their result before it escapes"])
+       "D001 whole-table fold; every caller sorts its result before it \
+        escapes or asserts a set-shaped property"])
     (fun _ g acc -> f g acc)
     rs.granted acc
 let find_lock rs lock_id = Hashtbl.find_opt rs.granted lock_id
 
-(* The grants whose hull overlaps any of [ranges], newest first — the
-   order the old list-based granted set presented candidates in.  The
-   hull test is a superset filter: callers re-check exact ranges. *)
-let hull_overlapping rs ranges =
+(* The grants whose hull overlaps any of [ranges] and that satisfy [p],
+   newest first — the order the old list-based granted set presented
+   candidates in.  [p] runs inside the index walk, so only survivors are
+   consed, deduplicated and sorted: filtering commutes with the sort
+   because [seq] is unique, so the survivors come out in the same order
+   as filtering the full sorted candidate list would give.  The hull
+   test is a superset filter: [p] re-checks exact ranges. *)
+let hull_overlapping rs ranges p =
   let candidates =
     List.fold_left
       (fun acc (r : Interval.t) ->
         Interval_index.fold_overlapping rs.granted_idx r ~init:acc
-          ~f:(fun acc _iv _id g -> g :: acc))
+          ~f:(fun acc _iv _id g -> if p g then g :: acc else acc))
       [] ranges
   in
-  let dedup =
-    match ranges with [] | [ _ ] -> candidates | _ -> List.sort_uniq (fun (a : lock) b -> Int.compare a.id b.id) candidates
-  in
-  List.sort (fun (a : lock) b -> Int.compare b.seq a.seq) dedup
+  let newest_first (a : lock) b = Int.compare b.seq a.seq in
+  match ranges with
+  | [] | [ _ ] -> List.sort newest_first candidates
+  | _ -> List.sort_uniq newest_first candidates
 
 (* ------------------------------------------------------------------ *)
 (* Per-pass blocked-request accumulator                                *)
@@ -421,13 +425,32 @@ let expanded_ranges t rs (w : waiter) =
   | (Policy.Greedy | Policy.Capped _), [ iv ] ->
       let bound = ref Interval.eof in
       let consider lo = if lo >= iv.Interval.hi && lo < !bound then bound := lo in
-      (* A min-fold over every grant/waiter: iteration order is
-         irrelevant to the result, so the hash table's order is fine. *)
-      granted_fold
-        (fun (g : lock) () ->
-          if not (Lcm.compatible ~req:w.eff_mode ~granted:g.mode ~state:g.state)
-          then consider g.hull.Interval.lo)
-        rs ();
+      let incompatible (g : lock) =
+        not (Lcm.compatible ~req:w.eff_mode ~granted:g.mode ~state:g.state)
+      in
+      (* Granted contribution: the smallest range start at or above the
+         request's end, over the incompatible grants.  None of those
+         overlaps the request (it would have conflicted), so each either
+         lies wholly above [iv.hi], contributing its hull-lo, or — with
+         two or more ranges — straddles [iv.hi] with its hull.  The first
+         kind: the index is ordered by hull-lo, so the minimum is the
+         first incompatible entry from [iv.hi] on, an ordered probe that
+         passes over only the compatible grants in between.  The second
+         kind: a stabbing query at [iv.hi]. *)
+      (match
+         Interval_index.find_first_from rs.granted_idx ~lo:iv.Interval.hi
+           incompatible
+       with
+      | Some (hull, _, _) -> consider hull.Interval.lo
+      | None -> ());
+      if iv.Interval.hi < Interval.eof then
+        Interval_index.iter_overlapping rs.granted_idx
+          (Interval.v ~lo:iv.Interval.hi ~hi:(iv.Interval.hi + 1))
+          (fun _ _ (g : lock) ->
+            match g.ranges with
+            | _ :: _ :: _ when incompatible g ->
+                List.iter (fun (r : Interval.t) -> consider r.lo) g.ranges
+            | _ -> ());
       (* Queue contribution via the per-mode index: the smallest queued
          hull-lo at or above the request's end, over the mode classes
          that conflict with the waiter — the same bound a full queue
@@ -613,13 +636,11 @@ let visit_node t rs ~blocked ~saturated node =
        conversion is on (and no revocation is already in flight). *)
     let own =
       if t.policy.Policy.auto_convert then
-        List.filter
-          (fun (g : lock) ->
+        hull_overlapping rs w.req.ranges (fun (g : lock) ->
             g.client = w.req.client && g.state = Lcm.Granted
             && (not g.revoke_sent)
             && lock_conflicts_waiter ~eff_mode:w.eff_mode ~ranges:w.req.ranges
                  g)
-          (hull_overlapping rs w.req.ranges)
       else []
     in
     let eff =
@@ -649,19 +670,21 @@ let visit_node t rs ~blocked ~saturated node =
     end
     else begin
       let conflicts =
-        List.filter
-          (fun (g : lock) ->
+        hull_overlapping rs union_ranges (fun (g : lock) ->
             (not (List.exists (fun (o : lock) -> o.id = g.id) own))
             && lock_conflicts_waiter ~eff_mode:eff ~ranges:union_ranges g)
-          (hull_overlapping rs union_ranges)
       in
       if List.is_empty conflicts then begin
+        (* Order-insensitive, so an existence probe: no candidate list,
+           no sort, and it stops at the first hit. *)
         let early =
           List.exists
-            (fun (g : lock) ->
-              g.state = Lcm.Canceling
-              && Types.ranges_overlap w.req.ranges g.ranges)
-            (hull_overlapping rs w.req.ranges)
+            (fun r ->
+              Interval_index.exists_overlapping rs.granted_idx r
+                (fun _ _ (g : lock) ->
+                  g.state = Lcm.Canceling
+                  && Types.ranges_overlap w.req.ranges g.ranges))
+            w.req.ranges
         in
         Dllist.remove rs.waiting node;
         queue_unlink t rs w;
@@ -1355,20 +1378,18 @@ let check_invariants t =
       assert (List.length sns = List.length (List.sort_uniq Int.compare sns));
       List.iter (fun sn -> assert (sn < rs.next_sn)) sns;
       (* Overlapping granted locks must be compatible in at least one
-         direction given their states. *)
-      let rec pairs = function
-        | [] -> ()
-        | g :: rest ->
-            List.iter
-              (fun (h : lock) ->
-                if Types.ranges_overlap g.ranges h.ranges then
-                  assert (
-                    Lcm.compatible ~req:g.mode ~granted:h.mode ~state:h.state
-                    || Lcm.compatible ~req:h.mode ~granted:g.mode ~state:g.state))
-              rest;
-            pairs rest
-      in
-      pairs granted)
+         direction given their states.  Exact overlap implies hull
+         overlap, so each grant's index candidates hold every partner it
+         can overlap; the id order visits each unordered pair once. *)
+      List.iter
+        (fun (g : lock) ->
+          Interval_index.iter_overlapping rs.granted_idx g.hull
+            (fun _ _ (h : lock) ->
+              if h.id > g.id && Types.ranges_overlap g.ranges h.ranges then
+                assert (
+                  Lcm.compatible ~req:g.mode ~granted:h.mode ~state:h.state
+                  || Lcm.compatible ~req:h.mode ~granted:g.mode ~state:g.state)))
+        granted)
     (sorted_resources t);
   (* The live server-wide queue counter (the rebalancer's load signal)
      must equal a recomputation from the per-resource queues. *)

@@ -145,6 +145,23 @@ let exists_overlapping t q p =
   | () -> false
   | exception Found -> true
 
+(* In-order from the first key with start >= [x]: a node left of [x] is
+   skipped with its left subtree, so the walk costs O(log n) plus one
+   visit per entry that fails [p] before the first that passes. *)
+let rec first_from tree x p =
+  match tree with
+  | Leaf -> None
+  | Node n ->
+      if n.lo < x then first_from n.r x p
+      else (
+        match first_from n.l x p with
+        | Some _ as found -> found
+        | None ->
+            if p n.v then Some (Interval.v ~lo:n.lo ~hi:n.hi, n.id, n.v)
+            else first_from n.r x p)
+
+let find_first_from t ~lo p = first_from t.tree lo p
+
 let rec iter_all tree f =
   match tree with
   | Leaf -> ()

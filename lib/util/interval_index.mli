@@ -29,6 +29,12 @@ val fold_overlapping :
 
 val exists_overlapping : 'a t -> Interval.t -> (Interval.t -> int -> 'a -> bool) -> bool
 
+val find_first_from :
+  'a t -> lo:int -> ('a -> bool) -> (Interval.t * int * 'a) option
+(** The first entry in (lo, id) order whose start is [>= lo] and whose
+    value satisfies the predicate.  O(log n) plus one predicate call per
+    entry passed over on the way. *)
+
 val iter : (Interval.t -> int -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> (Interval.t * int * 'a) list
 (** All entries in (lo, id) order. *)

@@ -164,7 +164,7 @@ let expanded_ranges t rs (w : waiter) ~others =
       List.iter
         (fun (g : lock) ->
           if not (Lcm.compatible ~req:w.eff_mode ~granted:g.mode ~state:g.state)
-          then consider g.hull.Interval.lo)
+          then List.iter (fun (r : Interval.t) -> consider r.lo) g.ranges)
         rs.granted;
       List.iter
         (fun (w' : waiter) ->

@@ -826,6 +826,198 @@ let prop_grant_contract =
       Lock_server.check_invariants w.server;
       !ok)
 
+(* Greedy expansion must stop at every incompatible grant's ranges, not
+   only at grants that start above the request: a multi-range grant can
+   straddle the request's end with its hull while its exact ranges leave
+   the request room.  Here the PR read fits in the BW grant's gap and
+   may grow only up to its upper range. *)
+let test_expansion_bounded_by_straddling_grant () =
+  let w = make_world ~n:2 () in
+  let granted = ref [] in
+  let submit client mode ranges =
+    Lock_server.submit w.server { Types.client; rid = 1; mode; ranges }
+      ~on_grant:(fun g -> granted := g :: !granted)
+  in
+  submit 0 Mode.BW [ iv 4096 12288; iv 28672 36864 ];
+  submit 1 Mode.PR [ iv 12288 20480 ];
+  (match !granted with
+  | [ pr; _ ] ->
+      Alcotest.(check (list (pair int int)))
+        "read expands up to the write's upper range"
+        [ (12288, 28672) ]
+        (List.map (fun (r : Interval.t) -> (r.lo, r.hi)) pr.Types.ranges)
+  | _ -> Alcotest.fail "expected two grants");
+  Lock_server.check_invariants w.server
+
+(* ------------------------------------------------------------------ *)
+(* Lock-client cache lookup                                            *)
+(* ------------------------------------------------------------------ *)
+
+let no_expansion =
+  { Policy.seqdlm with name = "SeqDLM-noExp"; expansion = Policy.No_expansion }
+
+(* The reference's usability test: a cached lock serves a request when
+   it is still GRANTED (a cancel only ever starts on a CANCELING lock),
+   its mode subsumes the wanted one, and every requested range lies
+   inside one of its ranges. *)
+let usable_for h ~mode ~ranges =
+  (not (Lock_client.is_canceling h))
+  && Mode.subsumes ~cached:(Lock_client.mode h) ~wanted:mode
+  && List.for_all
+       (fun q ->
+         List.exists
+           (fun r -> Interval.contains r q)
+           (Lock_client.granted_ranges h))
+       ranges
+
+let test_client_lookup_newest_wins () =
+  let w = make_world ~n:2 ~policy:no_expansion () in
+  let c = w.clients.(0) in
+  let picked = ref [] in
+  let acquire_release ranges =
+    let h = Lock_client.acquire c ~rid:1 ~mode:Mode.PR ~ranges in
+    Lock_client.release c h;
+    Lock_client.lock_id h
+  in
+  spawn w "c0" (fun () ->
+      let a = acquire_release [ iv 0 8192 ] in
+      let b = acquire_release [ iv 4096 12288 ] in
+      (* [4096, 8192) lies inside both: the newer lock serves it. *)
+      picked := [ a; b; acquire_release [ iv 4096 8192 ] ];
+      Engine.sleep w.eng 0.5;
+      (* c1's write has revoked [b] alone; the older [a] serves now. *)
+      picked := !picked @ [ acquire_release [ iv 4096 8192 ] ]);
+  spawn w "c1" (fun () ->
+      Engine.sleep w.eng 0.1;
+      Lock_client.with_lock w.clients.(1) ~rid:1 ~mode:Mode.NBW
+        ~ranges:[ iv 8192 12288 ]
+        (fun _ -> ()));
+  run w;
+  match !picked with
+  | [ a; b; first; second ] ->
+      Alcotest.(check bool) "two locks" true (a <> b);
+      Alcotest.(check int) "newest covering lock wins" b first;
+      Alcotest.(check int) "older lock once the newer is gone" a second;
+      Alcotest.(check int) "both lookups hit" 2 (Lock_client.cache_hits c);
+      Alcotest.(check int) "one lock left" 1 (Lock_client.cached_locks c)
+  | _ -> Alcotest.fail "c0 did not finish"
+
+(* Differential: the indexed lookup against a newest-first list of every
+   lock each client installed, scanned front to back.
+   Random multi-range traffic from three clients on two resources drives
+   installs, same-client merges (the grant's [replaces]), revokes,
+   cancels and releases; before each acquire the list names the lock the
+   cache must hand out — or none, and then the acquire must miss.  A step
+   may re-read its first block afterwards, which the cache can usually
+   serve, often from more than one covering lock. *)
+let prop_client_lookup_matches_list =
+  let open QCheck in
+  let n_clients = 3 in
+  let policies =
+    [ no_expansion; Policy.seqdlm; Policy.without_conversion no_expansion;
+      Policy.dlm_datatype ]
+  in
+  let gen_ranges =
+    (* 1-3 disjoint ranges in 4 KiB blocks, sometimes listed high first *)
+    Gen.(
+      map2
+        (fun parts high_first ->
+          let _, rs =
+            List.fold_left
+              (fun (at, acc) (gap, len) ->
+                let lo = at + gap in
+                (lo + len, iv (lo * 4096) ((lo + len) * 4096) :: acc))
+              (0, []) parts
+          in
+          if high_first then rs else List.rev rs)
+        (list_size
+           (frequency [ (2, return 1); (1, int_range 2 3) ])
+           (pair (int_bound 4) (int_range 1 3)))
+        bool)
+  in
+  let gen_step =
+    Gen.(
+      map2
+        (fun (c, rid, mode) (ranges, again) -> (c, rid, mode, ranges, again))
+        (triple
+           (int_bound (n_clients - 1))
+           (int_range 1 2)
+           (* reads dominate, so a client collects overlapping PR locks *)
+           (frequency
+              [ (4, return Mode.PR); (1, return Mode.NBW); (1, return Mode.BW);
+                (1, return Mode.PW) ]))
+        (pair gen_ranges bool))
+  in
+  let print_step (c, rid, m, ranges, again) =
+    Printf.sprintf "c%d r%d %s %s%s" c rid (Mode.to_string m)
+      (String.concat ","
+         (List.map
+            (fun (i : Interval.t) -> Printf.sprintf "[%d,%d)" i.lo i.hi)
+            ranges))
+      (if again then " +reread" else "")
+  in
+  Test.make ~name:"lock-client lookup == newest-first list scan" ~count:100
+    (make
+       ~print:(fun (p, steps) ->
+         Printf.sprintf "policy=%s\n%s" (List.nth policies p).Policy.name
+           (String.concat "\n" (List.map print_step steps)))
+       Gen.(
+         pair
+           (int_bound (List.length policies - 1))
+           (list_size (int_range 5 60) gen_step)))
+    (fun (p, steps) ->
+      let w = make_world ~n:n_clients ~policy:(List.nth policies p) () in
+      w.flush_time := 0.002;
+      let replaces = Hashtbl.create 64 in
+      Lock_server.set_tracer w.server (fun _ ev ->
+          match ev with
+          | Lock_server.T_grant (g, _) ->
+              Hashtbl.replace replaces g.Types.lock_id g.Types.replaces
+          | _ -> ());
+      (* per client, newest first: (rid, lock id, handle) *)
+      let installed = Array.make n_clients [] in
+      let ok = ref true in
+      let acquire c ~rid ~mode ~ranges =
+        let expect =
+          List.find_opt
+            (fun (r, _, h) -> r = rid && usable_for h ~mode ~ranges)
+            installed.(c)
+        in
+        let h = Lock_client.acquire w.clients.(c) ~rid ~mode ~ranges in
+        (match expect with
+        | Some (_, _, h') -> if h != h' then ok := false
+        | None ->
+            (* a miss: the handle is a freshly installed lock *)
+            if List.exists (fun (_, _, h') -> h == h') installed.(c) then
+              ok := false;
+            let id = Lock_client.lock_id h in
+            let gone = Hashtbl.find replaces id in
+            installed.(c) <-
+              (rid, id, h)
+              :: List.filter
+                   (fun (r, i, _) -> r <> rid || not (List.mem i gone))
+                   installed.(c));
+        h
+      in
+      List.iteri
+        (fun idx (c, rid, mode, ranges, again) ->
+          spawn w
+            (Printf.sprintf "op%d" idx)
+            (fun () ->
+              Engine.sleep w.eng (float_of_int idx *. 1.5e-3);
+              let h = acquire c ~rid ~mode ~ranges in
+              Engine.sleep w.eng 1e-4;
+              Lock_client.release w.clients.(c) h;
+              if again then begin
+                let lo = (List.hd ranges).Interval.lo in
+                let h = acquire c ~rid ~mode ~ranges:[ iv lo (lo + 4096) ] in
+                Lock_client.release w.clients.(c) h
+              end))
+        steps;
+      run w;
+      Lock_server.check_invariants w.server;
+      !ok)
+
 (* Compatibility vs the independent Table II transcription, plus the
    structural symmetry the paper's table implies: in the GRANTED state
    compatibility is an undirected relation (only PR/PR is true), so
@@ -1284,6 +1476,8 @@ let suite =
           test_sequencer_monotonic;
         Alcotest.test_case "expansion bounded by waiter" `Quick
           test_expansion_bounded_by_waiter;
+        Alcotest.test_case "expansion bounded by straddling grant" `Quick
+          test_expansion_bounded_by_straddling_grant;
         Alcotest.test_case "DLM-Lustre expansion cap" `Quick
           test_lustre_cap_after_threshold;
         Alcotest.test_case "datatype exact ranges" `Quick
@@ -1304,6 +1498,12 @@ let suite =
         Alcotest.test_case "NBW+BW joins at BW" `Quick test_upgrade_nbw_plus_bw;
         Alcotest.test_case "early-revoked grant self-cancels" `Quick
           test_early_revoked_grant_cancels_after_use;
+      ] );
+    ( "dlm.client_cache",
+      [
+        Alcotest.test_case "newest covering lock wins" `Quick
+          test_client_lookup_newest_wins;
+        q prop_client_lookup_matches_list;
       ] );
     ( "dlm.server",
       [

@@ -563,6 +563,72 @@ let prop_interval_index_matches_model =
          |> List.sort Int.compare
          = (List.map snd !model |> List.sort Int.compare))
 
+(* The ordered probe against a naive scan of [to_list] (which is in
+   (lo, id) order): after random inserts and removals, with random start
+   points and random predicates over the stored value, both must name
+   the same entry — or both none. *)
+let prop_interval_index_find_first_from =
+  let open QCheck in
+  let bound = 64 in
+  let genop =
+    Gen.(
+      oneof
+        [
+          map2 (fun lo len -> `Add (lo, lo + len)) (int_bound (bound - 2))
+            (int_range 1 16);
+          map (fun i -> `Remove i) (int_bound 30);
+          map2 (fun x k -> `Probe (x, k)) (int_bound (bound + 4)) (int_range 1 4);
+        ])
+  in
+  let print_op = function
+    | `Add (lo, hi) -> Printf.sprintf "add[%d,%d)" lo hi
+    | `Remove i -> Printf.sprintf "rm#%d" i
+    | `Probe (x, k) -> Printf.sprintf "first(lo>=%d, id mod %d = 0)" x k
+  in
+  Test.make ~name:"interval_index find_first_from agrees with a scan"
+    ~count:300
+    (make ~print:Print.(list print_op)
+       (Gen.list_size (Gen.int_range 1 80) genop))
+    (fun ops ->
+      let next = ref 0 in
+      let live = ref [] in
+      let ok = ref true in
+      let m =
+        List.fold_left
+          (fun m op ->
+            match op with
+            | `Add (lo, hi) ->
+                let id = !next in
+                incr next;
+                live := (iv lo hi, id) :: !live;
+                Interval_index.add m (iv lo hi) ~id id
+            | `Remove k -> (
+                match List.nth_opt !live k with
+                | None -> m
+                | Some (ivl, id) ->
+                    live := List.filter (fun (_, i) -> i <> id) !live;
+                    Interval_index.remove m ivl ~id)
+            | `Probe (x, k) ->
+                let p v = v mod k = 0 in
+                let got =
+                  Interval_index.find_first_from m ~lo:x p
+                  |> Option.map (fun ((ivl : Interval.t), id, v) ->
+                         (ivl.lo, ivl.hi, id, v))
+                in
+                let want =
+                  List.find_opt
+                    (fun ((ivl : Interval.t), _, v) -> ivl.lo >= x && p v)
+                    (Interval_index.to_list m)
+                  |> Option.map (fun ((ivl : Interval.t), id, v) ->
+                         (ivl.lo, ivl.hi, id, v))
+                in
+                if got <> want then ok := false;
+                m)
+          Interval_index.empty ops
+      in
+      Interval_index.check_invariants m;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Stats / Table / Units / Det_random                                  *)
 (* ------------------------------------------------------------------ *)
@@ -860,6 +926,7 @@ let suite =
         Alcotest.test_case "duplicate and absent entries" `Quick
           test_interval_index_duplicates_rejected;
         q prop_interval_index_matches_model;
+        q prop_interval_index_find_first_from;
       ] );
     ( "util.misc",
       [
