@@ -31,6 +31,7 @@ type stats = {
   mutable cleanup_removed : int;
   mutable force_syncs : int;
   mutable cache_peak : int;
+  mutable coalesced : int;
 }
 
 (* The extent cache orders bytes by (SN, op): the SN decides between
@@ -108,9 +109,11 @@ let apply_block t st (b : block) =
   st.cache <- cache;
   (* Merge continuous same-SN extents (Fig. 15), amortised: a full pass
      only once the cache has grown 25% past its last coalesced size. *)
-  if Extent_map.cardinal st.cache > (st.coalesced_at * 5 / 4) + 16 then begin
+  let n = Extent_map.cardinal st.cache in
+  if n > (st.coalesced_at * 5 / 4) + 16 then begin
     st.cache <- Extent_map.coalesce ~eq:pair_eq st.cache;
-    st.coalesced_at <- Extent_map.cardinal st.cache
+    st.coalesced_at <- Extent_map.cardinal st.cache;
+    t.stats.coalesced <- t.stats.coalesced + n - st.coalesced_at
   end;
   let written =
     List.fold_left
@@ -315,7 +318,7 @@ let create eng params config ~node ~name ~lock_server =
         {
           flush_rpcs = 0; blocks_in = 0; bytes_received = 0; bytes_written = 0;
           bytes_discarded = 0; reads = 0; cleanup_runs = 0; cleanup_removed = 0;
-          force_syncs = 0; cache_peak = 0;
+          force_syncs = 0; cache_peak = 0; coalesced = 0;
         };
       ep = None;
       cleaning = false;

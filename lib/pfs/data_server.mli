@@ -101,6 +101,9 @@ type stats = {
   mutable cleanup_removed : int;
   mutable force_syncs : int;
   mutable cache_peak : int;
+  mutable coalesced : int;
+      (** extent-cache entries absorbed by same-(SN, op) neighbour
+          merging (Fig. 15) *)
 }
 
 val stats : t -> stats

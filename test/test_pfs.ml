@@ -633,6 +633,63 @@ let test_extent_cache_cleanup () =
   Cluster.run cl;
   Alcotest.(check int) "strided data intact after cleanup" 0 !errors
 
+(* The paths that shrink or rewrite the data server's extent cache:
+   cleanup rounds, force syncs and coalescing passes that really merge.
+   None of the benchmark workloads reaches them, so this reduced N-1
+   strided-unaligned IOR (the extent-cache ablation's shape) runs all
+   three and pins the exact outcome.  A final whole-region overwrite per
+   client lands over the older fragments: the update set of each such
+   block is a run of adjacent pieces with one (SN, op), which the next
+   coalescing pass merges. *)
+let cleanup_pin_run () =
+  let clients = 8 and xfer = 47_008 and blocks = 40 in
+  let config =
+    Config.with_extent_cache ~limit:128
+      (Config.with_dirty_limits ~dirty_min:(256 * 1024) ~dirty_max:mib
+         Config.default)
+  in
+  let cl = make ~config ~servers:1 ~clients () in
+  for i = 0 to clients - 1 do
+    Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
+        let f = Client.open_file c ~create:true "/frag" in
+        for k = 0 to blocks - 1 do
+          Client.write c f ~off:(((k * clients) + i) * xfer) ~len:xfer
+        done;
+        let region = blocks * xfer in
+        Client.write c f ~off:(i * region / clients) ~len:(region / clients);
+        Client.fsync c)
+  done;
+  Cluster.run cl;
+  cl
+
+let test_extent_cache_cleanup_pin () =
+  let cl = cleanup_pin_run () in
+  let eng = Cluster.engine cl in
+  let ds = Cluster.data_server cl 0 in
+  let st = Data_server.stats ds in
+  let checksum =
+    List.fold_left
+      (fun acc rid -> (acc * 31) + Content.checksum (Data_server.contents ds rid))
+      0 (Data_server.stripe_rids ds)
+  in
+  Alcotest.(check bool) "cleanup rounds ran" true (st.cleanup_runs > 0);
+  Alcotest.(check bool) "a force sync ran" true (st.force_syncs > 0);
+  Alcotest.(check bool) "a coalescing pass merged" true (st.coalesced > 0);
+  Alcotest.(check int) "engine events" 1851 (Engine.events_dispatched eng);
+  Alcotest.(check int64) "engine fingerprint" (-2821708703982981139L)
+    (Engine.fingerprint eng);
+  Alcotest.(check (list int))
+    "data-server stats"
+    [ 51; 328; 16922880; 16922880; 0; 0; 3; 300; 1; 232; 1 ]
+    [
+      st.flush_rpcs; st.blocks_in; st.bytes_received; st.bytes_written;
+      st.bytes_discarded; st.reads; st.cleanup_runs; st.cleanup_removed;
+      st.force_syncs; st.cache_peak; st.coalesced;
+    ];
+  Alcotest.(check int) "extent-cache entries" 27
+    (Data_server.extent_cache_entries ds);
+  Alcotest.(check int) "device checksum" 2992166163289840108 checksum
+
 let test_extent_log_recovery () =
   let config = Config.with_extent_log true small_config in
   let cl = make ~config ~servers:1 ~clients:3 () in
@@ -736,6 +793,8 @@ let suite =
       [
         Alcotest.test_case "extent cache cleanup bounds entries" `Quick
           test_extent_cache_cleanup;
+        Alcotest.test_case "cleanup, force sync and coalesce pinned" `Quick
+          test_extent_cache_cleanup_pin;
         Alcotest.test_case "extent log rebuild (recovery)" `Quick
           test_extent_log_recovery;
       ] );
