@@ -2,6 +2,10 @@ open Ccpfs_util
 open Dessim
 open Netsim
 
+(* One stripe's dirty extents and their byte count, kept in step so
+   the flush daemon can rank stripes without walking their maps. *)
+type stripe = { mutable map : Content.tag Extent_map.t; mutable bytes : int }
+
 type t = {
   eng : Engine.t;
   params : Params.t;
@@ -9,7 +13,7 @@ type t = {
   node : Node.t;
   client_id : int;
   io_route : int -> (Data_server.io_req, Data_server.io_resp) Rpc.endpoint;
-  dirty : (int, Content.tag Extent_map.t ref) Hashtbl.t;
+  dirty : (int, stripe) Hashtbl.t;
   clean : (int, Content.tag option Extent_map.t ref) Hashtbl.t;
   mutable clean_total : int;
   mutable r_hits : int;
@@ -35,13 +39,13 @@ type t = {
          messages; their bytes are added to the wire size *)
 }
 
-let rid_map t rid =
+let dirty_stripe t rid =
   match Hashtbl.find_opt t.dirty rid with
-  | Some m -> m
+  | Some d -> d
   | None ->
-      let m = ref Extent_map.empty in
-      Hashtbl.add t.dirty rid m;
-      m
+      let d = { map = Extent_map.empty; bytes = 0 } in
+      Hashtbl.add t.dirty rid d;
+      d
 
 let account t delta =
   t.dirty_total <- t.dirty_total + delta;
@@ -49,29 +53,30 @@ let account t delta =
   if delta < 0 then Condition.broadcast t.space
 
 (* Take the dirty extents under [ranges] out of the cache and ship them
-   in one batched flush RPC. *)
+   in one batched flush RPC.  Each range leaves the map in one removal;
+   the bytes are accounted once, which wakes the same waiters as one
+   call per block would, since none can run in between. *)
 let flush t ~rid ~ranges =
-  let m = rid_map t rid in
+  let d = dirty_stripe t rid in
   let blocks =
     List.concat_map
       (fun range ->
+        let ov = Extent_map.overlapping d.map range in
+        d.map <- Extent_map.remove d.map range;
         List.map
           (fun (iv, tag) ->
             { Data_server.b_range = iv; b_sn = tag.Content.sn; b_tag = tag })
-          (Extent_map.overlapping !m range))
+          ov)
       ranges
   in
   if blocks <> [] then begin
-    List.iter
-      (fun (b : Data_server.block) ->
-        m := Extent_map.remove !m b.b_range;
-        account t (-Interval.length b.b_range))
-      blocks;
     let bytes =
       List.fold_left
         (fun acc (b : Data_server.block) -> acc + Interval.length b.b_range)
         0 blocks
     in
+    d.bytes <- d.bytes - bytes;
+    account t (-bytes);
     t.flushed_bytes <- t.flushed_bytes + bytes;
     t.n_flush_rpcs <- t.n_flush_rpcs + 1;
     let ctl =
@@ -128,33 +133,27 @@ let flush_all t =
     (fun rid -> flush t ~rid ~ranges:[ Interval.to_eof ~lo:0 ])
     (Det_tbl.sorted_keys ~cmp:Int.compare t.dirty)
 
+let drain_order t =
+  Det_tbl.fold_sorted ~cmp:Int.compare
+    (fun rid d acc -> if d.bytes > 0 then (d.bytes, rid) :: acc else acc)
+    t.dirty []
+  (* ties broken by rid: equal-sized stripes are the common case, and
+     bytes alone would leave their flush order to the traversal order —
+     sorted-key iteration keeps it stable *)
+  |> List.sort (fun (a, ar) (b, br) ->
+         match Int.compare b a with 0 -> Int.compare ar br | c -> c)
+
 let flush_daemon t () =
   while true do
     Engine.sleep t.eng t.config.Config.flush_period;
     if t.dirty_total > t.config.Config.dirty_min then
       (* Voluntary flushing: drain whole stripes until under the
          threshold, largest first. *)
-      let by_size =
-        Det_tbl.fold_sorted ~cmp:Int.compare
-          (fun rid m acc ->
-            let bytes =
-              Extent_map.fold (fun iv _ a -> a + Interval.length iv) !m 0
-            in
-            if bytes > 0 then (bytes, rid) :: acc else acc)
-          t.dirty []
-        (* ties broken by rid: equal-sized stripes are the common case,
-           and bytes alone would leave their flush order to the
-           traversal order — sorted-key iteration keeps it stable *)
-        |> List.sort (fun (a, ar) (b, br) ->
-               match Int.compare b a with
-               | 0 -> Int.compare ar br
-               | c -> c)
-      in
       List.iter
         (fun (_, rid) ->
           if t.dirty_total > t.config.Config.dirty_min then
             flush t ~rid ~ranges:[ Interval.to_eof ~lo:0 ])
-        by_size
+        (drain_order t)
   done
 
 let create eng params config ~node ~client_id ~io_route =
@@ -191,16 +190,19 @@ let write t ~rid ~range ~sn ~op =
   let t0 = Engine.now t.eng in
   Resource.consume (Node.mem t.node) (float_of_int (Interval.length range));
   t.cache_seconds <- t.cache_seconds +. (Engine.now t.eng -. t0);
-  let m = rid_map t rid in
+  let d = dirty_stripe t rid in
   let tag = { Content.writer = t.client_id; op; sn } in
   let covered =
     List.fold_left
       (fun acc (iv, _) -> acc + Interval.length iv)
       0
-      (Extent_map.overlapping !m range)
+      (Extent_map.overlapping d.map range)
   in
-  let m', _ = Extent_map.merge !m range tag ~keep_new:(fun ~old -> sn >= old.Content.sn) in
-  m := m';
+  let m, _ =
+    Extent_map.merge d.map range tag ~keep_new:(fun ~old -> sn >= old.Content.sn)
+  in
+  d.map <- m;
+  d.bytes <- d.bytes + Interval.length range - covered;
   (* Keep the clean cache coherent with our own writes, otherwise a read
      after the dirty data has been flushed away would see the pre-write
      version. *)
@@ -216,13 +218,13 @@ let write t ~rid ~range ~sn ~op =
 let has_dirty t ~rid ~ranges =
   match Hashtbl.find_opt t.dirty rid with
   | None -> false
-  | Some m ->
-      List.exists (fun range -> Extent_map.overlapping !m range <> []) ranges
+  | Some d ->
+      List.exists (fun range -> Extent_map.overlapping d.map range <> []) ranges
 
 let local_view t ~rid ~range =
   match Hashtbl.find_opt t.dirty rid with
   | None -> []
-  | Some m -> Extent_map.overlapping !m range
+  | Some d -> Extent_map.overlapping d.map range
 
 let clean_map t rid =
   match Hashtbl.find_opt t.clean rid with
@@ -268,27 +270,32 @@ let invalidate_clean t ~rid ~ranges =
 
 let drop_clean t ~rid ~range =
   invalidate_clean t ~rid ~ranges:[ range ];
-  let m = rid_map t rid in
+  let d = dirty_stripe t rid in
   let covered =
     List.fold_left
       (fun acc (iv, _) -> acc + Interval.length iv)
       0
-      (Extent_map.overlapping !m range)
+      (Extent_map.overlapping d.map range)
   in
-  m := Extent_map.remove !m range;
+  d.map <- Extent_map.remove d.map range;
+  d.bytes <- d.bytes - covered;
   account t (-covered)
 
 let lose_all_dirty t =
   let lost = t.dirty_total in
-  Det_tbl.iter_sorted ~cmp:Int.compare (fun _ m -> m := Extent_map.empty) t.dirty;
+  Det_tbl.iter_sorted ~cmp:Int.compare
+    (fun _ d ->
+      d.map <- Extent_map.empty;
+      d.bytes <- 0)
+    t.dirty;
   t.dirty_total <- 0;
   Condition.broadcast t.space;
   lost
 
 let dirty_view t =
   Det_tbl.fold_sorted ~cmp:Int.compare
-    (fun rid m acc ->
-      match Extent_map.to_list !m with
+    (fun rid d acc ->
+      match Extent_map.to_list d.map with
       | [] -> acc
       | extents -> (rid, extents) :: acc)
     t.dirty []
@@ -303,6 +310,9 @@ let clean_bytes t = t.clean_total
 let read_cache_hits t = t.r_hits
 let read_cache_misses t = t.r_misses
 let dirty_bytes t = t.dirty_total
+
+let stripe_dirty_bytes t ~rid =
+  match Hashtbl.find_opt t.dirty rid with Some d -> d.bytes | None -> 0
 let dirty_peak t = t.peak
 let cache_write_seconds t = t.cache_seconds
 let bytes_flushed t = t.flushed_bytes

@@ -82,6 +82,15 @@ val read_cache_hits : t -> int
 val read_cache_misses : t -> int
 
 val dirty_bytes : t -> int
+
+val stripe_dirty_bytes : t -> rid:int -> int
+(** One stripe's dirty bytes, kept as a counter beside its extents; the
+    counters sum to {!dirty_bytes}. *)
+
+val drain_order : t -> (int * int) list
+(** [(bytes, rid)] for every stripe holding dirty bytes, largest first,
+    ties by ascending rid: the order the flush daemon drains them in. *)
+
 val dirty_peak : t -> int
 val cache_write_seconds : t -> float
 (** Virtual time spent inserting into the cache — the "IO time" of the

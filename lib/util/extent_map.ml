@@ -10,37 +10,41 @@ let empty = { m = Int_map.empty; n = 0 }
 let is_empty t = Int_map.is_empty t.m
 let cardinal t = t.n
 
-(* Extents intersecting [lo, hi), unclipped, in offset order. *)
+(* Extents intersecting [lo, hi), unclipped, in offset order: the one
+   starting at or below [lo] if it reaches past [lo], then each next
+   start below [hi], one O(log n) probe per extent. *)
 let raw_overlapping t lo hi =
-  let first =
-    match Int_map.find_last_opt (fun k -> k <= lo) t.m with
+  let rec from k acc =
+    match Int_map.find_first_opt (fun k' -> k' > k) t.m with
+    | Some (l, (h, v)) when l < hi -> from l ((l, h, v) :: acc)
+    | Some _ | None -> List.rev acc
+  in
+  from lo
+    (match Int_map.find_last_opt (fun k -> k <= lo) t.m with
     | Some (l, (h, v)) when h > lo -> [ (l, h, v) ]
-    | Some _ | None -> []
-  in
-  let rest =
-    Int_map.to_seq_from (lo + 1) t.m
-    |> Seq.take_while (fun (l, _) -> l < hi)
-    |> Seq.map (fun (l, (h, v)) -> (l, h, v))
-    |> List.of_seq
-  in
-  first @ rest
+    | Some _ | None -> [])
 
 let remove_span t lo hi =
-  let ov = raw_overlapping t lo hi in
-  let m = List.fold_left (fun m (l, _, _) -> Int_map.remove l m) t.m ov in
-  let n = t.n - List.length ov in
-  let m, n =
-    List.fold_left
-      (fun (m, n) (l, h, w) ->
-        let m, n = if l < lo then (Int_map.add l (lo, w) m, n + 1) else (m, n) in
-        if h > hi then (Int_map.add hi (h, w) m, n + 1) else (m, n))
-      (m, n) ov
-  in
-  { m; n }
+  match raw_overlapping t lo hi with
+  | [] -> t
+  | ov ->
+      let m = List.fold_left (fun m (l, _, _) -> Int_map.remove l m) t.m ov in
+      let n = t.n - List.length ov in
+      let m, n =
+        List.fold_left
+          (fun (m, n) (l, h, w) ->
+            let m, n =
+              if l < lo then (Int_map.add l (lo, w) m, n + 1) else (m, n)
+            in
+            if h > hi then (Int_map.add hi (h, w) m, n + 1) else (m, n))
+          (m, n) ov
+      in
+      { m; n }
 
-let set t (iv : Interval.t) v =
-  let t = remove_span t iv.lo iv.hi in
+let add_gap t (iv : Interval.t) v =
   { m = Int_map.add iv.lo (iv.hi, v) t.m; n = t.n + 1 }
+
+let set t iv v = add_gap (remove_span t iv.Interval.lo iv.Interval.hi) iv v
 
 let remove t (iv : Interval.t) = remove_span t iv.lo iv.hi
 
@@ -63,23 +67,28 @@ let covered m (iv : Interval.t) =
   loop iv.lo (overlapping m iv)
 
 let merge m (iv : Interval.t) v ~keep_new =
-  (* Sub-ranges of [iv] where the new value wins: gaps, plus covered parts
-     whose old value loses to [keep_new]. *)
-  let ov = overlapping m iv in
-  let won = ref [] in
-  let push lo hi = if lo < hi then won := Interval.v ~lo ~hi :: !won in
-  let pos =
-    List.fold_left
-      (fun pos ((e : Interval.t), w) ->
-        push pos e.lo;
-        if keep_new ~old:w then push e.lo e.hi;
-        e.hi)
-      iv.lo ov
-  in
-  push pos iv.hi;
-  let won = List.rev !won in
-  let m = List.fold_left (fun m seg -> set m seg v) m won in
-  (m, won)
+  match raw_overlapping m iv.lo iv.hi with
+  | [] ->
+      (* All gap, the common case on both the client cache and the data
+         server: [set] would find nothing to remove. *)
+      (add_gap m iv v, [ iv ])
+  | ov ->
+      (* Sub-ranges of [iv] where the new value wins: gaps, plus covered
+         parts whose old value loses to [keep_new]. *)
+      let won = ref [] in
+      let push lo hi = if lo < hi then won := Interval.v ~lo ~hi :: !won in
+      let pos =
+        List.fold_left
+          (fun pos (l, h, w) ->
+            let lo = max l iv.lo and hi = min h iv.hi in
+            push pos lo;
+            if keep_new ~old:w then push lo hi;
+            hi)
+          iv.lo ov
+      in
+      push pos iv.hi;
+      let won = List.rev !won in
+      (List.fold_left (fun m seg -> set m seg v) m won, won)
 
 let fold f t acc =
   Int_map.fold (fun lo (hi, v) acc -> f (Interval.v ~lo ~hi) v acc) t.m acc
@@ -88,24 +97,44 @@ let iter f t = Int_map.iter (fun lo (hi, v) -> f (Interval.v ~lo ~hi) v) t.m
 let to_list t = List.rev (fold (fun iv v acc -> (iv, v) :: acc) t [])
 let of_list l = List.fold_left (fun t (iv, v) -> set t iv v) empty l
 
+(* One in-order scan finds the runs of adjacent extents whose values
+   [eq] their run head's.  Only those runs are edited: the absorbed
+   starts are removed and the head is rewritten to span the run, so the
+   bindings are the ones a rebuild from the merged runs would give.  A
+   scan that finds no run allocates nothing and returns [t] itself. *)
 let coalesce ~eq t =
-  let merged, last =
-    fold
-      (fun iv v (acc, last) ->
-        match last with
-        | Some ((p : Interval.t), pv) when p.hi = iv.lo && eq pv v ->
-            (acc, Some (Interval.v ~lo:p.lo ~hi:iv.hi, pv))
-        | Some (p, pv) -> ((p, pv) :: acc, Some (iv, v))
-        | None -> (acc, Some (iv, v)))
-      t ([], None)
-  in
-  let entries =
-    match last with Some e -> List.rev (e :: merged) | None -> []
-  in
-  List.fold_left
-    (fun t (iv, v) ->
-      { m = Int_map.add iv.Interval.lo (iv.Interval.hi, v) t.m; n = t.n + 1 })
-    empty entries
+  match Int_map.min_binding_opt t.m with
+  | None -> t
+  | Some (lo0, (hi0, v0)) ->
+      (* The open run: head start and value, end, absorbed starts. *)
+      let head_lo = ref lo0 and head_v = ref v0 and run_hi = ref hi0 in
+      let absorbed = ref [] and edits = ref [] in
+      let close () =
+        match !absorbed with
+        | [] -> ()
+        | keys ->
+            edits := (!head_lo, !run_hi, !head_v, keys) :: !edits;
+            absorbed := []
+      in
+      Int_map.iter
+        (fun lo (hi, v) ->
+          if lo = !run_hi && eq !head_v v then begin
+            absorbed := lo :: !absorbed;
+            run_hi := hi
+          end
+          else begin
+            close ();
+            head_lo := lo;
+            head_v := v;
+            run_hi := hi
+          end)
+        t.m;
+      close ();
+      List.fold_left
+        (fun t (lo, hi, v, keys) ->
+          let m = List.fold_left (fun m k -> Int_map.remove k m) t.m keys in
+          { m = Int_map.add lo (hi, v) m; n = t.n - List.length keys })
+        t !edits
 
 let filter f t =
   let m = Int_map.filter (fun lo (hi, v) -> f (Interval.v ~lo ~hi) v) t.m in

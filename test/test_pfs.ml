@@ -587,6 +587,111 @@ let test_read_cache_coherent_with_own_flushed_writes () =
   Cluster.run cl;
   Alcotest.(check bool) "second write visible after flush" true !ok
 
+(* The per-stripe dirty-byte counters against the extents they count.
+   One client cache in front of one data server, no locks, runs random
+   writes, multi-range flushes, drops and crashes, with the flush daemon
+   draining in between.  After every step each stripe's counter is the
+   summed length of its dirty extents, the counters sum to
+   [dirty_bytes], and [drain_order] is the largest-first order (ties by
+   rid) that a walk over the extents gives. *)
+let prop_client_cache_counters =
+  let open QCheck in
+  let span = 64 * 1024 and rids = [ 1; 2; 3 ] in
+  let range = Gen.(pair (int_bound (span - 1)) (int_range 1 16384)) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (6, map3 (fun rid r sn -> `Write (rid, r, sn)) (int_range 1 3) range
+                (int_bound 4));
+          (2, map2 (fun rid cuts -> `Flush (rid, cuts)) (int_range 1 3)
+                (list_size (int_range 1 6) (int_bound span)));
+          (1, map2 (fun rid r -> `Drop (rid, r)) (int_range 1 3) range);
+          (1, return `Crash);
+        ])
+  in
+  let print_op = function
+    | `Write (rid, (lo, len), sn) -> Printf.sprintf "w%d[%d,+%d)sn%d" rid lo len sn
+    | `Flush (rid, cuts) ->
+        Printf.sprintf "f%d{%s}" rid
+          (String.concat "," (List.map string_of_int cuts))
+    | `Drop (rid, (lo, len)) -> Printf.sprintf "d%d[%d,+%d)" rid lo len
+    | `Crash -> "crash"
+  in
+  let to_iv (lo, len) = iv lo (min span (lo + len)) in
+  (* Disjoint ranges between sorted cut points, the last one open-ended
+     when the count is odd. *)
+  let rec ranges_of = function
+    | a :: b :: rest -> iv a b :: ranges_of rest
+    | [ a ] -> [ Interval.to_eof ~lo:a ]
+    | [] -> []
+  in
+  let config =
+    {
+      (Config.with_dirty_limits ~dirty_min:(32 * 1024) ~dirty_max:(16 * mib)
+         Config.default)
+      with
+      flush_period = 1e-5;
+    }
+  in
+  Test.make ~name:"client-cache dirty counters match the extents" ~count:150
+    (make ~print:Print.(list print_op) Gen.(list_size (int_range 1 40) op))
+    (fun ops ->
+      let eng = Engine.create () in
+      let node = Netsim.Node.create eng fast_params ~name:"ds" ~with_disk:true () in
+      let lock_server =
+        Seqdlm.Lock_server.create eng fast_params ~node ~name:"ls"
+          ~policy:Seqdlm.Policy.seqdlm
+      in
+      let ds =
+        Data_server.create eng fast_params config ~node ~name:"ds" ~lock_server
+      in
+      let cc =
+        Client_cache.create eng fast_params config
+          ~node:(Netsim.Node.create eng fast_params ~name:"c0" ())
+          ~client_id:0
+          ~io_route:(fun _ -> Data_server.endpoint ds)
+      in
+      let consistent () =
+        let sums =
+          List.map
+            (fun (rid, extents) ->
+              ( rid,
+                List.fold_left (fun a (x, _) -> a + Interval.length x) 0 extents ))
+            (Client_cache.dirty_view cc)
+        in
+        let bytes rid = Option.value (List.assoc_opt rid sums) ~default:0 in
+        let by_size =
+          List.map (fun (rid, b) -> (b, rid)) sums
+          |> List.sort (fun (a, ar) (b, br) ->
+                 match Int.compare b a with 0 -> Int.compare ar br | c -> c)
+        in
+        List.for_all (fun rid -> Client_cache.stripe_dirty_bytes cc ~rid = bytes rid) rids
+        && List.fold_left (fun a (_, b) -> a + b) 0 sums
+           = Client_cache.dirty_bytes cc
+        && Client_cache.drain_order cc = by_size
+      in
+      let failed = ref None in
+      Engine.spawn eng ~name:"driver" (fun () ->
+          List.iteri
+            (fun i op ->
+              if !failed = None then begin
+                (match op with
+                | `Write (rid, r, sn) ->
+                    Client_cache.write cc ~rid ~range:(to_iv r) ~sn ~op:i
+                | `Flush (rid, cuts) ->
+                    Client_cache.flush cc ~rid
+                      ~ranges:(ranges_of (List.sort_uniq Int.compare cuts))
+                | `Drop (rid, r) -> Client_cache.drop_clean cc ~rid ~range:(to_iv r)
+                | `Crash -> ignore (Client_cache.lose_all_dirty cc));
+                if not (consistent ()) then failed := Some (i, print_op op)
+              end)
+            ops);
+      Engine.run eng;
+      match !failed with
+      | None -> true
+      | Some (i, op) -> Test.fail_reportf "inconsistent after step %d (%s)" i op)
+
 (* ------------------------------------------------------------------ *)
 (* Data-server machinery                                               *)
 (* ------------------------------------------------------------------ *)
@@ -779,6 +884,8 @@ let suite =
           test_fsync_file_scoped;
         Alcotest.test_case "client crash loses only dirty data" `Quick
           test_client_crash_durability;
+        QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
+          prop_client_cache_counters;
       ] );
     ( "pfs.readcache",
       [

@@ -324,6 +324,76 @@ let prop_em_coalesce_preserves =
       done;
       !ok)
 
+(* Exact-structure differential against [Ref_extent_map], the map before
+   its write path was made incremental.  After every step of a random
+   set/remove/merge/coalesce script both must hold the same bindings and
+   cardinal, return the same update set from [merge], and answer the
+   same [overlapping] query.  Values come from a small set so equal
+   neighbours, and so merging coalesce passes, are common; merges land
+   both in gaps and over existing extents. *)
+let prop_em_differential =
+  let open QCheck in
+  let bound = 96 in
+  let range = Gen.(pair (int_bound (bound - 2)) (int_range 1 12)) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (3, map2 (fun r v -> `Set (r, v)) range (int_bound 2));
+          (1, map (fun r -> `Remove r) range);
+          (4, map2 (fun r v -> `Merge (r, v)) range (int_bound 3));
+          (1, return `Coalesce);
+        ])
+  in
+  let print_range (lo, len) = Printf.sprintf "[%d,+%d)" lo len in
+  let print_op = function
+    | `Set (r, v) -> Printf.sprintf "set%s=%d" (print_range r) v
+    | `Remove r -> "rm" ^ print_range r
+    | `Merge (r, v) -> Printf.sprintf "merge%s=%d" (print_range r) v
+    | `Coalesce -> "coalesce"
+  in
+  let to_iv (lo, len) = iv lo (min bound (lo + len)) in
+  let flat l = List.map (fun ((i : Interval.t), v) -> (i.lo, i.hi, v)) l in
+  let flat_ivs l = List.map (fun (i : Interval.t) -> (i.lo, i.hi)) l in
+  Test.make ~name:"extent_map structurally identical to the reference"
+    ~count:500
+    (make
+       ~print:Print.(list (pair print_op print_range))
+       Gen.(list_size (int_range 1 60) (pair op range)))
+    (fun steps ->
+      let step (m, r) (op, probe) =
+        let m, r, won_ok =
+          match op with
+          | `Set (x, v) ->
+              (Extent_map.set m (to_iv x) v, Ref_extent_map.set r (to_iv x) v, true)
+          | `Remove x ->
+              (Extent_map.remove m (to_iv x), Ref_extent_map.remove r (to_iv x), true)
+          | `Merge (x, v) ->
+              let keep_new ~old = v >= old in
+              let m, won = Extent_map.merge m (to_iv x) v ~keep_new in
+              let r, ref_won = Ref_extent_map.merge r (to_iv x) v ~keep_new in
+              (m, r, flat_ivs won = flat_ivs ref_won)
+          | `Coalesce ->
+              ( Extent_map.coalesce ~eq:Int.equal m,
+                Ref_extent_map.coalesce ~eq:Int.equal r,
+                true )
+        in
+        Extent_map.check_invariants m;
+        if
+          not
+            (won_ok
+            && flat (Extent_map.to_list m) = flat (Ref_extent_map.to_list r)
+            && Extent_map.cardinal m = Ref_extent_map.cardinal r
+            && flat (Extent_map.overlapping m (to_iv probe))
+               = flat (Ref_extent_map.overlapping r (to_iv probe)))
+        then
+          Test.fail_reportf "diverged after %s (probe %s)" (print_op op)
+            (print_range probe);
+        (m, r)
+      in
+      ignore (List.fold_left step (Extent_map.empty, Ref_extent_map.empty) steps);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Content                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -903,6 +973,7 @@ let suite =
         q prop_em_merge_matches_model;
         q prop_em_disjoint_after_inserts;
         q prop_em_coalesce_preserves;
+        q prop_em_differential;
       ] );
     ( "util.content",
       [
