@@ -50,6 +50,15 @@ type stripe = {
          neighbour merging is amortised rather than per-block *)
 }
 
+(* Every path that removes cache entries calls this, so the next pass
+   comes once the cache grows a quarter past what is left.  Left at a
+   larger old size, the pass would wait for the cache to regrow to 1.25x
+   that size, and when that is above the cleanup limit it never runs:
+   the limit forces the next sync first.  It is never raised here, which
+   would postpone merging the entries added since the last pass. *)
+let shrunk st =
+  st.coalesced_at <- min st.coalesced_at (Extent_map.cardinal st.cache)
+
 type t = {
   eng : Engine.t;
   params : Params.t;
@@ -231,6 +240,7 @@ let handle t req ~reply =
             Content.empty keep;
         st.cache <- Extent_map.remove st.cache (Interval.to_eof ~lo:keep_below)
       end;
+      shrunk st;
       reply Done
 
 (* The asynchronous extent-cache cleanup task (§IV-B).  Removes entries
@@ -265,7 +275,8 @@ let cleanup_round t =
           (fun iv ->
             st.cache <- Extent_map.remove st.cache iv;
             incr removed)
-          !examined
+          !examined;
+        shrunk st
       end)
     (stripe_rids t);
   t.stats.cleanup_removed <- t.stats.cleanup_removed + !removed;
@@ -291,6 +302,7 @@ let force_sync t =
       t.stats.cleanup_removed <-
         t.stats.cleanup_removed + Extent_map.cardinal st.cache;
       st.cache <- Extent_map.empty;
+      shrunk st;
       st.log <- [])
     t.stripes
 

@@ -781,7 +781,7 @@ let test_extent_cache_cleanup_pin () =
   Alcotest.(check bool) "a force sync ran" true (st.force_syncs > 0);
   Alcotest.(check bool) "a coalescing pass merged" true (st.coalesced > 0);
   Alcotest.(check int) "engine events" 1851 (Engine.events_dispatched eng);
-  Alcotest.(check int64) "engine fingerprint" (-2821708703982981139L)
+  Alcotest.(check int64) "engine fingerprint" 268613583622258357L
     (Engine.fingerprint eng);
   Alcotest.(check (list int))
     "data-server stats"
@@ -794,6 +794,61 @@ let test_extent_cache_cleanup_pin () =
   Alcotest.(check int) "extent-cache entries" 27
     (Data_server.extent_cache_entries ds);
   Alcotest.(check int) "device checksum" 2992166163289840108 checksum
+
+(* Regression: a force sync emptied the extent cache but left the
+   coalescing trigger at the pre-sync size, 1.25x of which lies above
+   the cleanup limit, so same-(SN, op) neighbours were never merged
+   again.  Driven straight through the IO endpoint: a one-entry cleanup
+   batch cannot keep up, so the first overflow force-syncs; afterwards
+   one write's blocks, flushed as adjacent pieces, must coalesce. *)
+let test_coalesce_after_force_sync () =
+  let limit = 64 and page = 4096 in
+  let config =
+    { (Config.with_extent_cache ~limit Config.default) with cleanup_batch = 1 }
+  in
+  let eng = Engine.create () in
+  let node = Netsim.Node.create eng fast_params ~name:"ds" ~with_disk:true () in
+  let lock_server =
+    Seqdlm.Lock_server.create eng fast_params ~node ~name:"ls"
+      ~policy:Seqdlm.Policy.seqdlm
+  in
+  let ds = Data_server.create eng fast_params config ~node ~name:"ds" ~lock_server in
+  let client = Netsim.Node.create eng fast_params ~name:"c0" () in
+  let rid = 1 in
+  let flush blocks =
+    match
+      Netsim.Rpc.call (Data_server.endpoint ds) ~src:client ~req_bytes:page
+        (Data_server.Write_flush { rid; blocks; ctl = [] })
+    with
+    | Data_server.Done -> ()
+    | r -> Alcotest.fail (Data_server.io_resp_to_string r)
+  in
+  let block k ~sn ~op =
+    {
+      Data_server.b_range = iv (k * page) ((k + 1) * page);
+      b_sn = sn;
+      b_tag = { Content.writer = 0; op; sn };
+    }
+  in
+  let coalesced_before = ref 0 in
+  Engine.spawn eng ~name:"writer" (fun () ->
+      (* distinct (SN, op) per block: nothing merges, the cache overflows *)
+      flush (List.init (limit + 16) (fun k -> block k ~sn:(k + 1) ~op:1));
+      Engine.sleep eng 0.1;
+      coalesced_before := (Data_server.stats ds).coalesced;
+      (* one write split into adjacent pieces, all with one (SN, op) *)
+      flush (List.init 40 (fun k -> block (1000 + k) ~sn:500 ~op:2)));
+  Engine.run eng;
+  let st = Data_server.stats ds in
+  Alcotest.(check int) "the overflow force-synced" 1 st.force_syncs;
+  Alcotest.(check bool)
+    (Printf.sprintf "same-(SN, op) pieces merged after the sync (%d entries)"
+       (Data_server.extent_cache_entries ds))
+    true
+    (st.coalesced > !coalesced_before
+    && List.exists
+         (fun ((x : Interval.t), _) -> Interval.length x > page)
+         (Data_server.extent_cache_of ds rid))
 
 let test_extent_log_recovery () =
   let config = Config.with_extent_log true small_config in
@@ -902,6 +957,8 @@ let suite =
           test_extent_cache_cleanup;
         Alcotest.test_case "cleanup, force sync and coalesce pinned" `Quick
           test_extent_cache_cleanup_pin;
+        Alcotest.test_case "coalescing resumes after a force sync" `Quick
+          test_coalesce_after_force_sync;
         Alcotest.test_case "extent log rebuild (recovery)" `Quick
           test_extent_log_recovery;
       ] );
