@@ -41,13 +41,69 @@ let bench_extent_map_merge =
       Extent_map.empty
       (List.init 1000 (fun k -> k))
   in
-  Test.make ~name:"extent_map.merge by SN (data-server write routine)"
+  Test.make ~name:"extent_map.merge one 4MB range over 1k extents"
     (Staged.stage (fun () ->
          let m, won =
            Extent_map.merge base (iv 0 4_000_000) 5000 ~keep_new:(fun ~old ->
                5000 > old)
          in
          Sys.opaque_identity (Extent_map.cardinal m + List.length won)))
+
+(* The data server's per-block routine on the N-1 segmented pattern:
+   every 64 KiB block carries its own (SN, op) and lands in the gap past
+   the stripe's last extent, so nothing ever coalesces.  The cache holds
+   [n] entries when measuring starts and grows by one per run (some tens
+   of thousands over Bechamel's samples), crossing the amortised
+   coalescing threshold again and again.  The per-block cost should not
+   depend on [n]. *)
+let bench_data_server_ingest n =
+  let block = 65536 in
+  let params = Netsim.Params.default in
+  let eng = Dessim.Engine.create () in
+  let node = Netsim.Node.create eng params ~name:"ds" ~with_disk:true () in
+  let lock_server =
+    Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+      ~policy:Seqdlm.Policy.seqdlm
+  in
+  let ds =
+    Ccpfs.Data_server.create eng params Ccpfs.Config.default ~node ~name:"ds"
+      ~lock_server
+  in
+  let next = ref 0 in
+  let ingest () =
+    let k = !next in
+    incr next;
+    Ccpfs.Data_server.ingest ds ~rid:1
+      {
+        Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
+        b_sn = 1;
+        b_tag = { Content.writer = 0; op = k; sn = 1 };
+      }
+  in
+  for _ = 1 to n do
+    ignore (ingest ())
+  done;
+  Test.make
+    ~name:
+      (Printf.sprintf "data server: apply one block into a %dk-entry extent cache"
+         (n / 1024))
+    (Staged.stage (fun () -> Sys.opaque_identity (ingest ())))
+
+(* One amortised coalescing pass over a cache where no neighbours share
+   a value: a scan that should allocate nothing and return the map. *)
+let bench_extent_map_coalesce n =
+  let m =
+    List.fold_left
+      (fun m k -> Extent_map.set m (iv k (k + 1)) k)
+      Extent_map.empty (List.init n Fun.id)
+  in
+  Test.make
+    ~name:
+      (Printf.sprintf "extent_map.coalesce over %dk entries, nothing merges"
+         (n / 1024))
+    (Staged.stage (fun () ->
+         Sys.opaque_identity
+           (Extent_map.cardinal (Extent_map.coalesce ~eq:Int.equal m))))
 
 let bench_lcm =
   let modes = Seqdlm.Mode.[| PR; NBW; BW; PW |] in
@@ -295,6 +351,10 @@ let micro_tests () =
     [
       bench_extent_map_set;
       bench_extent_map_merge;
+      bench_extent_map_coalesce 16384;
+      bench_extent_map_coalesce 262144;
+      bench_data_server_ingest 16384;
+      bench_data_server_ingest 262144;
       bench_lcm;
       bench_layout_chunks;
       bench_dllist_churn;

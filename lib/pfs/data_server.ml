@@ -139,6 +139,8 @@ let apply_block t st (b : block) =
   t.stats.bytes_discarded <- t.stats.bytes_discarded + (size - written);
   written
 
+let ingest t ~rid b = apply_block t (stripe t rid) b
+
 (* Forward reference: the cleanup task is defined below but triggered
    from the write path the moment the threshold is crossed (§IV-B: "the
    server starts an asynchronous task"). *)

@@ -54,6 +54,13 @@ val create :
 
 val endpoint : t -> (io_req, io_resp) Netsim.Rpc.endpoint
 
+val ingest : t -> rid:int -> block -> int
+(** Merge one block into the stripe's extent cache and contents as a
+    [Write_flush] does (Fig. 15 steps ①-④, with the amortised
+    same-(SN, op) coalescing), but without the RPC, the disk time or the
+    cleanup trigger.  Returns the update-set bytes.  This is the
+    per-block routine the micro-benchmarks time. *)
+
 val set_lock_route : t -> (int -> Seqdlm.Lock_server.t) -> unit
 (** Install the authoritative rid → owning-lock-server route of a
     sharded cluster (DESIGN.md §15).  The mSN queries of the cleanup
