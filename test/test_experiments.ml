@@ -135,6 +135,31 @@ let test_model_agrees_with_sim () =
     true
     (ratio > 0.85 && ratio < 1.15)
 
+(* exp_repl's closed-loop gather run is the exp_failover workload at the
+   same fault point: at 8 clients it must reproduce the committed
+   BENCH_failover.json row field for field. *)
+let test_repl_gather_reproduces_failover_row () =
+  let m =
+    Experiments.Exp_repl.run_closed ~clients:8 ~writes_each:32 ~replication:0
+  in
+  let row = Experiments.Exp_repl.row_of m in
+  List.iter
+    (fun (key, want) ->
+      let got =
+        match Obs.Json.member key row with
+        | Some v -> Obs.Json.to_string v
+        | None -> "<missing>"
+      in
+      Alcotest.(check string) key want got)
+    [
+      ("crash_s", "0.0021");
+      ("unavailability_s", "0.000751420312148");
+      ("retries", "128");
+      ("reinstalled_locks", "9");
+      ("dropped_waiters", "6");
+      ("replayed_bytes", "131072");
+    ]
+
 let suite =
   [
     ( "experiments.harness",
@@ -157,5 +182,7 @@ let suite =
           test_er_improves_small_writes;
         Alcotest.test_case "simulator matches Eq. 1" `Quick
           test_model_agrees_with_sim;
+        Alcotest.test_case "repl gather reproduces the failover row" `Quick
+          test_repl_gather_reproduces_failover_row;
       ] );
   ]
