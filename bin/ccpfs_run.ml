@@ -3,7 +3,8 @@
      ccpfs_run list               enumerate experiments
      ccpfs_run run fig20          one experiment at its default scale
      ccpfs_run run fig20 -s 0.1   override the workload scale
-     ccpfs_run all [-s SCALE]     the whole evaluation section *)
+     ccpfs_run all [-s SCALE]     the whole evaluation section
+     ccpfs_run validate FILE...   check BENCH_*.json rows and traces *)
 
 open Cmdliner
 
@@ -289,6 +290,64 @@ let fuzz_cmd =
       ret (const run $ count_arg $ seed_arg $ shrink_arg $ inject_arg
            $ faults_arg $ describe_arg))
 
+(* Machine-check result documents and traces: the per-schema invariants
+   plus any pins of the run configuration that produced them. *)
+let validate_cmd =
+  let files_arg =
+    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
+  in
+  let rows_arg =
+    let doc = "Require exactly $(docv) result rows." in
+    Arg.(value & opt (some int) None & info [ "rows" ] ~docv:"N" ~doc)
+  in
+  let field_arg =
+    let doc =
+      "Require every result row's field $(i,KEY) to equal $(i,VALUE) (a \
+       JSON scalar; bare words are strings).  Repeatable."
+    in
+    Arg.(value & opt_all (pair ~sep:'=' string string) []
+         & info [ "field" ] ~docv:"KEY=VALUE" ~doc)
+  in
+  let batches_arg =
+    let doc = "Require the set of batch_k values across rows to be $(docv)." in
+    Arg.(value & opt (some (list int)) None & info [ "batches" ] ~docv:"K,..." ~doc)
+  in
+  let event_arg =
+    let doc = "Require a trace event named $(docv).  Repeatable." in
+    Arg.(value & opt_all string [] & info [ "event" ] ~docv:"NAME" ~doc)
+  in
+  let run files rows fields batches events =
+    let scalar v =
+      match Obs.Json.parse v with
+      | Ok (Obs.Json.(Int _ | Float _ | Bool _ | Null) as j) -> j
+      | Ok _ | Error _ -> Obs.Json.Str v
+    in
+    let pins =
+      Experiments.Validate.
+        {
+          rows;
+          fields = List.map (fun (k, v) -> (k, scalar v)) fields;
+          batches;
+          events;
+        }
+    in
+    match Experiments.Validate.files ~pins files with
+    | Ok lines ->
+        List.iter (fun l -> print_endline ("ok: " ^ l)) lines;
+        `Ok ()
+    | Error errs ->
+        List.iter prerr_endline errs;
+        `Error (false, Printf.sprintf "%d invariant(s) violated" (List.length errs))
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:
+         "Check BENCH_*.json documents and Chrome traces against their \
+          schema invariants and the given pins")
+    Term.(
+      ret (const run $ files_arg $ rows_arg $ field_arg $ batches_arg
+           $ event_arg))
+
 let () =
   let info =
     Cmd.info "ccpfs_run" ~version:"1.0.0"
@@ -297,4 +356,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; trace_cmd; explore_cmd; fuzz_cmd ]))
+          [ list_cmd; run_cmd; all_cmd; trace_cmd; explore_cmd; fuzz_cmd;
+            validate_cmd ]))

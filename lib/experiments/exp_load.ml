@@ -36,38 +36,7 @@ open Ccpfs
 let xfer = 64 * Units.kib
 let seed_base = 0x10ad
 
-let env_int name ~default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ -> default)
-
-let env_floats name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s ->
-      let l =
-        String.split_on_char ',' s
-        |> List.filter_map (fun tok ->
-               match float_of_string_opt (String.trim tok) with
-               | Some v when v > 0. -> Some v
-               | _ -> None)
-      in
-      if List.length l = 0 then None else Some l
-
-let clients () = env_int "CCPFS_LOAD_CLIENTS" ~default:128
 let default_grid = [ 0.25; 0.5; 0.75; 0.9; 1.1; 1.4 ]
-
-let churn_enabled () =
-  match Sys.getenv_opt "CCPFS_LOAD_CHURN" with
-  | Some "0" -> false
-  | _ -> true
-
-let process_name () =
-  match Sys.getenv_opt "CCPFS_LOAD_PROCESS" with
-  | None | Some "" -> "poisson"
-  | Some s -> String.lowercase_ascii (String.trim s)
 
 (* The workload body: the exp_scale contention shape — every request is
    a whole-range PW write to the one shared file. *)
@@ -81,12 +50,7 @@ let fresh_cluster ~n_clients =
     Cluster.create ~config:Config.default ~policy:Seqdlm.Policy.seqdlm
       ~n_servers:1 ~n_clients ()
   in
-  let eng = Cluster.engine cl in
-  (match Obs.Hub.new_sink () with
-  | Some sink -> Dessim.Engine.set_trace_sink eng sink
-  | None -> ());
-  ignore (Obs.Hub.next_run_id ());
-  if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+  ignore (Harness.instrument cl);
   cl
 
 (* Closed-loop calibration: the same workload driven the closed way
@@ -129,19 +93,16 @@ let calibrate ~n_clients ~writes_each =
    thirds — enough rotation that arrival routing demonstrably bends
    around Down clients, small enough that capacity barely moves. *)
 let churn_schedule ~n_clients ~span =
-  if not (churn_enabled ()) then []
-  else begin
-    let movers = Stdlib.max 1 (n_clients / 8) in
-    let acc = ref [] in
-    for m = 0 to movers - 1 do
-      let c = m * Stdlib.max 1 (n_clients / movers) in
-      acc :=
-        Load.Driver.{ ch_at = span /. 3.; ch_client = c; ch_up = false }
-        :: Load.Driver.{ ch_at = 2. *. span /. 3.; ch_client = c; ch_up = true }
-        :: !acc
-    done;
-    List.rev !acc
-  end
+  let movers = Stdlib.max 1 (n_clients / 8) in
+  let acc = ref [] in
+  for m = 0 to movers - 1 do
+    let c = m * Stdlib.max 1 (n_clients / movers) in
+    acc :=
+      Load.Driver.{ ch_at = span /. 3.; ch_client = c; ch_up = false }
+      :: Load.Driver.{ ch_at = 2. *. span /. 3.; ch_client = c; ch_up = true }
+      :: !acc
+  done;
+  List.rev !acc
 
 (* One open-loop rate point on a fresh cluster.  Wrapped in the
    determinism double-run when CCPFS_CHECK enables it, like the other
@@ -169,16 +130,8 @@ let run_point ~n_clients ~requests ~process ~cap ~churn rate =
     if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
     (cl, Load.Driver.result h)
   in
-  if Check.Sanitize.determinism_enabled () then begin
-    let result = ref None in
-    ignore
-      (Check.Determinism.check ~name:"exp_load" (fun () ->
-           let cl, r = one_pass () in
-           result := Some r;
-           Cluster.engine cl));
-    Option.get !result
-  end
-  else snd (one_pass ())
+  let _, r, _ = Harness.measured ~name:"exp_load" one_pass in
+  r
 
 type setup = {
   s_clients : int;
@@ -193,36 +146,38 @@ type setup = {
 }
 
 let setup ~scale =
-  let n_clients = clients () in
+  (* Every knob is read before the calibration run, so a malformed one
+     fails fast.  An SLO of 0 (outside the knob's range) means "auto";
+     an empty rate list means "use the grid". *)
+  let n_clients = Knob.int "CCPFS_LOAD_CLIENTS" ~default:128 ~min:1 in
   let writes_each = Harness.scaled ~scale 8 in
-  let requests = env_int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each) in
+  let requests =
+    Knob.int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each) ~min:1
+  in
+  let slo_ms = Knob.float "CCPFS_LOAD_SLO_MS" ~default:0. ~above:0. in
+  let rates = Knob.float_list "CCPFS_LOAD_RATES" ~default:[] ~above:0. in
+  let grid = Knob.float_list "CCPFS_LOAD_GRID" ~default:default_grid ~above:0. in
+  let process =
+    Knob.choice "CCPFS_LOAD_PROCESS" ~default:"poisson"
+      [ "constant"; "poisson"; "mmpp" ]
+  in
+  let cap = Knob.int "CCPFS_LOAD_CAP" ~default:(4 * n_clients) ~min:1 in
+  let churn = Knob.flag "CCPFS_LOAD_CHURN" ~default:true in
+  let bisect = Knob.int "CCPFS_LOAD_BISECT" ~default:0 ~min:0 in
   let cal = calibrate ~n_clients ~writes_each in
-  let slo_s =
-    match Sys.getenv_opt "CCPFS_LOAD_SLO_MS" with
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some ms when ms > 0. -> ms /. 1e3
-        | _ -> 3. *. Stats.percentile cal.closed_lat 99.)
-    | None -> 3. *. Stats.percentile cal.closed_lat 99.
-  in
-  let rates =
-    match env_floats "CCPFS_LOAD_RATES" with
-    | Some l -> l
-    | None ->
-        let grid =
-          Option.value (env_floats "CCPFS_LOAD_GRID") ~default:default_grid
-        in
-        List.map (fun m -> m *. cal.cap_rps) grid
-  in
   {
     s_clients = n_clients;
     s_requests = requests;
-    s_process = process_name ();
-    s_cap = env_int "CCPFS_LOAD_CAP" ~default:(4 * n_clients);
-    s_churn = churn_enabled ();
-    s_slo_s = slo_s;
-    s_rates = rates;
-    s_bisect = env_int "CCPFS_LOAD_BISECT" ~default:0;
+    s_process = process;
+    s_cap = cap;
+    s_churn = churn;
+    s_slo_s =
+      (match slo_ms with
+      | 0. -> 3. *. Stats.percentile cal.closed_lat 99.
+      | ms -> ms /. 1e3);
+    s_rates =
+      (match rates with [] -> List.map (fun m -> m *. cal.cap_rps) grid | l -> l);
+    s_bisect = bisect;
     s_cal = cal;
   }
 
@@ -273,18 +228,6 @@ let row_of s (p : Load.Sweep.point) =
 let results_schema = "ccpfs.load/1"
 let results_path = "BENCH_load.json"
 
-(* Same accumulator-preserving append as exp_scale: load rows go to
-   BENCH_load.json without disturbing BENCH_experiments.json rows. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
-
 let run ~scale =
   let s = setup ~scale in
   let points = sweep_points s in
@@ -317,7 +260,10 @@ let run ~scale =
            else "");
         ])
     points;
-  let n = write_rows (List.map (row_of s) points) in
+  let n =
+    Harness.append_rows ~schema:results_schema ~path:results_path
+      (List.map (row_of s) points)
+  in
   Table.add_note tbl
     (Printf.sprintf
        "closed-loop capacity %.1f req/s (calibration); %d row(s) in %s"

@@ -2,14 +2,15 @@ open Ccpfs_util
 open Ccpfs
 
 (* Replicated lock-server recovery (DESIGN.md §16) vs the §IV-C2 client
-   gather, measured on the exp_failover workload and fault point: N
-   clients rewrite a shared file under PW contention, the lock server is
-   killed a quarter of the way through, and the recovery coordinator
-   rebuilds the lock table — once by gathering every client's cached
-   grants (replication off), once by electing and replaying a backup's
-   grant log (replication on).  The replay path removes the per-client
-   round-trips from the unavailability window, so its recovery half must
-   come out measurably smaller on the same history.
+   gather, measured under a live crash: N clients rewrite a shared file
+   under PW contention, the lock server is killed a quarter of the way
+   through, and the recovery coordinator rebuilds the lock table — once
+   by gathering every client's cached grants (replication off), once by
+   electing and replaying a backup's grant log (replication on).  The
+   replay path removes the per-client round-trips from the
+   unavailability window, so its recovery half must come out measurably
+   smaller on the same history.  Closed-loop rows also carry a
+   virtual-time throughput series whose dip makes the outage visible.
 
    Both fault paths also run through the open-loop harness (lib/load):
    Poisson arrivals keep landing at their scheduled times straight
@@ -22,23 +23,16 @@ open Ccpfs
    quiesces, every lock a client still caches must sit in the recovered
    server's table with the same mode and SN. *)
 
-let default_clients = 8
-
 (* CI's repl-smoke job pins the client count:
    CCPFS_REPL_CLIENTS=8 ccpfs_run run repl *)
-let client_count () =
-  match Sys.getenv_opt "CCPFS_REPL_CLIENTS" with
-  | None | Some "" -> default_clients
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 1 -> n
-      | _ -> default_clients)
+let client_count () = Knob.int "CCPFS_REPL_CLIENTS" ~default:8 ~min:2
 
 (* Replication factor under test: CCPFS_REPL when set, else f=1. *)
 let repl_factor () = Stdlib.max 1 Config.default.Config.replication
 
 let xfer = 64 * Units.kib
 let seed_base = 0x5ed1
+let bucket_count = 24
 
 type measurement = {
   m_mode : string; (* "gather" | "replay" *)
@@ -53,6 +47,8 @@ type measurement = {
   m_lost_grants : int;
   m_divergent_locks : int;
   m_open : Load.Driver.result option;
+  m_throughput : (float * int array) option;
+      (* closed loop: bucket width and write completions per bucket *)
 }
 
 (* Zero-loss audit: every lock a client still caches after the run must
@@ -92,11 +88,7 @@ let fresh_cluster ~clients ~replication =
       ~policy:Seqdlm.Policy.seqdlm ~replication ~n_servers:1
       ~n_clients:clients ()
   in
-  (match Obs.Hub.new_sink () with
-  | Some sink -> Dessim.Engine.set_trace_sink (Cluster.engine cl) sink
-  | None -> ());
-  ignore (Obs.Hub.next_run_id ());
-  if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+  ignore (Harness.instrument cl);
   cl
 
 let single_record ha =
@@ -107,10 +99,28 @@ let single_record ha =
         (Printf.sprintf "exp_repl: expected exactly 1 failover, got %d"
            (List.length rs))
 
+(* Bucket the write completions into [bucket_count] equal slices of
+   [0, horizon]; the empty buckets between crash and recover are the
+   outage. *)
+let throughput_series ~horizon completions =
+  let width = Float.max horizon 1e-9 /. float_of_int bucket_count in
+  let counts = Array.make bucket_count 0 in
+  List.iter
+    (fun t ->
+      let b = Stdlib.min (bucket_count - 1) (int_of_float (t /. width)) in
+      counts.(b) <- counts.(b) + 1)
+    completions;
+  (width, counts)
+
 (* ---------------------------------------------------------------- *)
-(* Closed loop: the exp_failover workload verbatim                   *)
+(* Closed loop: a contended shared file with a live crash            *)
 (* ---------------------------------------------------------------- *)
 
+(* Each client alternates between the shared hot range (real PW
+   contention: queueing, revocations, retries across the outage) and a
+   private segment whose cached PW lock is still held when the server
+   dies — those grants are what the recovery reinstalls.  The crash
+   trigger is an op count, so it scales with the workload. *)
 let run_closed ~clients ~writes_each ~replication =
   let one_pass () =
     let cl = fresh_cluster ~clients ~replication in
@@ -119,6 +129,7 @@ let run_closed ~clients ~writes_each ~replication =
     let total = clients * writes_each in
     let crash_after = Stdlib.max 1 (total / 4) in
     let done_ops = ref 0 in
+    let completions = ref [] in
     for i = 0 to clients - 1 do
       Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
           let f = Client.open_file c ~create:true "/repl" in
@@ -126,7 +137,8 @@ let run_closed ~clients ~writes_each ~replication =
           for k = 1 to writes_each do
             let off = if k land 1 = 0 then 0 else private_off in
             Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
-            incr done_ops
+            incr done_ops;
+            completions := Cluster.now cl :: !completions
           done)
     done;
     let tick = Ha.Detector.period (Ha.Failover.detector ha) in
@@ -142,19 +154,10 @@ let run_closed ~clients ~writes_each ~replication =
     Cluster.fsync_all cl;
     Cluster.check_invariants cl;
     if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, ha, !done_ops)
+    (cl, (ha, !done_ops, !completions))
   in
-  let cl, ha, ops =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_repl.closed" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
+  let cl, (ha, ops, completions), _ =
+    Harness.measured ~name:"exp_repl.closed" one_pass
   in
   let lost, divergent = audit cl in
   {
@@ -170,6 +173,8 @@ let run_closed ~clients ~writes_each ~replication =
     m_lost_grants = lost;
     m_divergent_locks = divergent;
     m_open = None;
+    m_throughput =
+      Some (throughput_series ~horizon:(Cluster.now cl) completions);
   }
 
 (* ---------------------------------------------------------------- *)
@@ -216,20 +221,9 @@ let run_open ~clients ~requests ~rate ~replication =
     Cluster.fsync_all cl;
     Cluster.check_invariants cl;
     if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, ha, Load.Driver.result h)
+    (cl, (ha, Load.Driver.result h))
   in
-  let cl, ha, r =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_repl.open" (fun () ->
-             let (cl, _, _) as res = one_pass () in
-             result := Some res;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
+  let cl, (ha, r), _ = Harness.measured ~name:"exp_repl.open" one_pass in
   let lost, divergent = audit cl in
   {
     m_mode = (if replication > 0 then "replay" else "gather");
@@ -244,6 +238,7 @@ let run_open ~clients ~requests ~rate ~replication =
     m_lost_grants = lost;
     m_divergent_locks = divergent;
     m_open = Some r;
+    m_throughput = None;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -264,6 +259,16 @@ let row_of (m : measurement) =
         [
           ("log_entries", Int r_entries); ("log_bytes", Int r_log_bytes);
           ("election_rounds", Int r_rounds); ("elected_backup", Int r_backup);
+        ]
+  in
+  let throughput_fields =
+    match m.m_throughput with
+    | None -> []
+    | Some (width, counts) ->
+        [
+          ("throughput_bucket_s", Float width);
+          ( "throughput_ops",
+            List (Array.to_list (Array.map (fun n -> Int n) counts)) );
         ]
   in
   let open_fields =
@@ -309,22 +314,10 @@ let row_of (m : measurement) =
        ("lost_grants", Int m.m_lost_grants);
        ("divergent_locks", Int m.m_divergent_locks);
      ]
-    @ mode_fields @ open_fields)
+    @ mode_fields @ throughput_fields @ open_fields)
 
 let results_schema = "ccpfs.repl/1"
 let results_path = "BENCH_repl.json"
-
-(* Accumulator-preserving append, like exp_failover/exp_load: repl rows
-   land in BENCH_repl.json without disturbing other experiments' rows. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
 
 let run ~scale =
   let clients = client_count () in
@@ -368,7 +361,10 @@ let run ~scale =
   let gather_o = run_open ~clients ~requests ~rate ~replication:0 in
   let replay_o = run_open ~clients ~requests ~rate ~replication:f in
   List.iter add_row [ gather; replay; gather_o; replay_o ];
-  let n = write_rows (List.map row_of [ gather; replay; gather_o; replay_o ]) in
+  let n =
+    Harness.append_rows ~schema:results_schema ~path:results_path
+      (List.map row_of [ gather; replay; gather_o; replay_o ])
+  in
   let win (m : measurement) = m.m_failover.f_recover -. m.m_failover.f_crash in
   Table.add_note tbl
     (Printf.sprintf

@@ -13,22 +13,10 @@ open Ccpfs
    Each run appends one row to BENCH_scale.json (schema ccpfs.scale/1),
    the repo's wall-clock perf trajectory. *)
 
-let default_clients = [ 128; 256; 512 ]
-
 (* CI's scale-smoke job runs the reduced 128-client point only:
    CCPFS_SCALE_CLIENTS="128" ccpfs_run run scale *)
 let client_counts () =
-  match Sys.getenv_opt "CCPFS_SCALE_CLIENTS" with
-  | None | Some "" -> default_clients
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun tok ->
-             match int_of_string_opt (String.trim tok) with
-             | Some n when n > 0 -> Some n
-             | _ -> None)
-      |> function
-      | [] -> default_clients
-      | l -> l
+  Knob.int_list "CCPFS_SCALE_CLIENTS" ~default:[ 128; 256; 512 ] ~min:1
 
 let xfer = 64 * Units.kib
 
@@ -64,9 +52,9 @@ type measurement = {
 }
 
 (* One contended run.  The cluster loop mirrors Harness.run_custom
-   (sanitizer attach, PIO/F split, invariant sweep) but times the pass
-   with a real clock and keeps Obs.Results untouched — scale rows go to
-   BENCH_scale.json, not BENCH_experiments.json. *)
+   (sanitizer attach, PIO/F split, invariant sweep) but keeps
+   Obs.Results untouched — scale rows go to BENCH_scale.json, not
+   BENCH_experiments.json. *)
 let run_one ~clients ~writes_each ~batch_k =
   let one_pass () =
     let config = Config.with_batching ~k:batch_k Config.default in
@@ -74,11 +62,7 @@ let run_one ~clients ~writes_each ~batch_k =
         ~n_clients:clients ()
     in
     let eng = Cluster.engine cl in
-    (match Obs.Hub.new_sink () with
-    | Some sink -> Dessim.Engine.set_trace_sink eng sink
-    | None -> ());
-    ignore (Obs.Hub.next_run_id ());
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+    ignore (Harness.instrument cl);
     let lat = Stats.create () in
     let writers_done = ref 0. in
     let root_rng = Det_random.create ~seed:0x5ca1e in
@@ -100,33 +84,9 @@ let run_one ~clients ~writes_each ~batch_k =
     Cluster.fsync_all cl;
     Cluster.check_invariants cl;
     if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, pio, lat)
+    (cl, (pio, lat))
   in
-  let wall0 =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-  in
-  let cl, pio, lat =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_scale" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let wall =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-    -. wall0
-  in
+  let cl, (pio, lat), wall = Harness.measured ~name:"exp_scale" one_pass in
   let s = Cluster.sum_lock_stats cl in
   {
     m_batch_k = batch_k;
@@ -182,18 +142,6 @@ let row_of (m : measurement) =
 let results_schema = "ccpfs.scale/1"
 let results_path = "BENCH_scale.json"
 
-(* Append the scale rows to BENCH_scale.json without disturbing whatever
-   the experiment harness has accumulated for BENCH_experiments.json. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
-
 let run ~scale =
   let writes_each = Harness.scaled ~scale 8 in
   let tbl =
@@ -231,7 +179,7 @@ let run ~scale =
           (batch_points ()))
       (client_counts ())
   in
-  let n = write_rows rows in
+  let n = Harness.append_rows ~schema:results_schema ~path:results_path rows in
   Table.add_note tbl
     (Printf.sprintf "wall = real elapsed time of the simulation; %d row(s) in %s"
        n results_path);

@@ -22,31 +22,13 @@ open Ccpfs
    alongside for the perf trajectory.  Each run appends one row to
    BENCH_shard.json (schema ccpfs.shard/1). *)
 
-let default_servers = [ 1; 2; 4; 8 ]
-let default_clients = 512
-let default_stripes = 32
-
-let int_list_env ~key ~default =
-  match Sys.getenv_opt key with
-  | None | Some "" -> default
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun tok ->
-             match int_of_string_opt (String.trim tok) with
-             | Some n when n > 0 -> Some n
-             | _ -> None)
-      |> ( function [] -> default | l -> l )
-
-let int_env ~key ~default =
-  match Option.bind (Sys.getenv_opt key) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> default
-
 (* CI's shard-smoke job runs a reduced sweep:
    CCPFS_SHARD_SERVERS="1,2" CCPFS_SHARD_CLIENTS=32 ccpfs_run run shard *)
-let server_counts () = int_list_env ~key:"CCPFS_SHARD_SERVERS" ~default:default_servers
-let client_count () = int_env ~key:"CCPFS_SHARD_CLIENTS" ~default:default_clients
-let stripe_count () = int_env ~key:"CCPFS_SHARD_STRIPES" ~default:default_stripes
+let server_counts () =
+  Knob.int_list "CCPFS_SHARD_SERVERS" ~default:[ 1; 2; 4; 8 ] ~min:1
+
+let client_count () = Knob.int "CCPFS_SHARD_CLIENTS" ~default:512 ~min:1
+let stripe_count () = Knob.int "CCPFS_SHARD_STRIPES" ~default:32 ~min:1
 
 let stripe_size = 64 * Units.kib
 let xfer = 16 * Units.kib
@@ -78,11 +60,7 @@ let run_one ~servers ~clients ~stripes ~writes_each =
         ~n_servers:servers ~n_clients:clients ()
     in
     let eng = Cluster.engine cl in
-    (match Obs.Hub.new_sink () with
-    | Some sink -> Dessim.Engine.set_trace_sink eng sink
-    | None -> ());
-    ignore (Obs.Hub.next_run_id ());
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+    ignore (Harness.instrument cl);
     Obs.Metrics.enable (Dessim.Engine.metrics eng);
     let layout = Layout.v ~stripe_size ~stripe_count:stripes () in
     let lat = Stats.create () in
@@ -139,33 +117,9 @@ let run_one ~servers ~clients ~stripes ~writes_each =
       Check.Sanitize.check_cluster cl;
       Check.Sanitize.check_ownership cl
     end;
-    (cl, pio, lat)
+    (cl, (pio, lat))
   in
-  let wall0 =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-  in
-  let cl, pio, lat =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_shard" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let wall =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-    -. wall0
-  in
+  let cl, (pio, lat), wall = Harness.measured ~name:"exp_shard" one_pass in
   {
     m_servers = servers;
     m_clients = clients;
@@ -221,18 +175,6 @@ let row_of (m : measurement) =
 let results_schema = "ccpfs.shard/1"
 let results_path = "BENCH_shard.json"
 
-(* Append the shard rows to BENCH_shard.json without disturbing whatever
-   the experiment harness has accumulated for BENCH_experiments.json. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
-
 let run ~scale =
   let writes_each = Harness.scaled ~scale 8 in
   let clients = client_count () and stripes = stripe_count () in
@@ -269,7 +211,7 @@ let run ~scale =
         row_of m)
       (server_counts ())
   in
-  let n = write_rows rows in
+  let n = Harness.append_rows ~schema:results_schema ~path:results_path rows in
   Table.add_note tbl
     (Printf.sprintf
        "sim reqs/s = lock requests per simulated second (service capacity); \

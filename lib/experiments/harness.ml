@@ -76,21 +76,59 @@ let result_row cl ~run_id ~servers ~clients r =
       ("metrics", Obs.Metrics.to_json (Dessim.Engine.metrics (Cluster.engine cl)));
     ]
 
+let instrument cl =
+  (match Obs.Hub.new_sink () with
+  | Some sink -> Dessim.Engine.set_trace_sink (Cluster.engine cl) sink
+  | None -> ());
+  (* The sink label uses the run counter before it advances, so the
+     viewer's process name and a result row's "run" field agree. *)
+  let run_id = Obs.Hub.next_run_id () in
+  if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+  run_id
+
+let host_now () =
+  (Unix.gettimeofday () [@lint.allow
+                          "D003 host wall-clock IS the measured quantity: \
+                           the wall_s of scale/shard rows reports real \
+                           elapsed time, not simulated time"])
+
+let measured ~name pass =
+  let timed () =
+    let t0 = host_now () in
+    let cl, x = pass () in
+    (cl, x, host_now () -. t0)
+  in
+  if Check.Sanitize.determinism_enabled () then begin
+    (* The simulator must be a pure function of the scenario: build and
+       run the whole world twice and compare event streams.  Only the
+       kept (second) pass is a measurement. *)
+    let kept = ref None in
+    ignore
+      (Check.Determinism.check ~name (fun () ->
+           let (cl, _, _) as r = timed () in
+           kept := Some r;
+           Cluster.engine cl));
+    Option.get !kept
+  end
+  else timed ()
+
+let append_rows ~schema ~path rows =
+  (* Swap the accumulator out so the rows of the experiment harness
+     (bound for BENCH_experiments.json) survive this write. *)
+  let prior = Obs.Results.rows () in
+  Obs.Results.clear ();
+  List.iter Obs.Results.add rows;
+  let n = Obs.Results.write ~append:true ~schema ~path () in
+  List.iter Obs.Results.add prior;
+  n
+
 let run_custom ?params ?config ?policy ~servers ~clients setup k =
-  let last_run_id = ref 0 in
   let one_pass () =
     let cl = Cluster.create ?params ?config ?policy ~n_servers:servers
         ~n_clients:clients ()
     in
-    let eng = Cluster.engine cl in
-    (* The sink label uses the run counter before it advances, so the
-       viewer's process name and the result row's "run" field agree. *)
-    (match Obs.Hub.new_sink () with
-    | Some sink -> Dessim.Engine.set_trace_sink eng sink
-    | None -> ());
-    last_run_id := Obs.Hub.next_run_id ();
-    Obs.Metrics.enable (Dessim.Engine.metrics eng);
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+    let run_id = instrument cl in
+    Obs.Metrics.enable (Dessim.Engine.metrics (Cluster.engine cl));
     (* PIO ends when the last application process finishes; lock-cancel
        flushing still running then is background work the application
        never sees, charged to the F phase. *)
@@ -107,26 +145,11 @@ let run_custom ?params ?config ?policy ~servers ~clients setup k =
     let f = Cluster.now cl -. pio in
     Cluster.check_invariants cl;
     if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, pio, f)
+    (cl, (run_id, pio, f))
   in
-  let cl, pio, f =
-    if Check.Sanitize.determinism_enabled () then begin
-      (* The simulator must be a pure function of the scenario: build
-         and run the whole world twice and compare event streams. *)
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"harness" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
+  let cl, (run_id, pio, f), _ = measured ~name:"harness" one_pass in
   let r = collect cl ~pio ~f in
-  (* In determinism mode one_pass ran twice but only the kept pass is a
-     measurement: exactly one row per logical run. *)
-  Obs.Results.add (result_row cl ~run_id:!last_run_id ~servers ~clients r);
+  Obs.Results.add (result_row cl ~run_id ~servers ~clients r);
   k cl r
 
 let run_streams ?params ?config ?policy ?mode ?lock_whole_range

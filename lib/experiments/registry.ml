@@ -102,16 +102,6 @@ let all =
       run = Exp_scale.run;
     };
     {
-      id = "failover";
-      title = "Failover: live lock-server crash under shared-file contention";
-      paper_claim =
-        "§IV-C2 recovery rebuilds the lock table from client caches; with \
-         lib/ha the rebuild runs online behind an epoch fence while \
-         in-flight clients retry";
-      default_scale = 1.0;
-      run = Exp_failover.run;
-    };
-    {
       id = "shard";
       title = "Shard: lock-namespace sharding, 1-8 servers at 512 clients";
       paper_claim =

@@ -15,27 +15,6 @@ type t = {
   replication : int;
 }
 
-(* CCPFS_BATCH=k turns RPC batching on everywhere a Config.default flows
-   (experiments, the fuzzer's config_of) without touching call sites;
-   unset or 0/1 leaves the transport unbatched. *)
-let env_batch_k =
-  match Sys.getenv_opt "CCPFS_BATCH" with
-  | None | Some "" -> 0
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some k when k > 1 -> k
-    | _ -> 0)
-
-(* CCPFS_REPL=f replicates every lock server's grant log to f backups
-   (DESIGN.md §16) wherever a Config.default flows; unset or 0 runs
-   unreplicated (recovery falls back to the client gather). *)
-let env_repl =
-  match Sys.getenv_opt "CCPFS_REPL" with
-  | None | Some "" -> 0
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some f when f > 0 -> f
-      | _ -> 0)
-
 let default =
   {
     page = Units.page;
@@ -47,9 +26,15 @@ let default =
     cleanup_period = 0.1;
     extent_log = false;
     flush_wire_page_only = false;
-    batch_k = env_batch_k;
+    (* CCPFS_BATCH=k turns RPC batching on everywhere a Config.default
+       flows (experiments, the fuzzer's config_of) without touching call
+       sites; unset or 0/1 leaves the transport unbatched. *)
+    batch_k = (match Knob.int "CCPFS_BATCH" ~default:0 ~min:0 with 1 -> 0 | k -> k);
     batch_delay = 0.;
-    replication = env_repl;
+    (* CCPFS_REPL=f replicates every lock server's grant log to f backups
+       (DESIGN.md §16) wherever a Config.default flows; unset or 0 runs
+       unreplicated (recovery falls back to the client gather). *)
+    replication = Knob.int "CCPFS_REPL" ~default:0 ~min:0;
   }
 
 let with_dirty_limits ~dirty_min ~dirty_max t = { t with dirty_min; dirty_max }

@@ -1,0 +1,26 @@
+(** Typed readers for the [CCPFS_*] environment knobs.
+
+    Every reader takes the knob's name, its default and its valid range.
+    The value is trimmed first; unset or empty means the default.  A value
+    that does not parse, or parses but lies outside the range, raises
+    [Invalid_argument] naming the knob and the value — a typo must never
+    silently run the default configuration.  Lists are comma-separated,
+    each element trimmed and checked on its own. *)
+
+val int : string -> default:int -> min:int -> int
+(** An integer in [\[min, max_int\]]. *)
+
+val int_list : string -> default:int list -> min:int -> int list
+(** A non-empty list of integers, each in [\[min, max_int\]]. *)
+
+val float : string -> default:float -> above:float -> float
+(** A finite float strictly greater than [above]. *)
+
+val float_list : string -> default:float list -> above:float -> float list
+(** A non-empty list of finite floats, each strictly greater than [above]. *)
+
+val flag : string -> default:bool -> bool
+(** [0]/[false] or [1]/[true]. *)
+
+val choice : string -> default:string -> string list -> string
+(** One of the given lower-case names, matched case-insensitively. *)

@@ -135,9 +135,10 @@ let test_model_agrees_with_sim () =
     true
     (ratio > 0.85 && ratio < 1.15)
 
-(* exp_repl's closed-loop gather run is the exp_failover workload at the
-   same fault point: at 8 clients it must reproduce the committed
-   BENCH_failover.json row field for field. *)
+(* exp_repl's closed-loop gather run is the workload of the retired
+   failover experiment at the same fault point: at 8 clients it must
+   reproduce that experiment's last committed row field for field,
+   throughput series included. *)
 let test_repl_gather_reproduces_failover_row () =
   let m =
     Experiments.Exp_repl.run_closed ~clients:8 ~writes_each:32 ~replication:0
@@ -158,6 +159,9 @@ let test_repl_gather_reproduces_failover_row () =
       ("reinstalled_locks", "9");
       ("dropped_waiters", "6");
       ("replayed_bytes", "131072");
+      ("throughput_bucket_s", "0.000422984449902");
+      ( "throughput_ops",
+        "[17,12,13,12,13,1,0,9,11,5,13,12,13,13,12,13,13,13,12,13,11,10,10,5]" );
     ]
 
 let suite =

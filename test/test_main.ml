@@ -28,5 +28,6 @@ let () =
             Test_ha.suite;
             Test_repl.suite;
             Test_shard.suite;
+            Test_validate.suite;
             Test_lint.suite;
           ]))

@@ -941,9 +941,118 @@ let test_det_tbl_shadowed_bindings () =
     [ (1, "new"); (2, "only") ]
     (Det_tbl.bindings_sorted ~cmp:Int.compare tbl)
 
+(* ------------------------------------------------------------------ *)
+(* Knob                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reader against the same table of raw values: unset/empty means
+   the default, values are trimmed, and anything malformed or out of
+   range raises Invalid_argument naming the knob and the value. *)
+let knob_var = "KNOB_UNDER_TEST"
+
+let with_knob raw f =
+  Unix.putenv knob_var raw;
+  Fun.protect ~finally:(fun () -> Unix.putenv knob_var "") f
+
+let show_result pp = function
+  | Ok v -> pp v
+  | Error msg -> "raises: " ^ msg
+
+let read_knob f =
+  match f knob_var with
+  | v -> Ok v
+  | exception Invalid_argument msg -> Error msg
+
+let knob_case name pp read raw want =
+  with_knob raw (fun () ->
+      let got = read_knob read in
+      match (got, want) with
+      | Ok g, Some w ->
+          Alcotest.(check string) (Printf.sprintf "%s %S" name raw) (pp w) (pp g)
+      | Error msg, None ->
+          let mentions sub =
+            let n = String.length sub in
+            let rec at i =
+              i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+            in
+            at 0
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %S error names knob and value: %s" name raw msg)
+            true
+            (mentions knob_var && mentions (Printf.sprintf "%S" raw))
+      | _ ->
+          Alcotest.failf "%s %S: got %s" name raw (show_result pp got))
+
+let ints l = String.concat "," (List.map string_of_int l)
+let floats l = String.concat "," (List.map string_of_float l)
+
+let test_knob_readers () =
+  let int = knob_case "int" string_of_int (Knob.int ~default:512 ~min:1) in
+  int "" (Some 512);
+  int "32" (Some 32);
+  int " 32" (Some 32);
+  int "32 \n" (Some 32);
+  int "abc" None;
+  int "3.5" None;
+  int "0" None;
+  int "-4" None;
+  let int0 = knob_case "int ~min:0" string_of_int (Knob.int ~default:0 ~min:0) in
+  int0 "0" (Some 0);
+  int0 "two" None;
+  int0 "-1" None;
+  let il =
+    knob_case "int_list" ints (Knob.int_list ~default:[ 128; 256; 512 ] ~min:1)
+  in
+  il "" (Some [ 128; 256; 512 ]);
+  il "128" (Some [ 128 ]);
+  il "128, 256" (Some [ 128; 256 ]);
+  il " 1,2 ,4" (Some [ 1; 2; 4 ]);
+  il "128;256" None;
+  il "128 256" None;
+  il "128,,256" None;
+  il "128," None;
+  il "0,2" None;
+  let fl = knob_case "float" string_of_float (Knob.float ~default:0. ~above:0.) in
+  fl "" (Some 0.);
+  fl " 2.5 " (Some 2.5);
+  fl "3" (Some 3.);
+  fl "0" None;
+  fl "-1" None;
+  fl "nan" None;
+  fl "inf" None;
+  fl "fast" None;
+  let fls =
+    knob_case "float_list" floats (Knob.float_list ~default:[ 0.5 ] ~above:0.)
+  in
+  fls "" (Some [ 0.5 ]);
+  fls "0.5,0.9, 1.4" (Some [ 0.5; 0.9; 1.4 ]);
+  fls "0.5;0.9" None;
+  fls "0.5,0" None;
+  fls "0.5,x" None;
+  let fg = knob_case "flag" string_of_bool (Knob.flag ~default:true) in
+  fg "" (Some true);
+  fg "0" (Some false);
+  fg " 1 " (Some true);
+  fg "false" (Some false);
+  fg "yes" None;
+  fg "2" None;
+  let ch =
+    knob_case "choice" Fun.id
+      (fun name ->
+        Knob.choice name ~default:"poisson" [ "constant"; "poisson"; "mmpp" ])
+  in
+  ch "" (Some "poisson");
+  ch " MMPP" (Some "mmpp");
+  ch "constant" (Some "constant");
+  ch "bursty" None
+
 let suite =
   let q = QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ()) in
   [
+    ( "util.knob",
+      [ Alcotest.test_case "readers: default, trim, malformed, range" `Quick
+          test_knob_readers ] );
     ( "util.interval",
       [
         Alcotest.test_case "basic predicates" `Quick test_interval_basic;
