@@ -92,7 +92,8 @@ let scale =
         let ls = field r "lock_stats" in
         ensure rep (int ls "grants" >= requests) "fewer grants than requests";
         let q = int ls "max_queue" in
-        ensure rep (0 < q && q <= requests) "max_queue %d outside (0, requests]" q;
+        ensure rep (0 < q && q <= requests)
+          "max_queue %d outside (0, requests]" q;
         ensure rep (q >= clients - 1 && q <= clients)
           "max_queue %d: whole-file contention must queue %d clients" q clients;
         percentiles rep r ~p50:"write_lat_p50_s" ~p99:"write_lat_p99_s");
@@ -126,7 +127,8 @@ let load =
         let knees = List.length (List.filter (fun r -> flag r "knee") rows) in
         ensure rep (knees = 1) "expected exactly one knee row, got %d" knees;
         match List.rev rows with
-        | last :: _ -> ensure rep (flag last "violates") "top rate point does not violate"
+        | last :: _ ->
+            ensure rep (flag last "violates") "top rate point does not violate"
         | [] -> ());
   }
 
@@ -221,7 +223,8 @@ let repl =
             ensure rep (num r "throughput_bucket_s" > 0.)
               "throughput_bucket_s not positive";
             ensure rep
-              (List.length series = repl_series_buckets && sum series = int r "ops")
+              (List.length series = repl_series_buckets
+              && sum series = int r "ops")
               "throughput series must be %d buckets summing to ops"
               repl_series_buckets
         | l -> ensure rep false "unknown loop %S" l);
@@ -242,7 +245,8 @@ let repl =
                   "%s loop: replay recovery not faster than gather" loop;
                 ensure rep (num r "unavailability_s" < num g "unavailability_s")
                   "%s loop: replay window not shorter than gather" loop
-            | _ -> ensure rep false "%s loop: missing a gather or replay row" loop)
+            | _ ->
+                ensure rep false "%s loop: missing a gather or replay row" loop)
           [ "closed"; "open" ]);
   }
 
@@ -255,7 +259,8 @@ let schemas = [ experiments; scale; load; shard; repl ]
 let results rep pins (s : schema) rows =
   let n = List.length rows in
   ensure rep (n > 0) "no result rows";
-  Option.iter (fun want -> ensure rep (n = want) "expected %d rows, got %d" want n)
+  Option.iter
+    (fun want -> ensure rep (n = want) "expected %d rows, got %d" want n)
     pins.rows;
   List.iteri
     (fun i r ->
@@ -274,11 +279,11 @@ let results rep pins (s : schema) rows =
       s.across rep rows;
       Option.iter
         (fun want ->
-          let got = List.sort_uniq Int.compare (List.map (fun r -> int r "batch_k") rows) in
-          let want = List.sort_uniq Int.compare want in
+          let set l = List.sort_uniq Int.compare l in
+          let got = set (List.map (fun r -> int r "batch_k") rows) in
           let show l = String.concat "," (List.map string_of_int l) in
-          ensure rep (List.equal Int.equal got want) "batch_k set is {%s}, pinned {%s}"
-            (show got) (show want))
+          ensure rep (List.equal Int.equal got (set want))
+            "batch_k set is {%s}, pinned {%s}" (show got) (show (set want)))
         pins.batches);
   Printf.sprintf "%s, %d row(s)" s.id n
 
@@ -314,7 +319,9 @@ let trace rep pins events =
   List.iter
     (fun want ->
       ensure rep
-        (List.exists (fun e -> Option.equal String.equal (name e) (Some want)) events)
+        (List.exists
+           (fun e -> Option.equal String.equal (name e) (Some want))
+           events)
         "no %S event in the trace" want)
     pins.events;
   Printf.sprintf "trace, %d event(s), spans balanced" (List.length events)
@@ -350,16 +357,17 @@ let document ?(pins = no_pins) doc = Result.map snd (check pins doc)
 
 let files ?(pins = no_pins) paths =
   let one path =
+    let tag = List.map (fun e -> path ^ ": " ^ e) in
     match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-    | Error e -> Error [ path ^ ": " ^ e ]
     | Ok doc -> (
         match check pins doc with
-        | Ok (kind, summary) -> Ok (kind, path ^ ": " ^ summary)
-        | Error errs -> Error (List.map (fun e -> path ^ ": " ^ e) errs))
-    | exception Sys_error e -> Error [ e ]
+        | Ok (kind, summary) -> Either.Left (kind, path ^ ": " ^ summary)
+        | Error errs -> Either.Right (tag errs))
+    | Error e -> Either.Right (tag [ e ])
+    | exception Sys_error e -> Either.Right [ e ]
   in
-  let outcomes = List.map one paths in
-  let kinds = List.filter_map (function Ok (k, _) -> Some k | Error _ -> None) outcomes in
+  let oks, errs = List.partition_map one paths in
+  let seen kind = List.exists (fun (k, _) -> k = kind) oks in
   let row_pinned =
     Option.is_some pins.rows
     || (not (List.is_empty pins.fields))
@@ -367,17 +375,15 @@ let files ?(pins = no_pins) paths =
   in
   (* A pin that matched no document of its kind would pass silently. *)
   let unused =
-    (if row_pinned && not (List.mem Results kinds) then
-       [ "row pins given but no results document validated" ]
+    (if row_pinned && not (seen Results) then
+       [ "row pins matched no results document" ]
      else [])
     @
-    if (not (List.is_empty pins.events)) && not (List.mem Trace kinds) then
-      [ "event pins given but no trace validated" ]
+    if (not (List.is_empty pins.events)) && not (seen Trace) then
+      [ "event pins matched no trace" ]
     else []
   in
-  match List.concat_map (function Error e -> e | Ok _ -> []) outcomes with
-  | [] -> (
-      match unused with
-      | [] -> Ok (List.filter_map (function Ok (_, s) -> Some s | Error _ -> None) outcomes)
-      | errs -> Error errs)
+  match List.concat errs with
+  | [] when List.is_empty unused -> Ok (List.map snd oks)
+  | [] -> Error unused
   | errs -> Error errs

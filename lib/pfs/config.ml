@@ -29,7 +29,8 @@ let default =
     (* CCPFS_BATCH=k turns RPC batching on everywhere a Config.default
        flows (experiments, the fuzzer's config_of) without touching call
        sites; unset or 0/1 leaves the transport unbatched. *)
-    batch_k = (match Knob.int "CCPFS_BATCH" ~default:0 ~min:0 with 1 -> 0 | k -> k);
+    batch_k =
+      (match Knob.int "CCPFS_BATCH" ~default:0 ~min:0 with 1 -> 0 | k -> k);
     batch_delay = 0.;
     (* CCPFS_REPL=f replicates every lock server's grant log to f backups
        (DESIGN.md §16) wherever a Config.default flows; unset or 0 runs

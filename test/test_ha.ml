@@ -24,7 +24,7 @@ let make ~clients =
     ~reliability:(Netsim.Rpc.reliability_for params)
     ~n_servers:1 ~n_clients:clients ()
 
-(* The exp_failover workload in miniature: every client alternates
+(* The closed-loop exp_repl workload in miniature: every client alternates
    between a shared hot range (PW contention) and a private segment
    whose cached grant is alive at crash time.  Returns the cluster, the
    installed ha, and the number of completed writes. *)

@@ -144,42 +144,12 @@ let test_span_collection () =
     "phases" [ 'B'; 'B'; 'E'; 'E'; 'i' ]
     (List.map (fun (e : Trace.ev) -> e.ph) evs)
 
-(* Walk Chrome trace events checking B/E nesting per (pid, tid); returns
-   the number of events seen.  Fails the test on a mismatched pair. *)
+(* Check B/E nesting per (pid, tid) with the row validator's trace
+   check; returns the number of events seen. *)
 let check_matched_spans json =
-  let evs =
-    match Json.member "traceEvents" json with
-    | Some l -> Json.get_list l
-    | None -> Alcotest.fail "no traceEvents field"
-  in
-  let stacks : (int * int, string list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let get name = Option.bind (Json.member name e) Json.get_int in
-      let key = (Option.value ~default:0 (get "pid"),
-                 Option.value ~default:0 (get "tid")) in
-      let name =
-        Option.value ~default:""
-          (Option.bind (Json.member "name" e) Json.get_string)
-      in
-      match Option.bind (Json.member "ph" e) Json.get_string with
-      | Some "B" ->
-          Hashtbl.replace stacks key
-            (name :: Option.value ~default:[] (Hashtbl.find_opt stacks key))
-      | Some "E" -> (
-          match Hashtbl.find_opt stacks key with
-          | Some (top :: rest) when top = name ->
-              Hashtbl.replace stacks key rest
-          | _ -> Alcotest.fail (Printf.sprintf "unmatched end span %S" name))
-      | _ -> ())
-    evs;
-  Hashtbl.iter
-    (fun _ stack ->
-      if stack <> [] then
-        Alcotest.fail
-          (Printf.sprintf "unclosed span %S" (List.hd stack)))
-    stacks;
-  List.length evs
+  match Experiments.Validate.document json with
+  | Ok _ -> List.length (Json.get_list (Option.get (Json.member "traceEvents" json)))
+  | Error errs -> Alcotest.fail (String.concat "; " errs)
 
 let test_trace_json_shape () =
   let s = Trace.make ~pid:2 ~label:"demo" () in
