@@ -170,7 +170,7 @@ let test_unused_pin_fails () =
 
 let suite =
   [
-    ( "experiments.validate",
+    ( "experiments.rows",
       [
         Alcotest.test_case "committed BENCH documents validate" `Quick
           test_committed_documents_validate;
