@@ -6,8 +6,9 @@
 
    Part 2 runs Bechamel microbenchmarks of the hot paths the simulation
    rests on: extent-map updates (client cache & data-server extent
-   cache), LCM checks, layout arithmetic, lock-server queue passes and
-   whole mini-cluster steps.
+   cache), LCM checks, layout arithmetic, lock-server queue passes,
+   engine dispatch, the bare RPC transport and whole mini-cluster
+   steps.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- experiments  # tables/figures only
@@ -140,6 +141,56 @@ let bench_engine_events =
          done;
          Dessim.Engine.run eng;
          Sys.opaque_identity (Dessim.Engine.events_dispatched eng)))
+
+(* The open-loop driver's shape: a whole Poisson arrival schedule goes
+   into the queue up front through [Engine.at] (so every dispatch sifts
+   through tens of thousands of pending events), while worker processes
+   sleep through service times among them. *)
+let bench_engine_pending_arrivals =
+  let arrivals =
+    Load.Arrivals.times ~seed:1 (Load.Arrivals.Poisson 70_000.) ~n:40_000
+  in
+  let horizon = arrivals.(Array.length arrivals - 1) in
+  let workers = 64 in
+  Test.make ~name:"engine: dispatch with 40k pending arrivals"
+    (Staged.stage (fun () ->
+         let eng = Dessim.Engine.create () in
+         let served = ref 0 in
+         Array.iter
+           (fun time -> Dessim.Engine.at eng ~time (fun () -> incr served))
+           arrivals;
+         for i = 1 to workers do
+           let service = float_of_int (workers + i) /. 70_000. in
+           Dessim.Engine.spawn eng ~name:(string_of_int i) (fun () ->
+               while Dessim.Engine.now eng < horizon do
+                 Dessim.Engine.sleep eng service
+               done)
+         done;
+         Dessim.Engine.run eng;
+         Sys.opaque_identity (Dessim.Engine.events_dispatched eng + !served)))
+
+(* One control RPC per caller with a handler that replies at once: the
+   transport alone (request courier, server NIC and ops queue, reply
+   courier, the caller's suspension) with nothing of the DLM above it. *)
+let bench_rpc_round_trip =
+  let callers = 1024 in
+  Test.make ~name:"rpc: bare call round trip, 1k callers"
+    (Staged.stage (fun () ->
+         let params = Netsim.Params.default in
+         let eng = Dessim.Engine.create () in
+         let server = Netsim.Node.create eng params ~name:"s" () in
+         let client = Netsim.Node.create eng params ~name:"c" () in
+         let ep =
+           Netsim.Rpc.endpoint eng params ~node:server ~name:"s.echo"
+             ~handler:(fun k ~reply -> reply (k + 1))
+         in
+         let sum = ref 0 in
+         for i = 1 to callers do
+           Dessim.Engine.spawn eng ~name:(string_of_int i) (fun () ->
+               sum := !sum + Netsim.Rpc.call ep ~src:client i)
+         done;
+         Dessim.Engine.run eng;
+         Sys.opaque_identity !sum))
 
 let bench_lock_handoff =
   Test.make ~name:"full lock handoff chain (2 clients, 32 transfers)"
@@ -364,6 +415,8 @@ let micro_tests () =
       bench_lock_server_grant_over 1024;
       bench_lock_server_grant_over 16384;
       bench_engine_events;
+      bench_engine_pending_arrivals;
+      bench_rpc_round_trip;
       bench_lock_handoff;
       bench_mini_cluster;
     ]

@@ -250,7 +250,26 @@ let repl =
           [ "closed"; "open" ]);
   }
 
-let schemas = [ experiments; scale; load; shard; repl ]
+(* bench/main.exe's micro-benchmark rows.  A benchmark Bechamel could
+   not fit is written with a null (or non-finite) estimate; that row
+   must fail the check rather than be uploaded as a result. *)
+let micro =
+  {
+    id = "ccpfs.micro/1";
+    row =
+      (fun rep r ->
+        ensure rep (str r "name" <> "") "empty benchmark name";
+        match field r "ns_per_run" with
+        | Json.Null ->
+            ensure rep false "%s: no estimate (ns_per_run is null)" (str r "name")
+        | _ ->
+            let ns = num r "ns_per_run" in
+            ensure rep (Float.is_finite ns && ns > 0.)
+              "%s: ns_per_run %g not finite and positive" (str r "name") ns);
+    across = nothing_across;
+  }
+
+let schemas = [ experiments; scale; load; shard; repl; micro ]
 
 (* ------------------------------------------------------------------ *)
 (* Documents                                                           *)

@@ -1,6 +1,7 @@
 (** The invariants every committed result document must satisfy, one
     entry per schema ([ccpfs.experiments/1], [ccpfs.scale/1],
-    [ccpfs.load/1], [ccpfs.shard/1], [ccpfs.repl/1]) plus Chrome traces
+    [ccpfs.load/1], [ccpfs.shard/1], [ccpfs.repl/1], and the
+    micro-benchmark rows' [ccpfs.micro/1]) plus Chrome traces
     (balanced B/E spans).  Row checks hold for each row on its own;
     cross-row checks hold for the document (a unique load knee, shard
     capacity rising with the server count, replay beating gather).

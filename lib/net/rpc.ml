@@ -44,11 +44,22 @@ type ('req, 'resp) batch = {
   b_size : Obs.Metrics.histogram; (* rpc.batch.size.<name> *)
 }
 
+(* An endpoint's courier process names and its callers' wait context. *)
+type names = {
+  req : string;
+  reply : string;
+  notify : string;
+  send : string;
+  batch : string;
+  wait_ctx : string option; (* "rpc:<name>" *)
+}
+
 type ('req, 'resp) endpoint = {
   eng : Engine.t;
   params : Params.t;
   node : Node.t;
   name : string;
+  mutable names : names option; (* built by [names] on the first message *)
   handler : 'req -> reply:('resp -> unit) -> unit;
   mutable count : int;
   latency : Obs.Metrics.histogram; (* caller-observed call round trip *)
@@ -103,10 +114,26 @@ let endpoint eng params ~node ~name ~handler =
     Obs.Metrics.histogram (Engine.metrics eng) ("rpc.latency." ^ name)
   in
   let retry_counter = Obs.Metrics.counter (Engine.metrics eng) "rpc.retry" in
-  { eng; params; node; name; handler; count = 0; latency; epoch = 0;
-    down = false; incarnation = 0; dedup = Hashtbl.create 64;
+  { eng; params; node; name; names = None; handler; count = 0; latency;
+    epoch = 0; down = false; incarnation = 0; dedup = Hashtbl.create 64;
     dedup_order = Queue.create (); dedup_cap = default_dedup_cap;
     fault = None; retry_counter; batch = None; batch_handler = None }
+
+(* Built once per endpoint, on its first message.  Concatenating them on
+   every message cost allocations on every RPC; building them at
+   creation cost set-up time and heap on each of the thousands of
+   endpoints a large cluster holds, many of which never send. *)
+let names t =
+  match t.names with
+  | Some n -> n
+  | None ->
+      let n =
+        { req = t.name ^ ".req"; reply = t.name ^ ".reply";
+          notify = t.name ^ ".notify"; send = t.name ^ ".send";
+          batch = t.name ^ ".batch"; wait_ctx = Some ("rpc:" ^ t.name) }
+      in
+      t.names <- Some n;
+      n
 
 (* Request journey, run in the context of some process: propagation, then
    the server's NIC pipe, then its RPC processor. *)
@@ -146,7 +173,7 @@ let serve_span t kind bytes f =
 
 (* Reply journey: a courier carries it back to [src] and fills the ivar. *)
 let reply_courier t ~src ~resp_bytes ivar resp =
-  Engine.spawn t.eng ~name:(t.name ^ ".reply")
+  Engine.spawn t.eng ~name:(names t).reply
     (fun () ->
       Engine.sleep t.eng (t.params.Params.rtt /. 2.);
       Node.add_net_bytes src resp_bytes;
@@ -167,7 +194,7 @@ let flush_batch t b cause =
       let n = List.length items in
       let bytes = List.fold_left (fun a (_, by, _) -> a + by) 0 items in
       Obs.Metrics.observe b.b_size (float_of_int n);
-      Engine.spawn t.eng ~name:(t.name ^ ".batch")
+      Engine.spawn t.eng ~name:(names t).batch
         (fun () ->
           serve_span t "batch" bytes (fun () ->
               Engine.sleep t.eng (t.params.Params.rtt /. 2.);
@@ -237,7 +264,7 @@ let call_async t ~src ?req_bytes ?resp_bytes req =
         ~reply:(fun resp -> reply_courier t ~src ~resp_bytes ivar resp)
         req
   | None ->
-      Engine.spawn t.eng ~name:(t.name ^ ".req")
+      Engine.spawn t.eng ~name:(names t).req
         (fun () ->
           serve_span t "serve" req_bytes (fun () ->
               inbound t req_bytes;
@@ -258,7 +285,7 @@ let call t ~src ?req_bytes ?resp_bytes req =
     if traced then Obs.Trace.end_span sink ~ts:now ~tid ("call:" ^ t.name)
   in
   match
-    Ivar.read ~ctx:("rpc:" ^ t.name) (call_async t ~src ?req_bytes ?resp_bytes req)
+    Ivar.read ?ctx:(names t).wait_ctx (call_async t ~src ?req_bytes ?resp_bytes req)
   with
   | resp ->
       finish ();
@@ -273,7 +300,7 @@ let notify t ~src ?req_bytes req =
   match t.batch with
   | Some b -> enqueue_batch t b ~bytes:req_bytes ~reply:(fun () -> ()) req
   | None ->
-      Engine.spawn t.eng ~name:(t.name ^ ".notify")
+      Engine.spawn t.eng ~name:(names t).notify
         (fun () ->
           serve_span t "notify" req_bytes (fun () ->
               inbound t req_bytes;
@@ -334,7 +361,7 @@ let clear_fault t = t.fault <- None
    ivar when the fault plane loses it, and tolerates duplicate arrivals
    (the ivar is first-writer-wins). *)
 let reply_fenced t ~src ~resp_bytes ivar outcome =
-  Engine.spawn t.eng ~name:(t.name ^ ".reply")
+  Engine.spawn t.eng ~name:(names t).reply
     (fun () ->
       Engine.sleep t.eng (t.params.Params.rtt /. 2.);
       let lost =
@@ -426,16 +453,16 @@ let call_fenced t ~src ?req_bytes ?resp_bytes ?timeout ~epoch:req_epoch ?req_id
         base + extra
   in
   for _ = 1 to copies do
-    Engine.spawn t.eng ~name:(t.name ^ ".req")
+    Engine.spawn t.eng ~name:(names t).req
       (fun () ->
         serve_span t "serve" req_bytes (fun () ->
             deliver_fenced t ~src ~req_bytes ~resp_bytes ~epoch:req_epoch
               ~req_id ~inc ivar req))
   done;
   match timeout with
-  | None -> Ivar.read ~ctx:("rpc:" ^ t.name) ivar
+  | None -> Ivar.read ?ctx:(names t).wait_ctx ivar
   | Some d -> (
-      match Ivar.read_timeout ~ctx:("rpc:" ^ t.name) ivar ~timeout:d with
+      match Ivar.read_timeout ?ctx:(names t).wait_ctx ivar ~timeout:d with
       | Some outcome -> outcome
       | None -> Timeout)
 
@@ -495,6 +522,6 @@ let call_reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req =
     (match reliability with Some r -> r.rel_base_backoff | None -> 0.)
 
 let send_reliable t ~src ?req_bytes ?reliability ~view req =
-  Engine.spawn t.eng ~name:(t.name ^ ".send")
+  Engine.spawn t.eng ~name:(names t).send
     (fun () ->
       ignore (call_reliable t ~src ?req_bytes ?reliability ~view req))

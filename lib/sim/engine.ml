@@ -27,65 +27,132 @@ type proc = {
   mutable done_ : bool;
 }
 
-type event = { time : float; seq : int; proc : proc option; thunk : unit -> unit }
+(* The closed, statically allocated filler for empty thunk slots.  Every
+   array slot starts as an immediate or this constant: filling a fresh
+   array with a young block would force a minor collection. *)
+let no_thunk () = ()
 
-(* Binary min-heap on (time, seq); seq breaks ties deterministically in
-   scheduling order. *)
+(* Binary min-heap on (time, seq) kept in four parallel arrays, so a
+   pending event is one slot in each and no block of its own: the times
+   are unboxed in a float array, and [procs] holds the process's own
+   [Some proc], allocated once at spawn.  seq breaks ties
+   deterministically in scheduling order.  Sifts carry a hole instead of
+   swapping, and compare keys inline: without flambda, ocamlopt boxes
+   the float argument of every call to a function it does not inline,
+   so a comparison helper taking a key would allocate at each step. *)
 module Heap = struct
-  type t = { mutable a : event option array; mutable n : int }
+  type t = {
+    mutable times : float array;
+    mutable seqs : int array;
+    mutable procs : proc option array;
+    mutable thunks : (unit -> unit) array;
+    mutable n : int;
+  }
 
-  let create () = { a = Array.make 1024 None; n = 0 }
+  let initial = 1024
 
-  let before x y = x.time < y.time || (x.time = y.time && x.seq < y.seq)
+  let create () =
+    { times = Array.make initial 0.; seqs = Array.make initial 0;
+      procs = Array.make initial None; thunks = Array.make initial no_thunk;
+      n = 0 }
 
-  let get h i = match h.a.(i) with Some e -> e | None -> assert false
+  let grow h =
+    let cap = 2 * Array.length h.seqs in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 h.n;
+      b
+    in
+    h.times <- extend h.times 0.;
+    h.seqs <- extend h.seqs 0;
+    h.procs <- extend h.procs None;
+    h.thunks <- extend h.thunks no_thunk
 
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (2 * h.n) None in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
+  (* Halve the arrays once they are under a quarter full.  An open-loop
+     run queues its whole arrival schedule up front and then drains it
+     while its other state grows, so arrays kept at their peak size
+     would sit on top of the run's heap peak at its end. *)
+  let shrink h =
+    let cap = Array.length h.seqs / 2 in
+    let cut a = Array.sub a 0 cap in
+    h.times <- cut h.times;
+    h.seqs <- cut h.seqs;
+    h.procs <- cut h.procs;
+    h.thunks <- cut h.thunks
+
+  (* The key is [base +. offset], added here so that the sum is never
+     boxed: callers pass floats they already hold boxed (the clock, a
+     sleep's duration).  [offset = -0.] keeps [base] bit for bit, -0.
+     included. *)
+  let push h base offset seq proc thunk =
+    if h.n = Array.length h.seqs then grow h;
+    let time = base +. offset in
+    let times = h.times and seqs = h.seqs and procs = h.procs
+    and thunks = h.thunks in
     let i = ref h.n in
-    h.a.(h.n) <- Some e;
     h.n <- h.n + 1;
-    while
-      !i > 0 &&
+    let rising = ref true in
+    while !rising && !i > 0 do
       let p = (!i - 1) / 2 in
-      before (get h !i) (get h p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(!i) in
-      h.a.(!i) <- h.a.(p);
-      h.a.(p) <- tmp;
-      i := p
-    done
+      let pt = times.(p) in
+      if time < pt || (time = pt && seq < seqs.(p)) then begin
+        times.(!i) <- pt;
+        seqs.(!i) <- seqs.(p);
+        procs.(!i) <- procs.(p);
+        thunks.(!i) <- thunks.(p);
+        i := p
+      end
+      else rising := false
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    procs.(!i) <- proc;
+    thunks.(!i) <- thunk
 
-  let peek h = if h.n = 0 then None else h.a.(0)
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = get h 0 in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      h.a.(h.n) <- None;
+  (* Drop the minimum (slot 0, which the caller has already read): the
+     last entry fills the hole from the top and sinks to its place. *)
+  let remove_top h =
+    let n = h.n - 1 in
+    h.n <- n;
+    if n < Array.length h.seqs / 4 && Array.length h.seqs > initial then
+      shrink h;
+    let times = h.times and seqs = h.seqs and procs = h.procs
+    and thunks = h.thunks in
+    let time = times.(n) and seq = seqs.(n) and proc = procs.(n)
+    and thunk = thunks.(n) in
+    procs.(n) <- None;
+    thunks.(n) <- no_thunk;
+    if n > 0 then begin
       let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.n && before (get h l) (get h !smallest) then smallest := l;
-        if r < h.n && before (get h r) (get h !smallest) then smallest := r;
-        if !smallest = !i then continue := false
+      let sinking = ref true in
+      while !sinking do
+        let l = (2 * !i) + 1 in
+        if l >= n then sinking := false
         else begin
-          let tmp = h.a.(!i) in
-          h.a.(!i) <- h.a.(!smallest);
-          h.a.(!smallest) <- tmp;
-          i := !smallest
+          let r = l + 1 in
+          let c =
+            if
+              r < n
+              && (times.(r) < times.(l)
+                 || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+            then r
+            else l
+          in
+          let ct = times.(c) in
+          if ct < time || (ct = time && seqs.(c) < seq) then begin
+            times.(!i) <- ct;
+            seqs.(!i) <- seqs.(c);
+            procs.(!i) <- procs.(c);
+            thunks.(!i) <- thunks.(c);
+            i := c
+          end
+          else sinking := false
         end
       done;
-      Some top
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      procs.(!i) <- proc;
+      thunks.(!i) <- thunk
     end
 end
 
@@ -99,9 +166,11 @@ type t = {
   mutable next_pid : int;
   mutable dispatched : int;
   blocked_procs : (int, proc) Hashtbl.t;
-      (* all procs currently suspended, by pid: suspend/resume are per-RPC
+      (* procs currently in [suspend], by pid: suspend/resume are per-RPC
          operations, so membership updates must be O(1) — a list scan per
-         resume was quadratic in blocked clients under contention *)
+         resume was quadratic in blocked clients under contention.
+         Sleeping procs are not here: their wake event is in the queue,
+         and [blocked_report] finds them there. *)
   mutable fp : int;
   mutable tie_chooser : (int -> int) option;
   mutable jitter : (unit -> float) option;
@@ -174,29 +243,27 @@ let current_name t = Option.map (fun p -> p.name) t.current
 
 (* Every freshly scheduled event passes through the jitter hook (legal-
    delivery perturbation: any event may run later than asked, never
-   earlier).  The tie chooser's re-push path in [pop_next] uses
-   [Heap.push] directly, so deferred ties are not jittered twice. *)
-let push_event t ~time ~proc thunk =
+   earlier).  The tie chooser's re-push path in [promote_tie] uses
+   [Heap.push] directly, so deferred ties are not jittered twice.  The
+   event's time is [base +. offset] (see [Heap.push]). *)
+let push_event t base offset proc thunk =
   t.seq <- t.seq + 1;
-  let time =
-    match t.jitter with
-    | None -> time
-    | Some f ->
-        let d = f () in
-        if d < 0. || not (Float.is_finite d) then
-          invalid_arg "Engine: jitter hook returned a negative or NaN delay";
-        time +. d
-  in
-  Heap.push t.heap { time; seq = t.seq; proc; thunk }
+  match t.jitter with
+  | None -> Heap.push t.heap base offset t.seq proc thunk
+  | Some f ->
+      let d = f () in
+      if d < 0. || not (Float.is_finite d) then
+        invalid_arg "Engine: jitter hook returned a negative or NaN delay";
+      Heap.push t.heap (base +. offset) d t.seq proc thunk
 
 let schedule t ?(delay = 0.) thunk =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  push_event t ~time:(t.now +. delay) ~proc:None thunk
+  push_event t t.now delay None thunk
 
 let at t ~time thunk =
   if time < t.now || not (Float.is_finite time) then
     invalid_arg "Engine.at: time in the past or not finite";
-  push_event t ~time ~proc:None thunk
+  push_event t time (-0.) None thunk
 
 type _ Effect.t +=
   | Suspend : string option * ((unit -> unit) -> unit) -> unit Effect.t
@@ -218,12 +285,16 @@ let mark_unblocked t proc =
   proc.wait_ctx <- None;
   Hashtbl.remove t.blocked_procs proc.pid
 
+let sleep_ctx = Some "sleep"
+
 let spawn t ?(daemon = false) ~name body =
   t.next_pid <- t.next_pid + 1;
   let proc =
     { pid = t.next_pid; name; name_fp = fnv_string fnv_offset name; daemon;
       blocked = false; wait_ctx = None; done_ = false }
   in
+  (* the one [Some proc] every event of this process carries *)
+  let some_proc = Some proc in
   if not daemon then begin
     t.live <- t.live + 1;
     t.regular_spawned <- t.regular_spawned + 1
@@ -263,8 +334,8 @@ let spawn t ?(daemon = false) ~name body =
                           if not !resumed then begin
                             resumed := true;
                             mark_unblocked t proc;
-                            push_event t ~time:t.now ~proc:(Some proc)
-                              (fun () -> continue k ())
+                            push_event t t.now (-0.) some_proc (fun () ->
+                                continue k ())
                           end)
                     with
                     | () -> ()
@@ -279,15 +350,18 @@ let spawn t ?(daemon = false) ~name body =
             | SleepFor d ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    mark_blocked t proc (Some "sleep");
-                    push_event t ~time:(t.now +. d) ~proc:(Some proc)
-                      (fun () ->
-                        mark_unblocked t proc;
+                    (* no [blocked_procs] entry: the wake event below
+                       names the sleeper for [blocked_report] *)
+                    proc.blocked <- true;
+                    proc.wait_ctx <- sleep_ctx;
+                    push_event t t.now d some_proc (fun () ->
+                        proc.blocked <- false;
+                        proc.wait_ctx <- None;
                         continue k ()))
             | _ -> None);
       }
   in
-  push_event t ~time:t.now ~proc:(Some proc) exec
+  push_event t t.now (-0.) some_proc exec
 
 let suspend ?ctx _t register = Effect.perform (Suspend (ctx, register))
 
@@ -295,74 +369,80 @@ let sleep (_ : t) d =
   if d < 0. then invalid_arg "Engine.sleep: negative duration";
   if d = 0. then () else Effect.perform (SleepFor d)
 
+(* Suspended processes come from [blocked_procs]; sleeping ones from
+   their pending wake events, the only queued events whose process is
+   marked blocked (a spawn is queued before its process first blocks, a
+   resumed continuation after [mark_unblocked]).  A post-mortem only: it
+   scans the whole queue. *)
 let blocked_report t =
-  (* keys are pids, so sorted-key traversal is already b_pid order *)
+  let h = t.heap in
+  let sleeping = ref [] in
+  for i = 0 to h.Heap.n - 1 do
+    match h.Heap.procs.(i) with
+    | Some p when p.blocked -> sleeping := p :: !sleeping
+    | Some _ | None -> ()
+  done;
   Ccpfs_util.Det_tbl.fold_sorted ~cmp:Int.compare
-    (fun _ p acc ->
-      { b_name = p.name; b_pid = p.pid; b_daemon = p.daemon;
-        b_context = p.wait_ctx }
-      :: acc)
-    t.blocked_procs []
-  |> List.rev
+    (fun _ p acc -> p :: acc)
+    t.blocked_procs !sleeping
+  |> List.sort (fun a b -> Int.compare a.pid b.pid)
+  |> List.map (fun p ->
+         { b_name = p.name; b_pid = p.pid; b_daemon = p.daemon;
+           b_context = p.wait_ctx })
 
-(* Pop the event to dispatch next.  With a tie chooser installed, all
-   events sharing the minimal timestamp are candidates and the chooser
-   picks among them (in seq order) — the schedule explorer's lever for
-   enumerating same-timestamp interleavings.  Without one, plain
-   (time, seq) order. *)
-let pop_next t =
-  match t.tie_chooser with
-  | None -> Heap.pop t.heap
-  | Some choose -> (
-      match Heap.pop t.heap with
-      | None -> None
-      | Some first ->
-          let ties = ref [ first ] in
-          let continue = ref true in
-          while !continue do
-            match Heap.peek t.heap with
-            | Some ev when ev.time = first.time ->
-                ignore (Heap.pop t.heap);
-                ties := ev :: !ties
-            | Some _ | None -> continue := false
-          done;
-          let ties = List.rev !ties in
-          let n = List.length ties in
-          let pick = if n = 1 then 0 else choose n in
-          if pick < 0 || pick >= n then
-            invalid_arg "Engine: tie chooser returned an out-of-range index";
-          let chosen = List.nth ties pick in
-          List.iteri
-            (fun i ev -> if i <> pick then Heap.push t.heap ev)
-            ties;
-          Some chosen)
+(* With a tie chooser installed, all events sharing the minimal
+   timestamp are candidates and the chooser picks among them (in seq
+   order) — the schedule explorer's lever for enumerating same-timestamp
+   interleavings.  The others go back under their own seqs; the pick
+   goes back under seq -1, below every real seq (which start at 1), so
+   it is the root [run] dispatches next. *)
+let promote_tie t choose =
+  let h = t.heap in
+  let time = h.Heap.times.(0) in
+  let ties = ref [] in
+  while h.Heap.n > 0 && h.Heap.times.(0) = time do
+    ties := (h.Heap.seqs.(0), h.Heap.procs.(0), h.Heap.thunks.(0)) :: !ties;
+    Heap.remove_top h
+  done;
+  let ties = List.rev !ties in
+  let n = List.length ties in
+  let pick = if n = 1 then 0 else choose n in
+  if pick < 0 || pick >= n then
+    invalid_arg "Engine: tie chooser returned an out-of-range index";
+  List.iteri
+    (fun i (seq, proc, thunk) ->
+      Heap.push h time (-0.) (if i = pick then -1 else seq) proc thunk)
+    ties
 
 let run ?until t =
   let stop_time = Option.value until ~default:infinity in
+  let h = t.heap in
   let rec loop () =
     if t.regular_spawned > 0 && t.live = 0 then ()
-    else
-      match Heap.peek t.heap with
-      | None -> if t.live > 0 then raise (Deadlock (blocked_report t))
-      | Some ev when ev.time > stop_time -> t.now <- stop_time
-      | Some _ ->
-          (match pop_next t with
-          | None -> assert false
-          | Some ev ->
-              t.now <- ev.time;
-              t.current <- ev.proc;
-              t.dispatched <- t.dispatched + 1;
-              let fp =
-                fnv_int t.fp (Int64.to_int (Int64.bits_of_float ev.time))
-              in
-              let fp =
-                match ev.proc with
-                | Some p -> fnv_int (fnv_int fp p.pid) p.name_fp
-                | None -> fnv_byte fp 0
-              in
-              t.fp <- fp;
-              ev.thunk ();
-              t.current <- None);
-          loop ()
+    else if h.Heap.n = 0 then begin
+      if t.live > 0 then raise (Deadlock (blocked_report t))
+    end
+    else if h.Heap.times.(0) > stop_time then t.now <- stop_time
+    else begin
+      (match t.tie_chooser with
+      | None -> ()
+      | Some choose -> promote_tie t choose);
+      let time = h.Heap.times.(0) and proc = h.Heap.procs.(0)
+      and thunk = h.Heap.thunks.(0) in
+      Heap.remove_top h;
+      let bits = Int64.bits_of_float time in
+      (* the clock is a boxed field: store only when it moves *)
+      if bits <> Int64.bits_of_float t.now then t.now <- time;
+      t.current <- proc;
+      t.dispatched <- t.dispatched + 1;
+      let fp = fnv_int t.fp (Int64.to_int bits) in
+      t.fp <-
+        (match proc with
+        | Some p -> fnv_int (fnv_int fp p.pid) p.name_fp
+        | None -> fnv_byte fp 0);
+      thunk ();
+      t.current <- None;
+      loop ()
+    end
   in
   loop ()

@@ -5,7 +5,15 @@
     shared virtual clock.  A process runs until it blocks — on a timer
     ({!sleep}), a mailbox, a semaphore or a bandwidth resource — and the
     engine then dispatches the next event in (time, sequence) order, so
-    runs are reproducible event-for-event.
+    runs are reproducible event-for-event.  The sequence number is the
+    order in which events were scheduled: events at the same virtual
+    time run first-scheduled first.
+
+    The pending events sit in a binary heap of parallel arrays (times,
+    sequence numbers, processes, thunks), so scheduling and dispatching
+    an event allocates nothing beyond the caller's thunk.  A sleeping
+    process is recorded only by its wake event in that queue (DESIGN.md
+    §18).
 
     Two kinds of processes exist: regular ones, which the simulation runs
     to completion, and daemons (cache-flush daemons, extent-cache cleanup
@@ -73,7 +81,10 @@ val run : ?until:float -> t -> unit
     process spawned on the same engine. *)
 
 val sleep : t -> float -> unit
-(** Block for a virtual duration (>= 0). *)
+(** Block for a virtual duration (>= 0); a zero duration returns at once
+    without an event.  The wake event is the only record of the sleep:
+    {!blocked_report} finds the sleeper through it, with context
+    ["sleep"]. *)
 
 val suspend : ?ctx:string -> t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] blocks the current process and hands [register] a
@@ -141,9 +152,14 @@ val random_float : t -> float -> float
     seeded runs of the same scenario see identical draws. *)
 
 val blocked_report : t -> blocked_proc list
-(** The processes currently suspended, in pid order (what {!Deadlock}
-    would carry if the queue drained now).  If a process body raised, the
-    dead process has been dropped and does not appear here. *)
+(** The processes currently blocked, in pid order: those in {!suspend}
+    with their [ctx], and those in {!sleep} with context ["sleep"] (what
+    {!Deadlock} would carry if the queue drained now; a deadlock report
+    never holds a sleeper, whose wake is still queued).  Sleepers are
+    found by scanning the event queue, so this costs time linear in the
+    pending events: it is meant for post-mortems, not for hot paths.  If
+    a process body raised, the dead process has been dropped and does
+    not appear here. *)
 
 (** {1 Observability}
 

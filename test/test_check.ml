@@ -301,8 +301,8 @@ let test_find_cycles_stable_under_randomized_hashing () =
 (* ------------------------------------------------------------------ *)
 
 let test_explore_enumerates_tie_orders () =
-  (* Two processes tied at t=1.0: exactly two schedules, both orders
-     observed. *)
+  (* Two processes tied at spawn and again at t=1.0: two binary choices,
+     so exactly four schedules, both wake orders observed. *)
   let seen = ref [] in
   let r =
     Check.Explore.run (fun choose ->
@@ -318,10 +318,7 @@ let test_explore_enumerates_tie_orders () =
         Engine.run eng;
         seen := List.rev !log :: !seen)
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "several schedules (%d)" r.Check.Explore.schedules)
-    true
-    (r.Check.Explore.schedules >= 2);
+  Alcotest.(check int) "schedules" 4 r.Check.Explore.schedules;
   Alcotest.(check bool) "exhaustive" true r.Check.Explore.complete;
   Alcotest.(check bool) "both orders seen" true
     (List.mem [ "a"; "b" ] !seen && List.mem [ "b"; "a" ] !seen)
@@ -357,10 +354,7 @@ let test_explore_three_client_contention () =
      schedule. *)
   let r = Check.Scenarios.explore_contention () in
   Alcotest.(check bool) "exhaustive" true r.Check.Explore.complete;
-  Alcotest.(check bool)
-    (Printf.sprintf "many schedules (%d)" r.Check.Explore.schedules)
-    true
-    (r.Check.Explore.schedules >= 100)
+  Alcotest.(check int) "schedules" 1152 r.Check.Explore.schedules
 
 let suite =
   [

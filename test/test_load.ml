@@ -244,8 +244,8 @@ let xfer = 4 * Units.kib
 
 let mk_cluster ~n_clients = Cluster.create ~n_servers:1 ~n_clients ()
 
-let drive ?(churn = []) ?(cap = 1024) ?(seed = 42) ~n_clients ~requests ~rate
-    process =
+let drive_cluster ?(churn = []) ?(cap = 1024) ?(seed = 42) ~n_clients ~requests
+    ~rate process =
   let cl = mk_cluster ~n_clients in
   let proc = Option.get (Load.Arrivals.of_string ~rate process) in
   let spec =
@@ -269,7 +269,10 @@ let drive ?(churn = []) ?(cap = 1024) ?(seed = 42) ~n_clients ~requests ~rate
   Dessim.Engine.run (Cluster.engine cl);
   Cluster.fsync_all cl;
   Cluster.check_invariants cl;
-  Load.Driver.result h
+  (cl, Load.Driver.result h)
+
+let drive ?churn ?cap ?seed ~n_clients ~requests ~rate process =
+  snd (drive_cluster ?churn ?cap ?seed ~n_clients ~requests ~rate process)
 
 (* Conservation + accounting identities that hold for every run. *)
 let check_accounting (r : Load.Driver.result) ~requests =
@@ -386,6 +389,23 @@ let test_driver_all_down_sheds () =
   let r = drive ~churn ~n_clients:2 ~requests ~rate:100. "constant" in
   check_accounting r ~requests;
   Alcotest.(check int) "all shed" requests r.Load.Driver.r_shed
+
+(* The event stream of an open-loop run whose whole arrival schedule
+   sits in the engine's queue before the first dispatch: thousands of
+   pending [Engine.at] events, with the workers' sleeps and RPC couriers
+   interleaved among them.  The pinned count and fingerprint were taken
+   from the option-array heap the engine used before its parallel-array
+   queue; any change to dispatch order moves the fingerprint. *)
+let test_driver_event_stream_pin () =
+  let requests = 3000 in
+  let cl, r =
+    drive_cluster ~cap:64 ~n_clients:8 ~requests ~rate:20_000. "poisson"
+  in
+  check_accounting r ~requests;
+  let eng = Cluster.engine cl in
+  Alcotest.(check int) "engine events" 12499 (Dessim.Engine.events_dispatched eng);
+  Alcotest.(check int64) "engine fingerprint" 991299364418519745L
+    (Dessim.Engine.fingerprint eng)
 
 let test_driver_validation () =
   let cl = mk_cluster ~n_clients:2 in
@@ -619,6 +639,8 @@ let suite =
         Alcotest.test_case "all clients down: everything sheds" `Quick
           test_driver_all_down_sheds;
         Alcotest.test_case "spec validation" `Quick test_driver_validation;
+        Alcotest.test_case "event stream pinned, 3k queued arrivals" `Quick
+          test_driver_event_stream_pin;
       ] );
     ( "load.sweep",
       [

@@ -315,7 +315,120 @@ let test_many_processes_scale () =
   Engine.run eng;
   Alcotest.(check int) "all completed" n !done_count
 
+let test_blocked_report_mid_run () =
+  (* A post-mortem taken while the run is paused: sleepers (found through
+     their pending wake events) and suspended processes (the blocked
+     table) together, in pid order, each with its context. *)
+  let eng = Engine.create () in
+  let mb : int Mailbox.t = Mailbox.create eng in
+  let cond = Condition.create eng in
+  Engine.spawn eng ~name:"sleeper-a" (fun () -> Engine.sleep eng 10.);
+  Engine.spawn eng ~name:"waiter" (fun () ->
+      ignore (Mailbox.recv ~ctx:"inbox" mb));
+  Engine.spawn eng ~daemon:true ~name:"flushd" (fun () ->
+      Condition.wait ~ctx:"flush-work" cond);
+  Engine.spawn eng ~name:"quick" (fun () -> Engine.sleep eng 0.5);
+  Engine.spawn eng ~name:"sleeper-b" (fun () ->
+      Engine.sleep eng 1.;
+      Engine.sleep eng 20.);
+  let report () =
+    List.map
+      (fun b -> Format.asprintf "%d %a" b.Engine.b_pid Engine.pp_blocked b)
+      (Engine.blocked_report eng)
+  in
+  let check = Alcotest.(check (list string)) in
+  Engine.run ~until:5. eng;
+  check "sleepers and suspended, pid order"
+    [ "1 sleeper-a blocked on sleep"; "2 waiter blocked on inbox";
+      "3 flushd (daemon) blocked on flush-work"; "5 sleeper-b blocked on sleep" ]
+    (report ());
+  Mailbox.send mb 7;
+  Engine.run ~until:15. eng;
+  check "woken processes drop out"
+    [ "3 flushd (daemon) blocked on flush-work"; "5 sleeper-b blocked on sleep" ]
+    (report ());
+  Engine.run eng;
+  feq "ran to the last wake" 21. (Engine.now eng);
+  check "only the daemon is left" [ "3 flushd (daemon) blocked on flush-work" ]
+    (report ())
+
+(* A random program over the engine's scheduling calls, driven by one
+   seed.  Each event it creates takes the next id, in the order the
+   engine assigns its sequence numbers, and logs (time, id) when it
+   runs.  Delays come from a four-value set, so timestamps collide all
+   the time, and a burst of [at] arrivals keeps more than 1,024 events
+   pending from the start (past the queue's initial capacity).  The run
+   pauses at [run ~until], schedules more from outside, and resumes.
+   Every process is a daemon, so the run drains the queue.  The dispatch
+   log must be exactly the (time, id) sort of everything scheduled. *)
+let queue_order_holds seed =
+  let rng = Ccpfs_util.Det_random.create ~seed in
+  let eng = Engine.create () in
+  let delays = [| 0.; 0.25; 0.5; 1. |] in
+  let delay () = Ccpfs_util.Det_random.pick rng delays in
+  let next_id = ref 0 and budget = ref 3000 in
+  let scheduled = ref [] and dispatched = ref [] in
+  let fresh time =
+    incr next_id;
+    scheduled := (time, !next_id) :: !scheduled;
+    !next_id
+  in
+  let log id = dispatched := (Engine.now eng, id) :: !dispatched in
+  let rec act () =
+    for _ = 1 to Ccpfs_util.Det_random.int rng 3 do
+      if !budget > 0 then begin
+        decr budget;
+        match Ccpfs_util.Det_random.int rng 4 with
+        | 0 ->
+            let d = delay () in
+            let id = fresh (Engine.now eng +. d) in
+            Engine.schedule eng ~delay:d (fun () -> log id; act ())
+        | 1 ->
+            let time = Engine.now eng +. delay () in
+            let id = fresh time in
+            Engine.at eng ~time (fun () -> log id; act ())
+        | _ ->
+            let id = fresh (Engine.now eng) in
+            Engine.spawn eng ~daemon:true ~name:(string_of_int id) (fun () ->
+                log id;
+                for _ = 1 to Ccpfs_util.Det_random.int rng 4 do
+                  (* a zero sleep is no event; draw a positive one *)
+                  let d = 0.25 +. delay () in
+                  let id = fresh (Engine.now eng +. d) in
+                  Engine.sleep eng d;
+                  log id;
+                  act ()
+                done)
+      end
+    done
+  in
+  for _ = 1 to 1500 do
+    let time = float_of_int (Ccpfs_util.Det_random.int rng 40) *. 0.25 in
+    let id = fresh time in
+    Engine.at eng ~time (fun () -> log id; act ())
+  done;
+  Engine.run ~until:4.6 eng;
+  let paused = Engine.now eng in
+  budget := !budget + 200;
+  act ();
+  act ();
+  Engine.run eng;
+  let by_key (t1, i1) (t2, i2) =
+    match Float.compare t1 t2 with 0 -> Int.compare i1 i2 | c -> c
+  in
+  let expect = List.sort by_key !scheduled in
+  let got = List.rev !dispatched in
+  paused = 4.6
+  && List.length got = List.length expect
+  && List.for_all2 (fun a b -> by_key a b = 0) got expect
+
+let prop_queue_order =
+  QCheck.Test.make ~name:"dispatch order = (time, seq) sort" ~count:40
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    queue_order_holds
+
 let suite =
+  let q = QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ()) in
   [
     ( "sim.engine",
       [
@@ -336,6 +449,9 @@ let suite =
         Alcotest.test_case "crash in suspend register" `Quick
           test_crash_in_suspend_register;
         Alcotest.test_case "10k processes" `Quick test_many_processes_scale;
+        Alcotest.test_case "blocked report mid-run" `Quick
+          test_blocked_report_mid_run;
+        q prop_queue_order;
       ] );
     ( "sim.sync",
       [

@@ -128,6 +128,27 @@ let test_mutated_rows_rejected () =
     (first_row repl (function
       | Json.Obj kvs -> Json.Obj (List.remove_assoc "divergent_locks" kvs)
       | j -> j));
+  (* micro-benchmark rows are not committed: a document in the shape
+     bench/main.exe writes *)
+  let micro_row (name, ns) =
+    Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Float ns) ]
+  in
+  let micro =
+    Json.Obj
+      [ ("schema", Json.Str "ccpfs.micro/1");
+        ( "results",
+          Json.List
+            (List.map micro_row
+               [ ("seqdlm-micro/engine: 1k processes x sleep", 1.3e6);
+                 ("seqdlm-micro/rpc: bare call round trip, 1k callers", 1.5e7) ]) ) ]
+  in
+  expect_ok "micro rows" micro;
+  expect_rejected ~because:"no estimate" "micro row written without an estimate"
+    (first_row micro (set [ "ns_per_run" ] Json.Null));
+  expect_rejected ~because:"not finite and positive" "micro zero estimate"
+    (first_row micro (set [ "ns_per_run" ] (Json.Float 0.)));
+  expect_rejected ~because:"empty benchmark name" "micro row without a name"
+    (first_row micro (set [ "name" ] (Json.Str "")));
   expect_rejected ~because:"unknown schema" "unknown schema"
     (Json.Obj [ ("schema", Json.Str "ccpfs.nope/1"); ("results", Json.List []) ]);
   expect_rejected ~because:"no result rows" "empty results" (with_rows repl [])
