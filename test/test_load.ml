@@ -407,6 +407,47 @@ let test_driver_event_stream_pin () =
   Alcotest.(check int64) "engine fingerprint" 991299364418519745L
     (Dessim.Engine.fingerprint eng)
 
+(* A replicated (f = 1) two-server open-loop run: 1,200 arrivals
+   installed in time order, then one churn event earlier than the last
+   of them, so in-order and out-of-order [Engine.at] events, worker
+   sleeps, RPC couriers and grant-log shipping all interleave in the
+   queue.  The count and fingerprint were taken from the parallel-array
+   heap that preceded the index heap and its arrival lane. *)
+let test_driver_replicated_stream_pin () =
+  let requests = 1200 and rate = 20_000. in
+  let config =
+    Config.default |> Config.with_batching ~k:0 |> Config.with_replication 1
+  in
+  let cl = Cluster.create ~config ~n_servers:2 ~n_clients:6 () in
+  let proc = Option.get (Load.Arrivals.of_string ~rate "poisson") in
+  let span = float_of_int requests /. rate in
+  let spec =
+    Load.Driver.
+      {
+        process = proc;
+        seed = 7;
+        requests;
+        max_in_flight = 48;
+        churn = [ { ch_at = span /. 2.; ch_client = 1; ch_up = false } ];
+        start_at = 0.;
+      }
+  in
+  let h =
+    Load.Driver.launch cl spec
+      ~prepare:(fun c -> (c, Client.open_file c ~create:true "/r"))
+      ~request:(fun (c, f) k ->
+        Client.write c f ~off:(k mod 16 * xfer) ~len:xfer;
+        xfer)
+  in
+  let eng = Cluster.engine cl in
+  Dessim.Engine.run eng;
+  Cluster.fsync_all cl;
+  Cluster.check_invariants cl;
+  check_accounting (Load.Driver.result h) ~requests;
+  Alcotest.(check int) "engine events" 79608 (Dessim.Engine.events_dispatched eng);
+  Alcotest.(check int64) "engine fingerprint" 1532999918943282947L
+    (Dessim.Engine.fingerprint eng)
+
 let test_driver_validation () =
   let cl = mk_cluster ~n_clients:2 in
   let spec requests max_in_flight churn =
@@ -641,6 +682,8 @@ let suite =
         Alcotest.test_case "spec validation" `Quick test_driver_validation;
         Alcotest.test_case "event stream pinned, 3k queued arrivals" `Quick
           test_driver_event_stream_pin;
+        Alcotest.test_case "event stream pinned, replicated + churn" `Quick
+          test_driver_replicated_stream_pin;
       ] );
     ( "load.sweep",
       [
