@@ -25,6 +25,7 @@ type fault = { f_loss : float; f_dup : float; f_rng : unit -> float }
    newer epoch is a post-election re-submission, and a reply computed
    under the old epoch must not answer it. *)
 type 'resp dedup_entry = {
+  de_id : int;
   mutable de_result : 'resp option;
   mutable de_pending : ('resp -> unit) list;
   de_epoch : int;
@@ -67,7 +68,10 @@ type ('req, 'resp) endpoint = {
   mutable down : bool; (* crashed: fenced deliveries are dropped *)
   mutable incarnation : int; (* bumped by [reset]: cuts in-flight requests *)
   dedup : (int, 'resp dedup_entry) Hashtbl.t;
-  dedup_order : int Queue.t; (* dedup insertion order, for FIFO pruning *)
+  dedup_order : 'resp dedup_entry Queue.t;
+      (* dedup insertion order, for FIFO pruning; each slot is the entry
+         itself, so a purged id's stale slot is told apart from its
+         re-submission's *)
   mutable dedup_cap : int;
   mutable fault : fault option; (* loss/duplication, fenced traffic only *)
   retry_counter : Obs.Metrics.counter;
@@ -336,18 +340,23 @@ let set_dedup_cap t cap =
 (* Evict oldest completed dedup entries once over cap.  Pruning stops at
    the first still-pending entry: its parked reply senders must fire, and
    FIFO retention keeps the guarantee simple — everything newer than the
-   oldest retained id is still deduplicated. *)
+   oldest retained id is still deduplicated.  A slot whose entry is no
+   longer the table's (purged by a re-submission, which queued a slot of
+   its own) is dropped without touching the table. *)
 let prune_dedup t =
   let continue = ref true in
   while !continue && Hashtbl.length t.dedup > t.dedup_cap do
     match Queue.peek_opt t.dedup_order with
     | None -> continue := false
-    | Some oldest -> (
-        match Hashtbl.find_opt t.dedup oldest with
-        | Some e when e.de_result = None -> continue := false
-        | _ ->
-            ignore (Queue.pop t.dedup_order);
-            Hashtbl.remove t.dedup oldest)
+    | Some e -> (
+        match Hashtbl.find_opt t.dedup e.de_id with
+        | Some live when live == e ->
+            if Option.is_none e.de_result then continue := false
+            else begin
+              ignore (Queue.pop t.dedup_order);
+              Hashtbl.remove t.dedup e.de_id
+            end
+        | Some _ | None -> ignore (Queue.pop t.dedup_order))
   done
 
 let set_fault t ~loss ~dup ~rng =
@@ -401,11 +410,11 @@ let deliver_fenced t ~src ~req_bytes ~resp_bytes ~epoch:req_epoch ~req_id ~inc
         | Some id ->
             let run_fresh () =
               let e =
-                { de_result = None; de_pending = [ send_reply ];
+                { de_id = id; de_result = None; de_pending = [ send_reply ];
                   de_epoch = req_epoch }
               in
               Hashtbl.add t.dedup id e;
-              Queue.push id t.dedup_order;
+              Queue.push e t.dedup_order;
               prune_dedup t;
               t.handler req ~reply:(fun resp ->
                   match e.de_result with
@@ -422,8 +431,9 @@ let deliver_fenced t ~src ~req_bytes ~resp_bytes ~epoch:req_epoch ~req_id ~inc
                    already observed (a post-election re-submission): the
                    cached result belongs to the fenced-off regime, so purge
                    it and run the handler against the current state.  The
-                   id's stale slot in [dedup_order] is tolerated by
-                   pruning. *)
+                   id's stale slot in [dedup_order] names the purged
+                   entry, so pruning drops it without evicting this
+                   re-submission. *)
                 Hashtbl.remove t.dedup id;
                 run_fresh ()
             | Some e -> (

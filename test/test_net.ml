@@ -359,6 +359,34 @@ let test_dedup_retention_bound () =
       Alcotest.(check int) "oldest entries were evicted" 11 !hits);
   Engine.run eng
 
+(* Regression: the epoch-bump purge leaves the re-submitted id in the
+   retention order twice.  When the stale older slot reached the front,
+   pruning evicted the new completed entry instead of the oldest live
+   one, and the next retransmission re-ran the handler. *)
+let test_dedup_resubmission_survives_pruning () =
+  let eng, _, client, ep, hits = fenced_world () in
+  Rpc.set_dedup_cap ep 2;
+  let served ~epoch id =
+    match Rpc.call_fenced ep ~src:client ~epoch ~req_id:id id with
+    | Rpc.Reply _ -> ()
+    | _ -> Alcotest.fail "request must be served"
+  in
+  Engine.spawn eng ~name:"caller" (fun () ->
+      served ~epoch:0 9;
+      served ~epoch:0 5;
+      Rpc.set_epoch ep 1;
+      served ~epoch:1 9;
+      Alcotest.(check int) "re-submission re-ran the handler" 3 !hits;
+      served ~epoch:1 1;
+      Alcotest.(check int) "fresh id executed" 4 !hits;
+      (* over the cap by one: the oldest live entry (5) goes, not the
+         re-submitted 9, which is newer *)
+      served ~epoch:1 9;
+      Alcotest.(check int) "retransmission deduplicated" 4 !hits;
+      served ~epoch:1 5;
+      Alcotest.(check int) "oldest entry was the one evicted" 5 !hits);
+  Engine.run eng
+
 let test_backoff_plateaus_under_long_outage () =
   let eng, _, client, ep, hits = fenced_world () in
   let rel =
@@ -418,6 +446,8 @@ let suite =
           test_fenced_dedup_epoch_purge;
         Alcotest.test_case "dedup retention is bounded" `Quick
           test_dedup_retention_bound;
+        Alcotest.test_case "re-submission survives dedup pruning" `Quick
+          test_dedup_resubmission_survives_pruning;
         Alcotest.test_case "retry backoff plateaus in a long outage" `Quick
           test_backoff_plateaus_under_long_outage;
         Alcotest.test_case "reliable call rides out an outage" `Quick
