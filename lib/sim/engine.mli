@@ -9,11 +9,14 @@
     order in which events were scheduled: events at the same virtual
     time run first-scheduled first.
 
-    The pending events sit in a binary heap of parallel arrays (times,
-    sequence numbers, processes, thunks), so scheduling and dispatching
-    an event allocates nothing beyond the caller's thunk.  A sleeping
-    process is recorded only by its wake event in that queue (DESIGN.md
-    §18).
+    The pending events sit in two queues merged by (time, sequence
+    number): an index heap, whose arrays hold only the unboxed keys and
+    a pool slot per event (the event's process and thunk are written to
+    the pool once and never moved by a sift), and an arrival lane, a
+    FIFO for {!at} events installed in time order.  Scheduling and
+    dispatching an event allocates nothing beyond the caller's thunk.  A
+    sleeping process is recorded only by its wake event in the heap
+    (DESIGN.md §18).
 
     Two kinds of processes exist: regular ones, which the simulation runs
     to completion, and daemons (cache-flush daemons, extent-cache cleanup
@@ -56,7 +59,8 @@ val spawn : t -> ?daemon:bool -> name:string -> (unit -> unit) -> unit
     [false]. *)
 
 val schedule : t -> ?delay:float -> (unit -> unit) -> unit
-(** Run a plain thunk (not a blocking process) at [now + delay]. *)
+(** Run a plain thunk (not a blocking process) at [now + delay].
+    @raise Invalid_argument if [delay] is negative, infinite or NaN. *)
 
 val at : t -> time:float -> (unit -> unit) -> unit
 (** Run a plain thunk at the absolute virtual time [time] (>= {!now}).
@@ -64,9 +68,14 @@ val at : t -> time:float -> (unit -> unit) -> unit
     schedule can be installed up front at exact absolute timestamps,
     independent of whatever the running processes are doing — {!sleep}
     chains would instead accumulate each request's handling into the
-    next arrival time.  Installed thunks still pass through the event
-    jitter hook, so fuzzed runs may legally deliver them late.
-    @raise Invalid_argument if [time] is before {!now}. *)
+    next arrival time.  An arrival no earlier than the last one queued
+    this way goes into the arrival lane, a FIFO beside the heap, unless
+    an event jitter hook or a tie chooser is installed; it takes its
+    sequence number at the call either way, so dispatch order is the
+    same (time, sequence) order as for any other event.  Thunks
+    installed while a jitter hook is set still pass through it, so
+    fuzzed runs may legally deliver them late.
+    @raise Invalid_argument if [time] is before {!now} or not finite. *)
 
 val run : ?until:float -> t -> unit
 (** Dispatch events until every regular process has finished, the queue is
@@ -81,8 +90,9 @@ val run : ?until:float -> t -> unit
     process spawned on the same engine. *)
 
 val sleep : t -> float -> unit
-(** Block for a virtual duration (>= 0); a zero duration returns at once
-    without an event.  The wake event is the only record of the sleep:
+(** Block for a virtual duration (>= 0 and finite; anything else raises
+    [Invalid_argument]); a zero duration returns at once without an
+    event.  The wake event is the only record of the sleep:
     {!blocked_report} finds the sleeper through it, with context
     ["sleep"]. *)
 
@@ -118,7 +128,9 @@ val set_tie_chooser : t -> (int -> int) -> unit
     pending events share the minimal timestamp; [f] returns the index (in
     deterministic seq order) of the event to dispatch.  The default —
     without a chooser — is index 0.  This is the schedule explorer's
-    lever: every return value in [0, n) is a legal protocol ordering. *)
+    lever: every return value in [0, n) is a legal protocol ordering.
+    Arrivals already in the {!at} lane move into the heap here, so the
+    chooser is offered them too. *)
 
 val clear_tie_chooser : t -> unit
 
