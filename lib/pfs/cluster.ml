@@ -341,7 +341,8 @@ let crash_and_recover_server t i =
    The flip/extract/adopt steps run in one simulated event, so there is
    no observable instant at which two servers own the resource, or none
    does.  Returns [None] without effect (beyond the drain delay) when
-   the resource is already on [dst] or a colocated force-sync pins it.
+   the resource is already on [dst], either owner's lock endpoint is
+   down, or a colocated force-sync pins it.
    Must run inside an engine process (it sleeps the drain window). *)
 let migrate_resource t ~rid ~dst =
   let n = Array.length t.servers in
@@ -361,12 +362,17 @@ let migrate_resource t ~rid ~dst =
          every freeze): nothing to move, the recovery path owns it. *)
       None
     else if
-      Rpc.is_down (Lock_server.lock_endpoint s_dst)
+      Rpc.is_down (Lock_server.lock_endpoint s_src)
+      || Rpc.is_down (Lock_server.lock_endpoint s_dst)
       || not (Lock_server.can_migrate s_src rid)
     then begin
-      (* Target down (adopting into a crashed table would collide with
-         its recovery reinstalls), or a colocated force-sync pins the
-         resource here.  Replay the parked intake locally. *)
+      (* Source down (crashed before the freeze: its table is empty
+         until recovery gathers the clients' locks back, so moving it
+         would hand out SNs and modes that collide with locks clients
+         still cache), target down (adopting into a crashed table would
+         collide with its recovery reinstalls), or a colocated
+         force-sync pins the resource here.  Replay the parked intake
+         locally. *)
       Lock_server.cancel_freeze s_src rid;
       None
     end

@@ -127,8 +127,8 @@ val migrate_resource : t -> rid:int -> dst:int -> migration_record option
     table (bouncing queued and parked waiters with the new epoch), adopt
     on [dst] and restore the extent-log SN floor from the resource's
     static data home.  [None] (no map change) when the resource already
-    lives on [dst], a colocated force-sync pins it, the source crashed
-    during the drain window, or [dst] is down.  Must be called from
+    lives on [dst], a colocated force-sync pins it, the source is down
+    or crashed during the drain window, or [dst] is down.  Must be called from
     within an engine process. *)
 
 val migrations : t -> migration_record list

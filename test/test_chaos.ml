@@ -28,7 +28,10 @@ let prop_chaos =
             reason seed)
 
 (* A handful of pinned seeds so the deterministic corpus is exercised
-   even when the QCheck stream moves (e.g. under a CCPFS_SEED override). *)
+   even when the QCheck stream moves (e.g. under a CCPFS_SEED override).
+   24385 crashes a lock server online and migrates one of its resources
+   away before recovery: the migration must abort, or the target
+   restarts the resource's sequencer under locks clients still cache. *)
 let test_fixed_seeds () =
   List.iter
     (fun seed ->
@@ -36,7 +39,7 @@ let test_fixed_seeds () =
       | Ok _ -> ()
       | Error reason ->
           Alcotest.fail (Printf.sprintf "seed %d: %s" seed reason))
-    [ 0; 1; 7; 42; 1234; 99991 ]
+    [ 0; 1; 7; 42; 1234; 99991; 24385 ]
 
 let suite =
   [

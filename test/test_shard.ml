@@ -217,6 +217,35 @@ let test_recovery_paths_agree () =
   Check.Sanitize.check_cluster cl_a;
   Check.Sanitize.check_cluster cl_b
 
+(* A crashed owner's table is empty until recovery gathers the clients'
+   locks back.  Migrating it then would restart the sequencer on the
+   target while clients still cache locks the empty table never saw, so
+   the move must abort and leave the resource with its owner. *)
+let test_no_migration_out_of_crashed_owner () =
+  let cl, f = mk_loaded () in
+  let rid0 = Layout.rid ~fid:(Client.fid f) ~stripe:0 in
+  let owner = Cluster.server_of_rid cl rid0 in
+  let dst = 1 - owner in
+  let moved_before = List.length (Cluster.migrations cl) in
+  let ha = Ha.Failover.install cl in
+  let eng = Cluster.engine cl in
+  let result = ref (Some ()) in
+  Engine.spawn eng ~name:"crash-then-migrate" (fun () ->
+      Alcotest.(check bool) "owner crashed" true (Ha.Failover.crash ha owner);
+      result :=
+        Option.map ignore (Cluster.migrate_resource cl ~rid:rid0 ~dst);
+      let tick = Ha.Detector.period (Ha.Failover.detector ha) in
+      while Ha.Failover.records ha = [] do
+        Engine.sleep eng tick
+      done);
+  Cluster.run cl;
+  Ha.Failover.await_all_up ha;
+  Alcotest.(check bool) "migration aborted" true (Option.is_none !result);
+  Alcotest.(check int) "owner unchanged" owner (Cluster.server_of_rid cl rid0);
+  Alcotest.(check int) "no migration recorded" moved_before
+    (List.length (Cluster.migrations cl));
+  Check.Sanitize.check_cluster cl
+
 (* ---------------------------------------------------------------- *)
 (* Rebalancer: hot resource leaves the loaded server                  *)
 (* ---------------------------------------------------------------- *)
@@ -441,6 +470,8 @@ let suite =
           test_stale_route_refresh;
         Alcotest.test_case "offline and online recovery agree" `Quick
           test_recovery_paths_agree;
+        Alcotest.test_case "no migration out of a crashed owner" `Quick
+          test_no_migration_out_of_crashed_owner;
         Alcotest.test_case "rebalancer moves the hot resource" `Quick
           test_rebalancer_moves_hot_resource;
         QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
