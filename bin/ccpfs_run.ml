@@ -308,15 +308,11 @@ let validate_cmd =
     Arg.(value & opt_all (pair ~sep:'=' string string) []
          & info [ "field" ] ~docv:"KEY=VALUE" ~doc)
   in
-  let batches_arg =
-    let doc = "Require the set of batch_k values across rows to be $(docv)." in
-    Arg.(value & opt (some (list int)) None & info [ "batches" ] ~docv:"K,..." ~doc)
-  in
   let event_arg =
     let doc = "Require a trace event named $(docv).  Repeatable." in
     Arg.(value & opt_all string [] & info [ "event" ] ~docv:"NAME" ~doc)
   in
-  let run files rows fields batches events =
+  let run files rows fields events =
     let scalar v =
       match Obs.Json.parse v with
       | Ok (Obs.Json.(Int _ | Float _ | Bool _ | Null) as j) -> j
@@ -327,7 +323,6 @@ let validate_cmd =
         {
           rows;
           fields = List.map (fun (k, v) -> (k, scalar v)) fields;
-          batches;
           events;
         }
     in
@@ -345,8 +340,7 @@ let validate_cmd =
          "Check BENCH_*.json documents and Chrome traces against their \
           schema invariants and the given pins")
     Term.(
-      ret (const run $ files_arg $ rows_arg $ field_arg $ batches_arg
-           $ event_arg))
+      ret (const run $ files_arg $ rows_arg $ field_arg $ event_arg))
 
 let () =
   let info =

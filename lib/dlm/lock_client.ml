@@ -65,7 +65,7 @@ type t = {
   registered : (string, unit) Hashtbl.t;
   pending_revokes : (Types.resource_id * int, unit) Hashtbl.t;
   pb : (string, pb_queue) Hashtbl.t; (* server node name -> pending ctl *)
-  mutable piggyback : float option; (* hold-back delay; None = off *)
+  mutable piggyback : bool; (* park ctl messages for flush RPCs *)
   mutable revoke_ep : (Types.server_msg, unit) Rpc.endpoint option;
   mutable recover_ep : (recovery_query, recovery_lock list) Rpc.endpoint option;
   view : Rpc.View.t;
@@ -106,12 +106,12 @@ let server t rid =
   end;
   srv
 
-(* Piggybacking (DESIGN.md §13).  With batching on, control messages are
-   parked here for up to [piggyback] seconds hoping a flush RPC towards
-   the same server picks them up ([take_piggyback], wired into the data
-   cache); the delay-timer drains leftovers as plain notifies, which the
-   transport batch then coalesces.  Per-server order is preserved — the
-   queue is FIFO and a taker always takes everything. *)
+(* Piggybacking (DESIGN.md §13).  Control messages are parked here for
+   the rest of the current event cascade, hoping a flush RPC towards the
+   same server picks them up ([take_piggyback], wired into the data
+   cache); a zero-delay timer drains leftovers as plain notifies.
+   Per-server order is preserved — the queue is FIFO and a taker always
+   takes everything. *)
 let pb_queue t srv =
   let key = Node.name (Lock_server.node srv) in
   match Hashtbl.find_opt t.pb key with
@@ -131,10 +131,10 @@ let pb_drain t q =
     (fun msg -> Rpc.notify (Lock_server.ctl_endpoint q.pb_srv) ~src:t.node msg)
     (pb_take q)
 
-let pb_arm t q delay =
+let pb_arm t q =
   if not q.pb_armed then begin
     q.pb_armed <- true;
-    Engine.schedule t.eng ~delay (fun () ->
+    Engine.schedule t.eng ~delay:0. (fun () ->
         q.pb_armed <- false;
         pb_drain t q)
   end
@@ -150,13 +150,11 @@ let send_ctl t srv msg =
   let ep = Lock_server.ctl_endpoint srv in
   match t.rel with
   | Some rel -> Rpc.send_reliable ep ~src:t.node ~reliability:rel ~view:t.view msg
-  | None -> (
-      match t.piggyback with
-      | None -> Rpc.notify ep ~src:t.node msg
-      | Some delay ->
-          let q = pb_queue t srv in
-          q.pb_msgs <- msg :: q.pb_msgs;
-          pb_arm t q delay)
+  | None when not t.piggyback -> Rpc.notify ep ~src:t.node msg
+  | None ->
+      let q = pb_queue t srv in
+      q.pb_msgs <- msg :: q.pb_msgs;
+      pb_arm t q
 
 (* The cancel path (§III-A2, §III-D2).  Runs as its own process: waits
    out ongoing holders, downgrades, flushes, releases. *)
@@ -204,7 +202,7 @@ let start_cancel t (l : cached_lock) =
         let flush_release () =
           let parked =
             match (t.rel, t.piggyback) with
-            | None, Some _ ->
+            | None, true ->
                 let q = pb_queue t srv in
                 q.pb_msgs <- release_msg :: q.pb_msgs;
                 true
@@ -306,7 +304,7 @@ let create eng params ~node ~client_id ~route ~hooks =
       registered = Hashtbl.create 8;
       pending_revokes = Hashtbl.create 8;
       pb = Hashtbl.create 8;
-      piggyback = None;
+      piggyback = false;
       revoke_ep = None;
       recover_ep = None;
       view = Rpc.View.create ~salt:client_id ();
@@ -415,9 +413,9 @@ let acquire t ~rid ~mode ~ranges =
       let rec attempt tries =
         let srv = server t rid in
         (* Push parked control traffic for this server out ahead of the
-           request (best effort: ctl and lock ride separate batch queues,
-           and the server tolerates either arrival order — unknown lock
-           ids no-op, own-lock conflicts convert). *)
+           request (best effort: ctl and lock travel on separate
+           endpoints, and the server tolerates either arrival order —
+           unknown lock ids no-op, own-lock conflicts convert). *)
         (match Hashtbl.find_opt t.pb (Node.name (Lock_server.node srv)) with
         | Some q -> pb_drain t q
         | None -> ());
@@ -493,19 +491,16 @@ let set_reliability t rel = t.rel <- Some rel
 let set_map_refresh t f = t.map_refresh <- Some f
 let stale_bounces t = t.n_stale
 
-let set_piggyback t ~delay =
-  if delay < 0. then invalid_arg "Lock_client.set_piggyback: delay < 0";
-  t.piggyback <- Some delay
+let set_piggyback t = t.piggyback <- true
 
 let take_piggyback t ~rid =
-  match t.piggyback with
-  | None -> []
-  | Some _ -> (
-      match
-        Hashtbl.find_opt t.pb (Node.name (Lock_server.node (t.route rid)))
-      with
-      | None -> []
-      | Some q -> pb_take q)
+  if not t.piggyback then []
+  else
+    match
+      Hashtbl.find_opt t.pb (Node.name (Lock_server.node (t.route rid)))
+    with
+    | None -> []
+    | Some q -> pb_take q
 let reliability t = t.rel
 let retries t = Rpc.View.retries t.view
 let recovery_endpoint t = Option.get t.recover_ep

@@ -115,15 +115,15 @@ val stale_bounces : t -> int
     When the policy rides releases on flush traffic
     ([Policy.piggyback_release] — SeqDLM's release-on-last-flush-block
     rule, paper §III-B), outgoing control messages (revoke-acks,
-    downgrades, releases) are parked per server for up to [delay]
-    seconds: a flush RPC towards the same server takes them along
+    downgrades, releases) are parked per server until the current event
+    cascade ends: a flush RPC towards the same server takes them along
     ({!take_piggyback}, wired into the data cache by {!Client}), and a
-    delay-timer drains leftovers as plain notifies.  Per-server send
+    zero-delay timer drains leftovers as plain notifies.  Per-server send
     order is preserved.  Only legal on the plain transport — under a
     retry policy control messages must stay individually reliable, so
     {!Client} never enables both. *)
 
-val set_piggyback : t -> delay:float -> unit
+val set_piggyback : t -> unit
 val take_piggyback : t -> rid:Types.resource_id -> Types.ctl_msg list
 (** Remove and return every parked control message for the server owning
     [rid], in send order; [[]] when piggybacking is off or nothing is

@@ -74,14 +74,15 @@ type rstate = {
          provable no-op and is cut short *)
   mutable total_grants : int;
       (* cumulative; drives DLM-Lustre's contention heuristic *)
-  (* Quiescent pass cache (the submit_batch amortization, DESIGN.md §13):
-     after a settled [pass] during which nothing mutated ([gen] is the
-     witness), the pass's blocked-set accumulator describes the entire
-     queue.  A new submit can then be decided by visiting only the fresh
-     tail against the cached accumulator — O(1) per request instead of
-     re-scanning the queue — because a quiescent revisit of every earlier
-     waiter is provably a no-op (same granted set, same blocked prefix,
-     revokes already sent, acks_time already stamped). *)
+  (* Quiescent pass cache: after a settled [pass] during which nothing
+     mutated ([gen] is the witness), the pass's blocked-set accumulator
+     describes the entire queue.  Every new submit is then decided by
+     visiting only the fresh tail against the cached accumulator — O(1)
+     per request instead of re-scanning the queue — because a quiescent
+     revisit of every earlier waiter is provably a no-op (same granted
+     set, same blocked prefix, revokes already sent, acks_time already
+     stamped).  Back-to-back requests hit it: each leaves the cache
+     behind for the next. *)
   mutable gen : int;
       (* bumped by every semantic mutation of this resource (grant,
          revoke send, ack, downgrade, release, reinstall) *)
@@ -750,7 +751,7 @@ let pass t rs =
      nodes ahead of the walk — a removed node keeps its forward link
      ([Dllist.succ]) and [Dllist.active] skips it in O(1), so no
      per-pass node-list snapshot is needed (that allocation was
-     measurable under the 512-client convoy, DESIGN.md §13). *)
+     measurable under the 512-client convoy). *)
   let rec go = function
     | None -> ()
     | Some node ->
@@ -819,16 +820,6 @@ let handle_request t (req : Types.request) ~reply =
   admit_one t req ~reply;
   validate t
 
-(* Vectorized entry for the transport's batch handler: decide a request
-   vector in arrival order.  Equivalent to N sequential [submit]s by
-   construction — each element runs the same enqueue + visit path — with
-   the queue-scan cost amortized: under contention every element after
-   the first hits the quiescent fast path refreshed by its predecessor.
-   One sanitizer sweep at the end: the batch is one external event. *)
-let handle_batch t reqs =
-  List.iter (fun (req, reply) -> admit_one t req ~reply) reqs;
-  validate t
-
 (* Direct in-process entry (tests, benchmarks, the colocated data
    server): no shard gate, replies are plain grants. *)
 let grant_only t (req : Types.request) reply : Types.lock_reply -> unit =
@@ -838,12 +829,6 @@ let grant_only t (req : Types.request) reply : Types.lock_reply -> unit =
       invalid_arg
         (Printf.sprintf "%s: direct submit bounced (rid %d, map epoch %d)"
            t.name req.Types.rid epoch)
-
-let submit_batch t reqs =
-  List.iter
-    (fun (req, reply) -> submit_one t req ~reply:(grant_only t req reply))
-    reqs;
-  validate t
 
 let ctl_rid : Types.ctl_msg -> Types.resource_id = function
   | Types.Revoke_ack { rid; _ }
@@ -938,11 +923,6 @@ let create eng params ~node ~name ~policy =
     Some
       (Rpc.endpoint eng params ~node ~name:(name ^ ".lock")
          ~handler:(fun req ~reply -> handle_request t req ~reply));
-  (* With transport batching on, a flushed request batch is decided by
-     the vectorized entry instead of n separate handler invocations. *)
-  (match t.lock_ep with
-  | Some ep -> Rpc.set_batch_handler ep (fun reqs -> handle_batch t reqs)
-  | None -> ());
   t.ctl_ep <-
     Some
       (Rpc.endpoint eng params ~node ~name:(name ^ ".ctl")

@@ -73,15 +73,6 @@ val submit : t -> Types.request -> on_grant:(Types.grant -> unit) -> unit
 val control : t -> Types.ctl_msg -> unit
 (** Apply a revoke-ack, downgrade or release. *)
 
-val submit_batch :
-  t -> (Types.request * (Types.grant -> unit)) list -> unit
-(** Vectorized {!submit}: decide a request vector in list order with the
-    queue-scan cost amortized over the batch (each element after the
-    first reuses the quiescent pass cache its predecessor refreshed).
-    Semantically equivalent to N sequential {!submit}s — grants, SNs,
-    queue order and stats are identical; the differential suite pins
-    this.  Installed as the lock endpoint's transport batch handler. *)
-
 val min_unreleased_write_sn :
   t -> Types.resource_id -> Ccpfs_util.Interval.t -> int option
 (** Minimum SN among unreleased write locks overlapping the range, or

@@ -30,8 +30,7 @@ open Ccpfs
      CCPFS_LOAD_SLO_MS    sojourn p99 SLO; default auto = 3 x closed-loop p99
      CCPFS_LOAD_CAP       in-flight cap before shedding (default 4 x clients)
      CCPFS_LOAD_CHURN     1 = clients leave/rejoin mid-sweep (default 1)
-     CCPFS_LOAD_BISECT    extra bisection points at the knee (default 0)
-     CCPFS_BATCH          RPC batching, as everywhere else *)
+     CCPFS_LOAD_BISECT    extra bisection points at the knee (default 0) *)
 
 let xfer = 64 * Units.kib
 let seed_base = 0x10ad
@@ -205,7 +204,6 @@ let row_of s (p : Load.Sweep.point) =
       ("clients", Int s.s_clients);
       ("process", Str s.s_process);
       ("seed", Int seed_base);
-      ("batch_k", Int Config.default.Config.batch_k);
       ("requests", Int s.s_requests);
       ("xfer_bytes", Int xfer);
       ("cap_in_flight", Int s.s_cap);

@@ -31,15 +31,7 @@ let xfer = 64 * Units.kib
    magnitude below the multi-ms queue waits it perturbs. *)
 let think_jitter_span = 50e-6
 
-(* Batch factors measured per client count: the plain transport and, for
-   comparison, per-destination RPC batching at CCPFS_BATCH (default 8).
-   Each produces its own tagged row in BENCH_scale.json. *)
-let batch_points () =
-  let k = Config.default.Config.batch_k in
-  [ 0; (if k > 1 then k else 8) ]
-
 type measurement = {
-  m_batch_k : int;
   m_clients : int;
   m_writes_each : int;
   m_wall_s : float; (* real elapsed seconds for the measured pass *)
@@ -55,10 +47,10 @@ type measurement = {
    (sanitizer attach, PIO/F split, invariant sweep) but keeps
    Obs.Results untouched — scale rows go to BENCH_scale.json, not
    BENCH_experiments.json. *)
-let run_one ~clients ~writes_each ~batch_k =
+let run_one ~clients ~writes_each =
   let one_pass () =
-    let config = Config.with_batching ~k:batch_k Config.default in
-    let cl = Cluster.create ~config ~policy:Seqdlm.Policy.seqdlm ~n_servers:1
+    let cl =
+      Cluster.create ~policy:Seqdlm.Policy.seqdlm ~n_servers:1
         ~n_clients:clients ()
     in
     let eng = Cluster.engine cl in
@@ -89,7 +81,6 @@ let run_one ~clients ~writes_each ~batch_k =
   let cl, (pio, lat), wall = Harness.measured ~name:"exp_scale" one_pass in
   let s = Cluster.sum_lock_stats cl in
   {
-    m_batch_k = batch_k;
     m_clients = clients;
     m_writes_each = writes_each;
     m_wall_s = wall;
@@ -109,7 +100,6 @@ let row_of (m : measurement) =
     [
       ("experiment", Str "scale");
       ("scale", Float (Obs.Hub.scale ()));
-      ("batch_k", Int m.m_batch_k);
       ("clients", Int m.m_clients);
       ("writes_each", Int m.m_writes_each);
       ("xfer_bytes", Int xfer);
@@ -153,30 +143,26 @@ let run ~scale =
            writes_each
            (Units.bytes_to_string xfer))
       ~columns:
-        [ "clients"; "batch"; "wall"; "events/s"; "reqs/s"; "max queue";
+        [ "clients"; "wall"; "events/s"; "reqs/s"; "max queue";
           "lat p50"; "lat p99" ]
   in
   let rows =
-    List.concat_map
+    List.map
       (fun clients ->
-        List.map
-          (fun batch_k ->
-            let m = run_one ~clients ~writes_each ~batch_k in
-            Table.add_row tbl
-              [
-                string_of_int m.m_clients;
-                (if m.m_batch_k > 1 then string_of_int m.m_batch_k else "off");
-                Units.seconds_to_string m.m_wall_s;
-                Printf.sprintf "%.3g"
-                  (float_of_int m.m_events /. Float.max 1e-9 m.m_wall_s);
-                Printf.sprintf "%.3g"
-                  (float_of_int m.m_requests /. Float.max 1e-9 m.m_wall_s);
-                string_of_int m.m_lock_stats.max_queue;
-                Units.seconds_to_string (Stats.percentile m.m_write_lat 50.);
-                Units.seconds_to_string (Stats.percentile m.m_write_lat 99.);
-              ];
-            row_of m)
-          (batch_points ()))
+        let m = run_one ~clients ~writes_each in
+        Table.add_row tbl
+          [
+            string_of_int m.m_clients;
+            Units.seconds_to_string m.m_wall_s;
+            Printf.sprintf "%.3g"
+              (float_of_int m.m_events /. Float.max 1e-9 m.m_wall_s);
+            Printf.sprintf "%.3g"
+              (float_of_int m.m_requests /. Float.max 1e-9 m.m_wall_s);
+            string_of_int m.m_lock_stats.max_queue;
+            Units.seconds_to_string (Stats.percentile m.m_write_lat 50.);
+            Units.seconds_to_string (Stats.percentile m.m_write_lat 99.);
+          ];
+        row_of m)
       (client_counts ())
   in
   let n = Harness.append_rows ~schema:results_schema ~path:results_path rows in

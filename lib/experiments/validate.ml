@@ -3,11 +3,10 @@ open Obs
 type pins = {
   rows : int option;
   fields : (string * Json.t) list;
-  batches : int list option;
   events : string list;
 }
 
-let no_pins = { rows = None; fields = []; batches = None; events = [] }
+let no_pins = { rows = None; fields = []; events = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Failure collection                                                  *)
@@ -294,16 +293,7 @@ let results rep pins (s : schema) rows =
             pins.fields))
     rows;
   rep.at <- "";
-  guarded rep (fun () ->
-      s.across rep rows;
-      Option.iter
-        (fun want ->
-          let set l = List.sort_uniq Int.compare l in
-          let got = set (List.map (fun r -> int r "batch_k") rows) in
-          let show l = String.concat "," (List.map string_of_int l) in
-          ensure rep (List.equal Int.equal got (set want))
-            "batch_k set is {%s}, pinned {%s}" (show got) (show (set want)))
-        pins.batches);
+  guarded rep (fun () -> s.across rep rows);
   Printf.sprintf "%s, %d row(s)" s.id n
 
 (* Chrome trace_event JSON: every B/E span is closed by an E of the same
@@ -389,8 +379,7 @@ let files ?(pins = no_pins) paths =
   let seen kind = List.exists (fun (k, _) -> k = kind) oks in
   let row_pinned =
     Option.is_some pins.rows
-    || (not (List.is_empty pins.fields))
-    || Option.is_some pins.batches
+    || not (List.is_empty pins.fields)
   in
   (* A pin that matched no document of its kind would pass silently. *)
   let unused =

@@ -10,7 +10,6 @@
 type pins = {
   rows : int option;  (** exact row count *)
   fields : (string * Obs.Json.t) list;  (** every row has these values *)
-  batches : int list option;  (** the set of [batch_k] values across rows *)
   events : string list;  (** event names a trace must contain *)
 }
 (** Facts of one particular run configuration (CI's reduced settings),

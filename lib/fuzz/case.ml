@@ -43,10 +43,6 @@ type sim = {
   jitter : float;
   loss : float;
   dup : float;
-  batch : int;
-      (* RPC batch factor for the plain transport (0/1 = unbatched);
-         cases drawing batch > 1 exercise batch-boundary schedules —
-         flush-on-size, flush-on-timer and crashes between them. *)
   phases : phase list;
   load : load option;
       (* Optional open-loop tail segment (lib/load): after the phases
@@ -146,7 +142,6 @@ let summary t =
         ((if s.loss > 0. || s.dup > 0. then
             Printf.sprintf ", loss %.3f dup %.3f" s.loss s.dup
           else "")
-        ^ (if s.batch > 1 then Printf.sprintf ", batch %d" s.batch else "")
         ^ (match s.migrations with
           | [] -> ""
           | ms -> Printf.sprintf ", %d migration(s)" (List.length ms))
@@ -183,9 +178,9 @@ let pp ppf t =
   | Sim s ->
       Format.fprintf ppf
         "  dirty %d/%d pages, extent-cache limit %d, tie_random %b, jitter \
-         %gs, loss %g, dup %g, batch %d@,"
+         %gs, loss %g, dup %g@,"
         s.dirty_min_blocks s.dirty_max_blocks s.extent_cache_limit s.tie_random
-        s.jitter s.loss s.dup s.batch;
+        s.jitter s.loss s.dup;
       (match s.load with
       | Some l ->
           Format.fprintf ppf
@@ -300,7 +295,6 @@ let to_json t =
             ("jitter", Float s.jitter);
             ("loss", Float s.loss);
             ("dup", Float s.dup);
-            ("batch", Int s.batch);
             ( "load",
               match s.load with
               | None -> Null
@@ -427,8 +421,7 @@ let to_ocaml_test t =
         s.dirty_max_blocks s.extent_cache_limit;
       add "        tie_random = %b; jitter = %s;\n" s.tie_random
         (ml_float s.jitter);
-      add "        loss = %s; dup = %s; batch = %d;\n" (ml_float s.loss)
-        (ml_float s.dup) s.batch;
+      add "        loss = %s; dup = %s;\n" (ml_float s.loss) (ml_float s.dup);
       (match s.load with
       | None -> add "        load = None;\n"
       | Some l ->

@@ -89,8 +89,6 @@ type sim = {
   jitter : float;  (** extra random event delay, seconds; 0 = none *)
   loss : float;  (** fenced-RPC message-loss probability, [0..1] *)
   dup : float;  (** fenced-RPC duplication probability, [0..1] *)
-  batch : int;
-      (** RPC batch factor for the plain transport (0/1 = unbatched) *)
   phases : phase list;
   load : load option;
       (** optional open-loop tail segment; drawn after every other field

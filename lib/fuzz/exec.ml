@@ -33,14 +33,9 @@ let config_of (s : Case.sim) =
     dirty_max = s.dirty_max_blocks * page;
     extent_cache_limit = s.extent_cache_limit;
     extent_log = true;
-    (* The case's own batch draw wins; CCPFS_BATCH (already folded into
-       Config.default.batch_k) forces batching onto cases that drew 0,
-       so `CCPFS_BATCH=8 ccpfs_run fuzz` sweeps the corpus batched. *)
-    batch_k = (if s.batch > 1 then s.batch else Config.default.batch_k);
-    (* Same pattern for replication: the case's draw wins, and CCPFS_REPL
-       (folded into Config.default.replication) forces backups onto
-       cases that drew 0, so `CCPFS_REPL=1 ccpfs_run fuzz` sweeps the
-       corpus replicated. *)
+    (* The case's replication draw wins, and CCPFS_REPL (folded into
+       Config.default.replication) forces backups onto cases that drew
+       0, so `CCPFS_REPL=1 ccpfs_run fuzz` sweeps the corpus replicated. *)
     replication = (if s.repl > 0 then s.repl else Config.default.replication);
   }
 

@@ -145,13 +145,10 @@ let gen_sim ?(faults = false) seed rng =
       | [] -> phases
     else phases
   in
-  (* Batch draw is last for the same seed-stability reason as the fault
-     draws above: a third of cases turn per-destination RPC batching on,
-     with k spanning the flush-on-size / flush-on-timer boundary. *)
-  let batch =
-    if Det_random.int rng 3 = 0 then 2 + Det_random.int rng 7 else 0
-  in
-  (* Load draw is at the very tail (after even the batch draw) so every
+  (* The retired RPC-batching draw: still consumed, so every later draw
+     of every seed stays where it was until the corpus is re-pinned. *)
+  if Det_random.int rng 3 = 0 then ignore (Det_random.int rng 7);
+  (* Load draw is at the very tail (after even the retired draw) so every
      seed that existed before the open-loop generator keeps its shape.
      A quarter of cases append a short open-loop segment; the rate spans
      roughly 0.02x-0.15x of the per-request service rate 1/rtt, i.e.
@@ -246,7 +243,6 @@ let gen_sim ?(faults = false) seed rng =
           jitter;
           loss;
           dup;
-          batch;
           phases;
           load;
           migrations;

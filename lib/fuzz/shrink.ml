@@ -149,8 +149,6 @@ let candidates (c : Case.t) =
       end;
       (* Remove the message faults. *)
       if s.loss > 0. || s.dup > 0. then add { s with loss = 0.; dup = 0. };
-      (* Turn RPC batching off. *)
-      if s.batch > 1 then add { s with batch = 0 };
       (* Collapse the layout. *)
       if s.stripes > 1 || s.n_servers > 1 then
         add { s with stripes = 1; n_servers = 1 };

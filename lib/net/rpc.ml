@@ -31,27 +31,12 @@ type 'resp dedup_entry = {
   de_epoch : int;
 }
 
-(* Per-endpoint request coalescing (the transport half of the batching
-   design, DESIGN.md §13): plain calls/notifications destined for this
-   endpoint queue here and ride one simulated message, flushed when
-   [b_max] messages have accumulated or [b_delay] elapses since the
-   queue went non-empty.  Fenced traffic never batches — the loss/dup/
-   fencing model is per-message. *)
-type ('req, 'resp) batch = {
-  b_max : int;
-  b_delay : float;
-  mutable b_items : ('req * int * ('resp -> unit)) list; (* reversed *)
-  mutable b_armed : bool; (* a delay-timer flush is pending *)
-  b_size : Obs.Metrics.histogram; (* rpc.batch.size.<name> *)
-}
-
 (* An endpoint's courier process names and its callers' wait context. *)
 type names = {
   req : string;
   reply : string;
   notify : string;
   send : string;
-  batch : string;
   wait_ctx : string option; (* "rpc:<name>" *)
 }
 
@@ -75,8 +60,6 @@ type ('req, 'resp) endpoint = {
   mutable dedup_cap : int;
   mutable fault : fault option; (* loss/duplication, fenced traffic only *)
   retry_counter : Obs.Metrics.counter;
-  mutable batch : ('req, 'resp) batch option;
-  mutable batch_handler : (('req * ('resp -> unit)) list -> unit) option;
 }
 
 (* A client's knowledge of server epochs, plus its request-id allocator
@@ -121,7 +104,7 @@ let endpoint eng params ~node ~name ~handler =
   { eng; params; node; name; names = None; handler; count = 0; latency;
     epoch = 0; down = false; incarnation = 0; dedup = Hashtbl.create 64;
     dedup_order = Queue.create (); dedup_cap = default_dedup_cap;
-    fault = None; retry_counter; batch = None; batch_handler = None }
+    fault = None; retry_counter }
 
 (* Built once per endpoint, on its first message.  Concatenating them on
    every message cost allocations on every RPC; building them at
@@ -134,7 +117,7 @@ let names t =
       let n =
         { req = t.name ^ ".req"; reply = t.name ^ ".reply";
           notify = t.name ^ ".notify"; send = t.name ^ ".send";
-          batch = t.name ^ ".batch"; wait_ctx = Some ("rpc:" ^ t.name) }
+          wait_ctx = Some ("rpc:" ^ t.name) }
       in
       t.names <- Some n;
       n
@@ -184,96 +167,18 @@ let reply_courier t ~src ~resp_bytes ivar resp =
       Resource.consume (pipe_for src t.params resp_bytes) (float_of_int resp_bytes);
       Ivar.fill ivar resp)
 
-(* Deliver a flushed batch: one courier pays propagation once, the NIC
-   pipe for the summed payload, and a single RPC-processor operation
-   amortized over the whole batch (the Eq. 1 term-① win batching buys).
-   Messages are then served strictly in enqueue order — through the
-   vectorized batch handler when one is installed, else one handler call
-   per message. *)
-let flush_batch t b cause =
-  match List.rev b.b_items with
-  | [] -> ()
-  | items ->
-      b.b_items <- [];
-      let n = List.length items in
-      let bytes = List.fold_left (fun a (_, by, _) -> a + by) 0 items in
-      Obs.Metrics.observe b.b_size (float_of_int n);
-      Engine.spawn t.eng ~name:(names t).batch
-        (fun () ->
-          serve_span t "batch" bytes (fun () ->
-              Engine.sleep t.eng (t.params.Params.rtt /. 2.);
-              Node.add_net_bytes t.node bytes;
-              Resource.consume (pipe_for t.node t.params bytes)
-                (float_of_int bytes);
-              Resource.consume (Node.ops t.node) 1.;
-              List.iter (fun _ -> Node.incr_rpc t.node) items;
-              t.count <- t.count + n;
-              let sink = Engine.trace_sink t.eng in
-              if Obs.Trace.enabled sink then
-                Obs.Trace.instant sink ~ts:(Engine.now t.eng)
-                  ~tid:(Engine.current_pid t.eng) ~cat:"rpc"
-                  ~args:
-                    [ ("endpoint", Obs.Json.Str t.name);
-                      ("n", Obs.Json.Int n); ("bytes", Obs.Json.Int bytes);
-                      ("cause", Obs.Json.Str cause) ]
-                  "rpc.batch.flush";
-              match t.batch_handler with
-              | Some bh -> bh (List.map (fun (r, _, rep) -> (r, rep)) items)
-              | None ->
-                  List.iter (fun (r, _, rep) -> t.handler r ~reply:rep) items))
-
-(* Queue a message on the batch; flush immediately on reaching b_max,
-   else make sure a delay-timer flush is armed.  The timer event keeps
-   the engine's heap non-empty while messages wait, so a caller blocked
-   on a batched reply can never deadlock the run loop. *)
-let enqueue_batch t b ~bytes ~reply req =
-  b.b_items <- (req, bytes, reply) :: b.b_items;
-  if List.length b.b_items >= b.b_max then flush_batch t b "size"
-  else if not b.b_armed then begin
-    b.b_armed <- true;
-    Engine.schedule t.eng ~delay:b.b_delay (fun () ->
-        b.b_armed <- false;
-        flush_batch t b "timer")
-  end
-
-let set_batching t ~max_batch ~delay =
-  if max_batch < 1 || delay < 0. then
-    invalid_arg "Rpc.set_batching: max_batch must be >= 1, delay >= 0";
-  (match t.batch with Some b -> flush_batch t b "reconfig" | None -> ());
-  let b_size =
-    Obs.Metrics.histogram (Engine.metrics t.eng) ("rpc.batch.size." ^ t.name)
-  in
-  t.batch <-
-    Some { b_max = max_batch; b_delay = delay; b_items = []; b_armed = false;
-           b_size }
-
-let clear_batching t =
-  match t.batch with
-  | None -> ()
-  | Some b ->
-      flush_batch t b "reconfig";
-      t.batch <- None
-
-let set_batch_handler t bh = t.batch_handler <- Some bh
-
 let call_async t ~src ?req_bytes ?resp_bytes req =
   let req_bytes = Option.value req_bytes ~default:t.params.Params.ctl_msg_bytes in
   let resp_bytes =
     Option.value resp_bytes ~default:t.params.Params.ctl_msg_bytes
   in
   let ivar = Ivar.create t.eng in
-  (match t.batch with
-  | Some b ->
-      enqueue_batch t b ~bytes:req_bytes
-        ~reply:(fun resp -> reply_courier t ~src ~resp_bytes ivar resp)
-        req
-  | None ->
-      Engine.spawn t.eng ~name:(names t).req
-        (fun () ->
-          serve_span t "serve" req_bytes (fun () ->
-              inbound t req_bytes;
-              t.handler req ~reply:(fun resp ->
-                  reply_courier t ~src ~resp_bytes ivar resp))));
+  Engine.spawn t.eng ~name:(names t).req
+    (fun () ->
+      serve_span t "serve" req_bytes (fun () ->
+          inbound t req_bytes;
+          t.handler req ~reply:(fun resp ->
+              reply_courier t ~src ~resp_bytes ivar resp)));
   ivar
 
 let call t ~src ?req_bytes ?resp_bytes req =
@@ -301,14 +206,11 @@ let call t ~src ?req_bytes ?resp_bytes req =
 let notify t ~src ?req_bytes req =
   let req_bytes = Option.value req_bytes ~default:t.params.Params.ctl_msg_bytes in
   ignore src;
-  match t.batch with
-  | Some b -> enqueue_batch t b ~bytes:req_bytes ~reply:(fun () -> ()) req
-  | None ->
-      Engine.spawn t.eng ~name:(names t).notify
-        (fun () ->
-          serve_span t "notify" req_bytes (fun () ->
-              inbound t req_bytes;
-              t.handler req ~reply:(fun () -> ())))
+  Engine.spawn t.eng ~name:(names t).notify
+    (fun () ->
+      serve_span t "notify" req_bytes (fun () ->
+          inbound t req_bytes;
+          t.handler req ~reply:(fun () -> ())))
 
 let calls t = t.count
 let name t = t.name

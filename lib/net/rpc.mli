@@ -46,37 +46,6 @@ val notify :
 val calls : ('req, 'resp) endpoint -> int
 (** Requests that reached the handler so far. *)
 
-(** {1 Batching}
-
-    Per-destination coalescing of the plain transport (DESIGN.md §13):
-    with batching enabled, {!call}/{!call_async}/{!notify} messages queue
-    at the caller side and ride one simulated message per flush.  A flush
-    happens when [max_batch] messages have accumulated or [delay] seconds
-    after the queue first went non-empty.  The batch courier pays half an
-    RTT, NIC occupancy for the summed payload, and — the point of the
-    exercise — a single RPC-processor operation for the whole batch.
-    Messages are delivered strictly in enqueue order.  Fenced traffic
-    ({!call_fenced}/{!call_reliable}) never batches: its loss, dup and
-    fencing model is per-message. *)
-
-val set_batching :
-  ('req, 'resp) endpoint -> max_batch:int -> delay:float -> unit
-(** Enable batching ([max_batch >= 1], [delay >= 0]).  Reconfiguring
-    flushes anything pending first.  Registers an
-    [rpc.batch.size.<name>] histogram; flushes emit [rpc.batch.flush]
-    trace instants. *)
-
-val clear_batching : ('req, 'resp) endpoint -> unit
-(** Disable batching, flushing anything pending. *)
-
-val set_batch_handler :
-  ('req, 'resp) endpoint -> (('req * ('resp -> unit)) list -> unit) -> unit
-(** Vectorized service entry: when installed, a flushed batch is handed
-    to this function as one request vector (in enqueue order) instead of
-    invoking the per-message handler n times.  The lock server uses this
-    to amortize queue scans over the batch
-    ({!Seqdlm.Lock_server.submit_batch}). *)
-
 val name : ('req, 'resp) endpoint -> string
 (** The service name the endpoint registered under (diagnostics). *)
 

@@ -50,11 +50,11 @@ let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
       (* Piggybacking (DESIGN.md §13) needs the plain transport: under a
          retry policy control messages must stay individually reliable.
          It is a SeqDLM protocol feature — release on the last flush
-         block (§III-B) — so it follows the policy flag, not the
-         transport batching knob: the traditional baselines send every
-         control message on its own RPC. *)
+         block (§III-B) — so it follows the policy flag: the
+         traditional baselines send every control message on its own
+         RPC. *)
       if policy.Policy.piggyback_release then begin
-        Lock_client.set_piggyback locks ~delay:config.Config.batch_delay;
+        Lock_client.set_piggyback locks;
         Client_cache.set_ctl_source cache (fun ~rid ->
             Lock_client.take_piggyback locks ~rid)
       end);

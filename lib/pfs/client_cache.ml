@@ -33,7 +33,7 @@ type t = {
          with failover enabled: a Write_flush must survive a data-server
          outage, and at-most-once dedup keeps retries idempotent *)
   mutable ctl_source : (rid:int -> Seqdlm.Types.ctl_msg list) option;
-      (* batching mode (DESIGN.md §13): the lock client's pending
+      (* piggybacking (DESIGN.md §13): the lock client's pending
          acks/downgrades/releases for the stripe's server, drained here
          so they ride the flush RPC instead of going as separate
          messages; their bytes are added to the wire size *)

@@ -85,20 +85,6 @@ let create ?(params = Params.default) ?(config = Config.default)
       Data_server.set_lock_route s.s_data (fun rid ->
           servers.(lock_owner rid).s_lock))
     servers;
-  (* RPC batching (DESIGN.md §13): coalesce plain-path traffic towards
-     each server endpoint.  The fenced retry path is unaffected, so this
-     is safe to turn on regardless of the reliability regime. *)
-  if config.Config.batch_k > 1 then
-    Array.iter
-      (fun s ->
-        let set ep =
-          Rpc.set_batching ep ~max_batch:config.Config.batch_k
-            ~delay:config.Config.batch_delay
-        in
-        set (Lock_server.lock_endpoint s.s_lock);
-        set (Lock_server.ctl_endpoint s.s_lock);
-        set (Data_server.endpoint s.s_data))
-      servers;
   (* Data placement is static ({!Shard_map.data_owner}): stripes and
      their extent logs never move, only lock namespaces do. *)
   let io_route rid =

@@ -10,8 +10,6 @@ type t = {
   cleanup_period : float;
   extent_log : bool;
   flush_wire_page_only : bool;
-  batch_k : int;
-  batch_delay : float;
   replication : int;
 }
 
@@ -26,12 +24,6 @@ let default =
     cleanup_period = 0.1;
     extent_log = false;
     flush_wire_page_only = false;
-    (* CCPFS_BATCH=k turns RPC batching on everywhere a Config.default
-       flows (experiments, the fuzzer's config_of) without touching call
-       sites; unset or 0/1 leaves the transport unbatched. *)
-    batch_k =
-      (match Knob.int "CCPFS_BATCH" ~default:0 ~min:0 with 1 -> 0 | k -> k);
-    batch_delay = 0.;
     (* CCPFS_REPL=f replicates every lock server's grant log to f backups
        (DESIGN.md §16) wherever a Config.default flows; unset or 0 runs
        unreplicated (recovery falls back to the client gather). *)
@@ -45,10 +37,9 @@ let with_extent_log extent_log t = { t with extent_log }
 let with_flush_wire_page_only flush_wire_page_only t =
   { t with flush_wire_page_only }
 
-let with_batching ?(delay = default.batch_delay) ~k t =
-  if k < 0 || delay < 0. then
-    invalid_arg "Config.with_batching: k and delay must be non-negative";
-  { t with batch_k = k; batch_delay = delay }
+let with_batching ~k t =
+  if k > 1 then invalid_arg "Config.with_batching: RPC batching was removed";
+  t
 
 let with_replication f t =
   if f < 0 then invalid_arg "Config.with_replication: f must be >= 0";

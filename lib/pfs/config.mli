@@ -17,15 +17,6 @@ type t = {
       (** Fig. 5's "first page only" hack: flush RPCs put at most one
           4 KiB page on the wire regardless of payload (timing knob; the
           logical data still lands) *)
-  batch_k : int;
-      (** RPC batching factor (DESIGN.md §13): 0 or 1 = off; [k >= 2]
-          coalesces up to [k] plain messages per server endpoint into one
-          simulated message and piggybacks client control traffic on
-          flush RPCs.  Defaults to the [CCPFS_BATCH] environment
-          variable (unset = off). *)
-  batch_delay : float;
-      (** batch flush delay-timer, seconds: an undersized batch is held
-          at most this long before it goes on the wire *)
   replication : int;
       (** grant-log replication factor (DESIGN.md §16): 0 = off;
           [f >= 1] gives every lock server [f] backup replicas and the
@@ -40,10 +31,11 @@ val with_extent_cache : limit:int -> t -> t
 val with_extent_log : bool -> t -> t
 val with_flush_wire_page_only : bool -> t -> t
 
-val with_batching : ?delay:float -> k:int -> t -> t
-(** [with_batching ~k t] turns batching on ([k >= 2]) or off ([k = 0/1])
-    regardless of [CCPFS_BATCH]; raises [Invalid_argument] on negative
-    [k] or [delay]. *)
+val with_batching : k:int -> t -> t
+(** [with_batching ~k t] is [t] for [k <= 1] and raises
+    [Invalid_argument] otherwise: RPC batching was removed (DESIGN.md
+    §13).  Its only caller is [bench/suite], which pins [k = 0]; it goes
+    in the next change to the benchmark. *)
 
 val with_replication : int -> t -> t
 (** Set the grant-log replication factor regardless of [CCPFS_REPL];

@@ -308,6 +308,45 @@ let test_repl_era_json_and_skeleton () =
   Alcotest.(check bool) "plain skeleton writes repl = 0 and dbl = None" true
     (contains ~sub:"repl = 0" pskel && contains ~sub:"dbl = None" pskel)
 
+(* The draw stream is frozen until the corpus is re-pinned: these are
+   the summaries the generator produced while it still drew an RPC
+   batch factor (24385 drew batch 8), with that field dropped.  The
+   generator still consumes the retired draw, so every later draw —
+   replication, partitions, double failures, migrations, load — lands
+   where it did. *)
+let pinned_summaries =
+  [
+    ( 24311,
+      "seed 24311: SeqDLM, 4 client(s) x 4 server(s), 2 stripe(s), 1 \
+       phase(s), 14 op(s), 0 crash(es), 1 mid-crash(es), loss 0.000 dup \
+       0.018, repl f=2" );
+    ( 24316,
+      "seed 24316: DLM-datatype, 2 client(s) x 4 server(s), 4 stripe(s), 2 \
+       phase(s), 19 op(s), 1 crash(es), 1 mid-crash(es), loss 0.027 dup \
+       0.000, double-failure" );
+    ( 24321,
+      "seed 24321: DLM-basic, 2 client(s) x 2 server(s), 4 stripe(s), 3 \
+       phase(s), 17 op(s), 2 crash(es), 1 mid-crash(es), repl f=2, 2 \
+       partition(s), load(mmpp 860/s x9 cap 3 churn 2)" );
+    ( 24349,
+      "seed 24349: DLM-Lustre, 3 client(s) x 3 server(s), 1 stripe(s), 3 \
+       phase(s), 37 op(s), 2 crash(es), 2 mid-crash(es), loss 0.014 dup \
+       0.000, 2 partition(s), double-failure" );
+    ( 24385,
+      "seed 24385: SeqDLM, 3 client(s) x 2 server(s), 1 stripe(s), 2 \
+       phase(s), 19 op(s), 1 crash(es), 1 mid-crash(es), 2 migration(s), \
+       repl f=1, load(const 457/s x11 cap 2 churn 1)" );
+  ]
+
+let test_draw_stream_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d summary" seed)
+        want
+        (Fuzz.Case.summary (Fuzz.Gen.of_seed seed)))
+    pinned_summaries
+
 let test_case_json_shape () =
   let case = first_case is_sim base in
   match Obs.Json.parse (Obs.Json.to_string (Fuzz.Case.to_json case)) with
@@ -356,5 +395,7 @@ let suite =
           test_shrink_drops_double_failure_first;
         Alcotest.test_case "repl-era JSON and test skeleton" `Quick
           test_repl_era_json_and_skeleton;
+        Alcotest.test_case "draw stream pinned across the retired batch draw"
+          `Quick test_draw_stream_pinned;
       ] );
   ]

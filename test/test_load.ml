@@ -415,9 +415,7 @@ let test_driver_event_stream_pin () =
    heap that preceded the index heap and its arrival lane. *)
 let test_driver_replicated_stream_pin () =
   let requests = 1200 and rate = 20_000. in
-  let config =
-    Config.default |> Config.with_batching ~k:0 |> Config.with_replication 1
-  in
+  let config = Config.with_replication 1 Config.default in
   let cl = Cluster.create ~config ~n_servers:2 ~n_clients:6 () in
   let proc = Option.get (Load.Arrivals.of_string ~rate "poisson") in
   let span = float_of_int requests /. rate in

@@ -238,59 +238,6 @@ let test_fenced_dedup_epoch_purge () =
       Alcotest.(check int) "post-purge retry deduplicated" 2 !hits);
   Engine.run eng
 
-(* ------------------------------------------------------------------ *)
-(* Batching (DESIGN.md §13)                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_batching_size_flush_preserves_order () =
-  let eng = Engine.create () in
-  let server = Node.create eng params ~name:"s" () in
-  let client = Node.create eng params ~name:"c" () in
-  let seen = ref [] in
-  let ep =
-    Rpc.endpoint eng params ~node:server ~name:"seq"
-      ~handler:(fun x ~reply ->
-        seen := x :: !seen;
-        reply (x * 10))
-  in
-  Rpc.set_batching ep ~max_batch:3 ~delay:1.0;
-  let replies = ref [] in
-  Engine.spawn eng ~name:"caller" (fun () ->
-      (* Three same-instant calls fill the batch: the size trigger fires
-         long before the (deliberately huge) delay timer could. *)
-      let ivs = List.map (fun x -> Rpc.call_async ep ~src:client x) [ 1; 2; 3 ] in
-      replies := List.map (fun iv -> Ivar.read iv) ivs;
-      (* One amortized service op for the whole batch: rtt/2 in, one
-         1/OPS charge, rtt/2 back — not 3/OPS. *)
-      feq "batch paid one service op" 0.011 (Engine.now eng));
-  Engine.run eng;
-  Alcotest.(check (list int)) "served strictly in enqueue order" [ 1; 2; 3 ]
-    (List.rev !seen);
-  Alcotest.(check (list int)) "each call got its own reply" [ 10; 20; 30 ]
-    !replies;
-  Alcotest.(check int) "all messages counted" 3 (Rpc.calls ep)
-
-let test_batching_timer_flush () =
-  let eng = Engine.create () in
-  let server = Node.create eng params ~name:"s" () in
-  let client = Node.create eng params ~name:"c" () in
-  let served_at = ref (-1.) in
-  let ep =
-    Rpc.endpoint eng params ~node:server ~name:"tick"
-      ~handler:(fun () ~reply ->
-        served_at := Engine.now eng;
-        reply ())
-  in
-  Rpc.set_batching ep ~max_batch:8 ~delay:0.004;
-  Engine.spawn eng ~name:"sender" (fun () ->
-      (* A blocking call (not a notify): the suspended caller keeps the
-         run alive until the delay timer fires. *)
-      Rpc.call ep ~src:client ());
-  Engine.run eng;
-  (* A lone message below max_batch waits out the delay timer, then pays
-     the normal journey: delay + rtt/2 + 1/OPS. *)
-  feq "timer flushed the partial batch" 0.0145 !served_at
-
 let test_reliable_rides_out_an_outage () =
   let eng, _, client, ep, hits = fenced_world () in
   let rel =
@@ -429,13 +376,6 @@ let suite =
           test_notify_does_not_block;
         Alcotest.test_case "blocking handler on disk" `Quick
           test_blocking_handler_uses_disk;
-      ] );
-    ( "net.batch",
-      [
-        Alcotest.test_case "size flush preserves order + replies" `Quick
-          test_batching_size_flush_preserves_order;
-        Alcotest.test_case "timer flushes a partial batch" `Quick
-          test_batching_timer_flush;
       ] );
     ( "net.fenced",
       [

@@ -884,8 +884,93 @@ let test_extent_log_recovery () =
       Alcotest.(check int) "same SN" sa sb)
     live rebuilt
 
+(* ------------------------------------------------------------------ *)
+(* Release piggybacking (paper §III-B, DESIGN.md §13)                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Two writers on one block over the plain transport: client 0 dirties
+   it under a cached lock, then client 1 asks for PW, so the server
+   revokes client 0's lock and client 1 waits for its release.  Returns
+   the trace, the ctl endpoint's message count, the block size and the
+   network parameters. *)
+let conflicting_writers ~policy ~first_mode =
+  let len = 64 * Units.kib in
+  let cl = Cluster.create ~policy ~n_servers:1 ~n_clients:2 () in
+  let sink = Obs.Trace.make ~pid:1 ~label:"piggyback" () in
+  let eng = Cluster.engine cl in
+  Engine.set_trace_sink eng sink;
+  Cluster.spawn_client cl 0 ~name:"holder" (fun c ->
+      let f = Client.open_file c ~create:true "/pb" in
+      Client.write c f ~mode:first_mode ~off:0 ~len);
+  Cluster.spawn_client cl 1 ~name:"waiter" (fun c ->
+      Engine.sleep eng 1e-3;
+      let f = Client.open_file c ~create:true "/pb" in
+      Client.write c f ~mode:Seqdlm.Mode.PW ~off:0 ~len);
+  Cluster.run cl;
+  let ctl = Seqdlm.Lock_server.ctl_endpoint (Cluster.lock_server cl 0) in
+  (Obs.Trace.events sink, Netsim.Rpc.calls ctl, len, Cluster.params cl)
+
+let int_arg (e : Obs.Trace.ev) k =
+  match List.assoc_opt k e.args with
+  | Some (Obs.Json.Int n) -> n
+  | _ -> Alcotest.failf "%s event without int arg %s" e.name k
+
+let waiter_grant evs =
+  let is_waiter_grant (e : Obs.Trace.ev) =
+    e.name = "lock.grant" && int_arg e "client" = 1
+  in
+  match List.filter is_waiter_grant evs with
+  | [ g ] -> g
+  | gs -> Alcotest.failf "%d grants to the waiter, want 1" (List.length gs)
+
+(* Begin events of the data-server flushes that carried ctl messages. *)
+let flushes_carrying_ctl evs =
+  List.filter
+    (fun (e : Obs.Trace.ev) ->
+      e.ph = 'B' && e.name = "ds.write_flush" && int_arg e "ctl" > 0)
+    evs
+
+let test_seqdlm_release_rides_flush () =
+  let evs, ctl_msgs, len, params =
+    conflicting_writers ~policy:Seqdlm.Policy.seqdlm ~first_mode:Seqdlm.Mode.NBW
+  in
+  let flush =
+    match flushes_carrying_ctl evs with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "%d flushes carry ctl, want 1" (List.length fs)
+  in
+  Alcotest.(check int) "the flush carries exactly the release" 1
+    (int_arg flush "ctl");
+  Alcotest.(check int) "only the revoke-ack crosses the ctl endpoint" 1
+    ctl_msgs;
+  let grant = waiter_grant evs in
+  let disk_s = float_of_int len /. params.Netsim.Params.b_disk in
+  let on_device = flush.ts +. disk_s in
+  Alcotest.(check bool)
+    (Printf.sprintf "waiter granted at %g, after the block is on the device \
+                     at %g" grant.ts on_device)
+    true
+    (grant.ts >= on_device -. 1e-12)
+
+let test_basic_release_is_own_message () =
+  let evs, ctl_msgs, _, _ =
+    conflicting_writers ~policy:Seqdlm.Policy.dlm_basic
+      ~first_mode:Seqdlm.Mode.PW
+  in
+  Alcotest.(check int) "no flush carries ctl" 0
+    (List.length (flushes_carrying_ctl evs));
+  Alcotest.(check int) "ack and release each cross the ctl endpoint" 2 ctl_msgs;
+  ignore (waiter_grant evs)
+
 let suite =
   [
+    ( "pfs.piggyback",
+      [
+        Alcotest.test_case "SeqDLM release rides the flush" `Quick
+          test_seqdlm_release_rides_flush;
+        Alcotest.test_case "DLM-basic release is its own message" `Quick
+          test_basic_release_is_own_message;
+      ] );
     ( "pfs.layout",
       [
         Alcotest.test_case "single stripe" `Quick test_layout_single_stripe;

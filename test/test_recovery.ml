@@ -178,7 +178,6 @@ let test_crash_with_dirty_cache_flush () =
             jitter = 0.;
             loss = 0.;
             dup = 0.;
-            batch = 0;
             load = None;
             migrations = [];
             repl = 0;

@@ -353,13 +353,13 @@ let test_blocked_report_mid_run () =
     (report ())
 
 (* A 32-client by 8-write PW convoy on one lock server (seeded think
-   time before each whole-file write, RPC batching off): many small
+   time before each whole-file write): many small
    control RPCs queued on one server, the dispatch-bound case.  The
    count and fingerprint were taken from the parallel-array heap that
    preceded the index heap. *)
 let test_pw_convoy_stream_pin () =
   let open Ccpfs in
-  let config = Config.default |> Config.with_batching ~k:0 |> Config.with_replication 0 in
+  let config = Config.with_replication 0 Config.default in
   let cl =
     Cluster.create ~config ~policy:Seqdlm.Policy.seqdlm ~n_servers:1
       ~n_clients:32 ()

@@ -155,10 +155,9 @@ let test_mutated_rows_rejected () =
 
 let test_pins () =
   let scale = load "scale" in
-  let pins = { V.no_pins with rows = Some 8; batches = Some [ 8; 0 ] } in
-  expect_ok ~pins "matching row and batch pins" scale;
+  let pins = { V.no_pins with rows = Some 4 } in
+  expect_ok ~pins "matching row pin" scale;
   expect_rejected ~pins:{ pins with rows = Some 2 } ~because:"expected 2 rows" "row count pin" scale;
-  expect_rejected ~pins:{ pins with batches = Some [ 0 ] } ~because:"batch_k set" "batch set pin" scale;
   expect_rejected
     ~pins:{ pins with fields = [ ("clients", Json.Int 128) ] }
     ~because:"pinned 128" "field pin" scale;
