@@ -164,6 +164,44 @@ let test_repl_gather_reproduces_failover_row () =
         "[17,12,13,12,13,1,0,9,11,5,13,12,13,13,12,13,13,13,12,13,11,10,10,5]" );
     ]
 
+(* A reduced Fig. 20 SeqDLM run: 16 ranks x 64 strided blocks of 64 KiB
+   on one lock server and one stripe.  Nearly every grant is an early
+   grant over a CANCELING NBW lock, so the revoked locks pile up behind
+   the flush backlog and every lock-server query meets them.  The
+   dispatch count, fingerprint and lock stats pin the whole event
+   stream: a change to how the server indexes its grants must leave
+   all of them unmoved.  The values were taken while one interval tree
+   still held every grant. *)
+let test_strided_stream_pin () =
+  let clients = 16 and xfer = 64 * Units.kib and blocks = 64 in
+  let pattern = Workloads.Access.N1_strided in
+  let layout = Ccpfs.Layout.v ~stripe_size:Units.mib ~stripe_count:1 () in
+  let eng, (s : Seqdlm.Lock_server.stats) =
+    Experiments.Harness.run_custom ~policy:Seqdlm.Policy.seqdlm ~servers:1
+      ~clients
+      (fun _cl spawn ->
+        for rank = 0 to clients - 1 do
+          spawn rank (Printf.sprintf "w%d" rank) (fun c ->
+              let f =
+                Ccpfs.Client.open_file c ~create:true ~layout
+                  (Workloads.Ior.file_of_rank ~pattern ~rank)
+              in
+              List.iter
+                (fun (a : Workloads.Access.t) ->
+                  Ccpfs.Client.write c f ~off:a.off ~len:a.len)
+                (Workloads.Ior.accesses ~pattern ~nprocs:clients ~rank ~xfer
+                   ~blocks))
+        done)
+      (fun cl r -> (Ccpfs.Cluster.engine cl, r.Experiments.Harness.lock_stats))
+  in
+  Alcotest.(check int) "grants" 966 s.grants;
+  Alcotest.(check int) "early grants" 965 s.early_grants;
+  Alcotest.(check int) "revokes sent" 129 s.revokes_sent;
+  Alcotest.(check int) "engine events" 12531
+    (Dessim.Engine.events_dispatched eng);
+  Alcotest.(check int64) "engine fingerprint" 1527426032201415400L
+    (Dessim.Engine.fingerprint eng)
+
 let suite =
   [
     ( "experiments.harness",
@@ -188,5 +226,7 @@ let suite =
           test_model_agrees_with_sim;
         Alcotest.test_case "repl gather reproduces the failover row" `Quick
           test_repl_gather_reproduces_failover_row;
+        Alcotest.test_case "event stream pinned, strided early grants" `Quick
+          test_strided_stream_pin;
       ] );
   ]
