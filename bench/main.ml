@@ -378,8 +378,15 @@ let bench_lock_server_contended_pass =
    not depend on N: the expansion bound, the conflict scan and the
    early-grant probe all go through the interval index.  The fixture is
    built up front, in descending block order so each greedy grant stops
-   at the block above it. *)
-let bench_lock_server_grant_over n =
+   at the block above it.
+
+   With [~canceling:c], the fixture then reinstalls [c] CANCELING NBW
+   locks of other clients, the i-th over [lo_i, EOF) with the [lo_i]
+   spread evenly across the blocks: the revoked-lock backlog an
+   early-grant run leaves behind the flush queue.  Every grant is then
+   an early grant over the backlog locks below its block, and none of
+   them conflicts with it. *)
+let bench_lock_server_grant_over ?(canceling = 0) n =
   let block = 65536 in
   let params = Netsim.Params.default in
   let eng = Dessim.Engine.create () in
@@ -406,9 +413,21 @@ let bench_lock_server_grant_over n =
   for k = n - 1 downto 0 do
     grant k
   done;
+  for i = 1 to canceling do
+    Seqdlm.Lock_server.reinstall server ~client:i
+      ~locks:
+        [
+          ( 1, n + i, Seqdlm.Mode.NBW,
+            [ Interval.to_eof ~lo:((i - 1) * (n / canceling) * block) ],
+            n + i, Seqdlm.Lcm.Canceling );
+        ]
+  done;
   let next = ref 0 in
   Test.make
-    ~name:(Printf.sprintf "lock_server: grant over %dk cached grants" (n / 1000))
+    ~name:
+      (Printf.sprintf "lock_server: grant over %dk cached grants%s" (n / 1000)
+         (if canceling = 0 then ""
+          else Printf.sprintf " + %d canceling" canceling))
     (Staged.stage (fun () ->
          let k = !next mod n in
          incr next;
@@ -435,6 +454,7 @@ let micro_tests () =
       bench_lock_server_contended_pass;
       bench_lock_server_grant_over 1024;
       bench_lock_server_grant_over 16384;
+      bench_lock_server_grant_over ~canceling:64 16384;
       bench_engine_events;
       bench_engine_pending_arrivals;
       bench_engine_deep_sleepers ();
