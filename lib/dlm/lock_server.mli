@@ -303,6 +303,13 @@ val policy : t -> Policy.t
 val node : t -> Netsim.Node.t
 val name : t -> string
 
+val check_indexes : t -> unit
+(** Asserts that every index agrees with the state it indexes: the lock
+    table, the two grant interval trees (CANCELING NBW locks in one,
+    every other lock in the other), the waiting-queue indexes and the
+    live queue counter.  Holds after any sequence of control messages. *)
+
 val check_invariants : t -> unit
-(** Asserts that no two granted locks are mutually incompatible while both
-    GRANTED, and that write-lock SNs are unique per resource. *)
+(** {!check_indexes}, and asserts that no two granted locks are mutually
+    incompatible while both GRANTED, and that write-lock SNs are unique
+    per resource. *)
