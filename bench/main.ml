@@ -12,7 +12,12 @@
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- experiments  # tables/figures only
-     dune exec bench/main.exe -- micro        # microbenchmarks only *)
+     dune exec bench/main.exe -- micro        # microbenchmarks only
+     dune exec bench/main.exe -- micro extent # only the rows whose name
+                                              # contains "extent"
+
+   Only the selected rows build their fixtures, so a filtered run takes
+   seconds.  BENCH_micro.json then holds just those rows. *)
 
 open Ccpfs_util
 open Bechamel
@@ -24,31 +29,72 @@ open Toolkit
 
 let iv lo hi = Interval.v ~lo ~hi
 
+(* A row is its name and a builder of its Bechamel test: the fixture is
+   built only when the row is selected. *)
+let row name fixture = (name, fun () -> Test.make ~name (fixture ()))
+
 let bench_extent_map_set =
-  Test.make ~name:"extent_map.set (1k live extents)"
-    (Staged.stage (fun () ->
-         let m =
-           List.fold_left
-             (fun m k -> Extent_map.set m (iv (k * 8192) ((k * 8192) + 4096)) k)
-             Extent_map.empty
-             (List.init 1000 (fun k -> k))
-         in
-         Sys.opaque_identity (Extent_map.cardinal m)))
+  row "extent_map.set (1k live extents)" (fun () ->
+      Staged.stage (fun () ->
+          let m =
+            List.fold_left
+              (fun m k ->
+                Extent_map.set m (iv (k * 8192) ((k * 8192) + 4096)) k)
+              Extent_map.empty
+              (List.init 1000 (fun k -> k))
+          in
+          Sys.opaque_identity (Extent_map.cardinal m)))
 
 let bench_extent_map_merge =
-  let base =
-    List.fold_left
-      (fun m k -> Extent_map.set m (iv (k * 8192) ((k * 8192) + 4096)) k)
-      Extent_map.empty
-      (List.init 1000 (fun k -> k))
-  in
-  Test.make ~name:"extent_map.merge one 4MB range over 1k extents"
-    (Staged.stage (fun () ->
-         let m, won =
-           Extent_map.merge base (iv 0 4_000_000) 5000 ~keep_new:(fun ~old ->
-               5000 > old)
-         in
-         Sys.opaque_identity (Extent_map.cardinal m + List.length won)))
+  row "extent_map.merge one 4MB range over 1k extents" (fun () ->
+      let base =
+        List.fold_left
+          (fun m k -> Extent_map.set m (iv (k * 8192) ((k * 8192) + 4096)) k)
+          Extent_map.empty
+          (List.init 1000 (fun k -> k))
+      in
+      Staged.stage (fun () ->
+          let m, won =
+            Extent_map.merge base (iv 0 4_000_000) 5000 ~keep_new:(fun ~old ->
+                5000 > old)
+          in
+          Sys.opaque_identity (Extent_map.cardinal m + List.length won)))
+
+(* [n] one-byte extents with distinct values, built by ascending gap
+   appends. *)
+let ascending_extents n =
+  List.fold_left
+    (fun m k -> Extent_map.set m (iv k (k + 1)) k)
+    Extent_map.empty (List.init n Fun.id)
+
+(* The client's whole-stripe flush: take every dirty extent, then clear
+   [0, EOF). *)
+let bench_extent_map_flush n =
+  row
+    (Printf.sprintf "extent_map: whole-stripe flush over %dk extents"
+       (n / 1024))
+    (fun () ->
+      let m = ascending_extents n in
+      let all = Interval.to_eof ~lo:0 in
+      Staged.stage (fun () ->
+          let taken = Extent_map.overlapping m all in
+          Sys.opaque_identity
+            (List.length taken + Extent_map.cardinal (Extent_map.remove m all))))
+
+(* The data server's cache on the N-1 segmented pattern, without the
+   rest of [ingest]: one merge into the gap past the last of [n]
+   extents.  The map is persistent, so every run appends to the same
+   [n]-entry map. *)
+let bench_extent_map_append n =
+  row
+    (Printf.sprintf "extent_map.merge: gap append into a %dk-entry map"
+       (n / 1024))
+    (fun () ->
+      let m = ascending_extents n in
+      let tail = iv n (n + 1) in
+      Staged.stage (fun () ->
+          let m, won = Extent_map.merge m tail n ~keep_new:(fun ~old -> n > old) in
+          Sys.opaque_identity (Extent_map.cardinal m + List.length won)))
 
 (* The data server's per-block routine on the N-1 segmented pattern:
    every 64 KiB block carries its own (SN, op) and lands in the gap past
@@ -58,59 +104,55 @@ let bench_extent_map_merge =
    coalescing threshold again and again.  The per-block cost should not
    depend on [n]. *)
 let bench_data_server_ingest n =
-  let block = 65536 in
-  let params = Netsim.Params.default in
-  let eng = Dessim.Engine.create () in
-  let node = Netsim.Node.create eng params ~name:"ds" ~with_disk:true () in
-  let lock_server =
-    Seqdlm.Lock_server.create eng params ~node ~name:"ls"
-      ~policy:Seqdlm.Policy.seqdlm
-  in
-  let ds =
-    Ccpfs.Data_server.create eng params Ccpfs.Config.default ~node ~name:"ds"
-      ~lock_server
-  in
-  let next = ref 0 in
-  let ingest () =
-    let k = !next in
-    incr next;
-    Ccpfs.Data_server.ingest ds ~rid:1
-      {
-        Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
-        b_sn = 1;
-        b_tag = { Content.writer = 0; op = k; sn = 1 };
-      }
-  in
-  for _ = 1 to n do
-    ignore (ingest ())
-  done;
-  Test.make
-    ~name:
-      (Printf.sprintf "data server: apply one block into a %dk-entry extent cache"
-         (n / 1024))
-    (Staged.stage (fun () -> Sys.opaque_identity (ingest ())))
+  row
+    (Printf.sprintf "data server: apply one block into a %dk-entry extent cache"
+       (n / 1024))
+    (fun () ->
+      let block = 65536 in
+      let params = Netsim.Params.default in
+      let eng = Dessim.Engine.create () in
+      let node = Netsim.Node.create eng params ~name:"ds" ~with_disk:true () in
+      let lock_server =
+        Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+          ~policy:Seqdlm.Policy.seqdlm
+      in
+      let ds =
+        Ccpfs.Data_server.create eng params Ccpfs.Config.default ~node
+          ~name:"ds" ~lock_server
+      in
+      let next = ref 0 in
+      let ingest () =
+        let k = !next in
+        incr next;
+        Ccpfs.Data_server.ingest ds ~rid:1
+          {
+            Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
+            b_sn = 1;
+            b_tag = { Content.writer = 0; op = k; sn = 1 };
+          }
+      in
+      for _ = 1 to n do
+        ignore (ingest ())
+      done;
+      Staged.stage (fun () -> Sys.opaque_identity (ingest ())))
 
 (* One amortised coalescing pass over a cache where no neighbours share
    a value: a scan that should allocate nothing and return the map. *)
 let bench_extent_map_coalesce n =
-  let m =
-    List.fold_left
-      (fun m k -> Extent_map.set m (iv k (k + 1)) k)
-      Extent_map.empty (List.init n Fun.id)
-  in
-  Test.make
-    ~name:
-      (Printf.sprintf "extent_map.coalesce over %dk entries, nothing merges"
-         (n / 1024))
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Extent_map.cardinal (Extent_map.coalesce ~eq:Int.equal m))))
+  row
+    (Printf.sprintf "extent_map.coalesce over %dk entries, nothing merges"
+       (n / 1024))
+    (fun () ->
+      let m = ascending_extents n in
+      Staged.stage (fun () ->
+          Sys.opaque_identity
+            (Extent_map.cardinal (Extent_map.coalesce ~eq:Int.equal m))))
 
 let bench_lcm =
   let modes = Seqdlm.Mode.[| PR; NBW; BW; PW |] in
   let states = Seqdlm.Lcm.[| Granted; Canceling |] in
-  Test.make ~name:"lcm.compatible (full Table II sweep)"
-    (Staged.stage (fun () ->
+  row "lcm.compatible (full Table II sweep)"
+    (fun () -> Staged.stage (fun () ->
          let acc = ref 0 in
          Array.iter
            (fun req ->
@@ -126,14 +168,14 @@ let bench_lcm =
 
 let bench_layout_chunks =
   let l = Ccpfs.Layout.v ~stripe_count:8 () in
-  Test.make ~name:"layout.chunks (16MiB over 8 stripes)"
-    (Staged.stage (fun () ->
+  row "layout.chunks (16MiB over 8 stripes)"
+    (fun () -> Staged.stage (fun () ->
          Sys.opaque_identity
            (List.length (Ccpfs.Layout.chunks l (iv 12345 (12345 + (16 * Units.mib)))))))
 
 let bench_engine_events =
-  Test.make ~name:"engine: 1k processes x sleep"
-    (Staged.stage (fun () ->
+  row "engine: 1k processes x sleep"
+    (fun () -> Staged.stage (fun () ->
          let eng = Dessim.Engine.create () in
          for i = 1 to 1000 do
            Dessim.Engine.spawn eng ~name:(string_of_int i) (fun () ->
@@ -147,27 +189,27 @@ let bench_engine_events =
    through tens of thousands of pending events), while worker processes
    sleep through service times among them. *)
 let bench_engine_pending_arrivals =
-  let arrivals =
-    Load.Arrivals.times ~seed:1 (Load.Arrivals.Poisson 70_000.) ~n:40_000
-  in
-  let horizon = arrivals.(Array.length arrivals - 1) in
-  let workers = 64 in
-  Test.make ~name:"engine: dispatch with 40k pending arrivals"
-    (Staged.stage (fun () ->
-         let eng = Dessim.Engine.create () in
-         let served = ref 0 in
-         Array.iter
-           (fun time -> Dessim.Engine.at eng ~time (fun () -> incr served))
-           arrivals;
-         for i = 1 to workers do
-           let service = float_of_int (workers + i) /. 70_000. in
-           Dessim.Engine.spawn eng ~name:(string_of_int i) (fun () ->
-               while Dessim.Engine.now eng < horizon do
-                 Dessim.Engine.sleep eng service
-               done)
-         done;
-         Dessim.Engine.run eng;
-         Sys.opaque_identity (Dessim.Engine.events_dispatched eng + !served)))
+  row "engine: dispatch with 40k pending arrivals" (fun () ->
+      let arrivals =
+        Load.Arrivals.times ~seed:1 (Load.Arrivals.Poisson 70_000.) ~n:40_000
+      in
+      let horizon = arrivals.(Array.length arrivals - 1) in
+      let workers = 64 in
+      Staged.stage (fun () ->
+          let eng = Dessim.Engine.create () in
+          let served = ref 0 in
+          Array.iter
+            (fun time -> Dessim.Engine.at eng ~time (fun () -> incr served))
+            arrivals;
+          for i = 1 to workers do
+            let service = float_of_int (workers + i) /. 70_000. in
+            Dessim.Engine.spawn eng ~name:(string_of_int i) (fun () ->
+                while Dessim.Engine.now eng < horizon do
+                  Dessim.Engine.sleep eng service
+                done)
+          done;
+          Dessim.Engine.run eng;
+          Sys.opaque_identity (Dessim.Engine.events_dispatched eng + !served)))
 
 (* A deep queue of suspended continuations and nothing else: 4,096
    daemon processes sleep forever, process [i] with a period of
@@ -176,27 +218,27 @@ let bench_engine_pending_arrivals =
    processes are spawned once, outside the measured function; a run
    advances the clock by 1 us, about 218 wake-ups.  Isolates the sift
    and dispatch cost from process creation. *)
-let bench_engine_deep_sleepers () =
-  let eng = Dessim.Engine.create () in
-  for i = 1 to 4096 do
-    let d = float_of_int ((i mod 97) + 1) *. 1e-6 in
-    Dessim.Engine.spawn eng ~daemon:true ~name:(string_of_int i) (fun () ->
-        while true do
-          Dessim.Engine.sleep eng d
-        done)
-  done;
-  Test.make ~name:"engine: 4k sleepers churning (deep queue)"
-    (Staged.stage (fun () ->
-         Dessim.Engine.run ~until:(Dessim.Engine.now eng +. 1e-6) eng;
-         Sys.opaque_identity (Dessim.Engine.events_dispatched eng)))
+let bench_engine_deep_sleepers =
+  row "engine: 4k sleepers churning (deep queue)" (fun () ->
+      let eng = Dessim.Engine.create () in
+      for i = 1 to 4096 do
+        let d = float_of_int ((i mod 97) + 1) *. 1e-6 in
+        Dessim.Engine.spawn eng ~daemon:true ~name:(string_of_int i) (fun () ->
+            while true do
+              Dessim.Engine.sleep eng d
+            done)
+      done;
+      Staged.stage (fun () ->
+          Dessim.Engine.run ~until:(Dessim.Engine.now eng +. 1e-6) eng;
+          Sys.opaque_identity (Dessim.Engine.events_dispatched eng)))
 
 (* One control RPC per caller with a handler that replies at once: the
    transport alone (request courier, server NIC and ops queue, reply
    courier, the caller's suspension) with nothing of the DLM above it. *)
 let bench_rpc_round_trip =
   let callers = 1024 in
-  Test.make ~name:"rpc: bare call round trip, 1k callers"
-    (Staged.stage (fun () ->
+  row "rpc: bare call round trip, 1k callers"
+    (fun () -> Staged.stage (fun () ->
          let params = Netsim.Params.default in
          let eng = Dessim.Engine.create () in
          let server = Netsim.Node.create eng params ~name:"s" () in
@@ -214,8 +256,8 @@ let bench_rpc_round_trip =
          Sys.opaque_identity !sum))
 
 let bench_lock_handoff =
-  Test.make ~name:"full lock handoff chain (2 clients, 32 transfers)"
-    (Staged.stage (fun () ->
+  row "full lock handoff chain (2 clients, 32 transfers)"
+    (fun () -> Staged.stage (fun () ->
          let params = Netsim.Params.default in
          let eng = Dessim.Engine.create () in
          let node = Netsim.Node.create eng params ~name:"s" () in
@@ -252,8 +294,8 @@ let bench_lock_handoff =
          Sys.opaque_identity (Seqdlm.Lock_server.stats server).grants))
 
 let bench_mini_cluster =
-  Test.make ~name:"mini ccPFS cluster (4 clients x 32 strided writes)"
-    (Staged.stage (fun () ->
+  row "mini ccPFS cluster (4 clients x 32 strided writes)"
+    (fun () -> Staged.stage (fun () ->
          let cl = Ccpfs.Cluster.create ~n_servers:1 ~n_clients:4 () in
          for i = 0 to 3 do
            Ccpfs.Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i)
@@ -269,8 +311,8 @@ let bench_mini_cluster =
          Sys.opaque_identity (Ccpfs.Cluster.total_bytes_written cl)))
 
 let bench_dllist_churn =
-  Test.make ~name:"dllist: 1k push_back + removal from the middle"
-    (Staged.stage (fun () ->
+  row "dllist: 1k push_back + removal from the middle"
+    (fun () -> Staged.stage (fun () ->
          let l = Dllist.create () in
          let nodes = Array.init 1000 (fun k -> Dllist.push_back l k) in
          (* evens first, then odds — every removal is from the middle *)
@@ -289,8 +331,8 @@ let bench_interval_index_query =
       Interval_index.empty
       (List.init 1000 (fun k -> k))
   in
-  Test.make ~name:"interval_index: 1k stabbing queries over 1k extents"
-    (Staged.stage (fun () ->
+  row "interval_index: 1k stabbing queries over 1k extents"
+    (fun () -> Staged.stage (fun () ->
          let acc = ref 0 in
          for k = 0 to 999 do
            Interval_index.iter_overlapping m
@@ -315,8 +357,8 @@ let bench_arrival_gaps =
   in
   List.map
     (fun (tag, proc) ->
-      Test.make ~name:(Printf.sprintf "arrivals.next_gap x1k (%s)" tag)
-        (Staged.stage (fun () ->
+      row (Printf.sprintf "arrivals/arrivals.next_gap x1k (%s)" tag)
+        (fun () -> Staged.stage (fun () ->
              let a = Load.Arrivals.create ~seed:42 proc in
              let acc = ref 0. in
              for _ = 1 to 1000 do
@@ -330,9 +372,8 @@ let bench_arrival_gaps =
    pass with the rest of the fleet blocked behind a saturating waiter. *)
 let bench_lock_server_contended_pass =
   let n = 256 in
-  Test.make
-    ~name:(Printf.sprintf "lock_server: %d contended whole-file PW handoffs" n)
-    (Staged.stage (fun () ->
+  row (Printf.sprintf "lock_server: %d contended whole-file PW handoffs" n)
+    (fun () -> Staged.stage (fun () ->
          let params = Netsim.Params.default in
          let eng = Dessim.Engine.create () in
          let node = Netsim.Node.create eng params ~name:"s" () in
@@ -387,88 +428,108 @@ let bench_lock_server_contended_pass =
    an early grant over the backlog locks below its block, and none of
    them conflicts with it. *)
 let bench_lock_server_grant_over ?(canceling = 0) n =
-  let block = 65536 in
-  let params = Netsim.Params.default in
-  let eng = Dessim.Engine.create () in
-  let node = Netsim.Node.create eng params ~name:"s" () in
-  let server =
-    Seqdlm.Lock_server.create eng params ~node ~name:"ls"
-      ~policy:Seqdlm.Policy.seqdlm
-  in
-  let cn = Netsim.Node.create eng params ~name:"c0" () in
-  Seqdlm.Lock_server.register_client server 0
-    (Netsim.Rpc.endpoint eng params ~node:cn ~name:"c0.cb"
-       ~handler:(fun _ ~reply -> reply ()));
-  let ids = Array.make n 0 in
-  let grant k =
-    Seqdlm.Lock_server.submit server
-      {
-        Seqdlm.Types.client = 0;
-        rid = 1;
-        mode = Seqdlm.Mode.NBW;
-        ranges = [ iv (k * block) ((k + 1) * block) ];
-      }
-      ~on_grant:(fun g -> ids.(k) <- g.Seqdlm.Types.lock_id)
-  in
-  for k = n - 1 downto 0 do
-    grant k
-  done;
-  for i = 1 to canceling do
-    Seqdlm.Lock_server.reinstall server ~client:i
-      ~locks:
-        [
-          ( 1, n + i, Seqdlm.Mode.NBW,
-            [ Interval.to_eof ~lo:((i - 1) * (n / canceling) * block) ],
-            n + i, Seqdlm.Lcm.Canceling );
-        ]
-  done;
-  let next = ref 0 in
-  Test.make
-    ~name:
-      (Printf.sprintf "lock_server: grant over %dk cached grants%s" (n / 1000)
-         (if canceling = 0 then ""
-          else Printf.sprintf " + %d canceling" canceling))
-    (Staged.stage (fun () ->
-         let k = !next mod n in
-         incr next;
-         Seqdlm.Lock_server.control server
-           (Seqdlm.Types.Release { rid = 1; lock_id = ids.(k) });
-         grant k;
-         Sys.opaque_identity ids.(k)))
+  row
+    (Printf.sprintf "lock_server: grant over %dk cached grants%s" (n / 1000)
+       (if canceling = 0 then ""
+        else Printf.sprintf " + %d canceling" canceling))
+    (fun () ->
+      let block = 65536 in
+      let params = Netsim.Params.default in
+      let eng = Dessim.Engine.create () in
+      let node = Netsim.Node.create eng params ~name:"s" () in
+      let server =
+        Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+          ~policy:Seqdlm.Policy.seqdlm
+      in
+      let cn = Netsim.Node.create eng params ~name:"c0" () in
+      Seqdlm.Lock_server.register_client server 0
+        (Netsim.Rpc.endpoint eng params ~node:cn ~name:"c0.cb"
+           ~handler:(fun _ ~reply -> reply ()));
+      let ids = Array.make n 0 in
+      let grant k =
+        Seqdlm.Lock_server.submit server
+          {
+            Seqdlm.Types.client = 0;
+            rid = 1;
+            mode = Seqdlm.Mode.NBW;
+            ranges = [ iv (k * block) ((k + 1) * block) ];
+          }
+          ~on_grant:(fun g -> ids.(k) <- g.Seqdlm.Types.lock_id)
+      in
+      for k = n - 1 downto 0 do
+        grant k
+      done;
+      for i = 1 to canceling do
+        Seqdlm.Lock_server.reinstall server ~client:i
+          ~locks:
+            [
+              ( 1, n + i, Seqdlm.Mode.NBW,
+                [ Interval.to_eof ~lo:((i - 1) * (n / canceling) * block) ],
+                n + i, Seqdlm.Lcm.Canceling );
+            ]
+      done;
+      let next = ref 0 in
+      Staged.stage (fun () ->
+          let k = !next mod n in
+          incr next;
+          Seqdlm.Lock_server.control server
+            (Seqdlm.Types.Release { rid = 1; lock_id = ids.(k) });
+          grant k;
+          Sys.opaque_identity ids.(k)))
 
-(* Built when the microbenchmarks run: some fixtures take a while. *)
-let micro_tests () =
-  Test.make_grouped ~name:"seqdlm-micro"
-    [
-      bench_extent_map_set;
-      bench_extent_map_merge;
-      bench_extent_map_coalesce 16384;
-      bench_extent_map_coalesce 262144;
-      bench_data_server_ingest 16384;
-      bench_data_server_ingest 262144;
-      bench_lcm;
-      bench_layout_chunks;
-      bench_dllist_churn;
-      bench_interval_index_query;
-      Test.make_grouped ~name:"arrivals" bench_arrival_gaps;
+(* Every row, in table order; a row's fixture is built only when the row
+   is selected. *)
+let micro_rows =
+  [
+    bench_extent_map_set;
+    bench_extent_map_merge;
+    bench_extent_map_append 262144;
+    bench_extent_map_flush 16384;
+    bench_extent_map_coalesce 16384;
+    bench_extent_map_coalesce 262144;
+    bench_data_server_ingest 16384;
+    bench_data_server_ingest 262144;
+    bench_lcm;
+    bench_layout_chunks;
+    bench_dllist_churn;
+    bench_interval_index_query;
+  ]
+  @ bench_arrival_gaps
+  @ [
       bench_lock_server_contended_pass;
       bench_lock_server_grant_over 1024;
       bench_lock_server_grant_over 16384;
       bench_lock_server_grant_over ~canceling:64 16384;
       bench_engine_events;
       bench_engine_pending_arrivals;
-      bench_engine_deep_sleepers ();
+      bench_engine_deep_sleepers;
       bench_rpc_round_trip;
       bench_lock_handoff;
       bench_mini_cluster;
     ]
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length s && (String.sub s i n = sub || from (i + 1))
+  in
+  from 0
+
+let micro_tests filter =
+  match List.filter (fun (name, _) -> contains ~sub:filter name) micro_rows with
+  | [] ->
+      prerr_endline ("bench: no micro-benchmark row contains " ^ filter);
+      exit 2
+  | rows ->
+      Test.make_grouped ~name:"seqdlm-micro"
+        (List.map (fun (_, build) -> build ()) rows)
+
 let micro_schema = "ccpfs.micro/1"
 
-let run_micro () =
+let run_micro filter =
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let raw =
-    Benchmark.all cfg Instance.[ monotonic_clock ] (micro_tests ())
+    Benchmark.all cfg Instance.[ monotonic_clock ] (micro_tests filter)
   in
   let results =
     Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
@@ -514,6 +575,7 @@ let run_micro () =
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  let filter = if Array.length Sys.argv > 2 then Sys.argv.(2) else "" in
   if what = "all" || what = "experiments" then begin
     Experiments.Registry.run_all ();
     let n =
@@ -521,4 +583,4 @@ let () =
     in
     Printf.printf "\nwrote BENCH_experiments.json (%d rows)\n" n
   end;
-  if what = "all" || what = "micro" then run_micro ()
+  if what = "all" || what = "micro" then run_micro filter

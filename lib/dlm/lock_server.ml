@@ -321,9 +321,7 @@ module Blocked = struct
     in
     let overlaps i =
       (not (Extent_map.is_empty t.(i)))
-      && List.exists
-           (fun (r : Interval.t) -> Extent_map.overlapping t.(i) r <> [])
-           ranges
+      && List.exists (Extent_map.overlaps t.(i)) ranges
     in
     let rec go i = i < 4 && ((conflicts_with i && overlaps i) || go (i + 1)) in
     go 0

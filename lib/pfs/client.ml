@@ -126,20 +126,20 @@ let acquire_stripes t file ~mode ~by_stripe =
       (rid, h))
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) by_stripe)
 
+(* Stripe order, not the chunks' order: callers iterate the result
+   directly (cache writes, read gathers). *)
 let group_by_stripe chunks =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (stripe, iv) ->
-      let cur = Option.value (Hashtbl.find_opt tbl stripe) ~default:[] in
-      Hashtbl.replace tbl stripe (iv :: cur))
-    chunks;
-  (* stripe order, not Hashtbl fold order: callers iterate the result
-     directly (cache writes, read gathers), so the grouping must not
-     inherit the hash table's randomizable iteration order *)
-  Det_tbl.fold_sorted ~cmp:Int.compare
-    (fun s ivs acc -> (s, Types.normalize_ranges ivs) :: acc)
-    tbl []
-  |> List.rev
+  let rec group = function
+    | [] -> []
+    | (stripe, iv) :: rest ->
+        let rec take ivs = function
+          | (s, iv) :: rest when s = stripe -> take (iv :: ivs) rest
+          | rest -> (ivs, rest)
+        in
+        let ivs, rest = take [ iv ] rest in
+        (stripe, Types.normalize_ranges ivs) :: group rest
+  in
+  group (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) chunks)
 
 let do_write ?mode ?(lock_whole_range = false) t file ~data_by_stripe =
   t.op_counter <- t.op_counter + 1;

@@ -219,7 +219,7 @@ let has_dirty t ~rid ~ranges =
   match Hashtbl.find_opt t.dirty rid with
   | None -> false
   | Some d ->
-      List.exists (fun range -> Extent_map.overlapping d.map range <> []) ranges
+      List.exists (Extent_map.overlaps d.map) ranges
 
 let local_view t ~rid ~range =
   match Hashtbl.find_opt t.dirty rid with

@@ -1,113 +1,251 @@
-module Int_map = Map.Make (Int)
+(* A persistent AVL tree specialised to disjoint extents.  Each node
+   carries its extent [lo, hi) and value inline, keyed by [lo], plus its
+   height.  Invariants: in order, the extents are sorted and pairwise
+   disjoint; sibling heights differ by at most 2 (the balance Stdlib's
+   Map keeps).  The entry count is tracked beside the tree so
+   [cardinal] is O(1) — the data server's cleanup trigger reads it on
+   every flush RPC. *)
+type 'a tree =
+  | Leaf
+  | Node of { l : 'a tree; lo : int; hi : int; v : 'a; r : 'a tree; h : int }
 
-(* Keyed by extent start; each binding [lo -> (hi, v)] is the extent
-   [lo, hi) carrying [v].  Invariant: extents are pairwise disjoint.
-   The entry count is tracked incrementally so [cardinal] is O(1) —
-   the data server's cleanup trigger reads it on every flush RPC. *)
-type 'a t = { m : (int * 'a) Int_map.t; n : int }
+type 'a t = { m : 'a tree; n : int }
 
-let empty = { m = Int_map.empty; n = 0 }
-let is_empty t = Int_map.is_empty t.m
+let empty = { m = Leaf; n = 0 }
+let is_empty t = t.n = 0
 let cardinal t = t.n
 
-(* Extents intersecting [lo, hi), unclipped, in offset order: the one
-   starting at or below [lo] if it reaches past [lo], then each next
-   start below [hi], one O(log n) probe per extent. *)
-let raw_overlapping t lo hi =
-  let rec from k acc =
-    match Int_map.find_first_opt (fun k' -> k' > k) t.m with
-    | Some (l, (h, v)) when l < hi -> from l ((l, h, v) :: acc)
-    | Some _ | None -> List.rev acc
-  in
-  from lo
-    (match Int_map.find_last_opt (fun k -> k <= lo) t.m with
-    | Some (l, (h, v)) when h > lo -> [ (l, h, v) ]
-    | Some _ | None -> [])
+let height = function Leaf -> 0 | Node { h; _ } -> h
 
+let create l lo hi v r =
+  let hl = height l and hr = height r in
+  Node { l; lo; hi; v; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+
+(* Stdlib Map's rebalancing step: [l] and [r] are balanced and their
+   heights differ by at most 3. *)
+let bal l lo hi v r =
+  let hl = height l and hr = height r in
+  if hl > hr + 2 then
+    match l with
+    | Node { l = ll; lo = llo; hi = lhi; v = lv; r = lr; _ } -> (
+        if height ll >= height lr then
+          create ll llo lhi lv (create lr lo hi v r)
+        else
+          match lr with
+          | Node { l = lrl; lo = lrlo; hi = lrhi; v = lrv; r = lrr; _ } ->
+              create (create ll llo lhi lv lrl) lrlo lrhi lrv
+                (create lrr lo hi v r)
+          | Leaf -> assert false)
+    | Leaf -> assert false
+  else if hr > hl + 2 then
+    match r with
+    | Node { l = rl; lo = rlo; hi = rhi; v = rv; r = rr; _ } -> (
+        if height rr >= height rl then
+          create (create l lo hi v rl) rlo rhi rv rr
+        else
+          match rl with
+          | Node { l = rll; lo = rllo; hi = rlhi; v = rlv; r = rlr; _ } ->
+              create (create l lo hi v rll) rllo rlhi rlv
+                (create rlr rlo rhi rv rr)
+          | Leaf -> assert false)
+    | Leaf -> assert false
+  else create l lo hi v r
+
+exception Overlap
+
+(* Gap insert in one descent.  Every subtree the descent leaves holds
+   only extents ending at or before [lo] or starting at or past [hi]:
+   at a node ending at or before [lo], its left subtree ends before it,
+   and symmetrically on the right.  In particular [lo]'s in-order
+   neighbours both lie on the path.  So either a visited node meets
+   [lo, hi), and the descent bails out with [Overlap], or it reaches a
+   leaf and the extent lies in a gap. *)
+let rec insert lo hi v = function
+  | Leaf -> Node { l = Leaf; lo; hi; v; r = Leaf; h = 1 }
+  | Node n ->
+      if hi <= n.lo then bal (insert lo hi v n.l) n.lo n.hi n.v n.r
+      else if lo >= n.hi then bal n.l n.lo n.hi n.v (insert lo hi v n.r)
+      else raise_notrace Overlap
+
+(* Fold [f] over the extents meeting [lo, hi), in decreasing offset
+   order, so that consing builds an increasing list.  The in-order
+   descent is pruned: at a node starting at or past [hi] only its left
+   subtree can meet the range, at one ending at or before [lo] only its
+   right.  O(log n + k) for k extents met. *)
+let rec fold_desc lo hi f t acc =
+  match t with
+  | Leaf -> acc
+  | Node n ->
+      if n.lo >= hi then fold_desc lo hi f n.l acc
+      else if n.hi <= lo then fold_desc lo hi f n.r acc
+      else fold_desc lo hi f n.l (f n.lo n.hi n.v (fold_desc lo hi f n.r acc))
+
+(* The same pruned descent, without allocating: a single path, since
+   the first node met answers. *)
+let rec meets lo hi = function
+  | Leaf -> false
+  | Node n ->
+      if n.lo >= hi then meets lo hi n.l
+      else if n.hi <= lo then meets lo hi n.r
+      else true
+
+let rec leftmost = function
+  | Node { l = Leaf; _ } as t -> t
+  | Node { l; _ } -> leftmost l
+  | Leaf -> Leaf
+
+let rec rightmost = function
+  | Node { r = Leaf; _ } as t -> t
+  | Node { r; _ } -> rightmost r
+  | Leaf -> Leaf
+
+let rec remove_min = function
+  | Leaf -> Leaf
+  | Node { l = Leaf; r; _ } -> r
+  | Node n -> bal (remove_min n.l) n.lo n.hi n.v n.r
+
+let rec remove_key k = function
+  | Leaf -> Leaf
+  | Node n ->
+      if k < n.lo then bal (remove_key k n.l) n.lo n.hi n.v n.r
+      else if k > n.lo then bal n.l n.lo n.hi n.v (remove_key k n.r)
+      else
+        match leftmost n.r with
+        | Node m -> bal n.l m.lo m.hi m.v (remove_min n.r)
+        | Leaf -> n.l
+
+(* Rewrite the extent starting at [k] as [lo, hi) -> [v].  The caller
+   keeps the order: no other extent meets the new one, none starts
+   between [k] and [lo]. *)
+let rec replace k lo hi v = function
+  | Leaf -> Leaf
+  | Node n ->
+      if k < n.lo then Node { n with l = replace k lo hi v n.l }
+      else if k > n.lo then Node { n with r = replace k lo hi v n.r }
+      else Node { n with lo; hi; v }
+
+(* Clear [lo, hi), one edit per extent met: one that sticks out on the
+   left is shortened in place, one that sticks out on the right is
+   rekeyed in place (nothing starts inside it), one that sticks out on
+   both sides is shortened and its right part inserted into the gap
+   that leaves, and the rest are removed by key.  The edits touch
+   distinct keys and each keeps the order on its own, so their order
+   does not matter.  A span covering every extent gives [empty]: the
+   client's whole-stripe flush [0, EOF). *)
 let remove_span t lo hi =
-  match raw_overlapping t lo hi with
-  | [] -> t
-  | ov ->
-      let m = List.fold_left (fun m (l, _, _) -> Int_map.remove l m) t.m ov in
-      let n = t.n - List.length ov in
-      let m, n =
-        List.fold_left
-          (fun (m, n) (l, h, w) ->
-            let m, n =
-              if l < lo then (Int_map.add l (lo, w) m, n + 1) else (m, n)
-            in
-            if h > hi then (Int_map.add hi (h, w) m, n + 1) else (m, n))
-          (m, n) ov
-      in
-      { m; n }
+  match (leftmost t.m, rightmost t.m) with
+  | Leaf, _ | _, Leaf -> t
+  | Node first, Node last when lo <= first.lo && last.hi <= hi -> empty
+  | Node _, Node _ ->
+      fold_desc lo hi
+        (fun l h w t ->
+          if l < lo then
+            let m = replace l l lo w t.m in
+            if h > hi then { m = insert hi h w m; n = t.n + 1 } else { t with m }
+          else if h > hi then { t with m = replace l hi h w t.m }
+          else { m = remove_key l t.m; n = t.n - 1 })
+        t.m t
 
-let add_gap t (iv : Interval.t) v =
-  { m = Int_map.add iv.lo (iv.hi, v) t.m; n = t.n + 1 }
-
-let set t iv v = add_gap (remove_span t iv.Interval.lo iv.Interval.hi) iv v
+let set t (iv : Interval.t) v =
+  match insert iv.lo iv.hi v t.m with
+  | m -> { m; n = t.n + 1 }
+  | exception Overlap ->
+      let t = remove_span t iv.lo iv.hi in
+      { m = insert iv.lo iv.hi v t.m; n = t.n + 1 }
 
 let remove t (iv : Interval.t) = remove_span t iv.lo iv.hi
 
 let find t off =
-  match Int_map.find_last_opt (fun k -> k <= off) t.m with
-  | Some (_, (h, v)) when h > off -> Some v
-  | Some _ | None -> None
+  let rec go = function
+    | Leaf -> None
+    | Node n ->
+        if off < n.lo then go n.l else if off >= n.hi then go n.r else Some n.v
+  in
+  go t.m
 
 let overlapping t (iv : Interval.t) =
-  raw_overlapping t iv.lo iv.hi
-  |> List.map (fun (l, h, v) ->
-         (Interval.v ~lo:(max l iv.lo) ~hi:(min h iv.hi), v))
+  fold_desc iv.lo iv.hi
+    (fun l h v acc -> (Interval.v ~lo:(max l iv.lo) ~hi:(min h iv.hi), v) :: acc)
+    t.m []
 
-let covered m (iv : Interval.t) =
-  let rec loop pos = function
-    | [] -> pos >= iv.hi
-    | ((e : Interval.t), _) :: rest ->
-        if e.lo > pos then false else loop (max pos e.hi) rest
-  in
-  loop iv.lo (overlapping m iv)
+let overlaps t (iv : Interval.t) = meets iv.lo iv.hi t.m
+
+(* The end of the covered prefix of [lo, hi) starting at [pos], walked
+   in order over the extents met; a hole stops the walk, and every
+   caller up the path sees the returned end fall short of its own
+   start. *)
+let rec reach lo hi pos = function
+  | Leaf -> pos
+  | Node n ->
+      if n.lo >= hi then reach lo hi pos n.l
+      else if n.hi <= lo then reach lo hi pos n.r
+      else
+        let pos = reach lo hi pos n.l in
+        if n.lo > pos then pos else reach lo hi (max pos n.hi) n.r
+
+let covered t (iv : Interval.t) = reach iv.lo iv.hi iv.lo t.m >= iv.hi
 
 let merge m (iv : Interval.t) v ~keep_new =
-  match raw_overlapping m iv.lo iv.hi with
-  | [] ->
+  match insert iv.lo iv.hi v m.m with
+  | tree ->
       (* All gap, the common case on both the client cache and the data
-         server: [set] would find nothing to remove. *)
-      (add_gap m iv v, [ iv ])
-  | ov ->
+         server: the update set is the whole extent. *)
+      ({ m = tree; n = m.n + 1 }, [ iv ])
+  | exception Overlap ->
       (* Sub-ranges of [iv] where the new value wins: gaps, plus covered
-         parts whose old value loses to [keep_new]. *)
-      let won = ref [] in
+         parts whose old value loses to [keep_new].  Walked right to
+         left, [pos] is the start of what is already decided. *)
+      let won = ref [] and pos = ref iv.hi in
       let push lo hi = if lo < hi then won := Interval.v ~lo ~hi :: !won in
-      let pos =
-        List.fold_left
-          (fun pos (l, h, w) ->
-            let lo = max l iv.lo and hi = min h iv.hi in
-            push pos lo;
-            if keep_new ~old:w then push lo hi;
-            hi)
-          iv.lo ov
-      in
-      push pos iv.hi;
-      let won = List.rev !won in
+      fold_desc iv.lo iv.hi
+        (fun l h w () ->
+          let lo = max l iv.lo and hi = min h iv.hi in
+          push hi !pos;
+          if keep_new ~old:w then push lo hi;
+          pos := lo)
+        m.m ();
+      push iv.lo !pos;
+      let won = !won in
       (List.fold_left (fun m seg -> set m seg v) m won, won)
 
 let fold f t acc =
-  Int_map.fold (fun lo (hi, v) acc -> f (Interval.v ~lo ~hi) v acc) t.m acc
+  let rec go acc = function
+    | Leaf -> acc
+    | Node n -> go (f (Interval.v ~lo:n.lo ~hi:n.hi) n.v (go acc n.l)) n.r
+  in
+  go acc t.m
 
-let iter f t = Int_map.iter (fun lo (hi, v) -> f (Interval.v ~lo ~hi) v) t.m
-let to_list t = List.rev (fold (fun iv v acc -> (iv, v) :: acc) t [])
+let iter f t =
+  let rec go = function
+    | Leaf -> ()
+    | Node n ->
+        go n.l;
+        f (Interval.v ~lo:n.lo ~hi:n.hi) n.v;
+        go n.r
+  in
+  go t.m
+
+let to_list t =
+  let rec go acc = function
+    | Leaf -> acc
+    | Node n -> go ((Interval.v ~lo:n.lo ~hi:n.hi, n.v) :: go acc n.r) n.l
+  in
+  go [] t.m
+
 let of_list l = List.fold_left (fun t (iv, v) -> set t iv v) empty l
 
 (* One in-order scan finds the runs of adjacent extents whose values
    [eq] their run head's.  Only those runs are edited: the absorbed
    starts are removed and the head is rewritten to span the run, so the
-   bindings are the ones a rebuild from the merged runs would give.  A
+   extents are the ones a rebuild from the merged runs would give.  A
    scan that finds no run allocates nothing and returns [t] itself. *)
 let coalesce ~eq t =
-  match Int_map.min_binding_opt t.m with
-  | None -> t
-  | Some (lo0, (hi0, v0)) ->
+  match leftmost t.m with
+  | Leaf -> t
+  | Node first ->
       (* The open run: head start and value, end, absorbed starts. *)
-      let head_lo = ref lo0 and head_v = ref v0 and run_hi = ref hi0 in
+      let head_lo = ref first.lo and head_v = ref first.v in
+      let run_hi = ref first.hi in
       let absorbed = ref [] and edits = ref [] in
       let close () =
         match !absorbed with
@@ -116,40 +254,52 @@ let coalesce ~eq t =
             edits := (!head_lo, !run_hi, !head_v, keys) :: !edits;
             absorbed := []
       in
-      Int_map.iter
-        (fun lo (hi, v) ->
-          if lo = !run_hi && eq !head_v v then begin
-            absorbed := lo :: !absorbed;
-            run_hi := hi
-          end
-          else begin
-            close ();
-            head_lo := lo;
-            head_v := v;
-            run_hi := hi
-          end)
-        t.m;
+      let rec scan = function
+        | Leaf -> ()
+        | Node n ->
+            scan n.l;
+            if n.lo = !run_hi && eq !head_v n.v then begin
+              absorbed := n.lo :: !absorbed;
+              run_hi := n.hi
+            end
+            else begin
+              close ();
+              head_lo := n.lo;
+              head_v := n.v;
+              run_hi := n.hi
+            end;
+            scan n.r
+      in
+      scan t.m;
       close ();
       List.fold_left
         (fun t (lo, hi, v, keys) ->
-          let m = List.fold_left (fun m k -> Int_map.remove k m) t.m keys in
-          { m = Int_map.add lo (hi, v) m; n = t.n - List.length keys })
+          let m = List.fold_left (fun m k -> remove_key k m) t.m keys in
+          { m = replace lo lo hi v m; n = t.n - List.length keys })
         t !edits
 
 let filter f t =
-  let m = Int_map.filter (fun lo (hi, v) -> f (Interval.v ~lo ~hi) v) t.m in
-  { m; n = Int_map.cardinal m }
+  fold
+    (fun (iv : Interval.t) v acc ->
+      if f iv v then acc else { m = remove_key iv.lo acc.m; n = acc.n - 1 })
+    t t
 
 let check_invariants t =
-  let _ =
-    Int_map.fold
-      (fun lo (hi, _) prev_hi ->
-        assert (lo < hi);
-        assert (lo >= prev_hi);
-        hi)
-      t.m 0
+  let prev_hi = ref 0 in
+  let rec walk = function
+    | Leaf -> 0
+    | Node n ->
+        let cl = walk n.l in
+        assert (n.lo < n.hi);
+        assert (n.lo >= !prev_hi);
+        prev_hi := n.hi;
+        let cr = walk n.r in
+        let hl = height n.l and hr = height n.r in
+        assert (n.h = max hl hr + 1);
+        assert (abs (hl - hr) <= 2);
+        cl + 1 + cr
   in
-  assert (t.n = Int_map.cardinal t.m)
+  assert (walk t.m = t.n)
 
 let pp pp_v ppf m =
   Format.fprintf ppf "@[<v>";

@@ -9,7 +9,21 @@
     The map maintains the invariant that stored intervals are pairwise
     disjoint.  Adjacent intervals with equal values are not automatically
     merged; use {!coalesce} (the extent cache merges "continuous extents
-    of the same stripe with the same SN" to bound its size). *)
+    of the same stripe with the same SN" to bound its size).
+
+    The map is a persistent AVL tree keyed by extent start, each node
+    carrying its extent and value.  With n extents stored and k of them
+    meeting the argument range:
+    - {!cardinal}, {!is_empty}: O(1);
+    - {!find}, {!overlaps}: O(log n), one descent, no allocation;
+    - {!overlapping}, {!covered}: O(log n + k), one pruned descent;
+    - {!set}, {!merge}: O(log n) when the range is a gap (one descent),
+      O((k + 1) log n) otherwise;
+    - {!remove}: O((k + 1) log n); O(log n) when the range covers every
+      extent;
+    - {!fold}, {!iter}, {!to_list}: O(n);
+    - {!filter}: O(n), plus O(log n) per extent dropped;
+    - {!coalesce}: O(n) scan, plus O(log n) per absorbed extent. *)
 
 type 'a t
 
@@ -32,6 +46,10 @@ val find : 'a t -> int -> 'a option
 
 val overlapping : 'a t -> Interval.t -> (Interval.t * 'a) list
 (** Extents intersecting the range, clipped to it, in offset order. *)
+
+val overlaps : 'a t -> Interval.t -> bool
+(** [overlaps m iv] iff some extent intersects the range: [overlapping m
+    iv <> []] without building the list. *)
 
 val covered : 'a t -> Interval.t -> bool
 (** True iff every byte of the range is mapped. *)
@@ -59,7 +77,8 @@ val coalesce : eq:('a -> 'a -> bool) -> 'a t -> 'a t
 val filter : (Interval.t -> 'a -> bool) -> 'a t -> 'a t
 
 val check_invariants : 'a t -> unit
-(** Raises [Assert_failure] if intervals are not sorted and disjoint.
-    Used by the property tests. *)
+(** Raises [Assert_failure] if intervals are not sorted and disjoint, a
+    node's height is wrong, sibling heights differ by more than 2, or the
+    stored count is wrong.  Used by the property tests. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

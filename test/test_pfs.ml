@@ -146,6 +146,50 @@ let prop_layout_extents_round_trip =
       in
       List.sort_uniq compare bytes = List.init len (fun k -> lo + k))
 
+(* [Client.group_by_stripe] as it was with a hash table per write,
+   kept as the reference for the property below. *)
+let ref_group_by_stripe chunks =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (stripe, iv) ->
+      let cur = Option.value (Hashtbl.find_opt tbl stripe) ~default:[] in
+      Hashtbl.replace tbl stripe (iv :: cur))
+    chunks;
+  Det_tbl.fold_sorted ~cmp:Int.compare
+    (fun s ivs acc -> (s, Seqdlm.Types.normalize_ranges ivs) :: acc)
+    tbl []
+  |> List.rev
+
+(* Chunks in any stripe order, with duplicate, overlapping and touching
+   ranges common, plus the real shape: a striped range's chunks. *)
+let prop_group_by_stripe_matches_reference =
+  let open QCheck in
+  let chunk = Gen.(triple (int_bound 5) (int_bound 200) (int_range 1 40)) in
+  let print (chunks, (sc, lo, len)) =
+    Printf.sprintf "%s + striped sc=%d [%d,+%d)"
+      (Print.list
+         (fun (s, lo, len) -> Printf.sprintf "%d:[%d,+%d)" s lo len)
+         chunks)
+      sc lo len
+  in
+  Test.make ~name:"group_by_stripe agrees with the hash-table grouping"
+    ~count:500
+    (make ~print
+       Gen.(
+         pair (list_size (int_bound 30) chunk)
+           (triple (int_range 1 6) (int_bound 500) (int_range 1 300))))
+    (fun (chunks, (stripe_count, lo, len)) ->
+      let l = Layout.v ~stripe_size:16 ~stripe_count () in
+      let chunks =
+        List.map (fun (s, lo, len) -> (s, iv lo (lo + len))) chunks
+        @ Layout.chunks l (iv lo (lo + len))
+      in
+      let flat =
+        List.map (fun (s, ivs) ->
+            (s, List.map (fun (r : Interval.t) -> (r.lo, r.hi)) ivs))
+      in
+      flat (Client.group_by_stripe chunks) = flat (ref_group_by_stripe chunks))
+
 let test_rid_packing () =
   let rid = Layout.rid ~fid:42 ~stripe:7 in
   Alcotest.(check int) "fid" 42 (Layout.rid_fid rid);
@@ -985,6 +1029,8 @@ let suite =
           prop_layout_byte_bijection;
         QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
           prop_layout_extents_round_trip;
+        QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
+          prop_group_by_stripe_matches_reference;
       ] );
     ( "pfs.endtoend",
       [

@@ -114,6 +114,21 @@ let test_em_covered () =
   let m = Extent_map.remove m (iv 5 6) in
   Alcotest.(check bool) "hole detected" false (Extent_map.covered m (iv 0 20))
 
+let test_em_overlaps () =
+  let m = em_of_list [ (10, 20, 1); (30, 40, 2) ] in
+  List.iter
+    (fun (lo, hi, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "[%d,%d)" lo hi)
+        want
+        (Extent_map.overlaps m (iv lo hi)))
+    [
+      (0, 10, false); (20, 30, false); (40, 50, false); (9, 11, true);
+      (19, 21, true); (29, 31, true); (0, 100, true); (15, 16, true);
+    ];
+  Alcotest.(check bool) "empty map" false
+    (Extent_map.overlaps Extent_map.empty (iv 0 100))
+
 let test_em_merge_update_set () =
   (* The paper's Fig. 15 example: extent cache holds [0,2K)@8 via
      merging D[0,4K,8]; then D[0,2K,7], D[2K,4K,9], D[4K,8K,9] arrive. *)
@@ -328,9 +343,9 @@ let prop_em_coalesce_preserves =
    its write path was made incremental.  After every step of a random
    set/remove/merge/coalesce script both must hold the same bindings and
    cardinal, return the same update set from [merge], and answer the
-   same [overlapping] query.  Values come from a small set so equal
-   neighbours, and so merging coalesce passes, are common; merges land
-   both in gaps and over existing extents. *)
+   same [overlapping], [overlaps] and [covered] queries.  Values come
+   from a small set so equal neighbours, and so merging coalesce passes,
+   are common; merges land both in gaps and over existing extents. *)
 let prop_em_differential =
   let open QCheck in
   let bound = 96 in
@@ -385,7 +400,11 @@ let prop_em_differential =
             && flat (Extent_map.to_list m) = flat (Ref_extent_map.to_list r)
             && Extent_map.cardinal m = Ref_extent_map.cardinal r
             && flat (Extent_map.overlapping m (to_iv probe))
-               = flat (Ref_extent_map.overlapping r (to_iv probe)))
+               = flat (Ref_extent_map.overlapping r (to_iv probe))
+            && Extent_map.overlaps m (to_iv probe)
+               = (Ref_extent_map.overlapping r (to_iv probe) <> [])
+            && Extent_map.covered m (to_iv probe)
+               = Ref_extent_map.covered r (to_iv probe))
         then
           Test.fail_reportf "diverged after %s (probe %s)" (print_op op)
             (print_range probe);
@@ -393,6 +412,146 @@ let prop_em_differential =
       in
       ignore (List.fold_left step (Extent_map.empty, Ref_extent_map.empty) steps);
       true)
+
+(* The same differential at the sizes the data server and the client
+   cache reach, where the tree has many levels: runs of ascending gap
+   appends (adjacent or one byte apart, one value per run or
+   alternating, so coalescing both merges and finds nothing), mixed
+   with whole-range [0, EOF) removes (the client's whole-stripe flush),
+   overwrite merges and coalescing passes.  After every step the maps
+   must agree on the extents, the cardinal and the update set, and on
+   [overlapping], [find], [covered], [overlaps] and [filter] at a probe
+   placed relative to the current end. *)
+let prop_em_differential_at_scale =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 6,
+            map3
+              (fun n (len, adjacent) v -> `Append (n, len, adjacent, v))
+              (int_range 1 512)
+              (pair (int_range 1 64) bool)
+              (int_bound 2) );
+          (1, return `Flush);
+          ( 3,
+            map3
+              (fun at len v -> `Overwrite (at, len, v))
+              (int_bound 1000) (int_range 1 20_000) (int_bound 3) );
+          (1, return `Coalesce);
+        ])
+  in
+  let print_op = function
+    | `Append (n, len, adjacent, v) ->
+        Printf.sprintf "append %dx%d%s v%d" n len
+          (if adjacent then "" else " gapped")
+          v
+    | `Flush -> "flush"
+    | `Overwrite (at, len, v) -> Printf.sprintf "overwrite @%d/1000+%d=%d" at len v
+    | `Coalesce -> "coalesce"
+  in
+  let probe = Gen.(pair (int_bound 1000) (int_range 1 5_000)) in
+  let print_probe (at, len) = Printf.sprintf "probe @%d/1000+%d" at len in
+  let flat l = List.map (fun ((i : Interval.t), v) -> (i.lo, i.hi, v)) l in
+  let flat_ivs l = List.map (fun (i : Interval.t) -> (i.lo, i.hi)) l in
+  let keep_new v ~old = v >= old in
+  let even _ v = v mod 2 = 0 in
+  Test.make ~name:"extent_map matches the reference at thousands of extents"
+    ~count:40
+    (make
+       ~print:Print.(list (pair print_op print_probe))
+       Gen.(list_size (int_range 1 24) (pair op probe)))
+    (fun steps ->
+      let at frac tail = frac * (tail + 1) / 1000 in
+      let step (m, r, tail) (op, (pat, plen)) =
+        let (m, r, tail), won_ok =
+          match op with
+          | `Append (n, len, adjacent, v) ->
+              let rec go k m r tail ok =
+                if k = n then ((m, r, tail), ok)
+                else
+                  let lo = if adjacent then tail else tail + 1 in
+                  let x = Interval.v ~lo ~hi:(lo + len) in
+                  let v = if v = 2 then k mod 2 else v in
+                  let m, won = Extent_map.merge m x v ~keep_new:(keep_new v) in
+                  let r, ref_won =
+                    Ref_extent_map.merge r x v ~keep_new:(keep_new v)
+                  in
+                  go (k + 1) m r (lo + len) (ok && flat_ivs won = flat_ivs ref_won)
+              in
+              go 0 m r tail true
+          | `Flush ->
+              let all = Interval.to_eof ~lo:0 in
+              ((Extent_map.remove m all, Ref_extent_map.remove r all, tail), true)
+          | `Overwrite (frac, len, v) ->
+              let x = Interval.of_len ~lo:(at frac tail) ~len in
+              let m, won = Extent_map.merge m x v ~keep_new:(keep_new v) in
+              let r, ref_won = Ref_extent_map.merge r x v ~keep_new:(keep_new v) in
+              ((m, r, max tail x.hi), flat_ivs won = flat_ivs ref_won)
+          | `Coalesce ->
+              ( ( Extent_map.coalesce ~eq:Int.equal m,
+                  Ref_extent_map.coalesce ~eq:Int.equal r,
+                  tail ),
+                true )
+        in
+        Extent_map.check_invariants m;
+        let q = Interval.of_len ~lo:(at pat tail) ~len:plen in
+        let ref_ov = Ref_extent_map.overlapping r q in
+        let agree =
+          [
+            ("update set", won_ok);
+            ("extents", flat (Extent_map.to_list m) = flat (Ref_extent_map.to_list r));
+            ("cardinal", Extent_map.cardinal m = Ref_extent_map.cardinal r);
+            ("overlapping", flat (Extent_map.overlapping m q) = flat ref_ov);
+            ("overlaps", Extent_map.overlaps m q = (ref_ov <> []));
+            ("covered", Extent_map.covered m q = Ref_extent_map.covered r q);
+            ( "find",
+              List.for_all
+                (fun off -> Extent_map.find m off = Ref_extent_map.find r off)
+                [ q.lo; q.lo + (plen / 2); q.hi - 1; q.hi ] );
+            ( "filter",
+              let f = Extent_map.filter even m in
+              Extent_map.check_invariants f;
+              flat (Extent_map.to_list f)
+              = flat (Ref_extent_map.to_list (Ref_extent_map.filter even r))
+              && Extent_map.cardinal f
+                 = Ref_extent_map.cardinal (Ref_extent_map.filter even r) );
+          ]
+        in
+        List.iter
+          (fun (what, ok) ->
+            if not ok then
+              Test.fail_reportf "%s diverged after %s (%s)" what (print_op op)
+                (print_probe (pat, plen)))
+          agree;
+        (m, r, tail)
+      in
+      ignore
+        (List.fold_left step (Extent_map.empty, Ref_extent_map.empty, 0) steps);
+      true)
+
+(* The data server's ior-segmented shape at full size: 262,144
+   ascending gap appends, each carrying its own value, all kept. *)
+let test_em_ascending_appends () =
+  let n = 262_144 in
+  let m = ref Extent_map.empty in
+  for k = 0 to n - 1 do
+    let m', won =
+      Extent_map.merge !m (iv (k * 16) ((k + 1) * 16)) k ~keep_new:(fun ~old:_ ->
+          true)
+    in
+    if List.length won <> 1 then Alcotest.fail "append was not a gap";
+    m := m';
+    (* fail fast, before a broken balance makes the rest quadratic *)
+    if k = 1023 then Extent_map.check_invariants !m
+  done;
+  Extent_map.check_invariants !m;
+  Alcotest.(check int) "cardinal" n (Extent_map.cardinal !m);
+  Alcotest.(check (option int)) "last" (Some (n - 1))
+    (Extent_map.find !m ((n * 16) - 1));
+  Alcotest.(check bool) "whole-range remove empties" true
+    (Extent_map.is_empty (Extent_map.remove !m (Interval.to_eof ~lo:0)))
 
 (* ------------------------------------------------------------------ *)
 (* Content                                                             *)
@@ -1074,6 +1233,7 @@ let suite =
         Alcotest.test_case "find" `Quick test_em_find;
         Alcotest.test_case "overlapping clips" `Quick test_em_overlapping_clips;
         Alcotest.test_case "covered" `Quick test_em_covered;
+        Alcotest.test_case "overlaps" `Quick test_em_overlaps;
         Alcotest.test_case "merge update set (Fig. 15)" `Quick
           test_em_merge_update_set;
         Alcotest.test_case "coalesce" `Quick test_em_coalesce;
@@ -1082,7 +1242,10 @@ let suite =
         q prop_em_merge_matches_model;
         q prop_em_disjoint_after_inserts;
         q prop_em_coalesce_preserves;
+        Alcotest.test_case "262,144 ascending appends" `Quick
+          test_em_ascending_appends;
         q prop_em_differential;
+        q prop_em_differential_at_scale;
       ] );
     ( "util.content",
       [
