@@ -44,13 +44,9 @@ let request (c, f) _k =
   Client.write ~mode:Seqdlm.Mode.PW ~lock_whole_range:true c f ~off:0 ~len:xfer;
   xfer
 
-let fresh_cluster ~n_clients =
-  let cl =
-    Cluster.create ~config:Config.default ~policy:Seqdlm.Policy.seqdlm
-      ~n_servers:1 ~n_clients ()
-  in
-  ignore (Harness.instrument cl);
-  cl
+let fresh_cluster ~n_clients () =
+  Cluster.create ~config:Config.default ~policy:Seqdlm.Policy.seqdlm
+    ~n_servers:1 ~n_clients ()
 
 (* Closed-loop calibration: the same workload driven the closed way
    (next write only after the previous returns).  Yields the system's
@@ -61,30 +57,29 @@ let fresh_cluster ~n_clients =
 type calibration = { cap_rps : float; closed_lat : Stats.t }
 
 let calibrate ~n_clients ~writes_each =
-  let cl = fresh_cluster ~n_clients in
-  let eng = Cluster.engine cl in
-  let lat = Stats.create () in
-  let pio_end = ref 0. in
-  let root_rng = Det_random.create ~seed:seed_base in
-  for i = 0 to n_clients - 1 do
-    let rng = Det_random.split root_rng in
-    Cluster.spawn_client cl i ~name:(Printf.sprintf "cal%d" i) (fun c ->
-        let ctx = prepare c in
-        for k = 1 to writes_each do
-          (* same desynchronising think jitter as exp_scale; excluded
-             from the measured latency *)
-          Dessim.Engine.sleep eng (Det_random.float rng 50e-6);
-          let t0 = Cluster.now cl in
-          ignore (request ctx k);
-          Stats.add lat (Cluster.now cl -. t0)
+  let _, _, (pio, lat) =
+    Harness.run ~name:"exp_load.calibrate" (fresh_cluster ~n_clients)
+      (fun cl ->
+        let eng = Cluster.engine cl in
+        let lat = Stats.create () in
+        let pio_end = ref 0. in
+        let root_rng = Det_random.create ~seed:seed_base in
+        for i = 0 to n_clients - 1 do
+          let rng = Det_random.split root_rng in
+          Cluster.spawn_client cl i ~name:(Printf.sprintf "cal%d" i) (fun c ->
+              let ctx = prepare c in
+              for k = 1 to writes_each do
+                (* same desynchronising think jitter as exp_scale;
+                   excluded from the measured latency *)
+                Dessim.Engine.sleep eng (Det_random.float rng 50e-6);
+                let t0 = Cluster.now cl in
+                ignore (request ctx k);
+                Stats.add lat (Cluster.now cl -. t0)
+              done;
+              if Cluster.now cl > !pio_end then pio_end := Cluster.now cl)
         done;
-        if Cluster.now cl > !pio_end then pio_end := Cluster.now cl)
-  done;
-  Check.Sanitize.run_cluster cl;
-  let pio = Float.max 1e-9 !pio_end in
-  Cluster.fsync_all cl;
-  Cluster.check_invariants cl;
-  if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
+        fun () -> (Float.max 1e-9 !pio_end, lat))
+  in
   { cap_rps = float_of_int (n_clients * writes_each) /. pio; closed_lat = lat }
 
 (* Default churn schedule: an eighth of the clients (at least one)
@@ -103,33 +98,26 @@ let churn_schedule ~n_clients ~span =
   done;
   List.rev !acc
 
-(* One open-loop rate point on a fresh cluster.  Wrapped in the
-   determinism double-run when CCPFS_CHECK enables it, like the other
-   benchmark experiments. *)
+(* One open-loop rate point on a fresh cluster. *)
 let run_point ~n_clients ~requests ~process ~cap ~churn rate =
-  let one_pass () =
-    let cl = fresh_cluster ~n_clients in
-    let proc = Option.get (Load.Arrivals.of_string ~rate process) in
-    let span = float_of_int requests /. rate in
-    let spec =
-      Load.Driver.
-        {
-          process = proc;
-          seed = seed_base;
-          requests;
-          max_in_flight = cap;
-          churn = (if churn then churn_schedule ~n_clients ~span else []);
-          start_at = 0.;
-        }
-    in
-    let h = Load.Driver.launch cl spec ~prepare ~request in
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, Load.Driver.result h)
+  let _, _, r =
+    Harness.run ~name:"exp_load" (fresh_cluster ~n_clients) (fun cl ->
+        let proc = Option.get (Load.Arrivals.of_string ~rate process) in
+        let span = float_of_int requests /. rate in
+        let spec =
+          Load.Driver.
+            {
+              process = proc;
+              seed = seed_base;
+              requests;
+              max_in_flight = cap;
+              churn = (if churn then churn_schedule ~n_clients ~span else []);
+              start_at = 0.;
+            }
+        in
+        let h = Load.Driver.launch cl spec ~prepare ~request in
+        fun () -> Load.Driver.result h)
   in
-  let _, r, _ = Harness.measured ~name:"exp_load" one_pass in
   r
 
 type setup = {
@@ -259,7 +247,7 @@ let run ~scale =
         ])
     points;
   let n =
-    Harness.append_rows ~schema:results_schema ~path:results_path
+    Harness.write_rows ~schema:results_schema ~path:results_path
       (List.map (row_of s) points)
   in
   Table.add_note tbl

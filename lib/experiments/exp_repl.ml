@@ -18,7 +18,7 @@ open Ccpfs
    window in a way closed-loop clients cannot (ROADMAP: "failover under
    open-loop load").
 
-   Every run appends rows to BENCH_repl.json (schema ccpfs.repl/1) with
+   Every run writes its rows to BENCH_repl.json (schema ccpfs.repl/1) with
    a lost-grant / divergence audit that must report zero: after the run
    quiesces, every lock a client still caches must sit in the recovered
    server's table with the same mode and SN. *)
@@ -79,17 +79,13 @@ let audit cl =
   done;
   (!lost, !divergent)
 
-let fresh_cluster ~clients ~replication =
+let fresh_cluster ~clients ~replication () =
   let params = Netsim.Params.default in
-  let cl =
-    Cluster.create ~params
-      ~config:(Config.with_extent_log true Config.default)
-      ~reliability:(Netsim.Rpc.reliability_for params)
-      ~policy:Seqdlm.Policy.seqdlm ~replication ~n_servers:1
-      ~n_clients:clients ()
-  in
-  ignore (Harness.instrument cl);
-  cl
+  Cluster.create ~params
+    ~config:(Config.with_extent_log true Config.default)
+    ~reliability:(Netsim.Rpc.reliability_for params)
+    ~policy:Seqdlm.Policy.seqdlm ~replication ~n_servers:1 ~n_clients:clients
+    ()
 
 let single_record ha =
   match Ha.Failover.records ha with
@@ -122,42 +118,36 @@ let throughput_series ~horizon completions =
    dies — those grants are what the recovery reinstalls.  The crash
    trigger is an op count, so it scales with the workload. *)
 let run_closed ~clients ~writes_each ~replication =
-  let one_pass () =
-    let cl = fresh_cluster ~clients ~replication in
-    let eng = Cluster.engine cl in
-    let ha = Ha.Failover.install cl in
-    let total = clients * writes_each in
-    let crash_after = Stdlib.max 1 (total / 4) in
-    let done_ops = ref 0 in
-    let completions = ref [] in
-    for i = 0 to clients - 1 do
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true "/repl" in
-          let private_off = (i + 1) * xfer in
-          for k = 1 to writes_each do
-            let off = if k land 1 = 0 then 0 else private_off in
-            Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
-            incr done_ops;
-            completions := Cluster.now cl :: !completions
-          done)
-    done;
-    let tick = Ha.Detector.period (Ha.Failover.detector ha) in
-    Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
-        while !done_ops < crash_after do
-          Dessim.Engine.sleep eng tick
+  let _, cl, (ha, ops, completions) =
+    Harness.run ~name:"exp_repl.closed" (fresh_cluster ~clients ~replication)
+      (fun cl ->
+        let eng = Cluster.engine cl in
+        let ha = Ha.Failover.install cl in
+        let total = clients * writes_each in
+        let crash_after = Stdlib.max 1 (total / 4) in
+        let done_ops = ref 0 in
+        let completions = ref [] in
+        for i = 0 to clients - 1 do
+          Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
+              let f = Client.open_file c ~create:true "/repl" in
+              let private_off = (i + 1) * xfer in
+              for k = 1 to writes_each do
+                let off = if k land 1 = 0 then 0 else private_off in
+                Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
+                incr done_ops;
+                completions := Cluster.now cl :: !completions
+              done)
         done;
-        ignore (Ha.Failover.crash ha 0);
-        while List.is_empty (Ha.Failover.records ha) do
-          Dessim.Engine.sleep eng tick
-        done);
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, (ha, !done_ops, !completions))
-  in
-  let cl, (ha, ops, completions), _ =
-    Harness.measured ~name:"exp_repl.closed" one_pass
+        let tick = Ha.Detector.period (Ha.Failover.detector ha) in
+        Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
+            while !done_ops < crash_after do
+              Dessim.Engine.sleep eng tick
+            done;
+            ignore (Ha.Failover.crash ha 0);
+            while List.is_empty (Ha.Failover.records ha) do
+              Dessim.Engine.sleep eng tick
+            done);
+        fun () -> (ha, !done_ops, !completions))
   in
   let lost, divergent = audit cl in
   {
@@ -184,46 +174,41 @@ let run_closed ~clients ~writes_each ~replication =
 (* The crash fires at a quarter of the scheduled injection span —
    a time trigger, matching the open loop's time-scheduled arrivals. *)
 let run_open ~clients ~requests ~rate ~replication =
-  let one_pass () =
-    let cl = fresh_cluster ~clients ~replication in
-    let eng = Cluster.engine cl in
-    let ha = Ha.Failover.install cl in
-    let span = float_of_int requests /. rate in
-    let spec =
-      Load.Driver.
-        {
-          process = Load.Arrivals.Poisson rate;
-          seed = seed_base;
-          requests;
-          max_in_flight = 8 * clients;
-          churn = [];
-          start_at = 0.;
-        }
-    in
-    let prepare c = (c, Client.open_file c ~create:true "/repl-open") in
-    let request (c, f) k =
-      let off =
-        if k land 1 = 0 then 0
-        else (1 + (k mod (4 * clients))) * xfer
-      in
-      Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
-      xfer
-    in
-    let h = Load.Driver.launch cl spec ~prepare ~request in
-    let tick = Ha.Detector.period (Ha.Failover.detector ha) in
-    Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
-        Dessim.Engine.sleep eng (span /. 4.);
-        ignore (Ha.Failover.crash ha 0);
-        while List.is_empty (Ha.Failover.records ha) do
-          Dessim.Engine.sleep eng tick
-        done);
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, (ha, Load.Driver.result h))
+  let _, cl, (ha, r) =
+    Harness.run ~name:"exp_repl.open" (fresh_cluster ~clients ~replication)
+      (fun cl ->
+        let eng = Cluster.engine cl in
+        let ha = Ha.Failover.install cl in
+        let span = float_of_int requests /. rate in
+        let spec =
+          Load.Driver.
+            {
+              process = Load.Arrivals.Poisson rate;
+              seed = seed_base;
+              requests;
+              max_in_flight = 8 * clients;
+              churn = [];
+              start_at = 0.;
+            }
+        in
+        let prepare c = (c, Client.open_file c ~create:true "/repl-open") in
+        let request (c, f) k =
+          let off =
+            if k land 1 = 0 then 0 else (1 + (k mod (4 * clients))) * xfer
+          in
+          Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
+          xfer
+        in
+        let h = Load.Driver.launch cl spec ~prepare ~request in
+        let tick = Ha.Detector.period (Ha.Failover.detector ha) in
+        Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
+            Dessim.Engine.sleep eng (span /. 4.);
+            ignore (Ha.Failover.crash ha 0);
+            while List.is_empty (Ha.Failover.records ha) do
+              Dessim.Engine.sleep eng tick
+            done);
+        fun () -> (ha, Load.Driver.result h))
   in
-  let cl, (ha, r), _ = Harness.measured ~name:"exp_repl.open" one_pass in
   let lost, divergent = audit cl in
   {
     m_mode = (if replication > 0 then "replay" else "gather");
@@ -362,7 +347,7 @@ let run ~scale =
   let replay_o = run_open ~clients ~requests ~rate ~replication:f in
   List.iter add_row [ gather; replay; gather_o; replay_o ];
   let n =
-    Harness.append_rows ~schema:results_schema ~path:results_path
+    Harness.write_rows ~schema:results_schema ~path:results_path
       (List.map row_of [ gather; replay; gather_o; replay_o ])
   in
   let win (m : measurement) = m.m_failover.f_recover -. m.m_failover.f_crash in

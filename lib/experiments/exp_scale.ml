@@ -1,17 +1,15 @@
 open Ccpfs_util
 open Ccpfs
 
-(* Cluster-scale wall-clock benchmark: the Fig. 18 shared-file contention
-   pattern (every client rewrites the same range of one file under
-   whole-range PW locks) pushed to 128/256/512 simulated clients.
-
-   Unlike the figure reproductions, the measured quantity here is the
-   *simulator's* throughput — real elapsed seconds per run, events/sec
-   and lock requests/sec — because lock-server queueing under heavy
-   contention is the simulation hot path: a contended run used to be
-   O(n^2)+ in queued waiters, capping experiments near ~100 clients.
-   Each run appends one row to BENCH_scale.json (schema ccpfs.scale/1),
-   the repo's wall-clock perf trajectory. *)
+(* Cluster-scale contention: the Fig. 18 shared-file contention pattern
+   (every client rewrites the same range of one file under whole-range
+   PW locks) pushed to 128/256/512 simulated clients.  Lock-server
+   queueing under heavy contention is the simulation hot path; each
+   row records the convoy's simulated cost (PIO span, per-write latency
+   percentiles, queue depth, lock stats) and its engine event count.
+   How fast the simulator runs it is measured by bench/suite's
+   pw-convoy workload, not here.  One row per client count goes to
+   BENCH_scale.json (schema ccpfs.scale/1). *)
 
 (* CI's scale-smoke job runs the reduced 128-client point only:
    CCPFS_SCALE_CLIENTS="128" ccpfs_run run scale *)
@@ -34,7 +32,6 @@ let think_jitter_span = 50e-6
 type measurement = {
   m_clients : int;
   m_writes_each : int;
-  m_wall_s : float; (* real elapsed seconds for the measured pass *)
   m_events : int;
   m_requests : int; (* lock requests enqueued at the servers *)
   m_sim_pio_s : float;
@@ -43,58 +40,46 @@ type measurement = {
   m_lock_stats : Seqdlm.Lock_server.stats;
 }
 
-(* One contended run.  The cluster loop mirrors Harness.run_custom
-   (sanitizer attach, PIO/F split, invariant sweep) but keeps
-   Obs.Results untouched — scale rows go to BENCH_scale.json, not
-   BENCH_experiments.json. *)
 let run_one ~clients ~writes_each =
-  let one_pass () =
-    let cl =
-      Cluster.create ~policy:Seqdlm.Policy.seqdlm ~n_servers:1
-        ~n_clients:clients ()
-    in
-    let eng = Cluster.engine cl in
-    ignore (Harness.instrument cl);
-    let lat = Stats.create () in
-    let writers_done = ref 0. in
-    let root_rng = Det_random.create ~seed:0x5ca1e in
-    for i = 0 to clients - 1 do
-      let rng = Det_random.split root_rng in
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true "/scale" in
-          for _ = 1 to writes_each do
-            Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
-            let t0 = Cluster.now cl in
-            Client.write ~mode:Seqdlm.Mode.PW ~lock_whole_range:true c f
-              ~off:0 ~len:xfer;
-            Stats.add lat (Cluster.now cl -. t0)
-          done;
-          if Cluster.now cl > !writers_done then writers_done := Cluster.now cl)
-    done;
-    Check.Sanitize.run_cluster cl;
-    let pio = !writers_done in
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, (pio, lat))
+  let _, cl, (pio, lat) =
+    Harness.run ~name:"exp_scale"
+      (fun () ->
+        Cluster.create ~policy:Seqdlm.Policy.seqdlm ~n_servers:1
+          ~n_clients:clients ())
+      (fun cl ->
+        let eng = Cluster.engine cl in
+        let lat = Stats.create () in
+        let writers_done = ref 0. in
+        let root_rng = Det_random.create ~seed:0x5ca1e in
+        for i = 0 to clients - 1 do
+          let rng = Det_random.split root_rng in
+          Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
+              let f = Client.open_file c ~create:true "/scale" in
+              for _ = 1 to writes_each do
+                Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
+                let t0 = Cluster.now cl in
+                Client.write ~mode:Seqdlm.Mode.PW ~lock_whole_range:true c f
+                  ~off:0 ~len:xfer;
+                Stats.add lat (Cluster.now cl -. t0)
+              done;
+              if Cluster.now cl > !writers_done then
+                writers_done := Cluster.now cl)
+        done;
+        fun () -> (!writers_done, lat))
   in
-  let cl, (pio, lat), wall = Harness.measured ~name:"exp_scale" one_pass in
-  let s = Cluster.sum_lock_stats cl in
   {
     m_clients = clients;
     m_writes_each = writes_each;
-    m_wall_s = wall;
     m_events = Dessim.Engine.events_dispatched (Cluster.engine cl);
     m_requests = clients * writes_each;
     m_sim_pio_s = pio;
     m_sim_total_s = Cluster.now cl;
     m_write_lat = lat;
-    m_lock_stats = s;
+    m_lock_stats = Cluster.sum_lock_stats cl;
   }
 
 let row_of (m : measurement) =
   let s = m.m_lock_stats in
-  let per_sec n = float_of_int n /. Float.max 1e-9 m.m_wall_s in
   let open Obs.Json in
   Obj
     [
@@ -103,11 +88,8 @@ let row_of (m : measurement) =
       ("clients", Int m.m_clients);
       ("writes_each", Int m.m_writes_each);
       ("xfer_bytes", Int xfer);
-      ("wall_s", Float m.m_wall_s);
       ("events", Int m.m_events);
-      ("events_per_s", Float (per_sec m.m_events));
       ("requests", Int m.m_requests);
-      ("requests_per_s", Float (per_sec m.m_requests));
       ("sim_pio_s", Float m.m_sim_pio_s);
       ("sim_total_s", Float m.m_sim_total_s);
       ("write_lat_p50_s", Float (Stats.percentile m.m_write_lat 50.));
@@ -138,13 +120,11 @@ let run ~scale =
     Table.create
       ~title:
         (Printf.sprintf
-           "Scale: simulator wall-clock throughput, shared-file PW contention \
-            (%d writes/client x %s)"
+           "Scale: shared-file PW contention (%d writes/client x %s)"
            writes_each
            (Units.bytes_to_string xfer))
       ~columns:
-        [ "clients"; "wall"; "events/s"; "reqs/s"; "max queue";
-          "lat p50"; "lat p99" ]
+        [ "clients"; "events"; "sim PIO"; "max queue"; "lat p50"; "lat p99" ]
   in
   let rows =
     List.map
@@ -153,11 +133,8 @@ let run ~scale =
         Table.add_row tbl
           [
             string_of_int m.m_clients;
-            Units.seconds_to_string m.m_wall_s;
-            Printf.sprintf "%.3g"
-              (float_of_int m.m_events /. Float.max 1e-9 m.m_wall_s);
-            Printf.sprintf "%.3g"
-              (float_of_int m.m_requests /. Float.max 1e-9 m.m_wall_s);
+            string_of_int m.m_events;
+            Units.seconds_to_string m.m_sim_pio_s;
             string_of_int m.m_lock_stats.max_queue;
             Units.seconds_to_string (Stats.percentile m.m_write_lat 50.);
             Units.seconds_to_string (Stats.percentile m.m_write_lat 99.);
@@ -165,8 +142,8 @@ let run ~scale =
         row_of m)
       (client_counts ())
   in
-  let n = Harness.append_rows ~schema:results_schema ~path:results_path rows in
+  let n = Harness.write_rows ~schema:results_schema ~path:results_path rows in
   Table.add_note tbl
-    (Printf.sprintf "wall = real elapsed time of the simulation; %d row(s) in %s"
-       n results_path);
+    (Printf.sprintf "events = engine dispatches; %d row(s) in %s" n
+       results_path);
   Table.print tbl

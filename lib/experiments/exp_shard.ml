@@ -18,8 +18,7 @@ open Ccpfs
    recorded per row.
 
    The measured quantity is requests per *simulated* second — service
-   capacity, the thing sharding buys — with wall-clock throughput kept
-   alongside for the perf trajectory.  Each run appends one row to
+   capacity, the thing sharding buys.  One row per server count goes to
    BENCH_shard.json (schema ccpfs.shard/1). *)
 
 (* CI's shard-smoke job runs a reduced sweep:
@@ -42,7 +41,6 @@ type measurement = {
   m_clients : int;
   m_stripes : int;
   m_writes_each : int;
-  m_wall_s : float;
   m_events : int;
   m_requests : int;
   m_sim_pio_s : float; (* simulated time at which the last writer finished *)
@@ -54,78 +52,71 @@ type measurement = {
 }
 
 let run_one ~servers ~clients ~stripes ~writes_each =
-  let one_pass () =
-    let config = Config.with_extent_log true Config.default in
-    let cl = Cluster.create ~config ~policy:Seqdlm.Policy.seqdlm
-        ~n_servers:servers ~n_clients:clients ()
-    in
-    let eng = Cluster.engine cl in
-    ignore (Harness.instrument cl);
-    Obs.Metrics.enable (Dessim.Engine.metrics eng);
-    let layout = Layout.v ~stripe_size ~stripe_count:stripes () in
-    let lat = Stats.create () in
-    let writers_done = ref 0. in
-    let file = ref None in
-    let root_rng = Det_random.create ~seed:0x54a4d in
-    for i = 0 to clients - 1 do
-      let rng = Det_random.split root_rng in
-      let stripe = i / 2 mod stripes in
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true ~layout "/shard" in
-          if Option.is_none !file then file := Some f;
-          for _ = 1 to writes_each do
-            Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
-            let t0 = Cluster.now cl in
-            Client.write ~mode:Seqdlm.Mode.PW c f ~off:(stripe * stripe_size)
-              ~len:xfer;
-            Stats.add lat (Cluster.now cl -. t0)
-          done;
-          if Cluster.now cl > !writers_done then writers_done := Cluster.now cl)
-    done;
-    (* Live migration under traffic: rehome stripe 0's resource to the
-       next server partway through the run, and let the queue-depth
-       rebalancer shave whatever imbalance it observes. *)
-    let rb =
-      if servers > 1 then begin
-        let params = Cluster.params cl in
-        Dessim.Engine.spawn eng ~name:"forced-migration" (fun () ->
-            (* Wait for a quarter of the writes, so the rehoming lands
-               while the remaining three quarters are still in flight
-               and the Stale_owner path sees real traffic. *)
-            let quarter = clients * writes_each / 4 in
-            while Stats.count lat < quarter do
-              Dessim.Engine.sleep eng (10. *. params.Netsim.Params.rtt)
-            done;
-            match !file with
-            | None -> ()
-            | Some f ->
-                let rid = Layout.rid ~fid:(Client.fid f) ~stripe:0 in
-                let dst = (Cluster.server_of_rid cl rid + 1) mod servers in
-                ignore (Cluster.migrate_resource cl ~rid ~dst));
-        let rb = Ha.Rebalancer.create ~threshold:8 cl in
-        Ha.Rebalancer.start rb;
-        Some rb
-      end
-      else None
-    in
-    Check.Sanitize.run_cluster cl;
-    Option.iter Ha.Rebalancer.stop rb;
-    let pio = !writers_done in
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then begin
-      Check.Sanitize.check_cluster cl;
-      Check.Sanitize.check_ownership cl
-    end;
-    (cl, (pio, lat))
+  let _, cl, (pio, lat) =
+    Harness.run ~name:"exp_shard"
+      (fun () ->
+        let config = Config.with_extent_log true Config.default in
+        Cluster.create ~config ~policy:Seqdlm.Policy.seqdlm ~n_servers:servers
+          ~n_clients:clients ())
+      (fun cl ->
+        let eng = Cluster.engine cl in
+        Obs.Metrics.enable (Dessim.Engine.metrics eng);
+        let layout = Layout.v ~stripe_size ~stripe_count:stripes () in
+        let lat = Stats.create () in
+        let writers_done = ref 0. in
+        let file = ref None in
+        let root_rng = Det_random.create ~seed:0x54a4d in
+        for i = 0 to clients - 1 do
+          let rng = Det_random.split root_rng in
+          let stripe = i / 2 mod stripes in
+          Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
+              let f = Client.open_file c ~create:true ~layout "/shard" in
+              if Option.is_none !file then file := Some f;
+              for _ = 1 to writes_each do
+                Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
+                let t0 = Cluster.now cl in
+                Client.write ~mode:Seqdlm.Mode.PW c f
+                  ~off:(stripe * stripe_size) ~len:xfer;
+                Stats.add lat (Cluster.now cl -. t0)
+              done;
+              if Cluster.now cl > !writers_done then
+                writers_done := Cluster.now cl)
+        done;
+        (* Live migration under traffic: rehome stripe 0's resource to
+           the next server partway through the run, and let the
+           queue-depth rebalancer shave whatever imbalance it observes. *)
+        let rb =
+          if servers > 1 then begin
+            let params = Cluster.params cl in
+            Dessim.Engine.spawn eng ~name:"forced-migration" (fun () ->
+                (* Wait for a quarter of the writes, so the rehoming lands
+                   while the remaining three quarters are still in flight
+                   and the Stale_owner path sees real traffic. *)
+                let quarter = clients * writes_each / 4 in
+                while Stats.count lat < quarter do
+                  Dessim.Engine.sleep eng (10. *. params.Netsim.Params.rtt)
+                done;
+                match !file with
+                | None -> ()
+                | Some f ->
+                    let rid = Layout.rid ~fid:(Client.fid f) ~stripe:0 in
+                    let dst = (Cluster.server_of_rid cl rid + 1) mod servers in
+                    ignore (Cluster.migrate_resource cl ~rid ~dst));
+            let rb = Ha.Rebalancer.create ~threshold:8 cl in
+            Ha.Rebalancer.start rb;
+            Some rb
+          end
+          else None
+        in
+        fun () ->
+          Option.iter Ha.Rebalancer.stop rb;
+          (!writers_done, lat))
   in
-  let cl, (pio, lat), wall = Harness.measured ~name:"exp_shard" one_pass in
   {
     m_servers = servers;
     m_clients = clients;
     m_stripes = stripes;
     m_writes_each = writes_each;
-    m_wall_s = wall;
     m_events = Dessim.Engine.events_dispatched (Cluster.engine cl);
     m_requests = clients * writes_each;
     m_sim_pio_s = pio;
@@ -155,7 +146,6 @@ let row_of (m : measurement) =
       ("sim_pio_s", Float m.m_sim_pio_s);
       ("sim_total_s", Float m.m_sim_total_s);
       ("requests_per_sim_s", Float (requests_per_sim_s m));
-      ("wall_s", Float m.m_wall_s);
       ("events", Int m.m_events);
       ("migrations", Int m.m_migrations);
       ("stale_bounces", Int m.m_stale_bounces);
@@ -188,7 +178,7 @@ let run ~scale =
            (Units.bytes_to_string xfer))
       ~columns:
         [ "servers"; "sim reqs/s"; "speedup"; "migrations"; "bounces";
-          "max queue"; "lat p99"; "wall" ]
+          "max queue"; "lat p99" ]
   in
   let base = ref None in
   let rows =
@@ -206,12 +196,11 @@ let run ~scale =
             string_of_int m.m_stale_bounces;
             string_of_int m.m_lock_stats.max_queue;
             Units.seconds_to_string (Stats.percentile m.m_write_lat 99.);
-            Units.seconds_to_string m.m_wall_s;
           ];
         row_of m)
       (server_counts ())
   in
-  let n = Harness.append_rows ~schema:results_schema ~path:results_path rows in
+  let n = Harness.write_rows ~schema:results_schema ~path:results_path rows in
   Table.add_note tbl
     (Printf.sprintf
        "sim reqs/s = lock requests per simulated second (service capacity); \

@@ -76,79 +76,73 @@ let result_row cl ~run_id ~servers ~clients r =
       ("metrics", Obs.Metrics.to_json (Dessim.Engine.metrics (Cluster.engine cl)));
     ]
 
-let instrument cl =
-  (match Obs.Hub.new_sink () with
-  | Some sink -> Dessim.Engine.set_trace_sink (Cluster.engine cl) sink
-  | None -> ());
-  (* The sink label uses the run counter before it advances, so the
-     viewer's process name and a result row's "run" field agree. *)
-  let run_id = Obs.Hub.next_run_id () in
-  if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
-  run_id
-
-let host_now () =
-  (Unix.gettimeofday () [@lint.allow
-                          "D003 host wall-clock IS the measured quantity: \
-                           the wall_s of scale/shard rows reports real \
-                           elapsed time, not simulated time"])
-
-let measured ~name pass =
-  let timed () =
-    let t0 = host_now () in
-    let cl, x = pass () in
-    (cl, x, host_now () -. t0)
+let run ~name create launch =
+  let pass () =
+    let cl = create () in
+    (match Obs.Hub.new_sink () with
+    | Some sink -> Dessim.Engine.set_trace_sink (Cluster.engine cl) sink
+    | None -> ());
+    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+    let finish = launch cl in
+    Check.Sanitize.run_cluster cl;
+    let x = finish () in
+    Cluster.fsync_all cl;
+    Cluster.check_invariants cl;
+    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
+    (cl, x)
   in
-  if Check.Sanitize.determinism_enabled () then begin
-    (* The simulator must be a pure function of the scenario: build and
-       run the whole world twice and compare event streams.  Only the
-       kept (second) pass is a measurement. *)
-    let kept = ref None in
-    ignore
-      (Check.Determinism.check ~name (fun () ->
-           let (cl, _, _) as r = timed () in
-           kept := Some r;
-           Cluster.engine cl));
-    Option.get !kept
-  end
-  else timed ()
+  let cl, x =
+    if Check.Sanitize.determinism_enabled () then begin
+      (* The simulator must be a pure function of the scenario: build and
+         run the whole world twice and compare event streams.  Only the
+         kept (second) pass is a measurement. *)
+      let kept = ref None in
+      ignore
+        (Check.Determinism.check ~name (fun () ->
+             let ((cl, _) as r) = pass () in
+             kept := Some r;
+             Cluster.engine cl));
+      Option.get !kept
+    end
+    else pass ()
+  in
+  (* The id is taken once per measured run, after both passes, so the
+     row's "run" field does not depend on the check level and agrees
+     with the label of every trace sink the passes opened. *)
+  (Obs.Hub.next_run_id (), cl, x)
 
-let append_rows ~schema ~path rows =
+let write_rows ~schema ~path rows =
   (* Swap the accumulator out so the rows of the experiment harness
      (bound for BENCH_experiments.json) survive this write. *)
   let prior = Obs.Results.rows () in
   Obs.Results.clear ();
   List.iter Obs.Results.add rows;
-  let n = Obs.Results.write ~append:true ~schema ~path () in
+  let n = Obs.Results.write ~schema ~path () in
   List.iter Obs.Results.add prior;
   n
 
 let run_custom ?params ?config ?policy ~servers ~clients setup k =
-  let one_pass () =
-    let cl = Cluster.create ?params ?config ?policy ~n_servers:servers
-        ~n_clients:clients ()
-    in
-    let run_id = instrument cl in
-    Obs.Metrics.enable (Dessim.Engine.metrics (Cluster.engine cl));
-    (* PIO ends when the last application process finishes; lock-cancel
-       flushing still running then is background work the application
-       never sees, charged to the F phase. *)
-    let writers_done = ref 0. in
-    let spawn i name body =
-      Cluster.spawn_client cl i ~name (fun c ->
-          body c;
-          if Cluster.now cl > !writers_done then writers_done := Cluster.now cl)
-    in
-    setup cl spawn;
-    Check.Sanitize.run_cluster cl;
-    let pio = !writers_done in
-    Cluster.fsync_all cl;
-    let f = Cluster.now cl -. pio in
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, (run_id, pio, f))
+  let run_id, cl, pio =
+    run ~name:"harness"
+      (fun () ->
+        Cluster.create ?params ?config ?policy ~n_servers:servers
+          ~n_clients:clients ())
+      (fun cl ->
+        Obs.Metrics.enable (Dessim.Engine.metrics (Cluster.engine cl));
+        (* PIO ends when the last application process finishes;
+           lock-cancel flushing still running then is background work the
+           application never sees, charged to the F phase. *)
+        let writers_done = ref 0. in
+        let spawn i name body =
+          Cluster.spawn_client cl i ~name (fun c ->
+              body c;
+              if Cluster.now cl > !writers_done then
+                writers_done := Cluster.now cl)
+        in
+        setup cl spawn;
+        fun () -> !writers_done)
   in
-  let cl, (run_id, pio, f), _ = measured ~name:"harness" one_pass in
-  let r = collect cl ~pio ~f in
+  let r = collect cl ~pio ~f:(Cluster.now cl -. pio) in
   Obs.Results.add (result_row cl ~run_id ~servers ~clients r);
   k cl r
 

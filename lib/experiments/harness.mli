@@ -27,24 +27,26 @@ val run_streams :
     simply name distinct paths).  [mode] pins the write lock mode
     (microbenchmarks); otherwise Fig. 10 selection applies. *)
 
-val instrument : Ccpfs.Cluster.t -> int
-(** Per-run observability every experiment shares: attach a trace sink
-    when [--trace] was requested, take the next run id (returned), and
-    attach the protocol sanitizer when it is enabled.  Metrics stay
-    opt-in: a caller that records them calls [Obs.Metrics.enable]
-    itself. *)
+val run :
+  name:string -> (unit -> Ccpfs.Cluster.t) ->
+  (Ccpfs.Cluster.t -> unit -> 'a) -> int * Ccpfs.Cluster.t * 'a
+(** [run ~name create launch] is every experiment's measured run: build
+    the cluster with [create], attach a trace sink when [--trace] was
+    requested and the protocol sanitizer when it is enabled, then call
+    [launch] to start the workload.  The continuation [launch] returns
+    runs once the engine has drained and before the final [fsync_all]:
+    that is where PIO is read and background processes are stopped.
+    The invariant sweeps follow the fsync.  Metrics stay opt-in: a
+    [launch] that records them calls [Obs.Metrics.enable].  Under
+    [CCPFS_CHECK=full] the whole pass runs twice inside the determinism
+    double-run named [name], and the second pass is kept.  Returns the
+    run id (taken once per measured run), the kept cluster and the
+    continuation's result. *)
 
-val measured :
-  name:string -> (unit -> Ccpfs.Cluster.t * 'a) -> Ccpfs.Cluster.t * 'a * float
-(** [measured ~name pass] runs [pass] once — or, under
-    [CCPFS_CHECK=full], twice inside the determinism double-run named
-    [name] — and returns the kept pass's result plus its host wall time
-    in seconds.  The other pass's time is never counted. *)
-
-val append_rows : schema:string -> path:string -> Obs.Json.t list -> int
-(** Append [rows] to the [schema] document at [path] (see
-    {!Obs.Results.write} [~append]) and return the file's row count.
-    Rows the harness accumulated for [BENCH_experiments.json] are kept. *)
+val write_rows : schema:string -> path:string -> Obs.Json.t list -> int
+(** Write [rows] as a fresh [schema] document at [path] and return the
+    row count.  Rows the harness accumulated for
+    [BENCH_experiments.json] are kept. *)
 
 type spawn = int -> string -> (Ccpfs.Client.t -> unit) -> unit
 (** [spawn i name body] runs [body] as a process on client [i], tracked

@@ -94,10 +94,11 @@ let all =
     };
     {
       id = "scale";
-      title = "Scale: simulator wall-clock throughput at 128-512 clients";
+      title = "Scale: shared-file PW convoy at 128-512 clients";
       paper_claim =
-        "lock-server queueing drives Figs. 17-20; the simulator must stay \
-         fast as contention deepens";
+        "lock-server queueing drives Figs. 17-20; a whole-file PW convoy \
+         of N clients queues N-1 waiters, so write latency grows linearly \
+         with N";
       default_scale = 1.0;
       run = Exp_scale.run;
     };
