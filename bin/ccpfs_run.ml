@@ -257,12 +257,10 @@ let fuzz_cmd =
           Fuzz.Driver.run_range ?inject ~faults ~shrink_budget:shrink
             ~progress ~base ~count ()
         in
-        Obs.Results.add (Fuzz.Driver.result_row ~base summary);
-        let n =
-          Obs.Results.write ~append:true ~schema:"ccpfs.fuzz/1"
-            ~path:"BENCH_fuzz.json" ()
-        in
-        Printf.printf "results: %d row(s) in BENCH_fuzz.json\n" n;
+        Obs.Results.add (Fuzz.Driver.result_row ?inject ~faults ~base summary);
+        ignore
+          (Obs.Results.write ~schema:"ccpfs.fuzz/1" ~path:"BENCH_fuzz.json" ());
+        print_endline "results: wrote BENCH_fuzz.json";
         (match summary.failure with
         | None ->
             Printf.printf

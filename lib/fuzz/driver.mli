@@ -14,6 +14,10 @@ type summary = {
   tested : int;  (** seeds executed (stops at the first failure) *)
   sims : int;
   analytics : int;
+  fingerprint : int64;
+      (** FNV-1a fold, in seed order, of every passing case's
+          {!Exec.outcome} fingerprint: one number that moves when any
+          executed case's event stream does *)
   failure : failure option;
 }
 
@@ -33,6 +37,8 @@ val repro_json : failure -> Obs.Json.t
 (** The [FUZZ_repro.json] document: seed, reason, replay command, the
     minimized case and a paste-ready OCaml regression test. *)
 
-val result_row : base:int -> summary -> Obs.Json.t
-(** One accumulator row for [BENCH_fuzz.json]
-    (schema ["ccpfs.fuzz/1"]). *)
+val result_row :
+  ?inject:Exec.inject -> faults:bool -> base:int -> summary -> Obs.Json.t
+(** The one row of [BENCH_fuzz.json] (schema ["ccpfs.fuzz/1"]): the
+    seed range, the flags it ran with, the case split, the first failing
+    seed and the corpus fingerprint. *)

@@ -15,11 +15,6 @@ val clear : unit -> unit
 val document : schema:string -> Json.t
 (** [{"schema": schema, "generated_by": ..., "results": [rows]}]. *)
 
-val write : ?append:bool -> schema:string -> path:string -> unit -> int
-(** Write {!document} to [path] and clear the accumulator; returns the
-    number of rows written.  With [append] (default false), rows already
-    in [path] are kept: if the file exists and parses as a document of
-    the same schema, its rows come first and the accumulated rows are
-    appended — how repeated fuzz/CI invocations accumulate one results
-    file.  A missing, unparsable or different-schema file is simply
-    overwritten. *)
+val write : schema:string -> path:string -> unit -> int
+(** Write {!document} to [path], replacing any file there, and clear
+    the accumulator; returns the number of rows written. *)

@@ -238,68 +238,6 @@ let test_json_error_paths () =
         "Json.parse: at byte 7: unexpected 'x' (near [1, 2, <HERE>x])" e
 
 (* ------------------------------------------------------------------ *)
-(* Results accumulator                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let read_rows path =
-  let doc = Json.parse_exn (In_channel.with_open_text path In_channel.input_all) in
-  Json.get_list (Option.get (Json.member "results" doc))
-
-let with_temp_results f =
-  let path = Filename.temp_file "ccpfs_results" ".json" in
-  Results.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Results.clear ();
-      if Sys.file_exists path then Sys.remove path)
-    (fun () -> f path)
-
-let row k = Json.Obj [ ("k", Json.Int k) ]
-
-let test_results_append_keeps_rows () =
-  with_temp_results (fun path ->
-      Results.add (row 1);
-      Alcotest.(check int) "first write" 1
-        (Results.write ~schema:"ccpfs.test/1" ~path ());
-      Alcotest.(check int) "accumulator cleared" 0 (Results.count ());
-      Results.add (row 2);
-      Results.add (row 3);
-      Alcotest.(check int) "append reports the total" 3
-        (Results.write ~append:true ~schema:"ccpfs.test/1" ~path ());
-      Alcotest.(check (list (option int)))
-        "prior rows first, new rows after"
-        [ Some 1; Some 2; Some 3 ]
-        (List.map
-           (fun r -> Option.bind (Json.member "k" r) Json.get_int)
-           (read_rows path)))
-
-let test_results_append_schema_mismatch () =
-  with_temp_results (fun path ->
-      Results.add (row 1);
-      ignore (Results.write ~schema:"ccpfs.old/1" ~path ());
-      Results.add (row 2);
-      Alcotest.(check int) "different schema: overwritten, not merged" 1
-        (Results.write ~append:true ~schema:"ccpfs.new/1" ~path ());
-      Alcotest.(check (list (option int)))
-        "only the new row survives" [ Some 2 ]
-        (List.map
-           (fun r -> Option.bind (Json.member "k" r) Json.get_int)
-           (read_rows path)))
-
-let test_results_append_unparsable_file () =
-  with_temp_results (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc "{not json");
-      Results.add (row 7);
-      Alcotest.(check int) "unparsable file: overwritten" 1
-        (Results.write ~append:true ~schema:"ccpfs.test/1" ~path ());
-      Alcotest.(check (list (option int)))
-        "fresh document" [ Some 7 ]
-        (List.map
-           (fun r -> Option.bind (Json.member "k" r) Json.get_int)
-           (read_rows path)))
-
-(* ------------------------------------------------------------------ *)
 (* Hub                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -397,12 +335,6 @@ let suite =
           test_json_roundtrip;
         Alcotest.test_case "JSON parser error paths" `Quick
           test_json_error_paths;
-        Alcotest.test_case "results append keeps prior rows" `Quick
-          test_results_append_keeps_rows;
-        Alcotest.test_case "results append, schema mismatch" `Quick
-          test_results_append_schema_mismatch;
-        Alcotest.test_case "results append, unparsable file" `Quick
-          test_results_append_unparsable_file;
         Alcotest.test_case "hub plumbing" `Quick test_hub_plumbing;
         Alcotest.test_case "golden traced cluster run" `Quick
           test_cluster_trace_golden;
