@@ -1,16 +1,16 @@
 open Ccpfs_util
 open Ccpfs
 
-type inject = Sn_reuse | Drop_flush
+type inject = Sn_reuse | Drop_block
 
 let inject_of_string = function
   | "sn-reuse" -> Some Sn_reuse
-  | "drop-block" | "drop-flush" -> Some Drop_flush
+  | "drop-block" -> Some Drop_block
   | _ -> None
 
 let inject_to_string = function
   | Sn_reuse -> "sn-reuse"
-  | Drop_flush -> "drop-block"
+  | Drop_block -> "drop-block"
 
 type outcome = {
   fingerprint : int64;
@@ -25,7 +25,7 @@ let tolerance = 0.25
 (* Simulated cases                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let config_of (s : Case.sim) =
+let config_of (s : Case.shape) =
   let page = Config.default.page in
   {
     Config.default with
@@ -45,7 +45,7 @@ let install_inject cl = function
       for i = 0 to Cluster.n_servers cl - 1 do
         Seqdlm.Lock_server.inject_sn_reuse (Cluster.lock_server cl i) ~every:3
       done
-  | Some Drop_flush ->
+  | Some Drop_block ->
       for i = 0 to Cluster.n_servers cl - 1 do
         Data_server.inject_drop_block (Cluster.data_server cl i) ~every:5
       done
@@ -90,14 +90,14 @@ let assert_sn_floor cl srv =
           srv owner rid next logged reinstalled)
     rids
 
-let run_op shadow page c f (op : Case.op) =
+let run_op shadow page c f (op : Segment.op) =
   match op with
-  | Case.Write { block; blocks } ->
+  | Segment.Write { block; blocks } ->
       Client.write c f ~off:(block * page) ~len:(blocks * page)
-  | Case.Read { block; blocks } ->
+  | Segment.Read { block; blocks } ->
       ignore (Client.read c f ~off:(block * page) ~len:(blocks * page))
-  | Case.Append { blocks } -> ignore (Client.append c f ~len:(blocks * page))
-  | Case.Truncate { blocks } ->
+  | Segment.Append { blocks } -> ignore (Client.append c f ~len:(blocks * page))
+  | Segment.Truncate { blocks } ->
       Client.truncate c f ~size:(blocks * page);
       (* Journaled after completion: the whole-file PW serializes the
          truncate against every conflicting write (no early grant for
@@ -105,11 +105,197 @@ let run_op shadow page c f (op : Case.op) =
          serialization position. *)
       Shadow.record_truncate shadow ~size:(blocks * page)
 
+(* Mid-run migration (DESIGN.md §15): rehome a stripe's lock namespace
+   while the phase traffic runs.  A regular process; it sleeps its
+   offset, then skips if the shared file does not exist yet (nothing
+   worth moving) or either end of the move is not Up, and otherwise runs
+   the epoch-fenced coordinator — whose result may still be None (source
+   crashed mid-drain, target went down, or a force-sync pins the
+   resource). *)
+let spawn_migration cl ha (s : Case.shape) file i (m : Segment.migration) =
+  let eng = Cluster.engine cl in
+  Dessim.Engine.spawn eng ~name:(Printf.sprintf "fuzz-mig-%d" i) (fun () ->
+      Dessim.Engine.sleep eng m.mg_after;
+      match !file with
+      | None -> ()
+      | Some f ->
+          let rid =
+            Layout.rid ~fid:(Client.fid f) ~stripe:(m.mg_stripe mod s.stripes)
+          in
+          let dst = m.mg_dst mod s.n_servers in
+          let src = Cluster.server_of_rid cl rid in
+          let up i =
+            match ha with
+            | None -> true
+            | Some ha ->
+                Ha.Membership.state (Ha.Failover.membership ha) i
+                = Ha.Membership.Up
+          in
+          if up src && up dst then ignore (Cluster.migrate_resource cl ~rid ~dst))
+
+(* Message faults on one server's client-facing endpoints. *)
+let set_faults cl srv ~loss ~dup ~rng =
+  let ls = Cluster.lock_server cl srv in
+  Netsim.Rpc.set_fault (Seqdlm.Lock_server.lock_endpoint ls) ~loss ~dup ~rng;
+  Netsim.Rpc.set_fault (Seqdlm.Lock_server.ctl_endpoint ls) ~loss ~dup ~rng;
+  Netsim.Rpc.set_fault
+    (Data_server.endpoint (Cluster.data_server cl srv))
+    ~loss ~dup ~rng
+
+let clear_faults cl srv =
+  let ls = Cluster.lock_server cl srv in
+  Netsim.Rpc.clear_fault (Seqdlm.Lock_server.lock_endpoint ls);
+  Netsim.Rpc.clear_fault (Seqdlm.Lock_server.ctl_endpoint ls);
+  Netsim.Rpc.clear_fault (Data_server.endpoint (Cluster.data_server cl srv))
+
+(* Lossy-partition window: degrade one server's client-facing endpoints
+   for a while, then heal back to the case's baseline fault rates.  The
+   heartbeat and grant-log shipping endpoints are never faulted —
+   partitions model client/server link trouble, not a detector-visible
+   outage or replica divergence.  A regular process, so the engine stays
+   alive through the heal. *)
+let spawn_partition cl (s : Case.shape) prand i (p : Segment.partition) =
+  let eng = Cluster.engine cl in
+  Dessim.Engine.spawn eng ~name:(Printf.sprintf "fuzz-part-%d" i) (fun () ->
+      Dessim.Engine.sleep eng p.pt_at;
+      let srv = p.pt_server mod s.n_servers in
+      set_faults cl srv ~loss:p.pt_loss ~dup:p.pt_dup ~rng:prand;
+      Dessim.Engine.sleep eng p.pt_dur;
+      if s.loss > 0. || s.dup > 0. then
+        set_faults cl srv ~loss:s.loss ~dup:s.dup ~rng:prand
+      else clear_faults cl srv)
+
+(* A mid-phase crash: a regular process that also serves as the phase's
+   liveness barrier — Engine.run cannot return until detection and
+   recovery have completed.  The barrier watches the server's own
+   completed-failover count, not membership (between the crash and the
+   detector's declaration the membership table still reads Up) and not
+   the total (with a double failure two recoveries land concurrently).
+   [Failover.crash] no-ops if the detector's STONITH got there first, in
+   which case its declaration already drives the awaited recovery. *)
+let spawn_crash eng ha ~name ~after srv =
+  let tick = Ha.Detector.period (Ha.Failover.detector ha) in
+  let recoveries () =
+    List.length
+      (List.filter
+         (fun r -> r.Ha.Failover.f_server = srv)
+         (Ha.Failover.records ha))
+  in
+  Dessim.Engine.spawn eng ~name:(Printf.sprintf "%s-%d" name srv) (fun () ->
+      Dessim.Engine.sleep eng after;
+      let before = recoveries () in
+      ignore (Ha.Failover.crash ha srv);
+      while recoveries () <= before do
+        Dessim.Engine.sleep eng tick
+      done)
+
+let run_phase cl ha (s : Case.shape) ~layout ~shadow file dbl
+    (ph : Segment.phase) =
+  let page = Config.default.page in
+  let spawned = ref false in
+  Array.iteri
+    (fun i ops ->
+      if ops <> [] then begin
+        spawned := true;
+        Cluster.spawn_client cl i ~name:(Printf.sprintf "fuzz-c%d" i) (fun c ->
+            let f = Client.open_file c ~create:true ~layout "/fuzz" in
+            if !file = None then file := Some f;
+            List.iter (run_op shadow page c f) ops)
+      end)
+    ph.ops;
+  (* The second victim of a double failure: a fixed function of the
+     draw, bumped past the first victim so the two crashes never target
+     the same server. *)
+  let dbl_target =
+    match (ph.crash_mid, dbl) with
+    | Some (srv, _), Some (d : Segment.double_failure) when s.n_servers > 1 ->
+        let first = srv mod s.n_servers in
+        let k = d.df_server mod s.n_servers in
+        Some ((if k = first then (k + 1) mod s.n_servers else k), d.df_after)
+    | _ -> None
+  in
+  (match (ph.crash_mid, ha) with
+  | Some (srv, delay), Some ha ->
+      let eng = Cluster.engine cl in
+      spawn_crash eng ha ~name:"fuzz-crash" ~after:delay (srv mod s.n_servers);
+      Option.iter
+        (fun (srv2, extra) ->
+          spawn_crash eng ha ~name:"fuzz-crash2" ~after:(delay +. extra) srv2)
+        dbl_target
+  | _ -> ());
+  if !spawned || Option.is_some ph.crash_mid then Check.Sanitize.run_cluster cl;
+  Option.iter
+    (fun (srv, _) -> assert_sn_floor cl (srv mod s.n_servers))
+    ph.crash_mid;
+  Option.iter (fun (srv2, _) -> assert_sn_floor cl srv2) dbl_target;
+  Option.iter
+    (fun srv ->
+      let srv = srv mod s.n_servers in
+      Cluster.crash_and_recover_server cl srv;
+      assert_sn_floor cl srv)
+    ph.crash_server
+
+(* The open-loop segment: a scheduled-arrival stream of page writes
+   through Load.Driver, against the same shared file so the shadow
+   oracle keeps covering it.  The conservation invariant — every
+   scheduled arrival either completes or is counted shed — is checked
+   as a fuzz invariant in its own right. *)
+let run_load cl (case : Case.t) (s : Case.shape) ~layout file (l : Segment.load)
+    =
+  let page = Config.default.page in
+  let process =
+    match l.l_process mod 3 with
+    | 0 -> Load.Arrivals.Constant l.l_rate
+    | 1 -> Load.Arrivals.Poisson l.l_rate
+    | _ -> Load.Arrivals.bursty ~rate:l.l_rate
+  in
+  let spec =
+    Load.Driver.
+      {
+        process;
+        seed = case.seed lxor 0x10ad;
+        requests = l.l_requests;
+        max_in_flight = Stdlib.max 1 l.l_cap;
+        churn =
+          List.map
+            (fun (ch : Segment.churn) ->
+              Load.Driver.
+                {
+                  ch_at = ch.ch_at;
+                  ch_client = ch.ch_client mod s.n_clients;
+                  ch_up = ch.ch_up;
+                })
+            l.l_churn;
+        start_at = Cluster.now cl;
+      }
+  in
+  let h =
+    Load.Driver.launch cl spec
+      ~prepare:(fun c ->
+        let f = Client.open_file c ~create:true ~layout "/fuzz" in
+        if !file = None then file := Some f;
+        (c, f))
+      ~request:(fun (c, f) k ->
+        let block = k mod Gen.max_block in
+        Client.write c f ~off:(block * page) ~len:page;
+        page)
+  in
+  Check.Sanitize.run_cluster cl;
+  let r = Load.Driver.result h in
+  if
+    r.r_completed + r.r_shed <> r.r_arrivals || r.r_arrivals <> l.l_requests
+  then
+    Check.Violation.fail ~inv:"load-conservation"
+      "open-loop segment lost arrivals: %d completed + %d shed vs %d arrivals \
+       (%d scheduled)"
+      r.r_completed r.r_shed r.r_arrivals l.l_requests
+
 (* One full scenario execution on a fresh world; returns the cluster for
    fingerprinting and metrics. *)
-let sim_pass ?inject (case : Case.t) (s : Case.sim) =
+let sim_pass ?inject (case : Case.t) (sim : Case.sim) =
+  let s = sim.shape in
   let page = Config.default.page in
-  let online = Case.online s in
+  let online = Case.online sim in
   let reliability =
     if online then Some (Netsim.Rpc.reliability_for case.params) else None
   in
@@ -127,16 +313,7 @@ let sim_pass ?inject (case : Case.t) (s : Case.sim) =
     let frng = Det_random.create ~seed:(case.seed lxor 0x3f41) in
     let frand () = Det_random.float frng 1. in
     for i = 0 to s.n_servers - 1 do
-      let ls = Cluster.lock_server cl i in
-      Netsim.Rpc.set_fault
-        (Seqdlm.Lock_server.lock_endpoint ls)
-        ~loss:s.loss ~dup:s.dup ~rng:frand;
-      Netsim.Rpc.set_fault
-        (Seqdlm.Lock_server.ctl_endpoint ls)
-        ~loss:s.loss ~dup:s.dup ~rng:frand;
-      Netsim.Rpc.set_fault
-        (Data_server.endpoint (Cluster.data_server cl i))
-        ~loss:s.loss ~dup:s.dup ~rng:frand
+      set_faults cl i ~loss:s.loss ~dup:s.dup ~rng:frand
     done
   end;
   (* Legal nondeterminism, itself a deterministic function of the seed. *)
@@ -160,217 +337,21 @@ let sim_pass ?inject (case : Case.t) (s : Case.sim) =
         Shadow.record_write shadow ~writer ~rid ~range ~sn ~op)
   done;
   let file = ref None in
-  (* Mid-run migrations (DESIGN.md §15): rehome a stripe's lock
-     namespace while the phase traffic runs.  Spawned up front as
-     regular processes; each sleeps its offset, then skips if the shared
-     file does not exist yet (nothing worth moving) or either end of the
-     move is not Up, and otherwise runs the epoch-fenced coordinator —
-     whose result may still be None (source crashed mid-drain, target
-     went down, or a force-sync pins the resource). *)
-  List.iteri
-    (fun mi (m : Case.migration) ->
-      Dessim.Engine.spawn (Cluster.engine cl)
-        ~name:(Printf.sprintf "fuzz-mig-%d" mi)
-        (fun () ->
-          Dessim.Engine.sleep eng m.Case.mg_after;
-          match !file with
-          | None -> ()
-          | Some f ->
-              let stripe = m.Case.mg_stripe mod s.stripes in
-              let rid = Layout.rid ~fid:(Client.fid f) ~stripe in
-              let dst = m.Case.mg_dst mod s.n_servers in
-              let src = Cluster.server_of_rid cl rid in
-              let up i =
-                match ha with
-                | None -> true
-                | Some ha ->
-                    Ha.Membership.state (Ha.Failover.membership ha) i
-                    = Ha.Membership.Up
-              in
-              if up src && up dst then
-                ignore (Cluster.migrate_resource cl ~rid ~dst)))
-    s.migrations;
-  (* Lossy-partition windows: degrade one server's client-facing
-     endpoints for a while, then heal back to the case's baseline fault
-     rates.  The heartbeat and grant-log shipping endpoints are never
-     faulted — partitions here model client/server link trouble, not a
-     detector-visible outage or replica divergence.  Spawned as regular
-     processes so the engine stays alive through the heal. *)
-  (match s.partitions with
-  | [] -> ()
-  | parts ->
-      let prng = Det_random.create ~seed:(case.seed lxor 0x9a27) in
-      let prand () = Det_random.float prng 1. in
-      List.iteri
-        (fun pi (p : Case.partition) ->
-          Dessim.Engine.spawn eng ~name:(Printf.sprintf "fuzz-part-%d" pi)
-            (fun () ->
-              Dessim.Engine.sleep eng p.Case.pt_at;
-              let srv = p.Case.pt_server mod s.n_servers in
-              let ls = Cluster.lock_server cl srv in
-              let ds = Cluster.data_server cl srv in
-              let set_all ~loss ~dup =
-                Netsim.Rpc.set_fault
-                  (Seqdlm.Lock_server.lock_endpoint ls)
-                  ~loss ~dup ~rng:prand;
-                Netsim.Rpc.set_fault
-                  (Seqdlm.Lock_server.ctl_endpoint ls)
-                  ~loss ~dup ~rng:prand;
-                Netsim.Rpc.set_fault (Data_server.endpoint ds) ~loss ~dup
-                  ~rng:prand
-              in
-              set_all ~loss:p.Case.pt_loss ~dup:p.Case.pt_dup;
-              Dessim.Engine.sleep eng p.Case.pt_dur;
-              if s.loss > 0. || s.dup > 0. then
-                set_all ~loss:s.loss ~dup:s.dup
-              else begin
-                Netsim.Rpc.clear_fault (Seqdlm.Lock_server.lock_endpoint ls);
-                Netsim.Rpc.clear_fault (Seqdlm.Lock_server.ctl_endpoint ls);
-                Netsim.Rpc.clear_fault (Data_server.endpoint ds)
-              end))
-        parts);
+  (* Every partition window draws from one stream. *)
+  let prng = Det_random.create ~seed:(case.seed lxor 0x9a27) in
+  let prand () = Det_random.float prng 1. in
+  let dbl = ref None in
+  (* Background segments are spawned, a double failure arms the phases
+     after it, phases and load run to quiescence — all in list order. *)
   List.iter
-    (fun (ph : Case.phase) ->
-      let spawned = ref false in
-      Array.iteri
-        (fun i ops ->
-          if ops <> [] then begin
-            spawned := true;
-            Cluster.spawn_client cl i ~name:(Printf.sprintf "fuzz-c%d" i)
-              (fun c ->
-                let f = Client.open_file c ~create:true ~layout "/fuzz" in
-                if !file = None then file := Some f;
-                List.iter (run_op shadow page c f) ops)
-          end)
-        ph.ops;
-      (* The second victim of a double-failure case: a fixed function of
-         the draw, bumped past the first victim so the two crashes never
-         target the same server. *)
-      let dbl_target =
-        match (ph.crash_mid, s.dbl) with
-        | Some (srv, _), Some (srv2, _) when s.n_servers > 1 ->
-            let first = srv mod s.n_servers in
-            let k = srv2 mod s.n_servers in
-            Some (if k = first then (k + 1) mod s.n_servers else k)
-        | _ -> None
-      in
-      (match (ph.crash_mid, ha) with
-      | Some (srv, delay), Some ha ->
-          let srv = srv mod s.n_servers in
-          let tick = Ha.Detector.period (Ha.Failover.detector ha) in
-          (* Per-server completed-failover count: with a double failure
-             two recoveries land records concurrently, so each barrier
-             must watch its own server's recoveries, not the total. *)
-          let recoveries i =
-            List.length
-              (List.filter
-                 (fun r -> r.Ha.Failover.f_server = i)
-                 (Ha.Failover.records ha))
-          in
-          (* A regular process: it also serves as the phase's liveness
-             barrier — Engine.run below cannot return until detection
-             and recovery have completed.  The barrier watches the
-             completed-failover count, not membership: between the crash
-             and the detector's declaration the membership table still
-             reads Up. *)
-          Dessim.Engine.spawn eng ~name:(Printf.sprintf "fuzz-crash-%d" srv)
-            (fun () ->
-              Dessim.Engine.sleep eng delay;
-              let before = recoveries srv in
-              ignore (Ha.Failover.crash ha srv);
-              while recoveries srv <= before do
-                Dessim.Engine.sleep eng tick
-              done);
-          (* Double failure: kill the second server [extra] seconds
-             after the first, while its failover is still detecting or
-             recovering.  [Failover.crash] no-ops (returns false) if the
-             detector's STONITH got there first, in which case its own
-             declaration already drives the recovery the barrier awaits. *)
-          (match (s.dbl, dbl_target) with
-          | Some (_, extra), Some srv2 ->
-              Dessim.Engine.spawn eng
-                ~name:(Printf.sprintf "fuzz-crash2-%d" srv2)
-                (fun () ->
-                  Dessim.Engine.sleep eng (delay +. extra);
-                  let before = recoveries srv2 in
-                  ignore (Ha.Failover.crash ha srv2);
-                  while recoveries srv2 <= before do
-                    Dessim.Engine.sleep eng tick
-                  done)
-          | _ -> ())
-      | _ -> ());
-      if !spawned || Option.is_some ph.crash_mid then
-        Check.Sanitize.run_cluster cl;
-      (match ph.crash_mid with
-      | Some (srv, _) -> assert_sn_floor cl (srv mod s.n_servers)
-      | None -> ());
-      (match dbl_target with
-      | Some srv2 -> assert_sn_floor cl srv2
-      | None -> ());
-      match ph.crash_server with
-      | Some srv ->
-          let srv = srv mod s.n_servers in
-          Cluster.crash_and_recover_server cl srv;
-          assert_sn_floor cl srv
-      | None -> ())
-    s.phases;
-  (* The optional open-loop tail: a scheduled-arrival stream of page
-     writes through Load.Driver, against the same shared file so the
-     shadow oracle keeps covering it.  The conservation invariant —
-     every scheduled arrival either completes or is counted shed — is
-     checked as a fuzz invariant in its own right. *)
-  (match s.load with
-  | None -> ()
-  | Some (l : Case.load) ->
-      let proc =
-        match l.l_process mod 3 with
-        | 0 -> Load.Arrivals.Constant l.l_rate
-        | 1 -> Load.Arrivals.Poisson l.l_rate
-        | _ -> Load.Arrivals.bursty ~rate:l.l_rate
-      in
-      let spec =
-        Load.Driver.
-          {
-            process = proc;
-            seed = case.seed lxor 0x10ad;
-            requests = l.l_requests;
-            max_in_flight = Stdlib.max 1 l.l_cap;
-            churn =
-              List.map
-                (fun (ch : Case.churn) ->
-                  Load.Driver.
-                    {
-                      ch_at = ch.Case.ch_at;
-                      ch_client = ch.Case.ch_client mod s.n_clients;
-                      ch_up = ch.Case.ch_up;
-                    })
-                l.l_churn;
-            start_at = Cluster.now cl;
-          }
-      in
-      let h =
-        Load.Driver.launch cl spec
-          ~prepare:(fun c ->
-            let f = Client.open_file c ~create:true ~layout "/fuzz" in
-            if !file = None then file := Some f;
-            (c, f))
-          ~request:(fun (c, f) k ->
-            let block = k mod Gen.max_block in
-            Client.write c f ~off:(block * page) ~len:page;
-            page)
-      in
-      Check.Sanitize.run_cluster cl;
-      let r = Load.Driver.result h in
-      if
-        r.Load.Driver.r_completed + r.Load.Driver.r_shed
-        <> r.Load.Driver.r_arrivals
-        || r.Load.Driver.r_arrivals <> l.l_requests
-      then
-        Check.Violation.fail ~inv:"load-conservation"
-          "open-loop segment lost arrivals: %d completed + %d shed vs %d \
-           arrivals (%d scheduled)"
-          r.Load.Driver.r_completed r.Load.Driver.r_shed
-          r.Load.Driver.r_arrivals l.l_requests);
+    (fun (i, (seg : Segment.t)) ->
+      match seg with
+      | Migration m -> spawn_migration cl ha s file i m
+      | Partition p -> spawn_partition cl s prand i p
+      | Double_failure d -> dbl := Some d
+      | Phase ph -> run_phase cl ha s ~layout ~shadow file !dbl ph
+      | Load l -> run_load cl case s ~layout file l)
+    (Segment.numbered sim.segments);
   (match !file with
   | Some f ->
       Cluster.fsync_all cl;

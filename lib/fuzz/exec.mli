@@ -4,11 +4,11 @@
     phases can recover), seeds the case's legal nondeterminism (event
     jitter, random tie-breaking) from the case seed, attaches the
     {!Check.Sanitize} invariant layer unconditionally, journals every
-    semantic write into a {!Shadow} file, runs each phase to quiescence
-    (crashing and recovering lock servers between phases where the case
-    says so, asserting the recovered SN floor stays above everything
-    recovered), fsyncs, and compares the device contents byte-for-byte
-    against the shadow.  The whole scenario is executed {e twice} under
+    semantic write into a {!Shadow} file, installs the case's segments
+    in list order (spawning migrations and partition windows, running
+    phases and load to quiescence, asserting after every crash that the
+    recovered SN floor stays above everything recovered), fsyncs, and
+    compares the device contents byte-for-byte against the shadow.  The whole scenario is executed {e twice} under
     {!Check.Determinism.check}, so a fingerprint divergence between two
     identical runs is itself a failure.
 
@@ -20,7 +20,7 @@
     (regression tests, [ccpfs_run fuzz --inject]). *)
 type inject =
   | Sn_reuse  (** lock servers reissue an old SN every 3rd write grant *)
-  | Drop_flush  (** data servers silently drop every 5th flushed block *)
+  | Drop_block  (** data servers silently drop every 5th flushed block *)
 
 val inject_of_string : string -> inject option
 val inject_to_string : inject -> string

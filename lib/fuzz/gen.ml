@@ -3,18 +3,26 @@ open Ccpfs_util
 let max_block = 32
 let page = Units.page
 
+(* [n] draws of [f], in order. *)
+let repeat n f =
+  let acc = ref [] in
+  for _ = 1 to n do
+    acc := f () :: !acc
+  done;
+  List.rev !acc
+
 let random_op rng =
   match Det_random.int rng 10 with
   | 0 | 1 | 2 | 3 | 4 | 5 ->
       let blocks = 1 + Det_random.int rng 6 in
       let block = Det_random.int rng (max_block - blocks + 1) in
-      Case.Write { block; blocks }
+      Segment.Write { block; blocks }
   | 6 | 7 ->
       let blocks = 1 + Det_random.int rng 6 in
       let block = Det_random.int rng (max_block - blocks + 1) in
-      Case.Read { block; blocks }
-  | 8 -> Case.Append { blocks = 1 + Det_random.int rng 3 }
-  | _ -> Case.Truncate { blocks = Det_random.int rng (max_block + 1) }
+      Segment.Read { block; blocks }
+  | 8 -> Segment.Append { blocks = 1 + Det_random.int rng 3 }
+  | _ -> Segment.Truncate { blocks = Det_random.int rng (max_block + 1) }
 
 (* Per-client op lists for one phase.  Half the phases start from an IOR
    shared-file pattern (the paper's workload shapes), the rest are pure
@@ -33,18 +41,14 @@ let gen_phase rng ~n_clients =
       ops.(rank) <-
         Workloads.Ior.accesses ~pattern ~nprocs:n_clients ~rank ~xfer ~blocks
         |> List.map (fun (a : Workloads.Access.t) ->
-               Case.Write { block = a.off / page; blocks = a.len / page })
+               Segment.Write { block = a.off / page; blocks = a.len / page })
     done
   end;
   for i = 0 to n_clients - 1 do
     let extra =
       Det_random.int rng 5 + (if ops.(i) = [] then 1 else 0)
     in
-    let acc = ref [] in
-    for _ = 1 to extra do
-      acc := random_op rng :: !acc
-    done;
-    ops.(i) <- ops.(i) @ List.rev !acc
+    ops.(i) <- ops.(i) @ repeat extra (fun () -> random_op rng)
   done;
   let crash_server = Det_random.int rng 3 = 0 in
   (ops, crash_server)
@@ -100,7 +104,7 @@ let gen_sim ?(faults = false) seed rng =
     let crash_server =
       if crash then Some (Det_random.int rng n_servers) else None
     in
-    phases := { Case.ops; crash_server; crash_mid = None } :: !phases
+    phases := { Segment.ops; crash_server; crash_mid = None } :: !phases
   done;
   let phases = List.rev !phases in
   (* Online-failure draws come after everything else so a given seed
@@ -124,7 +128,7 @@ let gen_sim ?(faults = false) seed rng =
   in
   let phases =
     List.map
-      (fun (p : Case.phase) ->
+      (fun (p : Segment.phase) ->
         let want = if faults then Det_random.bool rng
                    else Det_random.int rng 6 = 0 in
         if want then { p with crash_mid = gen_mid () } else p)
@@ -137,7 +141,7 @@ let gen_sim ?(faults = false) seed rng =
       faults
       && not
            (List.exists
-              (fun (p : Case.phase) -> Option.is_some p.Case.crash_mid)
+              (fun (p : Segment.phase) -> Option.is_some p.crash_mid)
               phases)
     then
       match phases with
@@ -148,11 +152,10 @@ let gen_sim ?(faults = false) seed rng =
   (* The retired RPC-batching draw: still consumed, so every later draw
      of every seed stays where it was until the corpus is re-pinned. *)
   if Det_random.int rng 3 = 0 then ignore (Det_random.int rng 7);
-  (* Load draw is at the very tail (after even the retired draw) so every
-     seed that existed before the open-loop generator keeps its shape.
-     A quarter of cases append a short open-loop segment; the rate spans
-     roughly 0.02x-0.15x of the per-request service rate 1/rtt, i.e.
-     from comfortable to clearly saturating for small clusters. *)
+  (* Each later layer was added at the tail of the stream, so every older
+     seed kept its case.  A quarter of cases get a short open-loop
+     segment; the rate spans roughly 0.02x-0.15x of the per-request
+     service rate 1/rtt, from comfortable to clearly saturating. *)
   let load =
     if Det_random.int rng 4 = 0 then begin
       let l_process = Det_random.int rng 3 in
@@ -160,97 +163,79 @@ let gen_sim ?(faults = false) seed rng =
       let l_requests = 4 + Det_random.int rng 21 in
       let l_cap = 1 + Det_random.int rng (2 * n_clients) in
       let span = float_of_int l_requests /. l_rate in
-      let n_churn = Det_random.int rng 3 in
-      let churn = ref [] in
-      for _ = 1 to n_churn do
-        let at = Det_random.float rng span in
-        let cli = Det_random.int rng n_clients in
-        let up = Det_random.bool rng in
-        churn := { Case.ch_at = at; ch_client = cli; ch_up = up } :: !churn
-      done;
-      Some
-        { Case.l_rate; l_process; l_requests; l_cap; l_churn = List.rev !churn }
+      let l_churn =
+        repeat (Det_random.int rng 3) (fun () ->
+            let ch_at = Det_random.float rng span in
+            let ch_client = Det_random.int rng n_clients in
+            let ch_up = Det_random.bool rng in
+            { Segment.ch_at; ch_client; ch_up })
+      in
+      Some { Segment.l_rate; l_process; l_requests; l_cap; l_churn }
     end
     else None
   in
-  (* Migration draw is the very tail of the stream (the newest layer,
-     after even the load draw) so every pre-sharding seed keeps its
-     shape.  A fifth of cases rehome one or two stripes mid-run; the
-     offsets span the window where phase traffic is typically still in
-     flight. *)
+  (* A fifth of cases rehome one or two stripes mid-run; the offsets
+     span the window where phase traffic is typically still in flight. *)
   let migrations =
-    if Det_random.int rng 5 = 0 then begin
-      let n = 1 + Det_random.int rng 2 in
-      let acc = ref [] in
-      for _ = 1 to n do
-        let mg_stripe = Det_random.int rng stripes in
-        let mg_dst = Det_random.int rng n_servers in
-        let mg_after = Det_random.float rng (500. *. params.rtt) in
-        acc := { Case.mg_stripe; mg_dst; mg_after } :: !acc
-      done;
-      List.rev !acc
-    end
+    if Det_random.int rng 5 = 0 then
+      repeat (1 + Det_random.int rng 2) (fun () ->
+          let mg_stripe = Det_random.int rng stripes in
+          let mg_dst = Det_random.int rng n_servers in
+          let mg_after = Det_random.float rng (500. *. params.rtt) in
+          { Segment.mg_stripe; mg_dst; mg_after })
     else []
   in
-  (* The replication / partition / double-failure draws are the newest
-     tail layer (after even the migration draw), so every pre-repl seed
-     keeps its shape.  A third of cases replicate each lock server's
-     grant log to f in {1,2} backups (DESIGN.md §16); a fifth get
-     lossy-partition windows on one server's client-facing endpoints; a
-     quarter arm a second mid-crash that lands inside the first
-     failover's window (inert unless a phase drew a crash_mid). *)
+  (* A third of cases replicate each lock server's grant log to f in
+     {1,2} backups (DESIGN.md §16); a fifth get lossy-partition windows;
+     a quarter arm a double failure. *)
   let repl =
     if Det_random.int rng 3 = 0 then 1 + Det_random.int rng 2 else 0
   in
   let partitions =
-    if Det_random.int rng 5 = 0 then begin
-      let n = 1 + Det_random.int rng 2 in
-      let acc = ref [] in
-      for _ = 1 to n do
-        let pt_server = Det_random.int rng n_servers in
-        let pt_at = Det_random.float rng (300. *. params.rtt) in
-        let pt_dur = (20. +. Det_random.float rng 180.) *. params.rtt in
-        let pt_loss = 0.3 +. Det_random.float rng 0.6 in
-        let pt_dup = Det_random.float rng 0.05 in
-        acc := { Case.pt_server; pt_at; pt_dur; pt_loss; pt_dup } :: !acc
-      done;
-      List.rev !acc
-    end
+    if Det_random.int rng 5 = 0 then
+      repeat (1 + Det_random.int rng 2) (fun () ->
+          let pt_server = Det_random.int rng n_servers in
+          let pt_at = Det_random.float rng (300. *. params.rtt) in
+          let pt_dur = (20. +. Det_random.float rng 180.) *. params.rtt in
+          let pt_loss = 0.3 +. Det_random.float rng 0.6 in
+          let pt_dup = Det_random.float rng 0.05 in
+          { Segment.pt_server; pt_at; pt_dur; pt_loss; pt_dup })
     else []
   in
   let dbl =
     if Det_random.int rng 4 = 0 then
-      Some
-        ( Det_random.int rng n_servers,
-          Det_random.float rng (50. *. params.rtt) )
-    else None
+      (* After before server: the order the retired tuple draw took. *)
+      let df_after = Det_random.float rng (50. *. params.rtt) in
+      let df_server = Det_random.int rng n_servers in
+      [ Segment.Double_failure { df_server; df_after } ]
+    else []
   in
-  {
-    Case.seed;
-    params;
-    kind =
-      Case.Sim
-        {
-          policy_idx;
-          n_servers;
-          n_clients;
-          stripes;
-          stripe_blocks;
-          dirty_min_blocks;
-          dirty_max_blocks;
-          extent_cache_limit;
-          tie_random;
-          jitter;
-          loss;
-          dup;
-          phases;
-          load;
-          migrations;
-          repl;
-          partitions;
-          dbl;
-        };
-  }
+  let shape =
+    {
+      Case.policy_idx;
+      n_servers;
+      n_clients;
+      stripes;
+      stripe_blocks;
+      dirty_min_blocks;
+      dirty_max_blocks;
+      extent_cache_limit;
+      tie_random;
+      jitter;
+      loss;
+      dup;
+      repl;
+    }
+  in
+  (* Assembled in execution order, which is not the draw order above. *)
+  let segments =
+    List.map (fun m -> Segment.Migration m) migrations
+    @ List.map (fun p -> Segment.Partition p) partitions
+    @ dbl
+    @ List.map (fun p -> Segment.Phase p) phases
+    @ Option.to_list (Option.map (fun l -> Segment.Load l) load)
+  in
+  { Case.seed; params; kind = Case.Sim { shape; segments } }
 
 (* An Eq. (1) differential case.  D is fixed at 1 MiB and RTT derived so
    the flush term ③ dominates by 25x — where the closed form is an

@@ -1,17 +1,17 @@
 (** Greedy case minimizer.
 
-    Given a failing case, repeatedly tries structural simplifications —
-    drop a phase, drop a client, drop halves then single ops, remove
-    crash faults, collapse to one stripe/server, switch off the random
-    jitter and tie-breaking, relax the tight cache limits — re-running
-    the case after each edit and keeping any edit that still fails
-    (with {e any} failure, not necessarily the original one: a simpler
-    reproducer for a different symptom of the same run is still a better
-    reproducer).  Iterates to a fixpoint or until the re-run budget is
-    exhausted. *)
+    Given a failing case, repeatedly tries simplifications, re-running
+    the case after each and keeping any that still fails (with {e any}
+    failure: a simpler reproducer for another symptom of the same run is
+    still a better reproducer), to a fixpoint or until the re-run budget
+    is spent. *)
 
 val candidates : Case.t -> Case.t list
-(** One round of simplification attempts, most aggressive first. *)
+(** One round of simplifications.  For each segment kind, newest
+    first: drop all of that kind, then each one, then each one's
+    {!Segment.smaller} versions.  Then the shape: drop a client, no
+    replication, no message faults, one stripe on one server, no
+    nondeterminism, relaxed cache limits. *)
 
 val minimize :
   ?inject:Exec.inject -> ?budget:int -> Case.t -> string ->

@@ -76,7 +76,7 @@ let test_sn_reuse_caught_and_shrinks () =
 
 let test_drop_block_caught_by_shadow () =
   let summary =
-    Fuzz.Driver.run_range ~inject:Fuzz.Exec.Drop_flush ~base ~count:200 ()
+    Fuzz.Driver.run_range ~inject:Fuzz.Exec.Drop_block ~base ~count:200 ()
   in
   match summary.failure with
   | None -> Alcotest.fail "planted drop-block bug survived 200 seeds"
@@ -95,142 +95,128 @@ let test_drop_block_caught_by_shadow () =
       Alcotest.(check bool) "skeleton replays through Exec" true
         (contains ~sub:"Fuzz.Exec.run" (Fuzz.Case.to_ocaml_test f.shrunk))
 
-(* ---- open-loop load segments (lib/load integration) ---- *)
+(* ---- segment kinds ---- *)
 
-let has_load (c : Fuzz.Case.t) =
+let carries k c = Fuzz.Case.count (Fuzz.Segment.is k) c > 0
+
+let without k (c : Fuzz.Case.t) =
   match c.kind with
-  | Fuzz.Case.Sim s -> Option.is_some s.Fuzz.Case.load
-  | Fuzz.Case.Analytic _ -> false
+  | Fuzz.Case.Sim s ->
+      let segments = List.filter (fun g -> not (Fuzz.Segment.is k g)) s.segments in
+      { c with kind = Fuzz.Case.Sim { s with segments } }
+  | Fuzz.Case.Analytic _ -> c
 
-(* The generator draws load segments at the tail: they must actually
-   appear, and a case carrying one must pass every oracle (including
-   the load-conservation invariant Exec adds for the segment). *)
-let test_load_segment_generated_and_runs () =
-  let case = first_case has_load base in
-  let o = Fuzz.Exec.run case in
-  Alcotest.(check bool) "virtual time advanced" true (o.virtual_end > 0.);
-  let o2 = Fuzz.Exec.run case in
-  Alcotest.(check int64) "load segment is deterministic" o.fingerprint
-    o2.fingerprint
+(* Kinds drawn after [k]: the shrinker sheds those first. *)
+let newer k =
+  let rec after = function
+    | [] -> []
+    | k' :: rest -> if k' = k then rest else after rest
+  in
+  after Fuzz.Segment.kinds
+
+(* Every kind is drawn by the generator, and the first case where it
+   takes effect runs oracle-clean and deterministically (Exec
+   double-runs internally; this also checks reproducibility across
+   invocations). *)
+let test_generated_and_deterministic live () =
+  let case = first_case live base in
+  let o1 = Fuzz.Exec.run case and o2 = Fuzz.Exec.run case in
+  Alcotest.(check bool) "simulated time advanced" true (o1.virtual_end > 0.);
+  Alcotest.(check int64) "identical fingerprints" o1.fingerprint o2.fingerprint
+
+(* The shrinker's first candidate for a case whose newest kind is [k]
+   drops every segment of that kind and changes nothing else, so a
+   failure minimizes back to the older kinds first. *)
+let test_shrink_drops_first k () =
+  let case =
+    first_case
+      (fun c -> carries k c && not (List.exists (fun k' -> carries k' c) (newer k)))
+      base
+  in
+  match Fuzz.Shrink.candidates case with
+  | [] -> Alcotest.fail "no candidates"
+  | first :: _ ->
+      Alcotest.(check bool) "first candidate is the case without the kind" true
+        (first = without k case)
+
+(* The case JSON lists the segment under its kind name, and the test
+   skeleton of the first seed from 24301 carrying it (compiled into
+   this runner as Fuzz_skeletons) rebuilds the generated case exactly
+   and replays it. *)
+let check_skeleton label =
+  let _, seed, literal, replay =
+    List.find (fun (l, _, _, _) -> l = label) Fuzz_skeletons.cases
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "skeleton of seed %d is the generated case" seed)
+    true
+    (literal = Fuzz.Gen.of_seed seed);
+  replay ()
+
+let test_json_and_skeleton k () =
+  let case = first_case (carries k) base in
+  let name = Fuzz.Segment.kind_name k in
+  (match Obs.Json.parse (Obs.Json.to_string (Fuzz.Case.to_json case)) with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+      let kinds =
+        Option.bind (Obs.Json.member "case" doc) (Obs.Json.member "segments")
+        |> Option.map Obs.Json.get_list
+        |> Option.value ~default:[]
+        |> List.filter_map (fun g ->
+               Option.bind (Obs.Json.member "kind" g) Obs.Json.get_string)
+      in
+      Alcotest.(check bool) ("JSON lists a " ^ name) true (List.mem name kinds));
+  check_skeleton name
+
+let mid_crashes =
+  Fuzz.Case.count (function
+    | Fuzz.Segment.Phase p -> Option.is_some p.crash_mid
+    | _ -> false)
+
+let shape_has p (c : Fuzz.Case.t) =
+  match c.kind with Fuzz.Case.Sim s -> p s.shape | Fuzz.Case.Analytic _ -> false
+
+(* A double failure takes effect only when a second server can die
+   inside a mid-crash's failover window. *)
+let armed c =
+  carries `Double_failure c && mid_crashes c > 0
+  && shape_has (fun s -> s.n_servers > 1) c
+
+let kind_table =
+  [
+    (`Phase, "phase segment", carries `Phase);
+    (`Load, "load segment", carries `Load);
+    (`Migration, "migration segment", carries `Migration);
+    (`Partition, "partition segment", carries `Partition);
+    (`Double_failure, "double failure", armed);
+  ]
+
+let kind_tests =
+  List.concat_map
+    (fun (k, label, live) ->
+      [
+        Alcotest.test_case (label ^ " generated and deterministic") `Quick
+          (test_generated_and_deterministic live);
+        Alcotest.test_case
+          (Printf.sprintf "shrinker drops the %s first" label)
+          `Quick (test_shrink_drops_first k);
+        Alcotest.test_case (label ^ " JSON and test skeleton") `Quick
+          (test_json_and_skeleton k);
+      ])
+    kind_table
 
 (* Tail-draw stability: deleting the load segment from a case must not
    change anything the earlier draws produced — i.e. the segment is
    purely additive on the generated shape. *)
 let test_load_segment_tail_positioned () =
-  let case = first_case has_load base in
-  match case.kind with
-  | Fuzz.Case.Analytic _ -> assert false
-  | Fuzz.Case.Sim s ->
-      let stripped = { case with kind = Fuzz.Case.Sim { s with load = None } } in
-      ignore (Fuzz.Exec.run stripped);
-      (* summary of the stripped case is the old-style summary prefix *)
-      let sum = Fuzz.Case.summary case
-      and sum' = Fuzz.Case.summary stripped in
-      Alcotest.(check bool) "stripped summary is a prefix" true
-        (String.length sum > String.length sum'
-        && String.sub sum 0 (String.length sum') = sum')
-
-let has_migrations (c : Fuzz.Case.t) = Fuzz.Case.migration_count c > 0
-let has_partitions (c : Fuzz.Case.t) = Fuzz.Case.partition_count c > 0
-
-let has_repl (c : Fuzz.Case.t) =
-  match c.kind with
-  | Fuzz.Case.Sim s -> s.Fuzz.Case.repl > 0
-  | Fuzz.Case.Analytic _ -> false
-
-let has_dbl (c : Fuzz.Case.t) =
-  match c.kind with
-  | Fuzz.Case.Sim s -> Option.is_some s.Fuzz.Case.dbl
-  | Fuzz.Case.Analytic _ -> false
-
-(* No layer newer than the one under test: the shrinker sheds newest
-   first, so "drops X first" only holds when X is the newest layer the
-   case carries. *)
-let no_repl_era (c : Fuzz.Case.t) =
-  (not (has_repl c)) && (not (has_partitions c)) && not (has_dbl c)
-
-(* The shrinker's very first candidate for a load-carrying case drops
-   the whole segment, so old failures minimize back to plain cases.
-   (Migration-free case: migrations are a yet-newer layer and shed
-   before the load segment — covered by its own test below.) *)
-let test_shrink_drops_load_first () =
-  let case =
-    first_case
-      (fun c -> has_load c && (not (has_migrations c)) && no_repl_era c)
-      base
-  in
-  match Fuzz.Shrink.candidates case with
-  | [] -> Alcotest.fail "no candidates for a load-carrying case"
-  | first :: _ ->
-      Alcotest.(check bool) "first candidate has no load segment" true
-        (not (has_load first));
-      (* and nothing else about the sim changed *)
-      (match (case.kind, first.kind) with
-      | Fuzz.Case.Sim a, Fuzz.Case.Sim b ->
-          Alcotest.(check int) "clients kept" a.Fuzz.Case.n_clients
-            b.Fuzz.Case.n_clients;
-          Alcotest.(check int) "phases kept"
-            (List.length a.Fuzz.Case.phases)
-            (List.length b.Fuzz.Case.phases)
-      | _ -> Alcotest.fail "candidate changed case kind")
-
-(* ---- mid-run migrations (DESIGN.md §15 integration) ---- *)
-
-(* The generator draws migrations at the very tail: they must appear,
-   run oracle-clean (the suite-wide CCPFS_CHECK=full pass adds the
-   ownership-exclusivity sweep), and stay deterministic. *)
-let test_migration_segment_generated_and_runs () =
-  let case = first_case has_migrations base in
-  let o = Fuzz.Exec.run case in
-  let o2 = Fuzz.Exec.run case in
-  Alcotest.(check int64) "migration case is deterministic" o.fingerprint
-    o2.fingerprint
-
-(* Migrations shed before every pre-sharding layer — a failure that
-   survives without them reproduces on a sharding-free case.  (The
-   repl-era trio is newer still and sheds even earlier; excluded here.) *)
-let test_shrink_drops_migrations_first () =
-  let case = first_case (fun c -> has_migrations c && no_repl_era c) base in
-  match Fuzz.Shrink.candidates case with
-  | [] -> Alcotest.fail "no candidates for a migration-carrying case"
-  | first :: _ ->
-      Alcotest.(check bool) "first candidate has no migrations" true
-        (not (has_migrations first));
-      (match (case.kind, first.kind) with
-      | Fuzz.Case.Sim a, Fuzz.Case.Sim b ->
-          Alcotest.(check int) "clients kept" a.Fuzz.Case.n_clients
-            b.Fuzz.Case.n_clients;
-          Alcotest.(check bool) "load kept" true
-            (Option.is_some a.Fuzz.Case.load = Option.is_some b.Fuzz.Case.load);
-          Alcotest.(check int) "phases kept"
-            (List.length a.Fuzz.Case.phases)
-            (List.length b.Fuzz.Case.phases)
-      | _ -> Alcotest.fail "candidate changed case kind")
-
-let test_migration_json_and_skeleton () =
-  let case = first_case has_migrations base in
-  (match Obs.Json.parse (Obs.Json.to_string (Fuzz.Case.to_json case)) with
-  | Error e -> Alcotest.fail e
-  | Ok _ -> ());
-  let skel = Fuzz.Case.to_ocaml_test case in
-  Alcotest.(check bool) "skeleton embeds the migrations" true
-    (contains ~sub:"mg_stripe" skel);
-  Alcotest.(check bool) "summary mentions them" true
-    (contains ~sub:"migration" (Fuzz.Case.summary case))
-
-let test_load_segment_json_and_skeleton () =
-  let case = first_case has_load base in
-  (match Obs.Json.parse (Obs.Json.to_string (Fuzz.Case.to_json case)) with
-  | Error e -> Alcotest.fail e
-  | Ok _ -> ());
-  let skel = Fuzz.Case.to_ocaml_test case in
-  Alcotest.(check bool) "skeleton embeds the load segment" true
-    (contains ~sub:"l_rate" skel && contains ~sub:"l_churn" skel);
-  let plain = first_case (fun c -> is_sim c && not (has_load c)) base in
-  Alcotest.(check bool) "plain skeleton writes load = None" true
-    (contains ~sub:"load = None" (Fuzz.Case.to_ocaml_test plain))
-
-(* ---- replication, partitions, double failures (DESIGN.md §16) ---- *)
+  let case = first_case (carries `Load) base in
+  let stripped = without `Load case in
+  ignore (Fuzz.Exec.run stripped);
+  let sum = Fuzz.Case.summary case and sum' = Fuzz.Case.summary stripped in
+  Alcotest.(check bool) "stripped summary is a prefix" true
+    (String.length sum > String.length sum'
+    && String.sub sum 0 (String.length sum') = sum')
 
 (* A replicated case with a mid-phase crash recovers through election +
    grant-log replay instead of the client gather — under the shadow
@@ -238,75 +224,13 @@ let test_load_segment_json_and_skeleton () =
 let test_repl_replay_failover_case () =
   let case =
     first_case
-      (fun c -> has_repl c && Fuzz.Case.mid_crash_count c > 0)
+      (fun c -> mid_crashes c > 0 && shape_has (fun s -> s.repl > 0) c)
       base
   in
   let o = Fuzz.Exec.run case in
   let o2 = Fuzz.Exec.run case in
   Alcotest.(check int64) "replicated failover case is deterministic"
     o.fingerprint o2.fingerprint
-
-let test_partition_segment_generated_and_runs () =
-  let case = first_case has_partitions base in
-  let o = Fuzz.Exec.run case in
-  let o2 = Fuzz.Exec.run case in
-  Alcotest.(check int64) "partition case is deterministic" o.fingerprint
-    o2.fingerprint
-
-(* An armed double failure: a second server actually dies inside the
-   first failover's window (needs a mid-crash and >= 2 servers). *)
-let has_armed_dbl (c : Fuzz.Case.t) =
-  match c.kind with
-  | Fuzz.Case.Sim s ->
-      Option.is_some s.Fuzz.Case.dbl
-      && s.Fuzz.Case.n_servers > 1
-      && Fuzz.Case.mid_crash_count c > 0
-  | Fuzz.Case.Analytic _ -> false
-
-let test_double_failure_generated_and_runs () =
-  let case = first_case has_armed_dbl base in
-  let o = Fuzz.Exec.run case in
-  let o2 = Fuzz.Exec.run case in
-  Alcotest.(check int64) "double-failure case is deterministic" o.fingerprint
-    o2.fingerprint
-
-(* The repl-era trio is the newest draw layer: a double-failure case
-   sheds its second crash before anything else. *)
-let test_shrink_drops_double_failure_first () =
-  let case = first_case has_dbl base in
-  match Fuzz.Shrink.candidates case with
-  | [] -> Alcotest.fail "no candidates for a double-failure case"
-  | first :: _ -> (
-      Alcotest.(check bool) "first candidate has no double failure" true
-        (not (has_dbl first));
-      match (case.kind, first.kind) with
-      | Fuzz.Case.Sim a, Fuzz.Case.Sim b ->
-          Alcotest.(check int) "replication kept" a.Fuzz.Case.repl
-            b.Fuzz.Case.repl;
-          Alcotest.(check int) "partitions kept"
-            (List.length a.Fuzz.Case.partitions)
-            (List.length b.Fuzz.Case.partitions);
-          Alcotest.(check int) "phases kept"
-            (List.length a.Fuzz.Case.phases)
-            (List.length b.Fuzz.Case.phases)
-      | _ -> Alcotest.fail "candidate changed case kind")
-
-let test_repl_era_json_and_skeleton () =
-  let case = first_case (fun c -> has_partitions c && has_repl c) base in
-  (match Obs.Json.parse (Obs.Json.to_string (Fuzz.Case.to_json case)) with
-  | Error e -> Alcotest.fail e
-  | Ok _ -> ());
-  let skel = Fuzz.Case.to_ocaml_test case in
-  Alcotest.(check bool) "skeleton embeds the partitions" true
-    (contains ~sub:"pt_server" skel);
-  Alcotest.(check bool) "skeleton embeds the replication factor" true
-    (contains ~sub:"repl = " skel);
-  Alcotest.(check bool) "summary mentions the partitions" true
-    (contains ~sub:"partition" (Fuzz.Case.summary case));
-  let plain = first_case (fun c -> is_sim c && no_repl_era c) base in
-  let pskel = Fuzz.Case.to_ocaml_test plain in
-  Alcotest.(check bool) "plain skeleton writes repl = 0 and dbl = None" true
-    (contains ~sub:"repl = 0" pskel && contains ~sub:"dbl = None" pskel)
 
 (* The draw stream is frozen until the corpus is re-pinned: these are
    the summaries the generator produced while it still drew an RPC
@@ -347,7 +271,7 @@ let test_draw_stream_pinned () =
         (Fuzz.Case.summary (Fuzz.Gen.of_seed seed)))
     pinned_summaries
 
-let test_case_json_shape () =
+let test_case_json_keeps_seed () =
   let case = first_case is_sim base in
   match Obs.Json.parse (Obs.Json.to_string (Fuzz.Case.to_json case)) with
   | Error e -> Alcotest.fail e
@@ -370,32 +294,16 @@ let suite =
           test_sn_reuse_caught_and_shrinks;
         Alcotest.test_case "planted block drop: caught by shadow file" `Quick
           test_drop_block_caught_by_shadow;
-        Alcotest.test_case "case JSON round-trip" `Quick test_case_json_shape;
-        Alcotest.test_case "load segment generated and deterministic" `Quick
-          test_load_segment_generated_and_runs;
+        Alcotest.test_case "case JSON parses and keeps the seed" `Quick
+          test_case_json_keeps_seed;
         Alcotest.test_case "load draw is tail-positioned" `Quick
           test_load_segment_tail_positioned;
-        Alcotest.test_case "shrinker drops the load segment first" `Quick
-          test_shrink_drops_load_first;
-        Alcotest.test_case "load segment JSON and test skeleton" `Quick
-          test_load_segment_json_and_skeleton;
-        Alcotest.test_case "migration segment generated and deterministic"
-          `Quick test_migration_segment_generated_and_runs;
-        Alcotest.test_case "shrinker drops migrations first" `Quick
-          test_shrink_drops_migrations_first;
-        Alcotest.test_case "migration JSON and test skeleton" `Quick
-          test_migration_json_and_skeleton;
         Alcotest.test_case "replicated failover case (election + replay)"
           `Quick test_repl_replay_failover_case;
-        Alcotest.test_case "partition segment generated and deterministic"
-          `Quick test_partition_segment_generated_and_runs;
-        Alcotest.test_case "double failure generated and deterministic" `Quick
-          test_double_failure_generated_and_runs;
-        Alcotest.test_case "shrinker drops the double failure first" `Quick
-          test_shrink_drops_double_failure_first;
-        Alcotest.test_case "repl-era JSON and test skeleton" `Quick
-          test_repl_era_json_and_skeleton;
         Alcotest.test_case "draw stream pinned across the retired batch draw"
           `Quick test_draw_stream_pinned;
-      ] );
+        Alcotest.test_case "analytic test skeleton compiles and replays"
+          `Quick (fun () -> check_skeleton "analytic");
+      ]
+      @ kind_tests );
   ]

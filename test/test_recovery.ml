@@ -159,50 +159,55 @@ let test_crash_refuses_queued_waiters () =
    shadow file predicts. *)
 let test_crash_with_dirty_cache_flush () =
   let open Fuzz.Case in
+  let open Fuzz.Segment in
   let case =
     {
-      Fuzz.Case.seed = 424242;
+      seed = 424242;
       params;
       kind =
         Sim
           {
-            policy_idx = 0;
-            n_servers = 1;
-            n_clients = 2;
-            stripes = 2;
-            stripe_blocks = 4;
-            dirty_min_blocks = 8;
-            dirty_max_blocks = 32;
-            extent_cache_limit = Config.default.extent_cache_limit;
-            tie_random = false;
-            jitter = 0.;
-            loss = 0.;
-            dup = 0.;
-            load = None;
-            migrations = [];
-            repl = 0;
-            partitions = [];
-            dbl = None;
-            phases =
+            shape =
+              {
+                policy_idx = 0;
+                n_servers = 1;
+                n_clients = 2;
+                stripes = 2;
+                stripe_blocks = 4;
+                dirty_min_blocks = 8;
+                dirty_max_blocks = 32;
+                extent_cache_limit = Config.default.extent_cache_limit;
+                tie_random = false;
+                jitter = 0.;
+                loss = 0.;
+                dup = 0.;
+                repl = 0;
+              };
+            segments =
               [
-                {
-                  ops =
-                    [|
-                      [
-                        Write { block = 0; blocks = 6 };
-                        Write { block = 8; blocks = 6 };
-                      ];
-                      [ Write { block = 4; blocks = 6 } ];
-                    |];
-                  crash_server = Some 0;
-                  crash_mid = None;
-                };
-                {
-                  ops =
-                    [| [ Write { block = 2; blocks = 4 } ]; [ Append { blocks = 2 } ] |];
-                  crash_server = None;
-                  crash_mid = None;
-                };
+                Phase
+                  {
+                    ops =
+                      [|
+                        [
+                          Write { block = 0; blocks = 6 };
+                          Write { block = 8; blocks = 6 };
+                        ];
+                        [ Write { block = 4; blocks = 6 } ];
+                      |];
+                    crash_server = Some 0;
+                    crash_mid = None;
+                  };
+                Phase
+                  {
+                    ops =
+                      [|
+                        [ Write { block = 2; blocks = 4 } ];
+                        [ Append { blocks = 2 } ];
+                      |];
+                    crash_server = None;
+                    crash_mid = None;
+                  };
               ];
           };
     }
