@@ -8,7 +8,8 @@
    rests on: extent-map updates (client cache & data-server extent
    cache), LCM checks, layout arithmetic, lock-server queue passes,
    engine dispatch (a deep queue of sleepers among them), the bare RPC
-   transport and whole mini-cluster steps.
+   transport (a call round trip and a reliable fire-and-forget send) and
+   whole mini-cluster steps.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- experiments  # tables/figures only
@@ -254,6 +255,38 @@ let bench_rpc_round_trip =
          done;
          Dessim.Engine.run eng;
          Sys.opaque_identity !sum))
+
+(* One reliable fire-and-forget send per sender, the shape of a
+   replication ship: a send courier per message running the fenced retry
+   loop (request courier, reply courier, the attempt's timeout timer)
+   against a handler that acknowledges at once.  A primary sends at half
+   the server's operation rate: all at once, most sends would time out
+   in its queue and retry. *)
+let bench_rpc_reliable_send =
+  let senders = 1024 in
+  row "rpc: reliable fire-and-forget send, 1k senders"
+    (fun () -> Staged.stage (fun () ->
+         let params = Netsim.Params.default in
+         let eng = Dessim.Engine.create () in
+         let server = Netsim.Node.create eng params ~name:"s" () in
+         let client = Netsim.Node.create eng params ~name:"c" () in
+         let acked = ref 0 in
+         let ep =
+           Netsim.Rpc.endpoint eng params ~node:server ~name:"s.repl"
+             ~handler:(fun k ~reply ->
+               acked := !acked + k;
+               reply ())
+         in
+         let reliability = Netsim.Rpc.reliability_for params in
+         let view = Netsim.Rpc.View.create () in
+         let gap = 2. /. params.Netsim.Params.server_ops in
+         Dessim.Engine.spawn eng ~name:"primary" (fun () ->
+             for i = 1 to senders do
+               Netsim.Rpc.send_reliable ep ~src:client ~reliability ~view i;
+               Dessim.Engine.sleep eng gap
+             done);
+         Dessim.Engine.run eng;
+         Sys.opaque_identity !acked))
 
 let bench_lock_handoff =
   row "full lock handoff chain (2 clients, 32 transfers)"
@@ -504,6 +537,7 @@ let micro_rows =
       bench_engine_pending_arrivals;
       bench_engine_deep_sleepers;
       bench_rpc_round_trip;
+      bench_rpc_reliable_send;
       bench_lock_handoff;
       bench_mini_cluster;
     ]

@@ -162,11 +162,11 @@ let start_cancel t (l : cached_lock) =
   if not l.cancel_started then begin
     l.cancel_started <- true;
     t.n_cancels <- t.n_cancels + 1;
+    let lock = string_of_int l.rid ^ "#" ^ string_of_int l.lock_id in
     Engine.spawn t.eng
-      ~name:(Printf.sprintf "c%d.cancel.r%d#%d" t.id l.rid l.lock_id)
+      ~name:(String.concat "" [ "c"; string_of_int t.id; ".cancel.r"; lock ])
       (fun () ->
-        Condition.wait_until
-          ~ctx:(Printf.sprintf "lock-idle:r%d#%d" l.rid l.lock_id)
+        Condition.wait_until ~ctx:("lock-idle:r" ^ lock)
           l.idle
           (fun () -> l.holders = 0);
         let srv = server t l.rid in

@@ -31,12 +31,13 @@ type 'resp dedup_entry = {
   de_epoch : int;
 }
 
-(* An endpoint's courier process names and its callers' wait context. *)
+(* An endpoint's courier process names, each with its fingerprint
+   digest, and its callers' wait context. *)
 type names = {
-  req : string;
-  reply : string;
-  notify : string;
-  send : string;
+  req : Engine.proc_name;
+  reply : Engine.proc_name;
+  notify : Engine.proc_name;
+  send : Engine.proc_name;
   wait_ctx : string option; (* "rpc:<name>" *)
 }
 
@@ -45,6 +46,7 @@ type ('req, 'resp) endpoint = {
   params : Params.t;
   node : Node.t;
   name : string;
+  blocking : bool; (* the handler may block: it runs as a fiber *)
   mutable names : names option; (* built by [names] on the first message *)
   handler : 'req -> reply:('resp -> unit) -> unit;
   mutable count : int;
@@ -96,12 +98,12 @@ end
    fire), so the table is bounded by cap + in-flight handlers. *)
 let default_dedup_cap = 4096
 
-let endpoint eng params ~node ~name ~handler =
+let endpoint ?(blocking = false) eng params ~node ~name ~handler =
   let latency =
     Obs.Metrics.histogram (Engine.metrics eng) ("rpc.latency." ^ name)
   in
   let retry_counter = Obs.Metrics.counter (Engine.metrics eng) "rpc.retry" in
-  { eng; params; node; name; names = None; handler; count = 0; latency;
+  { eng; params; node; name; blocking; names = None; handler; count = 0; latency;
     epoch = 0; down = false; incarnation = 0; dedup = Hashtbl.create 64;
     dedup_order = Queue.create (); dedup_cap = default_dedup_cap;
     fault = None; retry_counter }
@@ -114,58 +116,127 @@ let names t =
   match t.names with
   | Some n -> n
   | None ->
+      let courier suffix = Engine.proc_name (t.name ^ suffix) in
       let n =
-        { req = t.name ^ ".req"; reply = t.name ^ ".reply";
-          notify = t.name ^ ".notify"; send = t.name ^ ".send";
+        { req = courier ".req"; reply = courier ".reply";
+          notify = courier ".notify"; send = courier ".send";
           wait_ctx = Some ("rpc:" ^ t.name) }
       in
       t.names <- Some n;
       n
 
-(* Request journey, run in the context of some process: propagation, then
-   the server's NIC pipe, then its RPC processor. *)
 let pipe_for node params bytes =
   if bytes > params.Params.bulk_threshold then Node.rx node
   else Node.ctl_rx node
 
-let inbound t bytes =
-  Engine.sleep t.eng (t.params.Params.rtt /. 2.);
-  Node.add_net_bytes t.node bytes;
-  Resource.consume (pipe_for t.node t.params bytes) (float_of_int bytes);
-  Resource.consume (Node.ops t.node) 1.;
-  Node.incr_rpc t.node;
-  t.count <- t.count + 1
-
 (* A request/notification span covering transport + the handler's
-   synchronous part, on the courier process's own tid.  The deferred tail
-   of a handler (a lock server parking [reply] until conflicts resolve)
-   is deliberately outside: that wait shows up as the lock-lifecycle
-   events instead. *)
-let serve_span t kind bytes f =
+   synchronous part, on the courier process's own tid: begun at the
+   courier's first step, ended when the handler returns.  The deferred
+   tail of a handler (a lock server parking [reply] until conflicts
+   resolve) is deliberately outside: that wait shows up as the
+   lock-lifecycle events instead. *)
+let begin_serve t kind bytes =
   let sink = Engine.trace_sink t.eng in
-  if not (Obs.Trace.enabled sink) then f ()
-  else begin
-    let tid = Engine.current_pid t.eng in
-    Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"rpc"
+  if Obs.Trace.enabled sink then
+    Obs.Trace.begin_span sink ~ts:(Engine.now t.eng)
+      ~tid:(Engine.current_pid t.eng) ~cat:"rpc"
       ~args:[ ("bytes", Obs.Json.Int bytes) ]
-      (kind ^ ":" ^ t.name);
-    match f () with
-    | v ->
-        Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid (kind ^ ":" ^ t.name);
-        v
-    | exception e ->
-        Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid (kind ^ ":" ^ t.name);
-        raise e
-  end
+      (kind ^ ":" ^ t.name)
 
-(* Reply journey: a courier carries it back to [src] and fills the ivar. *)
-let reply_courier t ~src ~resp_bytes ivar resp =
-  Engine.spawn t.eng ~name:(names t).reply
-    (fun () ->
-      Engine.sleep t.eng (t.params.Params.rtt /. 2.);
-      Node.add_net_bytes src resp_bytes;
-      Resource.consume (pipe_for src t.params resp_bytes) (float_of_int resp_bytes);
-      Ivar.fill ivar resp)
+let end_serve t kind =
+  let sink = Engine.trace_sink t.eng in
+  if Obs.Trace.enabled sink then
+    Obs.Trace.end_span sink ~ts:(Engine.now t.eng)
+      ~tid:(Engine.current_pid t.eng) (kind ^ ":" ^ t.name)
+
+(* The courier's last step: run the handler part of a delivery.  On a
+   blocking endpoint it runs as a fiber of the courier, so it may wait on
+   the disk; anywhere else it runs inline, where a blocking call finds
+   no effect handler and is reported against the endpoint. *)
+let serve t kind handle =
+  if t.blocking then
+    Engine.Fiber
+      (fun () ->
+        match handle () with
+        | () -> end_serve t kind
+        | exception e ->
+            end_serve t kind;
+            raise e)
+  else
+    match handle () with
+    | () ->
+        end_serve t kind;
+        Engine.Done
+    | exception Effect.Unhandled _ ->
+        end_serve t kind;
+        invalid_arg
+          ("Rpc: the handler of " ^ t.name
+         ^ " blocked, but the endpoint is not declared ~blocking:true")
+    | exception e ->
+        end_serve t kind;
+        raise e
+
+(* A fenced message is dropped when the server is down or was reset
+   since the send. *)
+let cut t ~fenced ~inc = fenced && (t.down || inc <> t.incarnation)
+
+let dropped t kind =
+  end_serve t kind;
+  Engine.Done
+
+(* The request leg of a courier, as steps: half an RTT of propagation,
+   the server's NIC pipe, its RPC processor, then [handle].  A fenced
+   leg is dropped on arrival at a cut server, and again after the
+   queues: the server may have crashed while the request sat in them,
+   and a dead incarnation must not run handlers.  Shared by every
+   request, notification and fenced attempt. *)
+let request_leg t ~kind ~bytes ~fenced ~inc handle =
+  let rec start () =
+    begin_serve t kind bytes;
+    Engine.Sleep (t.params.Params.rtt /. 2., arrive)
+  and arrive () =
+    if cut t ~fenced ~inc then dropped t kind
+    else begin
+      Node.add_net_bytes t.node bytes;
+      Engine.Sleep
+        (Resource.reserve (pipe_for t.node t.params bytes) (float_of_int bytes), queue)
+    end
+  and queue () = Engine.Sleep (Resource.reserve (Node.ops t.node) 1., served)
+  and served () =
+    if cut t ~fenced ~inc then dropped t kind
+    else begin
+      Node.incr_rpc t.node;
+      t.count <- t.count + 1;
+      serve t kind handle
+    end
+  in
+  start
+
+(* The reply leg, as steps: half an RTT back to [src], its NIC pipe,
+   then the fill.  A fenced reply may be lost to the fault plane, and
+   tolerates a duplicate having filled the cell first. *)
+let reply_leg t ~src ~bytes ~fenced ivar v =
+  let rec start () = Engine.Sleep (t.params.Params.rtt /. 2., arrive)
+  and arrive () =
+    let lost =
+      fenced
+      && match t.fault with Some f -> f.f_rng () < f.f_loss | None -> false
+    in
+    if lost then Engine.Done
+    else begin
+      Node.add_net_bytes src bytes;
+      Engine.Sleep
+        (Resource.reserve (pipe_for src t.params bytes) (float_of_int bytes), fill)
+    end
+  and fill () =
+    if not (fenced && Ivar.is_filled ivar) then Ivar.fill ivar v;
+    Engine.Done
+  in
+  start
+
+let reply_courier t ~src ~bytes ~fenced ivar v =
+  Engine.spawn_steps t.eng ~name:(names t).reply
+    (reply_leg t ~src ~bytes ~fenced ivar v)
 
 let call_async t ~src ?req_bytes ?resp_bytes req =
   let req_bytes = Option.value req_bytes ~default:t.params.Params.ctl_msg_bytes in
@@ -173,12 +244,11 @@ let call_async t ~src ?req_bytes ?resp_bytes req =
     Option.value resp_bytes ~default:t.params.Params.ctl_msg_bytes
   in
   let ivar = Ivar.create t.eng in
-  Engine.spawn t.eng ~name:(names t).req
-    (fun () ->
-      serve_span t "serve" req_bytes (fun () ->
-          inbound t req_bytes;
-          t.handler req ~reply:(fun resp ->
-              reply_courier t ~src ~resp_bytes ivar resp)));
+  Engine.spawn_steps t.eng ~name:(names t).req
+    (request_leg t ~kind:"serve" ~bytes:req_bytes ~fenced:false ~inc:0
+       (fun () ->
+         t.handler req ~reply:(fun resp ->
+             reply_courier t ~src ~bytes:resp_bytes ~fenced:false ivar resp)));
   ivar
 
 let call t ~src ?req_bytes ?resp_bytes req =
@@ -206,20 +276,18 @@ let call t ~src ?req_bytes ?resp_bytes req =
 let notify t ~src ?req_bytes req =
   let req_bytes = Option.value req_bytes ~default:t.params.Params.ctl_msg_bytes in
   ignore src;
-  Engine.spawn t.eng ~name:(names t).notify
-    (fun () ->
-      serve_span t "notify" req_bytes (fun () ->
-          inbound t req_bytes;
-          t.handler req ~reply:(fun () -> ())))
+  Engine.spawn_steps t.eng ~name:(names t).notify
+    (request_leg t ~kind:"notify" ~bytes:req_bytes ~fenced:false ~inc:0
+       (fun () -> t.handler req ~reply:ignore))
 
 let calls t = t.count
 let name t = t.name
 
 (* ------------------------------------------------------------------ *)
 (* Fenced transport: epoch checks, at-most-once dedup, crash fencing   *)
-(* and fault injection.  The plain [call]/[notify] paths above are     *)
-(* deliberately untouched — fenced semantics only apply where the HA   *)
-(* layer asked for them.                                               *)
+(* and fault injection.  The plain [call]/[notify] paths share the     *)
+(* legs above but never take their fenced branches — fenced semantics  *)
+(* only apply where the HA layer asked for them.                       *)
 (* ------------------------------------------------------------------ *)
 
 let set_down t down = t.down <- down
@@ -268,88 +336,55 @@ let set_fault t ~loss ~dup ~rng =
 
 let clear_fault t = t.fault <- None
 
-(* Reply leg of a fenced call; drops the message instead of filling the
-   ivar when the fault plane loses it, and tolerates duplicate arrivals
-   (the ivar is first-writer-wins). *)
-let reply_fenced t ~src ~resp_bytes ivar outcome =
-  Engine.spawn t.eng ~name:(names t).reply
-    (fun () ->
-      Engine.sleep t.eng (t.params.Params.rtt /. 2.);
-      let lost =
-        match t.fault with
-        | Some f -> f.f_rng () < f.f_loss
-        | None -> false
-      in
-      if not lost then begin
-        Node.add_net_bytes src resp_bytes;
-        Resource.consume (pipe_for src t.params resp_bytes)
-          (float_of_int resp_bytes);
-        if not (Ivar.is_filled ivar) then Ivar.fill ivar outcome
-      end)
+(* The delivery of a fenced request: the epoch fence, then dedup, then
+   the handler. *)
+let deliver_fenced t ~src ~resp_bytes ~epoch:req_epoch ~req_id ivar req () =
+  let send resp = reply_courier t ~src ~bytes:resp_bytes ~fenced:true ivar resp in
+  if req_epoch < t.epoch then send (Stale t.epoch)
+  else
+    let send_reply resp = send (Reply (resp, t.epoch)) in
+    match req_id with
+    | None -> t.handler req ~reply:send_reply
+    | Some id -> (
+        let run_fresh () =
+          let e =
+            { de_id = id; de_result = None; de_pending = [ send_reply ];
+              de_epoch = req_epoch }
+          in
+          Hashtbl.add t.dedup id e;
+          Queue.push e t.dedup_order;
+          prune_dedup t;
+          t.handler req ~reply:(fun resp ->
+              match e.de_result with
+              | Some _ -> () (* handler double-reply: keep the first *)
+              | None ->
+                  e.de_result <- Some resp;
+                  let ps = List.rev e.de_pending in
+                  e.de_pending <- [];
+                  List.iter (fun send -> send resp) ps)
+        in
+        match Hashtbl.find_opt t.dedup id with
+        | Some e when e.de_result <> None && req_epoch > e.de_epoch ->
+            (* The stored reply predates an epoch bump this caller has
+               already observed (a post-election re-submission): the
+               cached result belongs to the fenced-off regime, so purge
+               it and run the handler against the current state.  The
+               id's stale slot in [dedup_order] names the purged entry,
+               so pruning drops it without evicting this
+               re-submission. *)
+            Hashtbl.remove t.dedup id;
+            run_fresh ()
+        | Some e -> (
+            (* Retransmission (or duplicate) of a request we already
+               accepted: never re-run the handler. *)
+            match e.de_result with
+            | Some resp -> send_reply resp
+            | None -> e.de_pending <- send_reply :: e.de_pending)
+        | None -> run_fresh ())
 
-(* One physical delivery of a fenced request.  Runs in a courier process:
-   propagation, then — only if the server is still the same live
-   incarnation — NIC + service costs, the epoch fence, and dedup. *)
-let deliver_fenced t ~src ~req_bytes ~resp_bytes ~epoch:req_epoch ~req_id ~inc
-    ivar req =
-  Engine.sleep t.eng (t.params.Params.rtt /. 2.);
-  if not (t.down || inc <> t.incarnation) then begin
-    Node.add_net_bytes t.node req_bytes;
-    Resource.consume (pipe_for t.node t.params req_bytes)
-      (float_of_int req_bytes);
-    Resource.consume (Node.ops t.node) 1.;
-    (* The server may have crashed while the request sat in its NIC/ops
-       queues; a dead incarnation must not run handlers. *)
-    if not (t.down || inc <> t.incarnation) then begin
-      Node.incr_rpc t.node;
-      t.count <- t.count + 1;
-      let send resp = reply_fenced t ~src ~resp_bytes ivar resp in
-      if req_epoch < t.epoch then send (Stale t.epoch)
-      else
-        let send_reply resp = send (Reply (resp, t.epoch)) in
-        match req_id with
-        | None -> t.handler req ~reply:send_reply
-        | Some id ->
-            let run_fresh () =
-              let e =
-                { de_id = id; de_result = None; de_pending = [ send_reply ];
-                  de_epoch = req_epoch }
-              in
-              Hashtbl.add t.dedup id e;
-              Queue.push e t.dedup_order;
-              prune_dedup t;
-              t.handler req ~reply:(fun resp ->
-                  match e.de_result with
-                  | Some _ -> () (* handler double-reply: keep the first *)
-                  | None ->
-                      e.de_result <- Some resp;
-                      let ps = List.rev e.de_pending in
-                      e.de_pending <- [];
-                      List.iter (fun send -> send resp) ps)
-            in
-            (match Hashtbl.find_opt t.dedup id with
-            | Some e when e.de_result <> None && req_epoch > e.de_epoch ->
-                (* The stored reply predates an epoch bump this caller has
-                   already observed (a post-election re-submission): the
-                   cached result belongs to the fenced-off regime, so purge
-                   it and run the handler against the current state.  The
-                   id's stale slot in [dedup_order] names the purged
-                   entry, so pruning drops it without evicting this
-                   re-submission. *)
-                Hashtbl.remove t.dedup id;
-                run_fresh ()
-            | Some e -> (
-                (* Retransmission (or duplicate) of a request we already
-                   accepted: never re-run the handler. *)
-                match e.de_result with
-                | Some resp -> send_reply resp
-                | None -> e.de_pending <- send_reply :: e.de_pending)
-            | None -> run_fresh ())
-    end
-  end
-
-let call_fenced t ~src ?req_bytes ?resp_bytes ?timeout ~epoch:req_epoch ?req_id
-    req =
+(* One fenced attempt, as steps: the loss and duplication draws, one
+   request courier per copy, then the wait for the outcome. *)
+let attempt t ~src ?req_bytes ?resp_bytes ?timeout ~epoch ?req_id req k =
   let req_bytes = Option.value req_bytes ~default:t.params.Params.ctl_msg_bytes in
   let resp_bytes =
     Option.value resp_bytes ~default:t.params.Params.ctl_msg_bytes
@@ -365,18 +400,25 @@ let call_fenced t ~src ?req_bytes ?resp_bytes ?timeout ~epoch:req_epoch ?req_id
         base + extra
   in
   for _ = 1 to copies do
-    Engine.spawn t.eng ~name:(names t).req
-      (fun () ->
-        serve_span t "serve" req_bytes (fun () ->
-            deliver_fenced t ~src ~req_bytes ~resp_bytes ~epoch:req_epoch
-              ~req_id ~inc ivar req))
+    Engine.spawn_steps t.eng ~name:(names t).req
+      (request_leg t ~kind:"serve" ~bytes:req_bytes ~fenced:true ~inc
+         (deliver_fenced t ~src ~resp_bytes ~epoch ~req_id ivar req))
   done;
-  match timeout with
-  | None -> Ivar.read ?ctx:(names t).wait_ctx ivar
-  | Some d -> (
-      match Ivar.read_timeout ?ctx:(names t).wait_ctx ivar ~timeout:d with
-      | Some outcome -> outcome
-      | None -> Timeout)
+  Ivar.await ?ctx:(names t).wait_ctx ?timeout ivar (fun () ->
+      k (match Ivar.peek ivar with Some outcome -> outcome | None -> Timeout))
+
+(* Run a step chain that ends in [k v] inside the calling process and
+   return [v]. *)
+let block t steps =
+  let result = ref None in
+  Engine.run_steps t.eng
+    (steps (fun v ->
+         result := Some v;
+         Engine.Done));
+  Option.get !result
+
+let call_fenced t ~src ?req_bytes ?resp_bytes ?timeout ~epoch ?req_id req =
+  block t (attempt t ~src ?req_bytes ?resp_bytes ?timeout ~epoch ?req_id req)
 
 let note_retry t view ~attempt =
   Obs.Metrics.incr t.retry_counter;
@@ -388,52 +430,50 @@ let note_retry t view ~attempt =
       ~args:[ ("endpoint", Obs.Json.Str t.name); ("attempt", Obs.Json.Int attempt) ]
       "rpc.retry"
 
-let call_reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req =
+(* The retry loop, as steps, shared by the blocking [call_reliable] and
+   the [send_reliable] courier: fenced attempts under one request id
+   until a same-or-newer-epoch reply arrives, then [k resp]. *)
+let reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req k =
   let req_id = View.fresh_req_id view in
   let timeout = Option.map (fun r -> r.rel_timeout) reliability in
-  let rec attempt k backoff =
+  let rec go n backoff =
     let req_epoch = View.epoch view t.name in
-    let outcome =
-      call_fenced t ~src ?req_bytes ?resp_bytes ?timeout ~epoch:req_epoch
-        ~req_id req
-    in
-    let retry () =
-      note_retry t view ~attempt:(k + 1);
-      (match reliability with
-      | None -> ()
-      | Some _ ->
-          (* Jittered exponential backoff; the jitter draw comes from the
-             engine's deterministic stream. *)
-          Engine.sleep t.eng
-            (backoff +. Engine.random_float t.eng (backoff /. 2.)));
-      (* Clamp the accumulator itself, not just the drawn delay: a long
-         outage doubles it once per attempt, and an unclamped float
-         marches toward infinity (and loses the plateau if the cap is
-         ever applied after jitter). *)
-      let next =
-        match reliability with
-        | None -> backoff
-        | Some rel -> Float.min (backoff *. 2.) rel.rel_max_backoff
-      in
-      attempt (k + 1) next
-    in
-    match outcome with
-    | Reply (resp, e) when e >= View.epoch view t.name ->
-        View.observe view t.name e;
-        resp
-    | Reply _ ->
-        (* A grant from a fenced-off epoch arrived after we learned of the
-           recovery: discard it and re-submit against the new epoch. *)
-        retry ()
-    | Stale e ->
-        View.observe view t.name e;
-        retry ()
-    | Timeout -> retry ()
+    attempt t ~src ?req_bytes ?resp_bytes ?timeout ~epoch:req_epoch ~req_id req
+      (fun outcome ->
+        let retry () =
+          note_retry t view ~attempt:(n + 1);
+          (* Clamp the accumulator itself, not just the drawn delay: a
+             long outage doubles it once per attempt, and an unclamped
+             float marches toward infinity (and loses the plateau if the
+             cap is ever applied after jitter). *)
+          match reliability with
+          | None -> go (n + 1) backoff
+          | Some rel ->
+              (* Jittered exponential backoff; the jitter draw comes from
+                 the engine's deterministic stream. *)
+              Engine.Sleep
+                ( backoff +. Engine.random_float t.eng (backoff /. 2.),
+                  fun () -> go (n + 1) (Float.min (backoff *. 2.) rel.rel_max_backoff) )
+        in
+        match outcome with
+        | Reply (resp, e) when e >= View.epoch view t.name ->
+            View.observe view t.name e;
+            k resp
+        | Reply _ ->
+            (* A grant from a fenced-off epoch arrived after we learned of
+               the recovery: discard it and re-submit against the new
+               epoch. *)
+            retry ()
+        | Stale e ->
+            View.observe view t.name e;
+            retry ()
+        | Timeout -> retry ())
   in
-  attempt 0
-    (match reliability with Some r -> r.rel_base_backoff | None -> 0.)
+  go 0 (match reliability with Some r -> r.rel_base_backoff | None -> 0.)
+
+let call_reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req =
+  block t (reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req)
 
 let send_reliable t ~src ?req_bytes ?reliability ~view req =
-  Engine.spawn t.eng ~name:(names t).send
-    (fun () ->
-      ignore (call_reliable t ~src ?req_bytes ?reliability ~view req))
+  Engine.spawn_steps t.eng ~name:(names t).send (fun () ->
+      reliable t ~src ?req_bytes ?reliability ~view req (fun _ -> Engine.Done))

@@ -342,7 +342,8 @@ let create eng params config ~node ~name ~lock_server =
   in
   t.ep <-
     Some
-      (Rpc.endpoint eng params ~node ~name:(name ^ ".io")
+      (* Write_flush and Read occupy the disk before replying. *)
+      (Rpc.endpoint ~blocking:true eng params ~node ~name:(name ^ ".io")
          ~handler:(fun req ~reply -> handle t req ~reply));
   Engine.spawn eng ~daemon:true ~name:(name ^ ".cleanup") (cleanup_daemon t);
   t

@@ -1,8 +1,10 @@
 (** Deterministic discrete-event simulation engine.
 
     Clients, lock servers and data servers of the simulated cluster run as
-    cooperative processes (OCaml 5 effect-handler coroutines) over a
-    shared virtual clock.  A process runs until it blocks — on a timer
+    cooperative processes over a shared virtual clock: fibers (OCaml 5
+    effect-handler coroutines) that may block anywhere, or step processes
+    whose body is a chain of steps, one per event ({!spawn_steps}; the
+    RPC couriers).  A process runs until it blocks — on a timer
     ({!sleep}), a mailbox, a semaphore or a bandwidth resource — and the
     engine then dispatches the next event in (time, sequence) order, so
     runs are reproducible event-for-event.  The sequence number is the
@@ -56,7 +58,45 @@ val now : t -> float
 
 val spawn : t -> ?daemon:bool -> name:string -> (unit -> unit) -> unit
 (** Start a process at the current virtual time.  [daemon] defaults to
-    [false]. *)
+    [false].  The body runs as a fiber: it may block anywhere, through
+    {!sleep}, {!suspend} and the structures built on them.  This is
+    {!spawn_steps} with one [Fiber] step. *)
+
+(** {1 Step processes}
+
+    A process whose body is a chain of steps runs without a fiber of its
+    own: each step is a function run in some event, and a blocking step
+    hands the engine what to do next.  The RPC couriers are step
+    processes ({!Netsim.Rpc}): one short-lived process per message, so a
+    fiber and an effect round trip per transport hop would be most of
+    their cost.  A step process takes its pid, name, live count and trace
+    thread name exactly as {!spawn} does, and each blocking step pushes
+    the events the matching blocking call inside a fiber pushes, so the
+    [(time, sequence)] stream, the {!fingerprint}, {!blocked_report} and
+    {!Deadlock} cannot tell the two apart (DESIGN.md §18). *)
+
+type step =
+  | Done  (** the process has finished *)
+  | Sleep of float * (unit -> step)
+      (** as {!sleep}, then the continuation; a zero duration runs on at
+          once, without an event *)
+  | Wait of string option * ((unit -> unit) -> unit) * (unit -> step)
+      (** as {!suspend} with that context and register function, then
+          the continuation *)
+  | Fiber of (unit -> unit)
+      (** run the body as a fiber of this process, now: the rest of the
+          process may block anywhere *)
+
+type proc_name
+(** A process name with its fingerprint digest, computed once. *)
+
+val proc_name : string -> proc_name
+
+val spawn_steps : t -> ?daemon:bool -> name:proc_name -> (unit -> step) -> unit
+(** Start a step process at the current virtual time: its first event
+    runs the function and then the steps it returns.  An exception
+    raised by a step, or by a [Wait]'s register function, ends the
+    process as one raised by a fiber body does. *)
 
 val schedule : t -> ?delay:float -> (unit -> unit) -> unit
 (** Run a plain thunk (not a blocking process) at [now + delay].
@@ -102,6 +142,13 @@ val suspend : ?ctx:string -> t -> ((unit -> unit) -> unit) -> unit
     virtual time of the call.  This is the primitive the blocking
     synchronisation structures are built from.  [ctx] names what the
     process is waiting for; it is carried into {!Deadlock} reports. *)
+
+val run_steps : t -> step -> unit
+(** Run a step chain inside the current fiber: [Sleep] through {!sleep},
+    [Wait] through {!suspend}, [Fiber] by calling the body.  The events
+    are the ones a step process running the same chain would push, so a
+    protocol written once as steps serves both a blocking caller and a
+    courier of its own. *)
 
 val live_processes : t -> int
 (** Regular processes spawned and not yet finished. *)

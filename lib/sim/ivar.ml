@@ -22,19 +22,23 @@ let read ?(ctx = "ivar") t =
       Engine.suspend ~ctx t.eng (fun resume -> t.waiters <- resume :: t.waiters);
       (match t.value with Some v -> v | None -> assert false)
 
-let read_timeout ?(ctx = "ivar") t ~timeout =
-  (match t.value with
-  | Some _ -> ()
-  | None ->
-      if timeout < 0. then invalid_arg "Ivar.read_timeout: negative timeout";
+let await ?(ctx = "ivar") ?timeout t k =
+  match (t.value, timeout) with
+  | Some _, _ -> k ()
+  | None, None ->
+      Engine.Wait (Some ctx, (fun resume -> t.waiters <- resume :: t.waiters), k)
+  | None, Some d ->
+      if d < 0. then invalid_arg "Ivar.await: negative timeout";
       (* Race the fill against a timer: resume is idempotent (the engine
          guards re-entry), so whichever fires first wins and the loser is
          a no-op.  If the ivar is abandoned and filled later, the stale
          waiter entry resumes nothing. *)
-      Engine.suspend ~ctx t.eng (fun resume ->
-          t.waiters <- resume :: t.waiters;
-          Engine.schedule t.eng ~delay:timeout resume));
-  t.value
+      Engine.Wait
+        ( Some ctx,
+          (fun resume ->
+            t.waiters <- resume :: t.waiters;
+            Engine.schedule t.eng ~delay:d resume),
+          k )
 
 let is_filled t = Option.is_some t.value
 let peek t = t.value

@@ -12,11 +12,14 @@ val read : ?ctx:string -> 'a t -> 'a
 (** Returns immediately if filled, otherwise blocks the current process.
     [ctx] names the awaited reply in {!Engine.Deadlock} reports. *)
 
-val read_timeout : ?ctx:string -> 'a t -> timeout:float -> 'a option
-(** Like {!read} but gives up after [timeout] seconds of virtual time:
-    [None] means the cell was still empty at the deadline.  The caller may
-    abandon the ivar afterwards — a late {!fill} simply finds no live
-    waiter.  @raise Invalid_argument on a negative timeout. *)
+val await :
+  ?ctx:string -> ?timeout:float -> 'a t -> (unit -> Engine.step) -> Engine.step
+(** The step form of {!read} ({!Engine.step}): the continuation runs at
+    once if the cell is filled, otherwise after the fill or, with
+    [timeout], after that many seconds of virtual time, whichever comes
+    first; {!peek} tells which.  The caller may abandon the ivar after a
+    timeout: a late {!fill} finds no live waiter.
+    @raise Invalid_argument on a negative timeout. *)
 
 val is_filled : 'a t -> bool
 val peek : 'a t -> 'a option

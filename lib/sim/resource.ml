@@ -1,8 +1,10 @@
+(* All floats, so the record is stored flat: updating it allocates
+   nothing, and [reserve] runs at every transport hop. *)
+type queue = { rate : float; mutable available_at : float; mutable busy : float }
+
 type t = {
   eng : Engine.t;
-  rate : float;
-  mutable available_at : float;
-  mutable busy : float;
+  q : queue;
   wait_hist : Obs.Metrics.histogram option;
   busy_hist : Obs.Metrics.histogram option;
 }
@@ -17,26 +19,33 @@ let create eng ?metric ~rate () =
         ( Some (Obs.Metrics.histogram m ("resource.wait." ^ name)),
           Some (Obs.Metrics.histogram m ("resource.busy." ^ name)) )
   in
-  { eng; rate; available_at = 0.; busy = 0.; wait_hist; busy_hist }
+  { eng; q = { rate; available_at = 0.; busy = 0. }; wait_hist; busy_hist }
 
-let consume t amount =
-  if amount < 0. then invalid_arg "Resource.consume: negative amount";
-  if t.rate = infinity || amount = 0. then ()
+let reserve t amount =
+  if amount < 0. then invalid_arg "Resource.reserve: negative amount";
+  let q = t.q in
+  if q.rate = infinity || amount = 0. then 0.
   else begin
-    let service = amount /. t.rate in
+    let service = amount /. q.rate in
     let now = Engine.now t.eng in
-    let start = Float.max now t.available_at in
-    t.available_at <- start +. service;
-    t.busy <- t.busy +. service;
-    (match t.wait_hist with
-    | Some h -> Obs.Metrics.observe h (start -. now)
-    | None -> ());
-    (match t.busy_hist with
-    | Some h -> Obs.Metrics.observe h service
-    | None -> ());
-    Engine.sleep t.eng (t.available_at -. now)
+    let start = Float.max now q.available_at in
+    q.available_at <- start +. service;
+    q.busy <- q.busy +. service;
+    (* the registry's switch, tested before the floats are boxed for
+       [observe] *)
+    if Obs.Metrics.is_enabled (Engine.metrics t.eng) then begin
+      (match t.wait_hist with
+      | Some h -> Obs.Metrics.observe h (start -. now)
+      | None -> ());
+      match t.busy_hist with
+      | Some h -> Obs.Metrics.observe h service
+      | None -> ()
+    end;
+    q.available_at -. now
   end
 
-let busy_seconds t = t.busy
-let backlog_until t = t.available_at
-let rate t = t.rate
+let consume t amount = Engine.sleep t.eng (reserve t amount)
+
+let busy_seconds t = t.q.busy
+let backlog_until t = t.q.available_at
+let rate t = t.q.rate

@@ -20,8 +20,16 @@ val create : Engine.t -> ?metric:string -> rate:float -> unit -> t
     shared across instances, so every node's data pipe aggregates into
     one instrument. *)
 
+val reserve : t -> float -> float
+(** Queue [amount] units behind all earlier requests, account their
+    service, and return how long the caller must wait, from now, for
+    the service to complete (0 on an infinite rate or a zero amount).
+    A step process sleeps that long itself.
+    @raise Invalid_argument on a negative amount. *)
+
 val consume : t -> float -> unit
-(** Block for the FIFO-queued service time of [amount] units. *)
+(** Block for the FIFO-queued service time of [amount] units:
+    {!reserve}, then {!Engine.sleep}. *)
 
 val busy_seconds : t -> float
 (** Total service time performed so far (utilisation accounting). *)

@@ -630,6 +630,67 @@ let test_non_finite_delays () =
     !raised;
   Alcotest.(check int) "nothing queued" 3 (Engine.events_dispatched eng)
 
+let test_steps_match_fiber () =
+  (* The same chain run three ways: as a step process, as a fiber, and
+     through [run_steps] inside a fiber.  The event streams, the
+     blocked reports mid-run and the clock must agree. *)
+  let chain gate =
+    Engine.Sleep
+      ( 1.,
+        fun () ->
+          Engine.Wait
+            ( Some "gate",
+              (fun resume -> gate := Some resume),
+              fun () ->
+                Engine.Sleep (0., fun () -> Engine.Sleep (2., fun () -> Engine.Done))
+            ) )
+  in
+  let world start =
+    let eng = Engine.create () in
+    let gate = ref None in
+    start eng gate;
+    Engine.spawn eng ~name:"opener" (fun () ->
+        Engine.sleep eng 1.5;
+        Option.get !gate ());
+    let report () =
+      List.map
+        (fun b -> Format.asprintf "%d %a" b.Engine.b_pid Engine.pp_blocked b)
+        (Engine.blocked_report eng)
+    in
+    Engine.run ~until:0.5 eng;
+    let r1 = report () in
+    Engine.run ~until:1.2 eng;
+    let r2 = report () in
+    Engine.run eng;
+    (r1, r2, Engine.now eng, Engine.events_dispatched eng, Engine.fingerprint eng)
+  in
+  let steps =
+    world (fun eng gate ->
+        Engine.spawn_steps eng ~name:(Engine.proc_name "p") (fun () ->
+            chain gate))
+  in
+  let fiber =
+    world (fun eng gate ->
+        Engine.spawn eng ~name:"p" (fun () ->
+            Engine.sleep eng 1.;
+            Engine.suspend ~ctx:"gate" eng (fun resume -> gate := Some resume);
+            Engine.sleep eng 0.;
+            Engine.sleep eng 2.))
+  in
+  let inline =
+    world (fun eng gate ->
+        Engine.spawn eng ~name:"p" (fun () -> Engine.run_steps eng (chain gate)))
+  in
+  let r1, r2, now, _, _ = steps in
+  Alcotest.(check (list string)) "sleeping"
+    [ "1 p blocked on sleep"; "2 opener blocked on sleep" ] r1;
+  Alcotest.(check (list string)) "waiting"
+    [ "1 p blocked on gate"; "2 opener blocked on sleep" ] r2;
+  feq "finish" 3.5 now;
+  let same = Alcotest.(check bool) in
+  same "fiber == steps" true (fiber = steps);
+  same "run_steps == steps" true (inline = steps)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ()) in
   [
@@ -660,6 +721,8 @@ let suite =
           test_tie_chooser_sees_lane;
         Alcotest.test_case "non-finite delays rejected" `Quick
           test_non_finite_delays;
+        Alcotest.test_case "step process == fiber process" `Quick
+          test_steps_match_fiber;
         q prop_queue_order;
         q prop_queue_reference;
       ] );
