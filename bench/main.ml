@@ -8,8 +8,9 @@
    rests on: extent-map updates (client cache & data-server extent
    cache), LCM checks, layout arithmetic, lock-server queue passes,
    engine dispatch (a deep queue of sleepers among them), the bare RPC
-   transport (a call round trip and a reliable fire-and-forget send) and
-   whole mini-cluster steps.
+   transport (a call round trip and a reliable fire-and-forget send),
+   whole mini-cluster steps, creating a 1,024-client cluster and a
+   grant log's appends and reads.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- experiments  # tables/figures only
@@ -128,7 +129,6 @@ let bench_data_server_ingest n =
         Ccpfs.Data_server.ingest ds ~rid:1
           {
             Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
-            b_sn = 1;
             b_tag = { Content.writer = 0; op = k; sn = 1 };
           }
       in
@@ -343,6 +343,40 @@ let bench_mini_cluster =
          Ccpfs.Cluster.run cl;
          Sys.opaque_identity (Ccpfs.Cluster.total_bytes_written cl)))
 
+(* Set-up cost at the paper's client counts: every per-client table,
+   endpoint and instrument a cluster builds before its first event. *)
+let bench_cluster_create =
+  row "cluster: create 1,024 clients" (fun () ->
+      Staged.stage (fun () ->
+          Sys.opaque_identity
+            (Ccpfs.Cluster.n_clients
+               (Ccpfs.Cluster.create ~n_servers:1 ~n_clients:1024 ()))))
+
+(* A replicated run's grant log over its whole life: appends past many
+   doublings, then the two whole-log reads a failover makes (the fetch
+   is sized by [bytes]; a catch-up reads a suffix). *)
+let bench_grant_log =
+  row "grant log: 100k appends, then entries_from and bytes" (fun () ->
+      let evs =
+        Array.init 64 (fun i ->
+            if i land 1 = 0 then
+              Seqdlm.Lock_server.R_sn { e_rid = i; e_next_sn = i + 1 }
+            else
+              Seqdlm.Lock_server.R_lock
+                {
+                  e_rid = i; e_lock_id = i; e_client = i; e_mode = Seqdlm.Mode.PW;
+                  e_ranges = [ iv (i * 4096) ((i + 1) * 4096) ]; e_sn = i;
+                  e_state = Seqdlm.Lcm.Granted;
+                })
+      in
+      Staged.stage (fun () ->
+          let log = Repl.Grant_log.create () in
+          for k = 0 to 99_999 do
+            ignore (Repl.Grant_log.append log evs.(k land 63))
+          done;
+          let tail = Repl.Grant_log.entries_from log ~lsn:50_001 in
+          Sys.opaque_identity (List.length tail + Repl.Grant_log.bytes log)))
+
 let bench_dllist_churn =
   row "dllist: 1k push_back + removal from the middle"
     (fun () -> Staged.stage (fun () ->
@@ -540,6 +574,8 @@ let micro_rows =
       bench_rpc_reliable_send;
       bench_lock_handoff;
       bench_mini_cluster;
+      bench_cluster_create;
+      bench_grant_log;
     ]
 
 let contains ~sub s =

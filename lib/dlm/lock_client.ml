@@ -298,7 +298,7 @@ let create eng params ~node ~client_id ~route ~hooks =
   let t =
     {
       eng; params; node; id = client_id; route; hooks;
-      locks = Hashtbl.create 64;
+      locks = Hashtbl.create 16;
       by_rid = Hashtbl.create 16;
       next_stamp = 0;
       registered = Hashtbl.create 8;

@@ -31,6 +31,16 @@ type 'resp dedup_entry = {
   de_epoch : int;
 }
 
+(* An endpoint's at-most-once table and its insertion order, for FIFO
+   pruning; each order slot is the entry itself, so a purged id's stale
+   slot is told apart from its re-submission's.  Created at the first
+   delivery that carries a request id: plain endpoints, two per client,
+   never need one. *)
+type 'resp amo = {
+  table : (int, 'resp dedup_entry) Hashtbl.t;
+  order : 'resp dedup_entry Queue.t;
+}
+
 (* An endpoint's courier process names, each with its fingerprint
    digest, and its callers' wait context. *)
 type names = {
@@ -54,11 +64,7 @@ type ('req, 'resp) endpoint = {
   mutable epoch : int; (* membership epoch stamped on fenced replies *)
   mutable down : bool; (* crashed: fenced deliveries are dropped *)
   mutable incarnation : int; (* bumped by [reset]: cuts in-flight requests *)
-  dedup : (int, 'resp dedup_entry) Hashtbl.t;
-  dedup_order : 'resp dedup_entry Queue.t;
-      (* dedup insertion order, for FIFO pruning; each slot is the entry
-         itself, so a purged id's stale slot is told apart from its
-         re-submission's *)
+  mutable amo : 'resp amo option;
   mutable dedup_cap : int;
   mutable fault : fault option; (* loss/duplication, fenced traffic only *)
   retry_counter : Obs.Metrics.counter;
@@ -104,8 +110,8 @@ let endpoint ?(blocking = false) eng params ~node ~name ~handler =
   in
   let retry_counter = Obs.Metrics.counter (Engine.metrics eng) "rpc.retry" in
   { eng; params; node; name; blocking; names = None; handler; count = 0; latency;
-    epoch = 0; down = false; incarnation = 0; dedup = Hashtbl.create 64;
-    dedup_order = Queue.create (); dedup_cap = default_dedup_cap;
+    epoch = 0; down = false; incarnation = 0; amo = None;
+    dedup_cap = default_dedup_cap;
     fault = None; retry_counter }
 
 (* Built once per endpoint, on its first message.  Concatenating them on
@@ -300,8 +306,7 @@ let reset t =
      incarnation are dropped at delivery, and the dedup table — volatile
      server memory — is lost with everything else. *)
   t.incarnation <- t.incarnation + 1;
-  Hashtbl.reset t.dedup;
-  Queue.clear t.dedup_order
+  t.amo <- None
 
 let set_dedup_cap t cap =
   if cap < 1 then invalid_arg "Rpc.set_dedup_cap: cap must be >= 1";
@@ -313,21 +318,29 @@ let set_dedup_cap t cap =
    oldest retained id is still deduplicated.  A slot whose entry is no
    longer the table's (purged by a re-submission, which queued a slot of
    its own) is dropped without touching the table. *)
-let prune_dedup t =
+let prune_dedup t a =
   let continue = ref true in
-  while !continue && Hashtbl.length t.dedup > t.dedup_cap do
-    match Queue.peek_opt t.dedup_order with
+  while !continue && Hashtbl.length a.table > t.dedup_cap do
+    match Queue.peek_opt a.order with
     | None -> continue := false
     | Some e -> (
-        match Hashtbl.find_opt t.dedup e.de_id with
+        match Hashtbl.find_opt a.table e.de_id with
         | Some live when live == e ->
             if Option.is_none e.de_result then continue := false
             else begin
-              ignore (Queue.pop t.dedup_order);
-              Hashtbl.remove t.dedup e.de_id
+              ignore (Queue.pop a.order);
+              Hashtbl.remove a.table e.de_id
             end
-        | Some _ | None -> ignore (Queue.pop t.dedup_order))
+        | Some _ | None -> ignore (Queue.pop a.order))
   done
+
+let amo t =
+  match t.amo with
+  | Some a -> a
+  | None ->
+      let a = { table = Hashtbl.create 64; order = Queue.create () } in
+      t.amo <- Some a;
+      a
 
 let set_fault t ~loss ~dup ~rng =
   if loss < 0. || loss > 1. || dup < 0. || dup > 1. then
@@ -346,14 +359,15 @@ let deliver_fenced t ~src ~resp_bytes ~epoch:req_epoch ~req_id ivar req () =
     match req_id with
     | None -> t.handler req ~reply:send_reply
     | Some id -> (
+        let a = amo t in
         let run_fresh () =
           let e =
             { de_id = id; de_result = None; de_pending = [ send_reply ];
               de_epoch = req_epoch }
           in
-          Hashtbl.add t.dedup id e;
-          Queue.push e t.dedup_order;
-          prune_dedup t;
+          Hashtbl.add a.table id e;
+          Queue.push e a.order;
+          prune_dedup t a;
           t.handler req ~reply:(fun resp ->
               match e.de_result with
               | Some _ -> () (* handler double-reply: keep the first *)
@@ -363,16 +377,16 @@ let deliver_fenced t ~src ~resp_bytes ~epoch:req_epoch ~req_id ivar req () =
                   e.de_pending <- [];
                   List.iter (fun send -> send resp) ps)
         in
-        match Hashtbl.find_opt t.dedup id with
+        match Hashtbl.find_opt a.table id with
         | Some e when e.de_result <> None && req_epoch > e.de_epoch ->
             (* The stored reply predates an epoch bump this caller has
                already observed (a post-election re-submission): the
                cached result belongs to the fenced-off regime, so purge
                it and run the handler against the current state.  The
-               id's stale slot in [dedup_order] names the purged entry,
+               id's stale slot in [a.order] names the purged entry,
                so pruning drops it without evicting this
                re-submission. *)
-            Hashtbl.remove t.dedup id;
+            Hashtbl.remove a.table id;
             run_fresh ()
         | Some e -> (
             (* Retransmission (or duplicate) of a request we already

@@ -14,7 +14,10 @@ and histogram = {
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
-  h_buckets : int array; (* 128 power-of-two buckets *)
+  mutable h_buckets : int array;
+      (* 128 power-of-two buckets, allocated at the first observation:
+         most instruments (an endpoint's latency, one per client) are
+         never observed, and an empty array reads as all-zero buckets *)
 }
 
 let n_buckets = 128
@@ -66,7 +69,7 @@ let histogram t name =
       let h =
         {
           h_reg = t; h_count = 0; h_sum = 0.; h_min = infinity;
-          h_max = neg_infinity; h_buckets = Array.make n_buckets 0;
+          h_max = neg_infinity; h_buckets = [||];
         }
       in
       Hashtbl.add t.histograms name h;
@@ -89,6 +92,7 @@ let observe h v =
     h.h_sum <- h.h_sum +. v;
     if v < h.h_min then h.h_min <- v;
     if v > h.h_max then h.h_max <- v;
+    if Array.length h.h_buckets = 0 then h.h_buckets <- Array.make n_buckets 0;
     let i = bucket_of v in
     h.h_buckets.(i) <- h.h_buckets.(i) + 1
   end
@@ -98,7 +102,7 @@ let hist_sum h = h.h_sum
 
 let hist_buckets h =
   let acc = ref [] in
-  for i = n_buckets - 1 downto 0 do
+  for i = Array.length h.h_buckets - 1 downto 0 do
     if h.h_buckets.(i) > 0 then acc := (bound_of i, h.h_buckets.(i)) :: !acc
   done;
   !acc
@@ -117,7 +121,7 @@ let hist_quantile h p =
            (int_of_float (ceil (x -. (1e-9 +. (1e-12 *. x))))))
     in
     let acc = ref 0 and result = ref 0. and found = ref false in
-    for i = 0 to n_buckets - 1 do
+    for i = 0 to Array.length h.h_buckets - 1 do
       if not !found then begin
         acc := !acc + h.h_buckets.(i);
         if !acc >= rank then begin

@@ -65,7 +65,7 @@ let flush t ~rid ~ranges =
         d.map <- Extent_map.remove d.map range;
         List.map
           (fun (iv, tag) ->
-            { Data_server.b_range = iv; b_sn = tag.Content.sn; b_tag = tag })
+            { Data_server.b_range = iv; b_tag = tag })
           ov)
       ranges
   in

@@ -2,7 +2,7 @@ open Ccpfs_util
 open Dessim
 open Netsim
 
-type block = { b_range : Interval.t; b_sn : int; b_tag : Content.tag }
+type block = { b_range : Interval.t; b_tag : Content.tag }
 
 type io_req =
   | Write_flush of {
@@ -40,11 +40,13 @@ type stats = {
    reused across ops keeps one SN, and a re-flush of a later overwrite
    must still beat the voluntarily flushed earlier version.  SN
    uniqueness across clients (a lock-server invariant) makes the op
-   comparison well-defined: equal SNs always belong to one client. *)
+   comparison well-defined: equal SNs always belong to one client.  The
+   cache holds each block's own tag, which the store shares, so an
+   entry allocates no key; only its [sn] and [op] are ever compared. *)
 type stripe = {
-  mutable cache : (int * int) Extent_map.t; (* range -> max (SN, op) *)
+  mutable cache : Content.tag Extent_map.t; (* range -> max (SN, op) *)
   mutable store : Content.t; (* device contents *)
-  mutable log : (Interval.t * int * int) list; (* extent log, newest first *)
+  mutable log : (Interval.t * Content.tag) list; (* extent log, newest first *)
   mutable coalesced_at : int;
       (* cache cardinality after the last coalescing pass; same-SN
          neighbour merging is amortised rather than per-block *)
@@ -107,13 +109,17 @@ let total_cache_entries t =
    (a budget cut-off, lock-request issue order). *)
 let stripe_rids t = Det_tbl.sorted_keys ~cmp:Int.compare t.stripes
 
-let pair_eq (a : int * int) (b : int * int) = a = b
+let pair_eq (a : Content.tag) (b : Content.tag) = a.sn = b.sn && a.op = b.op
+
+(* [a] orders after [b]: a higher SN, or the same SN and a later op. *)
+let newer (a : Content.tag) (b : Content.tag) =
+  a.sn > b.sn || (a.sn = b.sn && a.op > b.op)
 
 (* Fig. 15 steps ①-④ for one incoming block. *)
 let apply_block t st (b : block) =
-  let key = (b.b_sn, b.b_tag.Content.op) in
+  let tag = b.b_tag in
   let cache, update_set =
-    Extent_map.merge st.cache b.b_range key ~keep_new:(fun ~old -> key > old)
+    Extent_map.merge st.cache b.b_range tag ~keep_new:(fun ~old -> newer tag old)
   in
   st.cache <- cache;
   (* Merge continuous same-SN extents (Fig. 15), amortised: a full pass
@@ -127,9 +133,8 @@ let apply_block t st (b : block) =
   let written =
     List.fold_left
       (fun acc seg ->
-        st.store <- Content.write st.store seg b.b_tag;
-        if t.config.Config.extent_log then
-          st.log <- (seg, b.b_sn, b.b_tag.Content.op) :: st.log;
+        st.store <- Content.write st.store seg tag;
+        if t.config.Config.extent_log then st.log <- (seg, tag) :: st.log;
         acc + Interval.length seg)
       0 update_set
   in
@@ -259,7 +264,7 @@ let cleanup_round t =
       if !budget > 0 then begin
         let examined = ref [] in
         Extent_map.iter
-          (fun iv (sn, _op) ->
+          (fun iv (tag : Content.tag) ->
             if !budget > 0 then begin
               decr budget;
               let reclaimable =
@@ -268,7 +273,7 @@ let cleanup_round t =
                     rid iv
                 with
                 | None -> true
-                | Some msn -> sn <= msn
+                | Some msn -> tag.sn <= msn
               in
               if reclaimable then examined := iv :: !examined
             end)
@@ -354,7 +359,7 @@ let contents t rid = (stripe t rid).store
 let extent_cache_entries t = total_cache_entries t
 
 let extent_cache_of t rid =
-  List.map (fun (iv, (sn, _op)) -> (iv, sn))
+  List.map (fun (iv, (tag : Content.tag)) -> (iv, tag.sn))
     (Extent_map.to_list (stripe t rid).cache)
 
 let rebuild_pairs t rid =
@@ -363,14 +368,14 @@ let rebuild_pairs t rid =
   let st = stripe t rid in
   let rebuilt =
     List.fold_left
-      (fun m (iv, sn, op) ->
-        fst (Extent_map.merge m iv (sn, op) ~keep_new:(fun ~old -> (sn, op) > old)))
+      (fun m (iv, tag) ->
+        fst (Extent_map.merge m iv tag ~keep_new:(fun ~old -> newer tag old)))
       Extent_map.empty (List.rev st.log)
   in
   Extent_map.coalesce ~eq:pair_eq rebuilt
 
 let rebuild_extent_cache_from_log t rid =
-  List.map (fun (iv, (sn, _op)) -> (iv, sn))
+  List.map (fun (iv, (tag : Content.tag)) -> (iv, tag.sn))
     (Extent_map.to_list (rebuild_pairs t rid))
 
 let crash_and_rebuild t =
@@ -388,10 +393,10 @@ let max_logged_sn t rid =
   | None -> None
   | Some st ->
       List.fold_left
-        (fun acc (_, sn, _) ->
+        (fun acc (_, (tag : Content.tag)) ->
           match acc with
-          | None -> Some sn
-          | Some m -> Some (max m sn))
+          | None -> Some tag.sn
+          | Some m -> Some (max m tag.sn))
         None st.log
 
 let stats t = t.stats

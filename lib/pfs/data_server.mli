@@ -23,8 +23,7 @@ type t
 
 type block = {
   b_range : Ccpfs_util.Interval.t;  (** object-space byte range *)
-  b_sn : int;
-  b_tag : Ccpfs_util.Content.tag;
+  b_tag : Ccpfs_util.Content.tag;  (** its [sn] is the write lock's SN *)
 }
 
 type io_req =

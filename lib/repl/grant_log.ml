@@ -4,50 +4,69 @@ module Int_map = Map.Make (Int)
 
 type entry = { lsn : int; ev : Ls.repl_event }
 
+(* Event [lsn] sits in slot [lsn - 1]; the slots from [len] on hold
+   [vacant].  Entries are not boxed: the lsn is the index, and a backup
+   stores the very event value its primary shipped, so one replicated
+   entry costs a slot in each log and one shared event. *)
 type t = {
   mutable epoch : int;
-  mutable rev : entry list; (* newest first *)
-  mutable next_lsn : int; (* 1-based; lsns are contiguous from 1 *)
+  mutable evs : Ls.repl_event array;
+  mutable len : int; (* lsns are contiguous from 1 *)
 }
 
-let create ?(epoch = 0) () = { epoch; rev = []; next_lsn = 1 }
+let vacant = Ls.R_drop_resource { e_rid = -1 }
+let create ?(epoch = 0) () = { epoch; evs = [||]; len = 0 }
 let epoch t = t.epoch
-let last_lsn t = t.next_lsn - 1
-let length t = t.next_lsn - 1
+let last_lsn t = t.len
+let length t = t.len
+
+let push t ev =
+  if t.len = Array.length t.evs then begin
+    let evs = Array.make (max 16 (2 * t.len)) vacant in
+    Array.blit t.evs 0 evs 0 t.len;
+    t.evs <- evs
+  end;
+  t.evs.(t.len) <- ev;
+  t.len <- t.len + 1
 
 let append t ev =
-  let e = { lsn = t.next_lsn; ev } in
-  t.next_lsn <- t.next_lsn + 1;
-  t.rev <- e :: t.rev;
-  e
+  push t ev;
+  t.len
 
 let append_entry t (e : entry) =
-  if e.lsn <> t.next_lsn then
+  if e.lsn <> t.len + 1 then
     invalid_arg
       (Printf.sprintf "Grant_log.append_entry: lsn %d, expected %d" e.lsn
-         t.next_lsn);
-  t.next_lsn <- t.next_lsn + 1;
-  t.rev <- e :: t.rev
-
-let entries t = List.rev t.rev
+         (t.len + 1));
+  push t e.ev
 
 let entries_from t ~lsn =
-  List.rev (List.filter (fun e -> e.lsn >= lsn) t.rev)
+  let acc = ref [] in
+  for i = t.len downto max 1 lsn do
+    acc := { lsn = i; ev = t.evs.(i - 1) } :: !acc
+  done;
+  !acc
+
+let entries t = entries_from t ~lsn:1
 
 let reset t ~epoch =
   t.epoch <- epoch;
-  t.rev <- [];
-  t.next_lsn <- 1
+  t.evs <- [||];
+  t.len <- 0
 
 (* Wire size of one shipped entry: a conservative per-field estimate used
    to charge the transport for appends and log fetches (an R_lock entry
    carries its range list; the others are a few ints). *)
-let entry_bytes { ev; _ } =
-  match ev with
+let event_bytes = function
   | Ls.R_lock l -> 48 + (16 * List.length l.e_ranges)
   | Ls.R_drop _ | Ls.R_sn _ | Ls.R_drop_resource _ -> 24
 
-let bytes t = List.fold_left (fun a e -> a + entry_bytes e) 0 t.rev
+let bytes t =
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    n := !n + event_bytes t.evs.(i)
+  done;
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Replay: materialize the lock-table snapshot a log prefix describes   *)

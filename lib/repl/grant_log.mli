@@ -11,7 +11,12 @@
     A log is volatile per epoch: an elected recovery resets it
     ({!reset}) to the new membership epoch and the recovering primary's
     reinstalls re-seed it, so log continuity survives consecutive
-    failovers. *)
+    failovers.
+
+    A log is an array of events indexed by lsn.  Entries are not boxed,
+    and a backup holds the same event values its primary shipped, so a
+    replicated entry costs one array slot per log.  {!entry} records
+    exist only in the lists {!entries} and {!entries_from} build. *)
 
 type entry = { lsn : int; ev : Seqdlm.Lock_server.repl_event }
 type t
@@ -23,8 +28,8 @@ val last_lsn : t -> int
 
 val length : t -> int
 
-val append : t -> Seqdlm.Lock_server.repl_event -> entry
-(** Assign the next lsn (primary side). *)
+val append : t -> Seqdlm.Lock_server.repl_event -> int
+(** Assign the next lsn (primary side) and return it. *)
 
 val append_entry : t -> entry -> unit
 (** Commit an already-numbered entry (backup side).
@@ -34,16 +39,17 @@ val entries : t -> entry list
 (** In lsn order. *)
 
 val entries_from : t -> lsn:int -> entry list
-(** Entries with [lsn >= lsn], in order (backup catch-up). *)
+(** Entries with [lsn >= lsn], in order; empty past the tail. *)
 
 val reset : t -> epoch:int -> unit
 (** Truncate and move to a new epoch (election / adoption). *)
 
-val entry_bytes : entry -> int
-(** Modeled wire size of one shipped entry. *)
+val event_bytes : Seqdlm.Lock_server.repl_event -> int
+(** Modeled wire size of one shipped event. *)
 
 val bytes : t -> int
-(** Modeled wire size of the whole log (a fetch's response payload). *)
+(** Modeled wire size of the whole log (a fetch's response payload): the
+    sum of {!event_bytes} over its events. *)
 
 (** {1 Replay}
 

@@ -38,18 +38,18 @@ let epoch t = Grant_log.epoch t.log
    wait for the acks; the couriers retry until each backup acknowledges).
    The entry's log epoch fences it: a backup that has moved to a newer
    regime acknowledges without applying, terminating the orphan. *)
-let ship t (e : Grant_log.entry) =
+let ship t ~lsn ev =
   let epoch = Grant_log.epoch t.log in
-  let bytes = Grant_log.entry_bytes e in
+  let bytes = Grant_log.event_bytes ev in
   Array.iter
     (fun b ->
       Obs.Metrics.incr t.shipped;
       Rpc.send_reliable (Replica.endpoint b) ~src:t.src ~req_bytes:bytes
         ?reliability:t.reliability ~view:t.view
-        (Replica.Append { a_epoch = epoch; a_lsn = e.Grant_log.lsn; a_ev = e.Grant_log.ev }))
+        (Replica.Append { a_epoch = epoch; a_lsn = lsn; a_ev = ev }))
     t.backups
 
-let append t ev = ship t (Grant_log.append t.log ev)
+let append t ev = ship t ~lsn:(Grant_log.append t.log ev) ev
 
 let attach t ls = Seqdlm.Lock_server.set_repl_hook ls (fun ev -> append t ev)
 

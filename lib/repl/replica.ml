@@ -17,20 +17,18 @@ type t = {
   log : Grant_log.t; (* committed contiguous prefix *)
   pending : (int, Seqdlm.Lock_server.repl_event) Hashtbl.t;
       (* out-of-order arrivals beyond the committed prefix, by lsn *)
+  mutable high : int; (* highest lsn buffered in this regime, else 0 *)
   mutable ep : (msg, resp) Rpc.endpoint option;
   applied : Obs.Metrics.counter;
 }
 
-let high_water t =
-  (* Highest lsn this backup has ever seen for its current epoch —
-     committed or buffered.  committed < high_water means the backup
-     KNOWS it has a hole that an in-flight retry will eventually fill;
-     the election loop waits those holes out. *)
-  (Hashtbl.fold
-     [@lint.allow
-       "D001 commutative max over buffered lsns, iteration order invisible"])
-    (fun lsn _ acc -> max lsn acc)
-    t.pending (Grant_log.last_lsn t.log)
+(* Highest lsn this backup has seen for its current epoch, committed or
+   buffered.  committed < high_water means the backup KNOWS it has a
+   hole that an in-flight retry will eventually fill; the election loop
+   waits those holes out.  Buffered lsns always exceed the committed
+   prefix when they arrive, and the prefix only grows past them by
+   draining them, so [high] never needs lowering within a regime. *)
+let high_water t = max t.high (Grant_log.last_lsn t.log)
 
 let ack t =
   Ack
@@ -60,10 +58,13 @@ let handle t msg ~reply =
           (* First entry of a new regime: the old log is superseded
              wholesale (the new primary re-seeds from lsn 1). *)
           Grant_log.reset t.log ~epoch:a_epoch;
-          Hashtbl.reset t.pending
+          Hashtbl.reset t.pending;
+          t.high <- 0
         end;
-        if a_lsn > Grant_log.last_lsn t.log then
+        if a_lsn > Grant_log.last_lsn t.log then begin
           Hashtbl.replace t.pending a_lsn a_ev;
+          t.high <- max t.high a_lsn
+        end;
         (* Commit the contiguous prefix the buffer now extends. *)
         let rec drain () =
           let next = Grant_log.last_lsn t.log + 1 in
@@ -87,6 +88,7 @@ let create eng params ~node ~name ~id =
       node;
       log = Grant_log.create ();
       pending = Hashtbl.create 16;
+      high = 0;
       ep = None;
       applied = Obs.Metrics.counter (Engine.metrics eng) "repl.applied";
     }

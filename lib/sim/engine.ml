@@ -255,14 +255,16 @@ type t = {
          same scenario see the same values in the same order *)
 }
 
-(* FNV-1a folded in the native int width: the event-stream fingerprint
-   two runs of the same scenario must agree on (the determinism
-   sanitizer's divergence test).  Fingerprints are only ever compared
-   against fingerprints computed in the same process, never persisted,
-   so the exact modulus does not matter — what matters is that hashing
-   is allocation-free.  The engine hashes every dispatched event; the
-   previous boxed-Int64 FNV allocated ~30 Int64s per event and dominated
-   contended-run profiles. *)
+(* FNV-1a, one byte at a time, wrapping in the native 63-bit int: the
+   event-stream fingerprint two runs of the same scenario must agree on
+   (the determinism sanitizer's divergence test).  It is also persisted:
+   every fuzz case's fingerprint folds into the corpus fingerprint that
+   BENCH_fuzz.json and golden/fuzz_faults.expected pin.  The offset, the
+   prime, the byte order and the 63-bit modulus are therefore frozen;
+   changing any of them moves those goldens.  Hashing is allocation-free:
+   the engine hashes every dispatched event, and the earlier boxed-Int64
+   FNV allocated ~30 Int64s per event and dominated contended-run
+   profiles. *)
 let fnv_offset = Int64.to_int 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3
 let fnv_byte h b = (h lxor (b land 0xff)) * fnv_prime

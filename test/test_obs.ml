@@ -96,6 +96,35 @@ let test_metrics_disabled_noop () =
   Metrics.incr c;
   Alcotest.(check int) "counts once enabled" 1 (Metrics.counter_value c)
 
+(* Buckets are allocated at a histogram's first observation; one that
+   was never observed must read exactly like an empty allocated one,
+   before and after [enable], and in the JSON snapshot. *)
+let test_unobserved_histogram () =
+  let reg = Metrics.create () in
+  let h = Metrics.histogram reg "idle" in
+  let reads phase =
+    Alcotest.(check (list (pair (float 0.) int)))
+      (phase ^ ": no buckets") [] (Metrics.hist_buckets h);
+    feq (phase ^ ": p50 of nothing") 0. (Metrics.hist_quantile h 50.);
+    feq (phase ^ ": p100 of nothing") 0. (Metrics.hist_quantile h 100.);
+    Alcotest.(check int) (phase ^ ": count") 0 (Metrics.hist_count h)
+  in
+  reads "disabled";
+  Metrics.observe h 1.0;
+  reads "observed while disabled";
+  Metrics.enable reg;
+  reads "enabled";
+  let buckets =
+    Option.bind (Json.member "histograms" (Metrics.to_json reg)) (fun hs ->
+        Option.bind (Json.member "idle" hs) (Json.member "buckets"))
+  in
+  Alcotest.(check bool) "snapshot lists no buckets" true
+    (buckets = Some (Json.List []));
+  Metrics.observe h 3.0;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "first observation lands" [ (4.0, 1) ] (Metrics.hist_buckets h);
+  feq "quantile after it" 4.0 (Metrics.hist_quantile h 50.)
+
 let test_metrics_json_snapshot () =
   let reg = Metrics.create () in
   Metrics.enable reg;
@@ -326,6 +355,8 @@ let suite =
           prop_hist_quantile_vs_stats;
         Alcotest.test_case "disabled metrics are no-ops" `Quick
           test_metrics_disabled_noop;
+        Alcotest.test_case "unobserved histogram reads empty" `Quick
+          test_unobserved_histogram;
         Alcotest.test_case "metrics JSON snapshot" `Quick
           test_metrics_json_snapshot;
         Alcotest.test_case "null sink is a no-op" `Quick test_null_sink_noop;

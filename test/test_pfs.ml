@@ -870,7 +870,6 @@ let test_coalesce_after_force_sync () =
   let block k ~sn ~op =
     {
       Data_server.b_range = iv (k * page) ((k + 1) * page);
-      b_sn = sn;
       b_tag = { Content.writer = 0; op; sn };
     }
   in
@@ -893,6 +892,41 @@ let test_coalesce_after_force_sync () =
     && List.exists
          (fun ((x : Interval.t), _) -> Interval.length x > page)
          (Data_server.extent_cache_of ds rid))
+
+(* Fig. 15's order on one byte range: the higher SN wins, and under
+   one SN the later op of the same lock (a re-flushed overwrite).  The
+   writer never decides, and the replayed extent log agrees. *)
+let test_extent_cache_order () =
+  let eng = Engine.create () in
+  let node = Netsim.Node.create eng fast_params ~name:"ds" ~with_disk:true () in
+  let lock_server =
+    Seqdlm.Lock_server.create eng fast_params ~node ~name:"ls"
+      ~policy:Seqdlm.Policy.seqdlm
+  in
+  let config = Config.with_extent_log true Config.default in
+  let ds = Data_server.create eng fast_params config ~node ~name:"ds" ~lock_server in
+  let range = iv 0 4096 in
+  let ingest label ~writer ~sn ~op expect =
+    Alcotest.(check int) label expect
+      (Data_server.ingest ds ~rid:1
+         { Data_server.b_range = range; b_tag = { Content.writer; op; sn } })
+  in
+  ingest "first write lands" ~writer:5 ~sn:3 ~op:1 4096;
+  ingest "same SN, later op wins" ~writer:5 ~sn:3 ~op:2 4096;
+  ingest "same SN, earlier op loses" ~writer:5 ~sn:3 ~op:1 0;
+  ingest "lower SN loses to any writer and op" ~writer:9 ~sn:2 ~op:7 0;
+  ingest "higher SN wins over any writer and op" ~writer:1 ~sn:4 ~op:0 4096;
+  Alcotest.(check bool) "the device holds the SN-4 write" true
+    (Content.read (Data_server.contents ds 1) range
+    = [ (range, Some { Content.writer = 1; op = 0; sn = 4 }) ]);
+  Alcotest.(check (list (pair string int))) "cache entry"
+    [ (Interval.to_string range, 4) ]
+    (List.map
+       (fun (x, sn) -> (Interval.to_string x, sn))
+       (Data_server.extent_cache_of ds 1));
+  Alcotest.(check bool) "log replay rebuilds the same cache" true
+    (Data_server.rebuild_extent_cache_from_log ds 1
+    = Data_server.extent_cache_of ds 1)
 
 let test_extent_log_recovery () =
   let config = Config.with_extent_log true small_config in
@@ -1006,6 +1040,21 @@ let test_basic_release_is_own_message () =
   Alcotest.(check int) "ack and release each cross the ctl endpoint" 2 ctl_msgs;
   ignore (waiter_grant evs)
 
+(* What one client costs at creation: the reachable words of a
+   1,040-client cluster over a 16-client one, per added client.  State
+   a plain run never touches (at-most-once tables, latency-histogram
+   buckets) must not be paid up front, or the paper's client counts
+   multiply it. *)
+let test_words_per_client () =
+  let words n =
+    Obj.reachable_words
+      (Obj.repr (Cluster.create ~n_servers:1 ~n_clients:n ()))
+  in
+  let small = words 16 in
+  let per_client = (words 1040 - small) / 1024 in
+  if per_client > 640 then
+    Alcotest.failf "%d words per client at creation, bound 640" per_client
+
 let suite =
   [
     ( "pfs.piggyback",
@@ -1014,6 +1063,11 @@ let suite =
           test_seqdlm_release_rides_flush;
         Alcotest.test_case "DLM-basic release is its own message" `Quick
           test_basic_release_is_own_message;
+      ] );
+    ( "pfs.footprint",
+      [
+        Alcotest.test_case "words per client at creation" `Quick
+          test_words_per_client;
       ] );
     ( "pfs.layout",
       [
@@ -1092,5 +1146,7 @@ let suite =
           test_coalesce_after_force_sync;
         Alcotest.test_case "extent log rebuild (recovery)" `Quick
           test_extent_log_recovery;
+        Alcotest.test_case "SN then op orders the cache, never the writer"
+          `Quick test_extent_cache_order;
       ] );
   ]

@@ -44,15 +44,16 @@ let r_lock ?(state = Seqdlm.Lcm.Granted) ~rid ~id ~client ~mode ~off ~len
 let test_log_lsns () =
   let log = Repl.Grant_log.create () in
   Alcotest.(check int) "empty log" 0 (Repl.Grant_log.last_lsn log);
-  let e1 =
-    Repl.Grant_log.append log
-      (r_lock ~rid:7 ~id:1 ~client:0 ~mode:Mode.PW ~off:0 ~len:4096 ~sn:1 ())
+  let ev1 =
+    r_lock ~rid:7 ~id:1 ~client:0 ~mode:Mode.PW ~off:0 ~len:4096 ~sn:1 ()
   in
-  let e2 = Repl.Grant_log.append log (Ls.R_sn { e_rid = 7; e_next_sn = 2 }) in
-  Alcotest.(check int) "lsn 1" 1 e1.Repl.Grant_log.lsn;
-  Alcotest.(check int) "lsn 2" 2 e2.Repl.Grant_log.lsn;
+  let ev2 = Ls.R_sn { e_rid = 7; e_next_sn = 2 } in
+  Alcotest.(check int) "lsn 1" 1 (Repl.Grant_log.append log ev1);
+  Alcotest.(check int) "lsn 2" 2 (Repl.Grant_log.append log ev2);
   Alcotest.(check int) "length" 2 (Repl.Grant_log.length log);
   (* Backup side: committing out of order is a programming error. *)
+  let e1 = { Repl.Grant_log.lsn = 1; ev = ev1 }
+  and e2 = { Repl.Grant_log.lsn = 2; ev = ev2 } in
   let backup = Repl.Grant_log.create () in
   Alcotest.check_raises "gap rejected"
     (Invalid_argument "Grant_log.append_entry: lsn 2, expected 1") (fun () ->
@@ -63,6 +64,63 @@ let test_log_lsns () =
   Repl.Grant_log.reset log ~epoch:3;
   Alcotest.(check int) "reset truncates" 0 (Repl.Grant_log.last_lsn log);
   Alcotest.(check int) "reset moves regime" 3 (Repl.Grant_log.epoch log)
+
+(* The log's array grows by doubling and a reset drops it: across
+   several growths, a reset and a regrowth, every read must agree with
+   a plain list of (lsn, event) pairs. *)
+let test_log_growth_and_reset () =
+  let log = Repl.Grant_log.create () in
+  let ev i =
+    if i mod 3 = 0 then Ls.R_sn { e_rid = i; e_next_sn = i + 1 }
+    else
+      r_lock ~rid:(i mod 5) ~id:i ~client:(i mod 4) ~mode:Mode.PW
+        ~off:(i * 4096) ~len:4096 ~sn:i ()
+  in
+  let pairs es =
+    List.map (fun (e : Repl.Grant_log.entry) -> (e.lsn, e.ev)) es
+  in
+  let check_against phase reference =
+    let n = List.length reference in
+    let expect = List.mapi (fun i ev -> (i + 1, ev)) reference in
+    Alcotest.(check int) (phase ^ ": last lsn") n
+      (Repl.Grant_log.last_lsn log);
+    Alcotest.(check bool) (phase ^ ": entries") true
+      (pairs (Repl.Grant_log.entries log) = expect);
+    List.iter
+      (fun lsn ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: entries_from %d" phase lsn)
+          true
+          (pairs (Repl.Grant_log.entries_from log ~lsn)
+          = List.filter (fun (l, _) -> l >= lsn) expect))
+      [ -1; 0; 1; 2; 16; 17; n / 2; n; n + 1; n + 7 ];
+    Alcotest.(check int) (phase ^ ": bytes sum the entries")
+      (List.fold_left
+         (fun a ev -> a + Repl.Grant_log.event_bytes ev)
+         0 reference)
+      (Repl.Grant_log.bytes log)
+  in
+  let fill lo hi =
+    List.init (hi - lo + 1) (fun k ->
+        let e = ev (lo + k) in
+        Alcotest.(check int) "append returns the next lsn" (k + 1)
+          (Repl.Grant_log.append log e);
+        e)
+  in
+  check_against "empty" [];
+  let first = fill 1 150 in
+  check_against "after four doublings" first;
+  Alcotest.check_raises "gap rejected on a grown log"
+    (Invalid_argument "Grant_log.append_entry: lsn 153, expected 151")
+    (fun () ->
+      Repl.Grant_log.append_entry log { lsn = 153; ev = ev 153 });
+  Repl.Grant_log.reset log ~epoch:4;
+  check_against "after reset" [];
+  Alcotest.(check int) "reset moves regime" 4 (Repl.Grant_log.epoch log);
+  let second = fill 1000 1040 in
+  check_against "regrown" second;
+  Repl.Grant_log.append_entry log { lsn = 42; ev = ev 42 };
+  check_against "backup-side append" (second @ [ ev 42 ])
 
 let test_log_materialize () =
   let log = Repl.Grant_log.create () in
@@ -155,6 +213,32 @@ let test_replica_epoch_discipline () =
   Alcotest.(check int) "final regime" 5 (Repl.Replica.epoch r);
   Alcotest.(check int) "final log" 1 (Repl.Replica.committed r)
 
+(* The high-water mark is kept, not recomputed: it must still report a
+   buffered hole, settle when the hole fills, and restart with a new
+   regime even though a stale buffered lsn sat above the prefix. *)
+let test_replica_high_water () =
+  let ev i =
+    r_lock ~rid:4 ~id:i ~client:0 ~mode:Mode.PR ~off:(i * 4096) ~len:4096
+      ~sn:0 ()
+  in
+  let step r src ~epoch ~lsn label expect =
+    Alcotest.(check (pair int int)) label expect
+      (append r src ~epoch ~lsn (ev lsn));
+    Alcotest.(check int) (label ^ ": high_water") (snd expect)
+      (Repl.Replica.high_water r)
+  in
+  let r =
+    with_replica (fun r src ->
+        step r src ~epoch:0 ~lsn:1 "in order" (1, 1);
+        step r src ~epoch:0 ~lsn:4 "hole behind lsn 4: high > committed" (1, 4);
+        step r src ~epoch:0 ~lsn:2 "hole narrows" (2, 4);
+        step r src ~epoch:0 ~lsn:3 "hole filled: equal" (4, 4);
+        step r src ~epoch:0 ~lsn:7 "a second hole" (4, 7);
+        step r src ~epoch:3 ~lsn:2 "new regime resets both" (0, 2);
+        step r src ~epoch:3 ~lsn:1 "new regime drains" (2, 2))
+  in
+  Alcotest.(check int) "final regime" 3 (Repl.Replica.epoch r)
+
 (* ---------------------------------------------------------------- *)
 (* Live cluster: shipping, election, invariant sweep                 *)
 (* ---------------------------------------------------------------- *)
@@ -187,6 +271,30 @@ let test_shipping_drains () =
   (* The sweep the sanitizer runs: prefix + uniqueness. *)
   Check.Sanitize.check_cluster cl;
   Cluster.check_invariants cl
+
+(* Plant a divergence the sweep must see: after a clean, caught-up run,
+   the primary and its backup each commit a different event under the
+   same next lsn.  The same event on both stays a clean prefix. *)
+let test_log_prefix_catches_divergence () =
+  let cl = make ~replication:1 ~clients:2 () in
+  run_writes cl ~clients:2 ~writes_each:4;
+  let g = Option.get (Cluster.repl_group cl 0) in
+  let plog = Repl.Group.log g in
+  let blog = Repl.Replica.log (Repl.Group.backups g).(0) in
+  Check.Invariant.check_repl_group g;
+  let same = Ls.R_sn { e_rid = 99; e_next_sn = 5 } in
+  ignore (Repl.Grant_log.append plog same);
+  ignore (Repl.Grant_log.append blog same);
+  Check.Invariant.check_repl_group g;
+  let at = Repl.Grant_log.append plog (Ls.R_sn { e_rid = 99; e_next_sn = 6 }) in
+  ignore (Repl.Grant_log.append blog (Ls.R_sn { e_rid = 99; e_next_sn = 7 }));
+  match Check.Invariant.check_repl_group g with
+  | () -> Alcotest.fail "a diverged backup passed the log-prefix sweep"
+  | exception Check.Violation.Violation v ->
+      Alcotest.(check string) "invariant" "repl-log-prefix" v.inv;
+      Alcotest.(check string) "names the lsn"
+        (Printf.sprintf "ls0 backup 0 diverges from the primary at lsn %d" at)
+        v.detail
 
 let test_election_prefers_longest_then_lowest () =
   let cl = make ~replication:2 ~clients:2 () in
@@ -344,6 +452,8 @@ let suite =
   [
     ( "repl.log",
       [
+        Alcotest.test_case "growth and reset match a list reference" `Quick
+          test_log_growth_and_reset;
         Alcotest.test_case "contiguous lsns, reset, backup commit" `Quick
           test_log_lsns;
         Alcotest.test_case "materialize folds upserts/drops/sn" `Quick
@@ -355,6 +465,8 @@ let suite =
           test_replica_reorders;
         Alcotest.test_case "epoch discipline: discard old, supersede new"
           `Quick test_replica_epoch_discipline;
+        Alcotest.test_case "high water: hole, fill, new regime" `Quick
+          test_replica_high_water;
       ] );
     ( "repl.cluster",
       [
@@ -362,6 +474,8 @@ let suite =
           test_shipping_drains;
         Alcotest.test_case "election: longest log, lowest id" `Quick
           test_election_prefers_longest_then_lowest;
+        Alcotest.test_case "log-prefix sweep catches a divergence" `Quick
+          test_log_prefix_catches_divergence;
       ] );
     ( "repl.failover",
       [
