@@ -69,8 +69,8 @@ let ascending_extents n =
     (fun m k -> Extent_map.set m (iv k (k + 1)) k)
     Extent_map.empty (List.init n Fun.id)
 
-(* The client's whole-stripe flush: take every dirty extent, then clear
-   [0, EOF). *)
+(* The client's whole-stripe flush: cut every dirty extent out of the
+   map (which hands the map over as it is) and total their bytes. *)
 let bench_extent_map_flush n =
   row
     (Printf.sprintf "extent_map: whole-stripe flush over %dk extents"
@@ -79,9 +79,30 @@ let bench_extent_map_flush n =
       let m = ascending_extents n in
       let all = Interval.to_eof ~lo:0 in
       Staged.stage (fun () ->
-          let taken = Extent_map.overlapping m all in
+          let taken, left = Extent_map.cut m all in
           Sys.opaque_identity
-            (List.length taken + Extent_map.cardinal (Extent_map.remove m all))))
+            (Extent_map.total_length taken + Extent_map.cardinal left)))
+
+(* What [Client_cache.flush] does to a stripe's dirty map when a lock's
+   range covers 700 of its 2,100 extents, clipping one at either end:
+   cut them out as the flush's map and total their bytes.  The map is
+   persistent, so every run cuts the same map. *)
+let bench_client_cache_flush =
+  row "client cache: flush of 700 dirty extents" (fun () ->
+      let block = 65536 in
+      let dirty =
+        List.fold_left
+          (fun m k ->
+            Extent_map.set m
+              (iv (k * block) ((k + 1) * block))
+              { Content.writer = 0; op = k; sn = 1 })
+          Extent_map.empty (List.init 2100 Fun.id)
+      in
+      let range = iv ((700 * block) + (block / 2)) ((1400 * block) - (block / 2)) in
+      Staged.stage (fun () ->
+          let taken, left = Extent_map.cut dirty range in
+          Sys.opaque_identity
+            (Extent_map.total_length taken + Extent_map.cardinal left)))
 
 (* The data server's cache on the N-1 segmented pattern, without the
    rest of [ingest]: one merge into the gap past the last of [n]
@@ -136,6 +157,57 @@ let bench_data_server_ingest n =
         ignore (ingest ())
       done;
       Staged.stage (fun () -> Sys.opaque_identity (ingest ())))
+
+(* Table III's flush on the data server: 7,168 ascending 64 KiB blocks,
+   one client's share of a voluntary flush on the N-1 segmented
+   pattern, sent as one Write_flush through the IO endpoint into the gap
+   past a 256k-entry extent cache.  A Truncate then cuts them off again,
+   so every run starts from the same 256k entries (the cache limit is
+   raised so that no cleanup runs). *)
+let bench_data_server_gap_flush =
+  row "data server: 7k-block gap flush into a 256k-entry cache" (fun () ->
+      let block = 65536 and base = 262_144 and flushed = 7168 in
+      let params = Netsim.Params.default in
+      let eng = Dessim.Engine.create () in
+      let node = Netsim.Node.create eng params ~name:"ds" ~with_disk:true () in
+      let client = Netsim.Node.create eng params ~name:"c" () in
+      let lock_server =
+        Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+          ~policy:Seqdlm.Policy.seqdlm
+      in
+      let config =
+        Ccpfs.Config.with_extent_cache ~limit:(4 * base) Ccpfs.Config.default
+      in
+      let ds =
+        Ccpfs.Data_server.create eng params config ~node ~name:"ds" ~lock_server
+      in
+      let tag k = { Content.writer = 0; op = k; sn = 1 } in
+      for k = 0 to base - 1 do
+        ignore
+          (Ccpfs.Data_server.ingest ds ~rid:1
+             {
+               Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
+               b_tag = tag k;
+             })
+      done;
+      let extents =
+        List.fold_left
+          (fun m k -> Extent_map.set m (iv (k * block) ((k + 1) * block)) (tag k))
+          Extent_map.empty
+          (List.init flushed (fun k -> base + k))
+      in
+      let ep = Ccpfs.Data_server.endpoint ds in
+      let call req =
+        match Netsim.Rpc.call ep ~src:client ~req_bytes:4096 req with
+        | Ccpfs.Data_server.Done -> ()
+        | r -> failwith (Ccpfs.Data_server.io_resp_to_string r)
+      in
+      Staged.stage (fun () ->
+          Dessim.Engine.spawn eng ~name:"flush" (fun () ->
+              call (Ccpfs.Data_server.Write_flush { rid = 1; extents; ctl = [] });
+              call (Ccpfs.Data_server.Truncate { rid = 1; keep_below = base * block }));
+          Dessim.Engine.run eng;
+          Sys.opaque_identity (Ccpfs.Data_server.extent_cache_entries ds)))
 
 (* One amortised coalescing pass over a cache where no neighbours share
    a value: a scan that should allocate nothing and return the map. *)
@@ -556,6 +628,8 @@ let micro_rows =
     bench_extent_map_coalesce 262144;
     bench_data_server_ingest 16384;
     bench_data_server_ingest 262144;
+    bench_data_server_gap_flush;
+    bench_client_cache_flush;
     bench_lcm;
     bench_layout_chunks;
     bench_dllist_churn;

@@ -52,29 +52,24 @@ let account t delta =
   if t.dirty_total > t.peak then t.peak <- t.dirty_total;
   if delta < 0 then Condition.broadcast t.space
 
-(* Take the dirty extents under [ranges] out of the cache and ship them
-   in one batched flush RPC.  Each range leaves the map in one removal;
-   the bytes are accounted once, which wakes the same waiters as one
-   call per block would, since none can run in between. *)
+(* Cut the dirty extents under [ranges] out of the cache and ship them
+   in one batched flush RPC, as one persistent map: a whole-stripe
+   flush hands the dirty map over as it is, and the cuts of a lock's
+   sorted, disjoint ranges each land in a gap of the ones before.  The
+   bytes are accounted once, which wakes the same waiters as one call
+   per block would, since none can run in between. *)
 let flush t ~rid ~ranges =
   let d = dirty_stripe t rid in
-  let blocks =
-    List.concat_map
-      (fun range ->
-        let ov = Extent_map.overlapping d.map range in
-        d.map <- Extent_map.remove d.map range;
-        List.map
-          (fun (iv, tag) ->
-            { Data_server.b_range = iv; b_tag = tag })
-          ov)
-      ranges
+  let extents =
+    List.fold_left
+      (fun acc range ->
+        let taken, left = Extent_map.cut d.map range in
+        d.map <- left;
+        Extent_map.set_all acc taken)
+      Extent_map.empty ranges
   in
-  if blocks <> [] then begin
-    let bytes =
-      List.fold_left
-        (fun acc (b : Data_server.block) -> acc + Interval.length b.b_range)
-        0 blocks
-    in
+  if not (Extent_map.is_empty extents) then begin
+    let bytes = Extent_map.total_length extents in
     d.bytes <- d.bytes - bytes;
     account t (-bytes);
     t.flushed_bytes <- t.flushed_bytes + bytes;
@@ -90,7 +85,7 @@ let flush t ~rid ~ranges =
     in
     let do_rpc () =
       let ep = t.io_route rid in
-      let req = Data_server.Write_flush { rid; blocks; ctl } in
+      let req = Data_server.Write_flush { rid; extents; ctl } in
       match
         (match t.rel with
         | None -> Rpc.call ep ~src:t.node ~req_bytes:wire_bytes req
@@ -104,7 +99,7 @@ let flush t ~rid ~ranges =
             ~endpoint:(Rpc.name (t.io_route rid))
             ~request:
               (Printf.sprintf "Write_flush rid=%d blocks=%d bytes=%d" rid
-                 (List.length blocks) bytes)
+                 (Extent_map.cardinal extents) bytes)
             ~got:(Data_server.io_resp_to_string r)
     in
     let sink = Engine.trace_sink t.eng in
@@ -115,7 +110,7 @@ let flush t ~rid ~ranges =
         [
           ("rid", Obs.Json.Int rid);
           ("bytes", Obs.Json.Int bytes);
-          ("blocks", Obs.Json.Int (List.length blocks));
+          ("blocks", Obs.Json.Int (Extent_map.cardinal extents));
         ]
       in
       Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"io" ~args

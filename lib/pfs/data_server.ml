@@ -7,7 +7,7 @@ type block = { b_range : Interval.t; b_tag : Content.tag }
 type io_req =
   | Write_flush of {
       rid : int;
-      blocks : block list;
+      extents : Content.tag Extent_map.t;
       ctl : Seqdlm.Types.ctl_msg list;
           (* control messages piggybacked on the flush (DESIGN.md §13):
              acks/downgrades applied before the blocks land, releases
@@ -99,7 +99,8 @@ let stripe t rid =
       s
 
 let total_cache_entries t =
-  Det_tbl.fold_sorted ~cmp:Int.compare
+  (Hashtbl.fold
+     [@lint.allow "D001 integer sum over the stripes, commutative: order invisible"])
     (fun _ s acc -> acc + Extent_map.cardinal s.cache)
     t.stripes 0
 
@@ -115,21 +116,29 @@ let pair_eq (a : Content.tag) (b : Content.tag) = a.sn = b.sn && a.op = b.op
 let newer (a : Content.tag) (b : Content.tag) =
   a.sn > b.sn || (a.sn = b.sn && a.op > b.op)
 
+(* Merge continuous same-(SN, op) extents (Fig. 15), amortised: a full
+   pass only once the cache has grown 25% past its last coalesced size. *)
+let coalesce_limit st = (st.coalesced_at * 5 / 4) + 16
+let coalesce_due st = Extent_map.cardinal st.cache > coalesce_limit st
+
+let coalesce t st =
+  let n = Extent_map.cardinal st.cache in
+  st.cache <- Extent_map.coalesce ~eq:pair_eq st.cache;
+  st.coalesced_at <- Extent_map.cardinal st.cache;
+  t.stats.coalesced <- t.stats.coalesced + n - st.coalesced_at
+
+let received t ~size ~written =
+  t.stats.bytes_received <- t.stats.bytes_received + size;
+  t.stats.bytes_written <- t.stats.bytes_written + written;
+  t.stats.bytes_discarded <- t.stats.bytes_discarded + (size - written)
+
 (* Fig. 15 steps ①-④ for one incoming block. *)
-let apply_block t st (b : block) =
-  let tag = b.b_tag in
+let apply_block t st range (tag : Content.tag) =
   let cache, update_set =
-    Extent_map.merge st.cache b.b_range tag ~keep_new:(fun ~old -> newer tag old)
+    Extent_map.merge st.cache range tag ~keep_new:(fun ~old -> newer tag old)
   in
   st.cache <- cache;
-  (* Merge continuous same-SN extents (Fig. 15), amortised: a full pass
-     only once the cache has grown 25% past its last coalesced size. *)
-  let n = Extent_map.cardinal st.cache in
-  if n > (st.coalesced_at * 5 / 4) + 16 then begin
-    st.cache <- Extent_map.coalesce ~eq:pair_eq st.cache;
-    st.coalesced_at <- Extent_map.cardinal st.cache;
-    t.stats.coalesced <- t.stats.coalesced + n - st.coalesced_at
-  end;
+  if coalesce_due st then coalesce t st;
   let written =
     List.fold_left
       (fun acc seg ->
@@ -138,13 +147,55 @@ let apply_block t st (b : block) =
         acc + Interval.length seg)
       0 update_set
   in
-  let size = Interval.length b.b_range in
-  t.stats.bytes_received <- t.stats.bytes_received + size;
-  t.stats.bytes_written <- t.stats.bytes_written + written;
-  t.stats.bytes_discarded <- t.stats.bytes_discarded + (size - written);
+  received t ~size:(Interval.length range) ~written;
   written
 
-let ingest t ~rid b = apply_block t (stripe t rid) b
+let ingest t ~rid b = apply_block t (stripe t rid) b.b_range b.b_tag
+
+(* A flush whose span [first.lo, last.hi) holds nothing in the cache:
+   block by block, every merge would be a gap insert whose update set is
+   the whole block.  So the flush's map is joined into the cache whole,
+   sharing its nodes, cut only after the block where the per-block
+   loop's coalescing pass would fire: with n0 entries before it, block
+   j (from 0) leaves n0 + j + 1, so the pass runs after the first
+   [coalesce_limit - n0 + 1] blocks.  The device takes every block as the
+   loop would; [Content.write_all] joins the map there too when the
+   span is free on the device (older data, e.g. after a cleanup, gets
+   the blocks one by one). *)
+let apply_gap t st extents =
+  let rec join extents =
+    let room = coalesce_limit st - Extent_map.cardinal st.cache in
+    if Extent_map.cardinal extents <= room then
+      st.cache <- Extent_map.set_all st.cache extents
+    else begin
+      let head, rest = Extent_map.split_nth extents (max 0 room + 1) in
+      st.cache <- Extent_map.set_all st.cache head;
+      coalesce t st;
+      join rest
+    end
+  in
+  join extents;
+  st.store <- Content.write_all st.store extents;
+  if t.config.Config.extent_log then
+    Extent_map.iter (fun seg tag -> st.log <- (seg, tag) :: st.log) extents;
+  t.blocks_seen <- t.blocks_seen + Extent_map.cardinal extents;
+  let size = Extent_map.total_length extents in
+  received t ~size ~written:size;
+  size
+
+(* The whole flush, in ascending block order. *)
+let apply_flush t st extents =
+  match Extent_map.span extents with
+  | None -> 0
+  | Some span when t.drop_every = 0 && not (Extent_map.overlaps st.cache span) ->
+      apply_gap t st extents
+  | Some _ ->
+      Extent_map.fold
+        (fun range tag acc ->
+          t.blocks_seen <- t.blocks_seen + 1;
+          if t.drop_every > 0 && t.blocks_seen mod t.drop_every = 0 then acc
+          else acc + apply_block t st range tag)
+        extents 0
 
 (* Forward reference: the cleanup task is defined below but triggered
    from the write path the moment the threshold is crossed (§IV-B: "the
@@ -181,10 +232,10 @@ let ds_span t name args f =
 
 let handle t req ~reply =
   match req with
-  | Write_flush { rid; blocks; ctl } ->
+  | Write_flush { rid; extents; ctl } ->
       ds_span t "ds.write_flush"
         [ ("rid", Obs.Json.Int rid);
-          ("blocks", Obs.Json.Int (List.length blocks));
+          ("blocks", Obs.Json.Int (Extent_map.cardinal extents));
           ("ctl", Obs.Json.Int (List.length ctl)) ]
       @@ fun () ->
       (* Piggybacked control traffic splits around the blocks (DESIGN.md
@@ -202,15 +253,8 @@ let handle t req ~reply =
       List.iter (Seqdlm.Lock_server.control (lock_server_for t rid)) pre;
       let st = stripe t rid in
       t.stats.flush_rpcs <- t.stats.flush_rpcs + 1;
-      t.stats.blocks_in <- t.stats.blocks_in + List.length blocks;
-      let written =
-        List.fold_left
-          (fun acc b ->
-            t.blocks_seen <- t.blocks_seen + 1;
-            if t.drop_every > 0 && t.blocks_seen mod t.drop_every = 0 then acc
-            else acc + apply_block t st b)
-          0 blocks
-      in
+      t.stats.blocks_in <- t.stats.blocks_in + Extent_map.cardinal extents;
+      let written = apply_flush t st extents in
       let entries = total_cache_entries t in
       if entries > t.stats.cache_peak then t.stats.cache_peak <- entries;
       if entries > t.config.Config.extent_cache_limit then trigger_cleanup t;
@@ -234,19 +278,9 @@ let handle t req ~reply =
           ("keep_below", Obs.Json.Int keep_below) ]
       @@ fun () ->
       let st = stripe t rid in
-      if keep_below <= 0 then begin
-        st.store <- Content.empty;
-        st.cache <- Extent_map.empty
-      end
-      else begin
-        let keep = Content.read st.store (Interval.v ~lo:0 ~hi:keep_below) in
-        st.store <-
-          List.fold_left
-            (fun c (seg, tag) ->
-              match tag with Some tg -> Content.write c seg tg | None -> c)
-            Content.empty keep;
-        st.cache <- Extent_map.remove st.cache (Interval.to_eof ~lo:keep_below)
-      end;
+      let keep_below = max 0 keep_below in
+      st.store <- Content.truncate st.store keep_below;
+      st.cache <- snd (Extent_map.cut st.cache (Interval.to_eof ~lo:keep_below));
       shrunk st;
       reply Done
 

@@ -29,7 +29,18 @@ type block = {
 type io_req =
   | Write_flush of {
       rid : int;
-      blocks : block list;
+      extents : Ccpfs_util.Content.tag Ccpfs_util.Extent_map.t;
+          (** the flushed blocks: the client's dirty extents under the
+              flushed ranges, cut out of its dirty map as one persistent
+              sub-map (a whole-stripe flush hands the map over as it
+              is).  The server applies them in offset order.  When the
+              span from the first block's start to the last one's end
+              holds nothing in the stripe's extent cache, the map is
+              joined into the cache whole, and into the device as well
+              where the span is free there, so the message, the cache
+              and the device share its nodes (DESIGN.md §17); the cache,
+              the extent log, the stats and the update set are those of
+              the block-by-block merge. *)
       ctl : Seqdlm.Types.ctl_msg list;
           (** lock-control messages piggybacked on the flush (acks,
               downgrades, releases — DESIGN.md §13); the server splits

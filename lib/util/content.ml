@@ -7,6 +7,8 @@ type t = tag Extent_map.t
 
 let empty = Extent_map.empty
 let write m iv tag = Extent_map.set m iv tag
+let write_all = Extent_map.set_all
+let truncate m off = snd (Extent_map.cut m (Interval.to_eof ~lo:off))
 
 let write_if_newer m iv tag =
   Extent_map.merge m iv tag ~keep_new:(fun ~old -> tag.sn > old.sn)
@@ -48,8 +50,7 @@ let checksum m =
       List.fold_left mix acc [ iv.lo; iv.hi; tag.writer; tag.op; tag.sn ])
     (normalize m) 0x9e3779b9
 
-let written_bytes m =
-  Extent_map.fold (fun iv _ acc -> acc + Interval.length iv) m 0
+let written_bytes = Extent_map.total_length
 
 let extent_count = Extent_map.cardinal
 let pp ppf m = Extent_map.pp pp_tag ppf m

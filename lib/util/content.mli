@@ -20,6 +20,15 @@ val empty : t
 val write : t -> Interval.t -> tag -> t
 (** Overwrite a range unconditionally (in-order application). *)
 
+val write_all : t -> tag Extent_map.t -> t
+(** [write_all c m] writes every extent of [m], as successive {!write}s
+    would.  When [c] holds nothing in [m]'s span it costs O(log n) and
+    the result shares [m]'s nodes ({!Extent_map.set_all}). *)
+
+val truncate : t -> int -> t
+(** [truncate c off] drops every byte at or past [off] ([off >= 0]):
+    O(log n + k) for the k extents it drops ({!Extent_map.cut}). *)
+
 val write_if_newer : t -> Interval.t -> tag -> t * Interval.t list
 (** Apply a possibly out-of-order flush: the new data only lands where its
     [sn] is strictly greater than what is present.  Returns the update

@@ -99,10 +99,55 @@ let rec rightmost = function
   | Node { r; _ } -> rightmost r
   | Leaf -> Leaf
 
+let singleton lo hi v = Node { l = Leaf; lo; hi; v; r = Leaf; h = 1 }
+
+let rec add_min lo hi v = function
+  | Leaf -> singleton lo hi v
+  | Node n -> bal (add_min lo hi v n.l) n.lo n.hi n.v n.r
+
+let rec add_max lo hi v = function
+  | Leaf -> singleton lo hi v
+  | Node n -> bal n.l n.lo n.hi n.v (add_max lo hi v n.r)
+
+(* Stdlib Map's join: every extent of [l] lies before [lo, hi), every
+   one of [r] after it, and their heights are arbitrary.  Walks down
+   the taller side to a subtree the other matches, so O(|hl - hr| + 1). *)
+let rec join l lo hi v r =
+  match (l, r) with
+  | Leaf, _ -> add_min lo hi v r
+  | _, Leaf -> add_max lo hi v l
+  | Node ln, Node rn ->
+      if ln.h > rn.h + 2 then bal ln.l ln.lo ln.hi ln.v (join ln.r lo hi v r)
+      else if rn.h > ln.h + 2 then bal (join l lo hi v rn.l) rn.lo rn.hi rn.v rn.r
+      else create l lo hi v r
+
 let rec remove_min = function
   | Leaf -> Leaf
   | Node { l = Leaf; r; _ } -> r
   | Node n -> bal (remove_min n.l) n.lo n.hi n.v n.r
+
+(* Every extent of [l] lies before every one of [r]. *)
+let concat l r =
+  match leftmost r with
+  | Leaf -> l
+  | Node m -> join l m.lo m.hi m.v (remove_min r)
+
+(* [split x t] is the extents before [x] and those after it, an extent
+   straddling [x] clipped into one piece on each side, and whether
+   there was one: at most one can straddle, and it lies on the path.
+   One descent, a [join] per level: O(log n). *)
+let rec split x = function
+  | Leaf -> (Leaf, Leaf, false)
+  | Node n ->
+      if x <= n.lo then
+        let ll, lr, clipped = split x n.l in
+        (ll, join lr n.lo n.hi n.v n.r, clipped)
+      else if x >= n.hi then
+        let rl, rr, clipped = split x n.r in
+        (join n.l n.lo n.hi n.v rl, rr, clipped)
+      else (add_max n.lo x n.v n.l, add_min x n.hi n.v n.r, true)
+
+let rec count = function Leaf -> 0 | Node n -> count n.l + 1 + count n.r
 
 let rec remove_key k = function
   | Leaf -> Leaf
@@ -207,6 +252,76 @@ let merge m (iv : Interval.t) v ~keep_new =
       push iv.lo !pos;
       let won = !won in
       (List.fold_left (fun m seg -> set m seg v) m won, won)
+
+let span t =
+  match (leftmost t.m, rightmost t.m) with
+  | Node first, Node last -> Some (Interval.v ~lo:first.lo ~hi:last.hi)
+  | Leaf, _ | _, Leaf -> None
+
+(* The whole map when the range covers it (the client's whole-stripe
+   flush), nothing when the range meets no extent, and otherwise two
+   splits: the cut's own extents are counted, O(k), and the rest's
+   count follows from the pieces the splits made. *)
+let cut t (iv : Interval.t) =
+  match (leftmost t.m, rightmost t.m) with
+  | Node first, Node last when iv.lo <= first.lo && last.hi <= iv.hi ->
+      (t, empty)
+  | _ when not (meets iv.lo iv.hi t.m) -> (empty, t)
+  | _ ->
+      let below, rest, cut_lo = split iv.lo t.m in
+      let inside, above, cut_hi = split iv.hi rest in
+      let k = count inside in
+      ( { m = inside; n = k },
+        {
+          m = concat below above;
+          n = t.n + Bool.to_int cut_lo + Bool.to_int cut_hi - k;
+        } )
+
+let set_all t sub =
+  match span sub with
+  | None -> t
+  | Some _ when t.n = 0 -> sub
+  | Some s when sub.n > 1 && not (meets s.lo s.hi t.m) ->
+      (* All gap: [t] splits where [sub] goes, and [sub]'s tree is
+         joined in whole, so the result shares its nodes.  A single
+         extent is cheaper to [set]: one descent, no split. *)
+      let below, above, _ = split s.lo t.m in
+      { m = concat (concat below sub.m) above; n = t.n + sub.n }
+  | Some _ ->
+      let rec go t = function
+        | Leaf -> t
+        | Node n -> go (set (go t n.l) (Interval.v ~lo:n.lo ~hi:n.hi) n.v) n.r
+      in
+      go t sub.m
+
+(* The first [i] extents end where the [i]-th (from 0) starts. *)
+exception Start of int
+
+let split_nth t i =
+  if i <= 0 then (empty, t)
+  else if i >= t.n then (t, empty)
+  else
+    let k = ref i in
+    let rec find = function
+      | Leaf -> ()
+      | Node n ->
+          find n.l;
+          if !k = 0 then raise_notrace (Start n.lo);
+          decr k;
+          find n.r
+    in
+    match find t.m with
+    | () -> assert false
+    | exception Start lo ->
+        let below, above, _ = split lo t.m in
+        ({ m = below; n = i }, { m = above; n = t.n - i })
+
+let total_length t =
+  let rec go acc = function
+    | Leaf -> acc
+    | Node n -> go (go (acc + n.hi - n.lo) n.l) n.r
+  in
+  go 0 t.m
 
 let fold f t acc =
   let rec go acc = function

@@ -1,5 +1,7 @@
+(* Samples live in a doubling unboxed float array: one word each, where
+   a list cell and a boxed float took five. *)
 type t = {
-  mutable samples : float list;
+  mutable samples : float array;
   mutable n : int;
   mutable sum : float;
   mutable sumsq : float;
@@ -9,11 +11,16 @@ type t = {
 }
 
 let create () =
-  { samples = []; n = 0; sum = 0.; sumsq = 0.; mn = infinity;
+  { samples = [||]; n = 0; sum = 0.; sumsq = 0.; mn = infinity;
     mx = neg_infinity; sorted = None }
 
 let add t x =
-  t.samples <- x :: t.samples;
+  if t.n = Array.length t.samples then begin
+    let grown = Array.make (Stdlib.max 16 (2 * t.n)) 0. in
+    Array.blit t.samples 0 grown 0 t.n;
+    t.samples <- grown
+  end;
+  t.samples.(t.n) <- x;
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
   t.sumsq <- t.sumsq +. (x *. x);
@@ -38,7 +45,7 @@ let sorted t =
   match t.sorted with
   | Some a -> a
   | None ->
-      let a = Array.of_list t.samples in
+      let a = Array.sub t.samples 0 t.n in
       Array.sort Float.compare a;
       t.sorted <- Some a;
       a

@@ -531,6 +531,172 @@ let prop_em_differential_at_scale =
         (List.fold_left step (Extent_map.empty, Ref_extent_map.empty, 0) steps);
       true)
 
+(* [cut], [set_all] and [split_nth] against the reference, where the
+   reference cut is its clipped [overlapping] rebuilt by [set] beside
+   its [remove], its [set_all] a fold of [set] and its [split_nth] a
+   split of [to_list].  Maps of up to a few hundred extents are built
+   from ascending runs (adjacent or one apart, so holes exist) and
+   overwrites.  Each step is checked, extents, cardinal and
+   [check_invariants] on every result, and the next step goes on from
+   one of them:
+   - a cut at a random range (clips at either end, a straddler cut at
+     both ends), continuing from the rest or the cut, or from the two
+     put back together;
+   - a cut of a range that covers every extent: the map itself, and an
+     empty rest; a cut in a hole or past the end: empty;
+   - a union of a small map placed in a hole or past the end (the gap
+     join) or over existing extents;
+   - a split after the i-th extent, and the halves joined back. *)
+let prop_em_cut_and_join =
+  let open QCheck in
+  let build =
+    Gen.(
+      list_size (int_range 0 12)
+        (frequency
+           [
+             (3, map3 (fun n len gapped -> `Run (n, len, gapped))
+                  (int_range 1 60) (int_range 1 8) bool);
+             (1, map3 (fun at len v -> `Over (at, len, v))
+                  (int_bound 999) (int_range 1 40) (int_bound 3));
+           ]))
+  in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 4,
+            map3
+              (fun a b keep -> `Cut (a, b, keep))
+              (int_bound 1100) (int_range 0 300) (int_bound 2) );
+          (1, return `Cut_all);
+          (1, map (fun a -> `Cut_hole a) (int_bound 999));
+          ( 3,
+            map3
+              (fun a n gap -> `Union (a, n, gap))
+              (int_bound 1100) (int_range 0 30) bool );
+          (2, map (fun i -> `Split i) (int_range (-2) 400));
+        ])
+  in
+  let print_build = function
+    | `Run (n, len, g) -> Printf.sprintf "run %dx%d%s" n len (if g then " gapped" else "")
+    | `Over (a, len, v) -> Printf.sprintf "over@%d/1000+%d=%d" a len v
+  in
+  let print_op = function
+    | `Cut (a, b, k) -> Printf.sprintf "cut@%d/1000+%d keep%d" a b k
+    | `Cut_all -> "cut all"
+    | `Cut_hole a -> Printf.sprintf "cut hole@%d/1000" a
+    | `Union (a, n, g) ->
+        Printf.sprintf "union@%d/1000 %d%s" a n (if g then " in a gap" else "")
+    | `Split i -> Printf.sprintf "split %d" i
+  in
+  let flat l = List.map (fun ((i : Interval.t), v) -> (i.lo, i.hi, v)) l in
+  let same what m r =
+    Extent_map.check_invariants m;
+    if
+      flat (Extent_map.to_list m) <> flat (Ref_extent_map.to_list r)
+      || Extent_map.cardinal m <> Ref_extent_map.cardinal r
+    then Test.fail_reportf "%s diverged from the reference" what
+  in
+  let ref_set_all r l = List.fold_left (fun r (x, v) -> Ref_extent_map.set r x v) r l in
+  Test.make ~name:"cut, set_all and split_nth match the reference" ~count:300
+    (make
+       ~print:Print.(pair (list print_build) (list print_op))
+       Gen.(pair build (list_size (int_range 1 16) op)))
+    (fun (builds, ops) ->
+      let tail m = match Extent_map.span m with Some s -> s.Interval.hi | None -> 0 in
+      let at frac m = frac * (tail m + 1) / 1000 in
+      let m, r =
+        List.fold_left
+          (fun (m, r) b ->
+            match b with
+            | `Run (n, len, gapped) ->
+                let start = tail m in
+                List.fold_left
+                  (fun (m, r) k ->
+                    let gap = Bool.to_int gapped in
+                    let lo = start + (k * (len + gap)) + gap in
+                    let x = iv lo (lo + len) in
+                    (Extent_map.set m x k, Ref_extent_map.set r x k))
+                  (m, r) (List.init n Fun.id)
+            | `Over (a, len, v) ->
+                let x = Interval.of_len ~lo:(at a m) ~len in
+                (Extent_map.set m x v, Ref_extent_map.set r x v))
+          (Extent_map.empty, Ref_extent_map.empty)
+          builds
+      in
+      same "built map" m r;
+      let step (m, r) op =
+        match op with
+        | `Cut (a, len, keep) ->
+            let x = Interval.of_len ~lo:(at a m) ~len:(len + 1) in
+            let inside, rest = Extent_map.cut m x in
+            let ref_inside = Ref_extent_map.overlapping r x in
+            let ref_rest = Ref_extent_map.remove r x in
+            same "cut" inside (ref_set_all Ref_extent_map.empty ref_inside);
+            same "cut rest" rest ref_rest;
+            (match keep with
+            | 0 -> (rest, ref_rest)
+            | 1 -> (inside, ref_set_all Ref_extent_map.empty ref_inside)
+            | _ ->
+                let back = Extent_map.set_all rest inside in
+                let ref_back = ref_set_all ref_rest ref_inside in
+                same "cut put back" back ref_back;
+                (back, ref_back))
+        | `Cut_all ->
+            let x = Interval.to_eof ~lo:0 in
+            let inside, rest = Extent_map.cut m x in
+            if inside != m || not (Extent_map.is_empty rest) then
+              Test.fail_report "a covering cut must hand the map over";
+            (m, r)
+        | `Cut_hole a ->
+            let x = iv (tail m + 1 + a) (tail m + 2 + a) in
+            let inside, rest = Extent_map.cut m x in
+            if rest != m || not (Extent_map.is_empty inside) then
+              Test.fail_report "a cut meeting nothing must take nothing";
+            (* and the first hole between two extents, if there is one *)
+            let rec first_hole = function
+              | ((x : Interval.t), _) :: (((y : Interval.t), _) :: _ as rest) ->
+                  if x.hi < y.lo then Some (iv x.hi y.lo) else first_hole rest
+              | _ -> None
+            in
+            Option.iter
+              (fun hole ->
+                let inside, rest = Extent_map.cut m hole in
+                if rest != m || not (Extent_map.is_empty inside) then
+                  Test.fail_report "a cut in a hole must take nothing")
+              (first_hole (Extent_map.to_list m));
+            (m, r)
+        | `Union (a, n, gap) ->
+            (* in a gap: the region is cleared first, so the span is a hole *)
+            let lo = at a m in
+            let sub_list =
+              List.init n (fun k -> (iv (lo + (3 * k)) (lo + (3 * k) + 2), 10 + k))
+            in
+            let m, r =
+              if gap && n > 0 then
+                let hole = iv lo (lo + (3 * n)) in
+                (Extent_map.remove m hole, Ref_extent_map.remove r hole)
+              else (m, r)
+            in
+            let sub = Extent_map.of_list sub_list in
+            let joined = Extent_map.set_all m sub in
+            let ref_joined = ref_set_all r sub_list in
+            same "set_all" joined ref_joined;
+            (joined, ref_joined)
+        | `Split i ->
+            let a, b = Extent_map.split_nth m i in
+            let l = Ref_extent_map.to_list r in
+            let i' = Stdlib.max 0 (Stdlib.min i (List.length l)) in
+            let part keep = ref_set_all Ref_extent_map.empty (List.filteri keep l) in
+            same "split head" a (part (fun k _ -> k < i'));
+            same "split tail" b (part (fun k _ -> k >= i'));
+            let back = Extent_map.set_all a b in
+            same "split joined back" back r;
+            (back, r)
+      in
+      ignore (List.fold_left step (m, r) ops);
+      true)
+
 (* The data server's ior-segmented shape at full size: 262,144
    ascending gap appends, each carrying its own value, all kept. *)
 let test_em_ascending_appends () =
@@ -952,6 +1118,66 @@ let prop_stats_percentile_nearest_rank =
       in
       Stats.percentile s (float_of_int p) = List.nth sorted (rank - 1))
 
+(* Stats against a list-based reference (its representation before the
+   samples moved into a growable float array): a script of adds and
+   percentile queries, queries interleaved with adds so the sorted
+   cache is rebuilt after growth.  Count, mean, min, max and every
+   queried percentile must agree exactly.  Up to 300 adds cross several
+   doublings of the array. *)
+let prop_stats_matches_list_reference =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map (fun x -> `Add (float_of_int x /. 4.)) (int_range (-400) 400));
+          (1, map (fun p -> `Pct (float_of_int p /. 10.)) (int_range (-10) 1010));
+        ])
+  in
+  let print = function
+    | `Add x -> Printf.sprintf "add %g" x
+    | `Pct p -> Printf.sprintf "p%g" p
+  in
+  let ref_percentile samples p =
+    match samples with
+    | [] -> 0.
+    | _ ->
+        let a = Array.of_list (List.sort Float.compare samples) in
+        let n = Array.length a in
+        let p = Float.max 0. (Float.min 100. p) in
+        let x = p /. 100. *. float_of_int n in
+        let rank = int_of_float (ceil (x -. (1e-9 +. (1e-12 *. x)))) - 1 in
+        a.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
+  in
+  Test.make ~name:"stats match a list-based reference" ~count:200
+    (make ~print:Print.(list print) Gen.(list_size (int_range 0 380) op))
+    (fun ops ->
+      let s = Stats.create () in
+      let samples = ref [] and sum = ref 0. in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add x ->
+              Stats.add s x;
+              samples := x :: !samples;
+              sum := !sum +. x
+          | `Pct _ -> ());
+          let n = List.length !samples in
+          let agree =
+            Stats.count s = n
+            && Stats.mean s = (if n = 0 then 0. else !sum /. float_of_int n)
+            && Stats.min s
+               = List.fold_left Float.min (if n = 0 then 0. else infinity) !samples
+            && Stats.max s
+               = List.fold_left Float.max
+                   (if n = 0 then 0. else neg_infinity)
+                   !samples
+          in
+          match op with
+          | `Pct p -> agree && Stats.percentile s p = ref_percentile !samples p
+          | `Add _ -> agree)
+        ops)
+
 (* The same exact-rank property at per-mille resolution: p is drawn in
    tenths of a percent (0..1000 per-mille), the oracle rank is computed
    in exact integer arithmetic, and the tail percentiles the load
@@ -1246,6 +1472,7 @@ let suite =
           test_em_ascending_appends;
         q prop_em_differential;
         q prop_em_differential_at_scale;
+        q prop_em_cut_and_join;
       ] );
     ( "util.content",
       [
@@ -1281,6 +1508,7 @@ let suite =
           test_stats_spread_p50_lt_p99;
         q prop_stats_percentile_nearest_rank;
         q prop_stats_percentile_permille;
+        q prop_stats_matches_list_reference;
         Alcotest.test_case "p999 at the resolution boundary" `Quick
           test_stats_p999_resolution;
         Alcotest.test_case "units" `Quick test_units;
