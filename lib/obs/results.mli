@@ -17,4 +17,6 @@ val document : schema:string -> Json.t
 
 val write : schema:string -> path:string -> unit -> int
 (** Write {!document} to [path], replacing any file there, and clear
-    the accumulator; returns the number of rows written. *)
+    the accumulator; returns the number of rows written.  The header
+    takes the first line and each row a line of its own; the bytes
+    parse to exactly {!document}. *)

@@ -299,6 +299,26 @@ let test_hub_plumbing () =
   Sys.remove path;
   Hub.reset ()
 
+(* A committed document is diffed line by line, so [Results.write]
+   gives the header and each row a line; the bytes still parse to
+   exactly [Results.document]. *)
+let test_results_row_per_line () =
+  Obs.Results.clear ();
+  List.iter
+    (fun i -> Obs.Results.add (Json.Obj [ ("run", Json.Int i) ]))
+    [ 0; 1; 2 ];
+  let doc = Obs.Results.document ~schema:"test/1" in
+  let path = Filename.temp_file "results" ".json" in
+  let n = Obs.Results.write ~schema:"test/1" ~path () in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check int) "rows written" 3 n;
+  Alcotest.(check int) "accumulator cleared" 0 (Obs.Results.count ());
+  Alcotest.(check string) "parses to the document" (Json.to_string doc)
+    (Json.to_string (Json.parse_exn text));
+  Alcotest.(check int) "header + 3 rows + close" 5
+    (List.length (String.split_on_char '\n' (String.trim text)))
+
 (* ------------------------------------------------------------------ *)
 (* Golden: a traced cluster run                                        *)
 (* ------------------------------------------------------------------ *)
@@ -367,6 +387,8 @@ let suite =
         Alcotest.test_case "JSON parser error paths" `Quick
           test_json_error_paths;
         Alcotest.test_case "hub plumbing" `Quick test_hub_plumbing;
+        Alcotest.test_case "results document, one row per line" `Quick
+          test_results_row_per_line;
         Alcotest.test_case "golden traced cluster run" `Quick
           test_cluster_trace_golden;
       ] );
