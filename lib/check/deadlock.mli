@@ -39,6 +39,4 @@ val find_cycles : edge list -> Types.client_id list list
     client id, in a deterministic order.  Exposed so the determinism
     regression tests can drive it on synthetic graphs. *)
 
-val pp_edge : Format.formatter -> edge -> unit
-val pp : Format.formatter -> report -> unit
 val to_string : report -> string

@@ -79,21 +79,12 @@ let check_fifo srv rid =
   in
   walk (Lock_server.waiting_view srv rid)
 
-let builtin : (string * (Lock_server.t -> Types.resource_id -> unit)) list =
-  [
-    ("lcm-compat", check_compat); ("sn-rules", check_sn);
-    ("fifo-queue", check_fifo);
-  ]
-
-let extra : (string * (Lock_server.t -> Types.resource_id -> unit)) list ref =
-  ref []
-
-let register name f = extra := !extra @ [ (name, f) ]
-let checks () = builtin @ !extra
-
 let check_server srv =
   List.iter
-    (fun rid -> List.iter (fun (_, f) -> f srv rid) (checks ()))
+    (fun rid ->
+      check_compat srv rid;
+      check_sn srv rid;
+      check_fifo srv rid)
     (Lock_server.resource_ids srv)
 
 (* Strict SN monotonicity, observed on the live grant stream rather than

@@ -22,16 +22,9 @@
 
 open Seqdlm
 
-val register :
-  string -> (Lock_server.t -> Types.resource_id -> unit) -> unit
-(** Add a custom per-resource invariant to the registry. *)
-
-val checks :
-  unit -> (string * (Lock_server.t -> Types.resource_id -> unit)) list
-(** Built-in invariants followed by registered ones. *)
-
 val check_server : Lock_server.t -> unit
-(** Run every registered invariant over every resource of the server. *)
+(** Run the Table II, SN and FIFO invariants over every resource of the
+    server. *)
 
 val monitor_sn : Lock_server.t -> unit
 (** Chain a tracer that watches the grant stream for SN regressions. *)

@@ -10,9 +10,6 @@ open Seqdlm
 
 val compatible : req:Mode.t -> granted:Mode.t -> state:Lcm.lock_state -> bool
 
-val all_modes : Mode.t list
-val all_states : Lcm.lock_state list
-
 val cross_check : unit -> unit
 (** Compare [Lcm.compatible] against this table over every cell; raises
     {!Violation.Violation} on the first divergence. *)

@@ -12,8 +12,6 @@ let () =
   | Some ("0" | "off" | "") | None -> ()
   | Some _ -> invariants_on := true
 
-let enable_invariants () = invariants_on := true
-
 let enable_all () =
   invariants_on := true;
   determinism_on := true

@@ -14,17 +14,13 @@
 
 open Ccpfs
 
-val enable_invariants : unit -> unit
 val enable_all : unit -> unit
 val enabled : unit -> bool
 val determinism_enabled : unit -> bool
 
-val attach_server : Seqdlm.Lock_server.t -> unit
-(** Install the invariant validator and the SN-monotonicity monitor. *)
-
 val attach_cluster : Cluster.t -> unit
-(** [attach_server] on every lock server, plus cache audits on every
-    client. *)
+(** The invariant validator and the SN-monotonicity monitor on every
+    lock server, plus cache audits on every client. *)
 
 val check_ownership : Cluster.t -> unit
 (** Shard-ownership exclusivity (DESIGN.md §15): raises {!Violation.Violation}

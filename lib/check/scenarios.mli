@@ -9,14 +9,6 @@
     produces downstream (callback races, ack/release ties).  Invariants
     are asserted after every schedule. *)
 
-val three_client_contention : perm:int array -> (int -> int) -> unit
-(** One scenario instance; [perm.(i)] is client [i]'s issue slot.  Pass
-    to {!Explore.run}.  Raises {!Violation.Violation} if a schedule ends
-    in bad lock-server state or a starved writer. *)
-
-val arrival_orders : int array list
-(** All 6 permutations of three issue slots. *)
-
 val explore_contention : ?max_schedules:int -> unit -> Explore.result
 (** Explore every arrival order exhaustively; [schedules] accumulates
     across orders, [complete] says all six trees were exhausted. *)

@@ -14,5 +14,4 @@ exception Violation of t
 val fail : inv:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [fail ~inv fmt ...] raises {!Violation} with a formatted detail. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -501,6 +501,5 @@ let take_piggyback t ~rid =
     with
     | None -> []
     | Some q -> pb_take q
-let reliability t = t.rel
 let retries t = Rpc.View.retries t.view
 let recovery_endpoint t = Option.get t.recover_ep

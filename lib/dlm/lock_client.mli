@@ -94,7 +94,6 @@ val locks_for_recovery :
     plain paths. *)
 
 val set_reliability : t -> Netsim.Rpc.reliability -> unit
-val reliability : t -> Netsim.Rpc.reliability option
 
 (** {1 Sharded namespace (DESIGN.md §15)}
 

@@ -1269,8 +1269,6 @@ let adopt t (st : migration_state) =
   List.iter (fun (c, l) -> reinstall t ~client:c ~locks:[ l ]) st.mig_locks;
   restore_sn_floor t st.mig_rid (st.mig_next_sn - 1)
 
-let total_queued t = t.queued_total
-
 let hottest_resource t =
   List.fold_left
     (fun acc (rid, rs) ->
@@ -1361,9 +1359,7 @@ let add_tracer t f =
             f now ev)
 
 let set_validator t f = t.validator <- Some f
-let clear_validator t = t.validator <- None
 let set_repl_hook t f = t.repl <- Some f
-let clear_repl_hook t = t.repl <- None
 
 let pp_trace_event ppf = function
   | T_request r -> Format.fprintf ppf "request  %a" Types.pp_request r

@@ -121,7 +121,6 @@ val add_tracer : t -> (float -> trace_event -> unit) -> unit
     carries no knowledge of what is being checked. *)
 
 val set_validator : t -> (t -> unit) -> unit
-val clear_validator : t -> unit
 
 (** {1 Replication feed (lib/repl, DESIGN.md §16)}
 
@@ -152,7 +151,6 @@ type repl_event =
       (** the whole resource migrated away *)
 
 val set_repl_hook : t -> (repl_event -> unit) -> unit
-val clear_repl_hook : t -> unit
 
 (** {1 Server recovery (§IV-C2)}
 
@@ -252,10 +250,6 @@ val adopt : t -> migration_state -> unit
     the next SN issued here continues exactly where the old owner
     stopped.  The caller additionally applies the extent-log SN floor
     from the resource's (static) data server. *)
-
-val total_queued : t -> int
-(** Live queued-waiter count over all resources — the value mirrored to
-    the [dlm.<name>.queue] gauge that drives the rebalancer. *)
 
 val hottest_resource : t -> (Types.resource_id * int) option
 (** The resource with the deepest waiting queue (smallest rid on ties),

@@ -26,6 +26,5 @@ let subsumes ~cached ~wanted =
   | PW, (PR | NBW | BW) -> false
 
 let equal a b = a = b
-let compare = Stdlib.compare
 let to_string = function PR -> "PR" | NBW -> "NBW" | BW -> "BW" | PW -> "PW"
 let pp ppf m = Format.pp_print_string ppf (to_string m)

@@ -39,6 +39,5 @@ val subsumes : cached:t -> wanted:t -> bool
     writes; PR serves reads only). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

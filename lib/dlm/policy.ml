@@ -66,10 +66,6 @@ let without_early_revocation t =
 let without_conversion t =
   { t with name = t.name ^ "-noConv"; auto_convert = false }
 
-let with_name name t = { t with name }
-
-let select_read _t = Mode.PR
-
 let select_write t ~spans_resources ~implicit_read =
   match t.selection with
   | Traditional_modes -> Mode.PW

@@ -53,10 +53,6 @@ val dlm_datatype : t
 
 val without_early_revocation : t -> t
 val without_conversion : t -> t
-val with_name : string -> t -> t
-
-val select_read : t -> Mode.t
-(** Fig. 10: reads always take PR. *)
 
 val select_write : t -> spans_resources:bool -> implicit_read:bool -> Mode.t
 (** Fig. 10 for this policy's mode set: implicit reads (append, partial

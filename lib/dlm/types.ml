@@ -84,7 +84,3 @@ let pp_request ppf (r : request) =
 let pp_grant ppf g =
   Format.fprintf ppf "grant{#%d c%d r%d %a %a sn%d %a}" g.lock_id g.client
     g.rid Mode.pp g.mode pp_ranges g.ranges g.sn Lcm.pp_state g.state
-
-let pp_lock_reply ppf = function
-  | Granted g -> pp_grant ppf g
-  | Stale_owner { epoch } -> Format.fprintf ppf "stale_owner{epoch%d}" epoch

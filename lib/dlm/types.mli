@@ -69,4 +69,3 @@ val normalize_ranges : Ccpfs_util.Interval.t list -> Ccpfs_util.Interval.t list
 
 val pp_request : Format.formatter -> request -> unit
 val pp_grant : Format.formatter -> grant -> unit
-val pp_lock_reply : Format.formatter -> lock_reply -> unit

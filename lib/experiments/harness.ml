@@ -12,13 +12,6 @@ type result = {
   ops : int;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf "pio=%s f=%s bw=%s locking=%s"
-    (Units.seconds_to_string r.pio)
-    (Units.seconds_to_string r.f)
-    (Units.bandwidth_to_string r.bandwidth)
-    (Units.seconds_to_string r.locking)
-
 let collect cl ~pio ~f =
   let bytes = Cluster.total_bytes_written cl in
   {

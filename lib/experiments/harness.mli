@@ -15,8 +15,6 @@ type result = {
   ops : int;  (** client operations during PIO *)
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 val run_streams :
   ?params:Netsim.Params.t -> ?config:Ccpfs.Config.t ->
   ?policy:Seqdlm.Policy.t -> ?mode:Seqdlm.Mode.t -> ?lock_whole_range:bool ->

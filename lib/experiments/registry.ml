@@ -86,13 +86,6 @@ let all =
       run = Exp_fig24.run;
     };
     {
-      id = "ablation";
-      title = "Ablations: expansion, ER vs contention, extent cache, flush thresholds, sequencer reuse";
-      paper_claim = "design-choice sensitivity (DESIGN.md §4)";
-      default_scale = 0.1;
-      run = Exp_ablation.run;
-    };
-    {
       id = "scale";
       title = "Scale: shared-file PW convoy at 128-512 clients";
       paper_claim =

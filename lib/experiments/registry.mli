@@ -25,9 +25,6 @@ val run_one : ?scale:float -> t -> unit
 val run_all : ?scale:float -> unit -> unit
 (** Every experiment at its default (or overridden) scale. *)
 
-val results_schema : string
-(** The schema tag of experiment rows, ["ccpfs.experiments/1"]. *)
-
 val write_results : path:string -> int
 (** Write every result row the harness accumulated since the last write
     to [path] as a [BENCH_experiments.json] document (see EXPERIMENTS.md

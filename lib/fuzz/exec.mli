@@ -32,9 +32,6 @@ type outcome = {
   oracle : string;  (** which oracle vouched: ["shadow"] / ["analytic"] *)
 }
 
-val tolerance : float
-(** Allowed relative error of the analytic differential check. *)
-
 val run : ?inject:inject -> Case.t -> outcome
 (** @raise Check.Violation.Violation on any invariant, determinism,
     recovery-floor or analytic-model failure;

@@ -10,9 +10,6 @@ let base () =
       | None ->
           invalid_arg (Printf.sprintf "%s=%S is not an integer" env_var s))
 
-let from_env () =
-  match Sys.getenv_opt env_var with None | Some "" -> false | Some _ -> true
-
 let label name = Printf.sprintf "%s [%s=%d]" name env_var (base ())
 (* Same stream as the historical Random.State.make call, but minted by
    Det_random so the D002 lint holds: no Stdlib.Random outside it. *)

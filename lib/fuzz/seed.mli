@@ -5,17 +5,9 @@
     variable (or pass [ccpfs_run fuzz --seed]) to the seed a failure
     message printed. *)
 
-val env_var : string
-(** ["CCPFS_SEED"]. *)
-
-val default : int
-
 val base : unit -> int
-(** [CCPFS_SEED] if set, {!default} otherwise.
+(** [CCPFS_SEED] if set, [0x5eed] otherwise.
     @raise Invalid_argument if the variable is set but not an integer. *)
-
-val from_env : unit -> bool
-(** Whether [CCPFS_SEED] overrides the default. *)
 
 val label : string -> string
 (** [label name] is ["name [CCPFS_SEED=<base>]"] — test-case names carry

@@ -76,7 +76,6 @@ type kind = [ `Phase | `Load | `Migration | `Partition | `Double_failure ]
 val kinds : kind list
 (** Oldest first: the order the generator first drew each kind in. *)
 
-val kind : t -> kind
 val is : kind -> t -> bool
 
 val kind_name : kind -> string

@@ -11,7 +11,6 @@ type t = {
 }
 
 let create ~layout = { layout; data = Array.make 4096 None; cap = 0 }
-let cap t = t.cap
 
 let ensure t hi =
   if hi > Array.length t.data then begin

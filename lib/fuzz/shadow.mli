@@ -41,10 +41,6 @@ val record_truncate : t -> size:int -> unit
 (** Journal a completed truncate: all modeled bytes at file offsets
     [>= size] become holes. *)
 
-val cap : t -> int
-(** One past the highest file offset ever modeled (truncation does not
-    lower it — the device must prove those bytes are gone). *)
-
 val check_against : t -> Ccpfs.Cluster.t -> Ccpfs.Client.file -> unit
 (** Compare every byte of every stripe's device contents against the
     shadow: provenance [(writer, op, sn)] must match exactly, holes

@@ -23,7 +23,6 @@ let create eng ~lease ~names =
         names;
   }
 
-let n t = Array.length t.entries
 let name t i = t.entries.(i).e_name
 let state t i = t.entries.(i).e_state
 let epoch t i = t.entries.(i).e_epoch
@@ -38,7 +37,6 @@ let renew_lease t i =
   t.entries.(i).e_lease_until <- Engine.now t.eng +. t.lease
 
 let lease_expired t i = Engine.now t.eng > t.entries.(i).e_lease_until
-let lease t = t.lease
 
 let all_up t =
   Array.for_all (fun e -> e.e_state = Up) t.entries

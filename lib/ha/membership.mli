@@ -19,7 +19,6 @@ val create : Dessim.Engine.t -> lease:float -> names:string array -> t
 (** All servers start [Up] with epoch 0 and a full lease.
     @raise Invalid_argument if [lease <= 0]. *)
 
-val n : t -> int
 val name : t -> int -> string
 val state : t -> int -> state
 val epoch : t -> int -> int
@@ -32,7 +31,6 @@ val renew_lease : t -> int -> unit
 (** Extend the lease to [now + lease] (a heartbeat succeeded). *)
 
 val lease_expired : t -> int -> bool
-val lease : t -> float
 
 val all_up : t -> bool
 val state_to_string : state -> string

@@ -495,20 +495,276 @@ let iterator ctx =
   { default_iterator with expr; value_binding }
 
 (* ------------------------------------------------------------------ *)
+(* U001: exported values no other unit references                     *)
+
+(* A value is named by its component list: the unit's module name split
+   at "__", any submodule, then the value name, so
+   "Seqdlm.Lock_server.grant", "Seqdlm__Lock_server.grant" and a local
+   [module L = Seqdlm.Lock_server] followed by "L.grant" all name the
+   same value.  Each unit's walk yields raw uses; they are resolved
+   against the module aliases and includes of every unit at the end,
+   because a unit may name another unit's alias before that unit has
+   been read. *)
+
+module KM = Map.Make (struct
+  type t = string list
+
+  let compare = List.compare String.compare
+end)
+
+type use =
+  | Value of string list  (** a value path *)
+  | Whole of string list
+      (** a module used as a whole (packed, constrained, passed to a
+          functor whose parameter could not be read): every value it
+          exports counts as referenced *)
+  | Alias of string list * string list  (** [module A = B] *)
+  | Include of string list * string list  (** module A does [include B] *)
+
+let rec alias_target (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* The value names of a functor's parameter signature: what the functor
+   can take from its argument. *)
+let functor_param_values ctx (f : Typedtree.module_expr) =
+  let env = resolve_env ctx f.mod_env in
+  match Mtype.scrape env f.mod_type with
+  | Mty_functor (Named (_, mty), _) -> (
+      match Mtype.scrape env mty with
+      | Mty_signature sg ->
+          Some
+            (List.filter_map
+               (function
+                 | Types.Sig_value (id, _, _) -> Some (Ident.name id) | _ -> None)
+               sg)
+      | _ -> None)
+  | _ -> None
+  | exception _ -> None
+
+let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
+  let uses = ref [] in
+  let emit u = uses := u :: !uses in
+  let locals = Hashtbl.create 16 in
+  let rec resolve (p : Path.t) =
+    match p with
+    | Pident id -> (
+        match Hashtbl.find_opt locals (Ident.unique_name id) with
+        | Some comps -> comps
+        | None ->
+            if Ident.persistent id then split_components (Ident.name id)
+            else [ "%" ^ Ident.unique_name id ])
+    | Pdot (p, s) -> resolve p @ [ s ]
+    | Papply _ | Pextra_ty _ -> [ "%apply" ]
+  in
+  (* [prefix] names the module being walked; [None] inside an anonymous
+     structure passed to a functor, whose includes the application
+     accounts for. *)
+  let prefix = ref (Some unit_comps) in
+  let within p f =
+    let saved = !prefix in
+    prefix := p;
+    f ();
+    prefix := saved
+  in
+  let bind_module id name (me : Typedtree.module_expr) walk =
+    let key = Ident.unique_name id in
+    match alias_target me with
+    | Some p ->
+        let target = resolve p in
+        Hashtbl.replace locals key target;
+        Option.iter (fun pre -> emit (Alias (pre @ [ name ], target))) !prefix
+    | None ->
+        let here =
+          match !prefix with
+          | Some pre -> pre @ [ name ]
+          | None -> [ "%" ^ key ]
+        in
+        Hashtbl.replace locals key here;
+        within (Some here) walk
+  in
+  let open Tast_iterator in
+  let module_binding sub (mb : Typedtree.module_binding) =
+    match (mb.mb_id, mb.mb_name.txt) with
+    | Some id, Some name ->
+        bind_module id name mb.mb_expr (fun () ->
+            default_iterator.module_binding sub mb)
+    | _ -> default_iterator.module_binding sub mb
+  in
+  let module_expr sub (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> emit (Whole (resolve p))
+    | Tmod_apply (f, arg, _) -> (
+        sub.module_expr sub f;
+        match functor_param_values ctx f with
+        | None -> sub.module_expr sub arg
+        | Some names -> (
+            let take p =
+              let m = resolve p in
+              List.iter (fun n -> emit (Value (m @ [ n ]))) names
+            in
+            match (alias_target arg, arg.mod_desc) with
+            | Some p, _ -> take p
+            | None, Tmod_structure str ->
+                List.iter
+                  (fun (it : Typedtree.structure_item) ->
+                    match it.str_desc with
+                    | Tstr_include { incl_mod; _ } ->
+                        Option.iter take (alias_target incl_mod)
+                    | _ -> ())
+                  str.str_items;
+                within None (fun () -> sub.module_expr sub arg)
+            | None, _ -> sub.module_expr sub arg))
+    | _ -> default_iterator.module_expr sub me
+  in
+  let structure_item sub (it : Typedtree.structure_item) =
+    match it.str_desc with
+    | Tstr_include { incl_mod; _ } when alias_target incl_mod <> None -> (
+        match (!prefix, alias_target incl_mod) with
+        | Some pre, Some p -> emit (Include (pre, resolve p))
+        | _ -> ())
+    | _ -> default_iterator.structure_item sub it
+  in
+  let expr sub (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> emit (Value (resolve p))
+    | Texp_letmodule (Some id, { txt = Some name; _ }, _, me, body) ->
+        within None (fun () -> bind_module id name me (fun () -> sub.module_expr sub me));
+        sub.expr sub body
+    | _ -> default_iterator.expr sub e
+  in
+  let open_declaration _ _ = () in
+  let it =
+    { default_iterator with module_binding; module_expr; structure_item; expr;
+      open_declaration }
+  in
+  it.structure it str;
+  !uses
+
+(* The values a unit's interface exports, submodule signatures
+   included, each with its declaration. *)
+let rec exported prefix (sg : Typedtree.signature) acc =
+  List.fold_left
+    (fun acc (item : Typedtree.signature_item) ->
+      match item.sig_desc with
+      | Tsig_value vd -> (prefix @ [ vd.val_name.txt ], vd) :: acc
+      | Tsig_module
+          { md_name = { txt = Some name; _ };
+            md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+          exported (prefix @ [ name ]) sg acc
+      | _ -> acc)
+    acc sg.sig_items
+
+let unit_set u = function None -> Some (SS.singleton u) | Some s -> Some (SS.add u s)
+
+(* Resolves every unit's raw uses and returns [referenced unit key]:
+   whether a unit other than [unit] names [key] or uses a module that
+   contains it as a whole. *)
+let resolve_uses (per_unit : (string * use list) list) =
+  let aliases, includes =
+    List.fold_left
+      (fun acc (_, uses) ->
+        List.fold_left
+          (fun (al, inc) -> function
+            | Alias (a, b) when a <> b -> (KM.add a b al, inc)
+            | Include (a, b) ->
+                (al, KM.update a (fun l -> Some (b :: Option.value l ~default:[])) inc)
+            | _ -> (al, inc))
+          acc uses)
+      (KM.empty, KM.empty) per_unit
+  in
+  (* Rewrite the longest prefix that is an alias, until none is; the
+     depth bound stops an alias cycle. *)
+  let rec canon depth m =
+    let rec longest n =
+      if n = 0 then None
+      else
+        let pre = List.filteri (fun i _ -> i < n) m in
+        match KM.find_opt pre aliases with
+        | Some target -> Some (target @ List.filteri (fun i _ -> i >= n) m)
+        | None -> longest (n - 1)
+    in
+    match longest (List.length m) with
+    | Some m' when depth < 16 -> canon (depth + 1) m'
+    | _ -> m
+  in
+  let rec modules depth m =
+    let m = canon 0 m in
+    m
+    :: (if depth >= 16 then []
+        else
+          List.concat_map (modules (depth + 1))
+            (Option.value (KM.find_opt m includes) ~default:[]))
+  in
+  let split_last l =
+    match List.rev l with v :: rm -> Some (List.rev rm, v) | [] -> None
+  in
+  let values, wholes =
+    List.fold_left
+      (fun acc (u, uses) ->
+        List.fold_left
+          (fun (vs, ws) -> function
+            | Value comps -> (
+                match split_last comps with
+                | Some (m, v) ->
+                    ( List.fold_left
+                        (fun vs m -> KM.update (m @ [ v ]) (unit_set u) vs)
+                        vs (modules 0 m),
+                      ws )
+                | None -> (vs, ws))
+            | Whole m ->
+                (vs, List.fold_left (fun ws m -> KM.update m (unit_set u) ws) ws (modules 0 m))
+            | Alias _ | Include _ -> (vs, ws))
+          acc uses)
+      (KM.empty, KM.empty) per_unit
+  in
+  let other u = function
+    | None -> false
+    | Some s -> not (SS.is_empty (SS.remove u s))
+  in
+  fun unit key ->
+    other unit (KM.find_opt key values)
+    || List.exists
+         (fun n -> other unit (KM.find_opt (List.filteri (fun i _ -> i < n) key) wholes))
+         (List.init (List.length key - 1) (fun i -> i + 1))
+
+let check_exports ctx referenced cmti =
+  match Cmt_format.read_cmt cmti with
+  | exception _ -> ()
+  | { cmt_annots = Interface sg; cmt_modname; _ } ->
+      let unit_comps = split_components cmt_modname in
+      List.iter
+        (fun (key, (vd : Typedtree.value_description)) ->
+          let frames = frames_of_attributes ctx vd.val_attributes in
+          push_frames ctx frames;
+          if not (referenced cmt_modname key || allowed ctx "U001") then
+            add_finding ctx ~rule:"U001" ~loc:vd.val_loc
+              (Printf.sprintf
+                 "%s is exported but no other compilation unit references \
+                  it; delete it (and its implementation if nothing else \
+                  uses it) or justify with [@@lint.allow \"U001 ...\"]"
+                 (String.concat "." key));
+          pop_frames ctx frames)
+        (List.rev (exported unit_comps sg []))
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* cmt loading and the driver                                         *)
 
-let rec find_cmts_under acc path =
+let rec find_under ext acc path =
   if not (Sys.file_exists path) then acc
   else if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.fold_left
-         (fun acc entry -> find_cmts_under acc (Filename.concat path entry))
+         (fun acc entry -> find_under ext acc (Filename.concat path entry))
          acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if Filename.check_suffix path ext then path :: acc
   else acc
 
-let find_cmts roots =
-  List.fold_left find_cmts_under [] roots |> List.sort_uniq String.compare
+let find ext roots =
+  List.fold_left (find_under ext) [] roots |> List.sort_uniq String.compare
 
 (* Load-path entries recorded in a cmt are as the compiler saw them —
    often relative to the build root.  The lint may run from the build
@@ -549,8 +805,12 @@ let analyze_structure ctx (str : Typedtree.structure) =
   let it = iterator ctx in
   it.structure it str
 
-let run ~cmt_files =
-  init_load_path cmt_files;
+(* Lints the implementations under [roots]; U001 then checks the values
+   their interfaces export against the uses in [roots] and [refs]. *)
+let run_roots ?(refs = []) roots =
+  let cmts = find ".cmt" roots in
+  let ref_cmts = List.filter (fun c -> not (List.mem c cmts)) (find ".cmt" refs) in
+  init_load_path (cmts @ ref_cmts);
   let ctx =
     {
       findings = [];
@@ -561,22 +821,27 @@ let run ~cmt_files =
     }
   in
   let scanned = ref 0 in
-  List.iter
-    (fun cmt ->
-      match Cmt_format.read_cmt cmt with
-      | exception _ -> ()
-      | infos -> (
-          match infos.cmt_annots with
-          | Implementation str ->
+  let uses = ref [] in
+  let read ~lint cmt =
+    match Cmt_format.read_cmt cmt with
+    | exception _ -> ()
+    | infos -> (
+        match infos.cmt_annots with
+        | Implementation str ->
+            ctx.fallback_env <-
+              (try Envaux.env_of_only_summary infos.cmt_initial_env
+               with _ -> Env.empty);
+            if lint then begin
               incr scanned;
-              ctx.fallback_env <-
-                (try Envaux.env_of_only_summary infos.cmt_initial_env
-                 with _ -> Env.empty);
               ctx.reply_arms <- [];
               analyze_structure ctx str
-          | _ -> ()))
-    cmt_files;
+            end;
+            let unit_comps = split_components infos.cmt_modname in
+            uses := (infos.cmt_modname, collect_uses ctx ~unit_comps str) :: !uses
+        | _ -> ())
+  in
+  List.iter (read ~lint:true) cmts;
+  List.iter (read ~lint:false) ref_cmts;
+  List.iter (check_exports ctx (resolve_uses !uses)) (find ".cmti" roots);
   Diagnostic.sorted_report ~files_scanned:!scanned ~findings:ctx.findings
     ~suppressions:ctx.suppressions
-
-let run_roots roots = run ~cmt_files:(find_cmts roots)

@@ -8,13 +8,11 @@
     records instead; malformed or unused suppressions are L-rule
     findings. *)
 
-val find_cmts : string list -> string list
-(** All [.cmt] files under the given files/directories, sorted. *)
-
-val run : cmt_files:string list -> Diagnostic.report
-(** Analyze the given cmt files.  Initializes the compiler load path
-    from the cmts' recorded paths (resolved against ./, ../ and ../../
-    so it works both from the build root and from test directories). *)
-
-val run_roots : string list -> Diagnostic.report
-(** [run ~cmt_files:(find_cmts roots)]. *)
+val run_roots : ?refs:string list -> string list -> Diagnostic.report
+(** Lint the [.cmt] files under the given files/directories, then check
+    every value their [.cmti] files export (rule U001) against the
+    references made by the units under the roots and under [refs],
+    whose code is read for references only.  The compiler load path is
+    taken from the cmts' recorded paths (resolved against ./, ../ and
+    ../../ so it works both from the build root and from test
+    directories). *)

@@ -22,9 +22,6 @@ type report = {
   files_scanned : int;
 }
 
-val compare_finding : finding -> finding -> int
-val compare_suppression : suppression -> suppression -> int
-
 val sorted_report :
   files_scanned:int ->
   findings:finding list ->

@@ -55,6 +55,17 @@ let all =
          in.  Write a field-wise comparison naming the intended key.";
     };
     {
+      id = "U001";
+      title = "exported value no other compilation unit references";
+      rationale =
+        "A value a lib/ interface exports but no other unit in lib/, \
+         bin/, bench/ or test/ names is surface kept alive by nothing: \
+         it is read, documented and maintained for no caller; the rule's \
+         first run found 68 such values.  Delete the export (and the \
+         implementation, if its own module does not use it), or carry \
+         [@@lint.allow \"U001 <why it stays>\"] on the val.";
+    };
+    {
       id = "L000";
       title = "lint.allow names an unknown rule";
       rationale =

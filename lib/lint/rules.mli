@@ -9,6 +9,5 @@ type t = {
   rationale : string;  (** motivating shipped bug + the prescribed fix *)
 }
 
-val all : t list
 val known : string -> bool
 val find : string -> t option

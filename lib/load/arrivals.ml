@@ -66,7 +66,6 @@ let create ~seed proc =
   | Constant _ | Poisson _ -> ());
   t
 
-let process t = t.proc
 let state t = t.st
 let state_time t i = t.st_time.(i)
 let state_visits t i = t.st_visits.(i)

@@ -49,8 +49,6 @@ type t
 val create : seed:int -> process -> t
 (** @raise Invalid_argument on a non-positive rate or dwell. *)
 
-val process : t -> process
-
 val next_gap : t -> float
 (** The next inter-arrival gap, seconds (>= 0, finite).  Draw [n] gaps
     and the [k]-th arrival lands at the running sum of the first [k]. *)

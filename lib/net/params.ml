@@ -37,13 +37,3 @@ let b_flush t =
   if t.b_net = infinity then t.b_disk
   else if t.b_disk = infinity then t.b_net
   else t.b_net *. t.b_disk /. (t.b_net +. t.b_disk)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "rtt=%gus b_net=%s server_ops=%gk b_disk=%s b_mem=%s io_ovh=%gus"
-    (t.rtt *. 1e6)
-    (Ccpfs_util.Units.bandwidth_to_string t.b_net)
-    (t.server_ops /. 1e3)
-    (Ccpfs_util.Units.bandwidth_to_string t.b_disk)
-    (Ccpfs_util.Units.bandwidth_to_string t.b_mem)
-    (t.client_io_overhead *. 1e6)

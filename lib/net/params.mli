@@ -34,5 +34,3 @@ val table1 : t
 
 val b_flush : t -> float
 (** Eq. (2): the data-flushing bandwidth B_net·B_disk/(B_net+B_disk). *)
-
-val pp : Format.formatter -> t -> unit

@@ -299,7 +299,6 @@ let name t = t.name
 let set_down t down = t.down <- down
 let is_down t = t.down
 let set_epoch t e = t.epoch <- e
-let epoch t = t.epoch
 
 let reset t =
   (* A crash cuts the wires: in-flight requests addressed to the old

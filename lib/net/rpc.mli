@@ -42,12 +42,6 @@ val call :
 (** Synchronous call from a process on [src]; blocks until the reply
     arrives.  Payload sizes default to [ctl_msg_bytes]. *)
 
-val call_async :
-  ('req, 'resp) endpoint -> src:Node.t -> ?req_bytes:int -> ?resp_bytes:int ->
-  'req -> 'resp Dessim.Ivar.t
-(** Like {!call} but returns immediately with the reply ivar; the request
-    journey is modelled by a courier process. *)
-
 val notify :
   ('req, unit) endpoint -> src:Node.t -> ?req_bytes:int -> 'req -> unit
 (** Fire-and-forget message; transport and service costs are paid by a
@@ -137,8 +131,6 @@ val is_down : ('req, 'resp) endpoint -> bool
 val set_epoch : ('req, 'resp) endpoint -> int -> unit
 (** Install the serving epoch: fenced requests stamped with an older epoch
     are rejected with {!Stale}, and replies carry this value. *)
-
-val epoch : ('req, 'resp) endpoint -> int
 
 val reset : ('req, 'resp) endpoint -> unit
 (** Model a crash of the hosting service: in-flight fenced requests to the

@@ -22,7 +22,6 @@ let make ?(pid = 0) ?(label = "") () =
   { on = true; s_pid = pid; s_label = label; evs = []; n = 0 }
 
 let enabled s = s.on
-let pid s = s.s_pid
 let label s = s.s_label
 
 let emit s ev =

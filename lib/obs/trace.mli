@@ -36,7 +36,6 @@ val make : ?pid:int -> ?label:string -> unit -> sink
     becomes the viewer's process name. *)
 
 val enabled : sink -> bool
-val pid : sink -> int
 val label : sink -> string
 
 val begin_span :

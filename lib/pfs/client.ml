@@ -432,4 +432,3 @@ let node t = t.node
 let bytes_written t = t.w_bytes
 let bytes_read t = t.r_bytes
 let ops t = t.op_counter
-let io_seconds t = t.io_secs

@@ -90,6 +90,3 @@ val node : t -> Netsim.Node.t
 val bytes_written : t -> int
 val bytes_read : t -> int
 val ops : t -> int
-val io_seconds : t -> float
-(** Virtual time spent inside write/read calls (the application-visible
-    parallel-IO time). *)

@@ -301,7 +301,6 @@ let set_write_observer t f = t.write_obs <- Some f
 let set_reliability t rel view = t.rel <- Some (rel, view)
 let set_ctl_source t f = t.ctl_source <- Some f
 let client_id t = t.client_id
-let clean_bytes t = t.clean_total
 let read_cache_hits t = t.r_hits
 let read_cache_misses t = t.r_misses
 let dirty_bytes t = t.dirty_total

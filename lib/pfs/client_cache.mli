@@ -77,7 +77,6 @@ val clean_view :
 val invalidate_clean :
   t -> rid:int -> ranges:Ccpfs_util.Interval.t list -> unit
 
-val clean_bytes : t -> int
 val read_cache_hits : t -> int
 val read_cache_misses : t -> int
 

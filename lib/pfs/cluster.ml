@@ -147,7 +147,6 @@ let create ?(params = Params.default) ?(config = Config.default)
 
 let engine t = t.eng
 let params t = t.params
-let config t = t.config
 let policy t = t.policy
 let n_clients t = Array.length t.clients
 let n_servers t = Array.length t.servers
@@ -406,9 +405,6 @@ let total_cache_seconds t =
   Array.fold_left
     (fun acc c -> acc +. Client_cache.cache_write_seconds (Client.cache c))
     0. t.clients
-
-let total_io_seconds t =
-  Array.fold_left (fun acc c -> acc +. Client.io_seconds c) 0. t.clients
 
 let total_bytes_written t =
   Array.fold_left (fun acc c -> acc + Client.bytes_written c) 0 t.clients

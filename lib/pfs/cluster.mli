@@ -30,7 +30,6 @@ val create :
 
 val engine : t -> Dessim.Engine.t
 val params : t -> Netsim.Params.t
-val config : t -> Config.t
 val policy : t -> Seqdlm.Policy.t
 val n_clients : t -> int
 val n_servers : t -> int
@@ -138,7 +137,6 @@ val migrations : t -> migration_record list
 
 val total_locking_seconds : t -> float
 val total_cache_seconds : t -> float
-val total_io_seconds : t -> float
 val total_bytes_written : t -> int
 val sum_lock_stats : t -> Seqdlm.Lock_server.stats
 val total_disk_bytes : t -> int

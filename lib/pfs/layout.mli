@@ -24,10 +24,6 @@ val spans_multiple : t -> Ccpfs_util.Interval.t -> bool
 val file_offset : t -> stripe:int -> int -> int
 (** Inverse map: object offset back to file offset. *)
 
-val max_stripes : int
-(** Upper bound on stripes per file, used to pack (fid, stripe) into a
-    single resource id. *)
-
 val rid : fid:int -> stripe:int -> int
 val rid_fid : int -> int
 val rid_stripe : int -> int

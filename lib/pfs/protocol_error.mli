@@ -14,7 +14,3 @@ exception
 
 val fail : endpoint:string -> request:string -> got:string -> 'a
 (** @raise Protocol_error always. *)
-
-val to_string : endpoint:string -> request:string -> got:string -> string
-(** The rendered message, ["protocol error: <endpoint>: <request> ->
-    unexpected <got>"] (what [Printexc.to_string] shows). *)

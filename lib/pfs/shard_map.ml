@@ -10,7 +10,6 @@ let create ~n_servers =
   if n_servers <= 0 then invalid_arg "Shard_map.create: n_servers <= 0";
   { n_servers; epoch = 0; overrides = Hashtbl.create 8 }
 
-let n_servers t = t.n_servers
 let epoch t = t.epoch
 let data_owner t rid = rid mod t.n_servers
 

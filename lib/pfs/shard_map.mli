@@ -21,8 +21,6 @@ type t
 val create : n_servers:int -> t
 (** Identity placement [rid mod n_servers], epoch 0. *)
 
-val n_servers : t -> int
-
 val epoch : t -> int
 (** Bumped by every {!migrate}; never decreases. *)
 

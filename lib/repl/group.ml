@@ -31,7 +31,6 @@ let log t = t.log
 let backups t = t.backups
 let f t = Array.length t.backups
 let name t = t.name
-let epoch t = Grant_log.epoch t.log
 
 (* Ship one committed entry to every backup: one reliable fire-and-forget
    courier per copy (bounded-lag replication — the grant reply does not

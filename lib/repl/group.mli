@@ -25,11 +25,6 @@ val log : t -> Grant_log.t
 val backups : t -> Replica.t array
 val f : t -> int
 val name : t -> string
-val epoch : t -> int
-(** The primary log's epoch (the group's current regime). *)
-
-val append : t -> Seqdlm.Lock_server.repl_event -> unit
-(** Append + ship one event (what the attached hook does). *)
 
 val reset : t -> epoch:int -> unit
 (** Truncate the primary log into a new regime (recovery: the

@@ -21,5 +21,3 @@ let broadcast t =
   let ws = Queue.to_seq t.waiters |> List.of_seq in
   Queue.clear t.waiters;
   List.iter (fun resume -> resume ()) ws
-
-let waiting t = Queue.length t.waiters

@@ -290,7 +290,6 @@ let create () =
     rand = Ccpfs_util.Det_random.create ~seed:0x9e3779b9 }
 
 let now t = t.now
-let live_processes t = t.live
 let events_dispatched t = t.dispatched
 let fingerprint t = Int64.of_int t.fp
 
@@ -305,9 +304,7 @@ let set_tie_chooser t f =
     Heap.push t.heap time (-0.) seq None thunk
   done;
   t.tie_chooser <- Some f
-let clear_tie_chooser t = t.tie_chooser <- None
 let set_event_jitter t f = t.jitter <- Some f
-let clear_event_jitter t = t.jitter <- None
 
 let seed_nondeterminism ?(max_jitter = 0.) ~seed t =
   let rng = Ccpfs_util.Det_random.create ~seed in

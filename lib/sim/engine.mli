@@ -150,9 +150,6 @@ val run_steps : t -> step -> unit
     protocol written once as steps serves both a blocking caller and a
     courier of its own. *)
 
-val live_processes : t -> int
-(** Regular processes spawned and not yet finished. *)
-
 val events_dispatched : t -> int
 (** Total events processed so far (simulation-cost metric). *)
 
@@ -179,8 +176,6 @@ val set_tie_chooser : t -> (int -> int) -> unit
     Arrivals already in the {!at} lane move into the heap here, so the
     chooser is offered them too. *)
 
-val clear_tie_chooser : t -> unit
-
 val set_event_jitter : t -> (unit -> float) -> unit
 (** [set_event_jitter t f] delays every subsequently scheduled event by
     [f ()] seconds (must be >= 0 and finite).  Because every blocking
@@ -191,8 +186,6 @@ val set_event_jitter : t -> (unit -> float) -> unit
     deterministic (seeded) [f], jittered runs stay reproducible
     event-for-event.  Events deferred by the tie chooser are not
     re-jittered. *)
-
-val clear_event_jitter : t -> unit
 
 val seed_nondeterminism : ?max_jitter:float -> seed:int -> t -> unit
 (** Install the fuzzer's legal-nondeterminism levers, all drawn from one

@@ -22,6 +22,3 @@ let recv ?(ctx = "mailbox") t =
       (match !cell with
       | Some msg -> msg
       | None -> assert false)
-
-let try_recv t = Queue.take_opt t.msgs
-let length t = Queue.length t.msgs

@@ -11,7 +11,3 @@ val send : 'a t -> 'a -> unit
 val recv : ?ctx:string -> 'a t -> 'a
 (** Blocks the current process until a message arrives.  [ctx] names the
     awaited message in {!Engine.Deadlock} reports. *)
-
-val try_recv : 'a t -> 'a option
-val length : 'a t -> int
-(** Messages queued and not yet claimed by a receiver. *)

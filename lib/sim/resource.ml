@@ -47,5 +47,3 @@ let reserve t amount =
 let consume t amount = Engine.sleep t.eng (reserve t amount)
 
 let busy_seconds t = t.q.busy
-let backlog_until t = t.q.available_at
-let rate t = t.q.rate

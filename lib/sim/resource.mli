@@ -33,8 +33,3 @@ val consume : t -> float -> unit
 
 val busy_seconds : t -> float
 (** Total service time performed so far (utilisation accounting). *)
-
-val backlog_until : t -> float
-(** Virtual time at which currently-queued work completes. *)
-
-val rate : t -> float

@@ -28,4 +28,3 @@ let with_permit t f =
       raise e
 
 let available t = t.permits
-let waiting t = Queue.length t.waiters

@@ -17,4 +17,3 @@ val with_permit : t -> (unit -> 'a) -> 'a
 (** Acquire, run, release (also on exception). *)
 
 val available : t -> int
-val waiting : t -> int

@@ -1,8 +1,5 @@
 type tag = { writer : int; op : int; sn : int }
 
-let pp_tag ppf t =
-  Format.fprintf ppf "w%d#%d@@sn%d" t.writer t.op t.sn
-
 type t = tag Extent_map.t
 
 let empty = Extent_map.empty
@@ -51,6 +48,3 @@ let checksum m =
     (normalize m) 0x9e3779b9
 
 let written_bytes = Extent_map.total_length
-
-let extent_count = Extent_map.cardinal
-let pp ppf m = Extent_map.pp pp_tag ppf m

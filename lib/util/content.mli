@@ -12,8 +12,6 @@ type tag = { writer : int; op : int; sn : int }
 (** Provenance of a block of written data.  [sn] is the sequence number of
     the lock the write was performed under. *)
 
-val pp_tag : Format.formatter -> tag -> unit
-
 type t
 
 val empty : t
@@ -49,5 +47,3 @@ val checksum : t -> int
 (** Stable across fragmentation; equal contents have equal checksums. *)
 
 val written_bytes : t -> int
-val extent_count : t -> int
-val pp : Format.formatter -> t -> unit

@@ -11,14 +11,6 @@ let int t bound = Random.State.int t.state bound
 let float t bound = Random.State.float t.state bound
 let bool t = Random.State.bool t.state
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Det_random.pick: empty array";
   a.(int t (Array.length a))

@@ -14,8 +14,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 val bool : t -> bool
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

@@ -74,13 +74,6 @@ let exists p t =
 
 let to_list t = List.rev (fold (fun acc v -> v :: acc) t [])
 
-let nodes t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n :: acc) n.next
-  in
-  go [] t.first
-
 let check_invariants t =
   let rec go count prev = function
     | None ->

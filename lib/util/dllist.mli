@@ -40,8 +40,4 @@ val fold : ('b -> 'a -> 'b) -> 'a t -> 'b -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 
-val nodes : 'a t -> 'a node list
-(** Snapshot of the current nodes, head first — iterate and test
-    {!active} per node when the loop body may mutate the list. *)
-
 val check_invariants : 'a t -> unit

@@ -415,8 +415,3 @@ let check_invariants t =
         cl + 1 + cr
   in
   assert (walk t.m = t.n)
-
-let pp pp_v ppf m =
-  Format.fprintf ppf "@[<v>";
-  iter (fun iv v -> Format.fprintf ppf "%a -> %a@," Interval.pp iv pp_v v) m;
-  Format.fprintf ppf "@]"

@@ -111,5 +111,3 @@ val check_invariants : 'a t -> unit
 (** Raises [Assert_failure] if intervals are not sorted and disjoint, a
     node's height is wrong, sibling heights differ by more than 2, or the
     stored count is wrong.  Used by the property tests. *)
-
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

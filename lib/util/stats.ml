@@ -29,7 +29,6 @@ let add t x =
   t.sorted <- None
 
 let count t = t.n
-let total t = t.sum
 let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
 let min t = if t.n = 0 then 0. else t.mn
 let max t = if t.n = 0 then 0. else t.mx
@@ -64,7 +63,3 @@ let percentile t p =
     let x = p /. 100. *. float_of_int t.n in
     let rank = int_of_float (ceil (x -. (1e-9 +. (1e-12 *. x)))) - 1 in
     a.(Stdlib.max 0 (Stdlib.min (t.n - 1) rank))
-
-let pp_summary ppf t =
-  Format.fprintf ppf "n=%d mean=%.6g min=%.6g p50=%.6g p99=%.6g max=%.6g"
-    t.n (mean t) (min t) (percentile t 50.) (percentile t 99.) (max t)

@@ -6,7 +6,6 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 (** 0. on an empty accumulator. *)
 
@@ -18,5 +17,3 @@ val percentile : t -> float -> float
     whose rank [i] (1-based, ascending) satisfies [i/n >= p/100].
     [p] is clamped to [0, 100]; [p = 0] gives the minimum, [p = 100]
     the maximum, and 0. is returned on an empty accumulator. *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -9,19 +9,13 @@ let bytes_to_string n =
   else if n >= kib && n mod kib = 0 then Printf.sprintf "%dKiB" (n / kib)
   else Printf.sprintf "%dB" n
 
-let pp_bytes ppf n = Format.pp_print_string ppf (bytes_to_string n)
-
 let bandwidth_to_string b =
   if b >= 1e9 then Printf.sprintf "%.2fGB/s" (b /. 1e9)
   else if b >= 1e6 then Printf.sprintf "%.2fMB/s" (b /. 1e6)
   else if b >= 1e3 then Printf.sprintf "%.2fKB/s" (b /. 1e3)
   else Printf.sprintf "%.2fB/s" b
 
-let pp_bandwidth ppf b = Format.pp_print_string ppf (bandwidth_to_string b)
-
 let seconds_to_string s =
   if s >= 1. then Printf.sprintf "%.2fs" s
   else if s >= 1e-3 then Printf.sprintf "%.2fms" (s *. 1e3)
   else Printf.sprintf "%.2fus" (s *. 1e6)
-
-let pp_seconds ppf s = Format.pp_print_string ppf (seconds_to_string s)

@@ -13,12 +13,5 @@ val page : int
 val bytes_to_string : int -> string
 (** "64KiB", "1MiB", "47008B", ... *)
 
-val pp_bytes : Format.formatter -> int -> unit
-
-val pp_bandwidth : Format.formatter -> float -> unit
-(** Bytes/second, rendered as GB/s or MB/s (decimal, like the paper). *)
-
-val pp_seconds : Format.formatter -> float -> unit
-
 val bandwidth_to_string : float -> string
 val seconds_to_string : float -> string

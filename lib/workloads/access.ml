@@ -4,10 +4,4 @@ let interval a = Ccpfs_util.Interval.of_len ~lo:a.off ~len:a.len
 
 type pattern = N_n | N1_segmented | N1_strided
 
-let pattern_to_string = function
-  | N_n -> "N-N"
-  | N1_segmented -> "N-1 segmented"
-  | N1_strided -> "N-1 strided"
-
 let total_length l = List.fold_left (fun acc a -> acc + a.len) 0 l
-let max_end l = List.fold_left (fun acc a -> max acc (a.off + a.len)) 0 l

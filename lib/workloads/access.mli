@@ -10,7 +10,4 @@ type pattern =
   | N1_segmented  (** shared file, one contiguous segment each (Fig. 2(b)) *)
   | N1_strided  (** shared file, interleaved slots (Fig. 2(c)) *)
 
-val pattern_to_string : pattern -> string
-
 val total_length : t list -> int
-val max_end : t list -> int

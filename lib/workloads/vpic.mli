@@ -7,10 +7,6 @@
     segments of [particles · 4] bytes per iteration, at
     [base(iter, var) + r · particles · 4]. *)
 
-val vars : int  (** 8 *)
-
-val elem : int  (** 4 bytes *)
-
 val accesses :
   nprocs:int -> rank:int -> particles:int -> iterations:int -> Access.t list
 (** In issue order (iteration-major, then variable). *)

@@ -4,7 +4,9 @@
 
    Per rule the corpus carries three files: <rule>_bad.ml (must fire),
    <rule>_ok.ml (must stay silent) and <rule>_allow.ml (a justified
-   [@lint.allow] — must become a suppression record, not a finding);
+   [@lint.allow] — must become a suppression record, not a finding).
+   U001 judges interfaces, so its three are .mli/.ml pairs, and
+   u001_user.ml is the sibling that references u001_ok's exports;
    l_meta.ml plants the three suppression-misuse findings L000/L001/
    L002.  d001_bad.ml is the exact pre-PR 4 [group_by_stripe] shape, so
    this suite is also the regression proof that reverting that fix
@@ -14,15 +16,20 @@ let fixtures_root = "lint_fixtures/.lint_fixtures.objs/byte"
 
 let report = lazy (Lint.Analyze.run_roots [ fixtures_root ])
 
+(* Files are matched by stem, so a U001 finding in u001_bad.mli is
+   found under "u001_bad.ml". *)
+let same_stem name file =
+  Filename.remove_extension (Filename.basename file)
+  = Filename.remove_extension name
+
 let findings_in name =
   List.filter
-    (fun (f : Lint.Diagnostic.finding) -> Filename.basename f.file = name)
+    (fun (f : Lint.Diagnostic.finding) -> same_stem name f.file)
     (Lazy.force report).Lint.Diagnostic.findings
 
 let suppressions_in name =
   List.filter
-    (fun (s : Lint.Diagnostic.suppression) ->
-      Filename.basename s.s_file = name)
+    (fun (s : Lint.Diagnostic.suppression) -> same_stem name s.s_file)
     (Lazy.force report).Lint.Diagnostic.suppressions
 
 let rules_of findings =
@@ -77,6 +84,8 @@ let test_finding_counts () =
       ("d003_bad.ml", 3) (* gettimeofday + Sys.time + Unix.time *);
       ("p001_bad.ml", 2) (* failwith + assert false *);
       ("p002_bad.ml", 2) (* (=) + compare *);
+      ("u001_bad.ml", 1) (* orphan *);
+      ("u001_user.ml", 0);
     ]
 
 let test_l_rules () =
@@ -120,6 +129,8 @@ let suite =
           (check_rule "P001");
         Alcotest.test_case "P002 polymorphic compare on floats" `Quick
           (check_rule "P002");
+        Alcotest.test_case "U001 unreferenced exports" `Quick
+          (check_rule "U001");
         Alcotest.test_case "planted finding counts" `Quick test_finding_counts;
         Alcotest.test_case "suppression misuse (L-rules)" `Quick test_l_rules;
         Alcotest.test_case "report is deterministic" `Quick
