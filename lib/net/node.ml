@@ -39,8 +39,6 @@ let disk t =
   | Some d -> d
   | None -> invalid_arg (t.name ^ ": node has no disk")
 
-let has_disk t = Option.is_some t.disk
-
 let disk_write t bytes =
   t.disk_bytes <- t.disk_bytes + bytes;
   Resource.consume (disk t) (float_of_int bytes)

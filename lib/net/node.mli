@@ -27,8 +27,6 @@ val mem : t -> Dessim.Resource.t
 val disk : t -> Dessim.Resource.t
 (** @raise Invalid_argument if the node was created without a disk. *)
 
-val has_disk : t -> bool
-
 val disk_write : t -> int -> unit
 (** Occupy the device for [bytes / b_disk] seconds (FIFO) and account the
     bytes. *)

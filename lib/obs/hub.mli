@@ -12,8 +12,6 @@
 val request_trace : string -> unit
 (** Enable trace collection; [string] is the output path. *)
 
-val trace_requested : unit -> bool
-
 val set_run_info : experiment:string -> scale:float -> unit
 (** Stamp the experiment the next sinks/rows belong to; resets the
     per-experiment run counter. *)

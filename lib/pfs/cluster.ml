@@ -22,7 +22,6 @@ type migration_record = {
 type t = {
   eng : Engine.t;
   params : Params.t;
-  config : Config.t;
   policy : Seqdlm.Policy.t;
   meta : Meta_server.t;
   shard : Shard_map.t;
@@ -141,7 +140,7 @@ let create ?(params = Params.default) ?(config = Config.default)
           g)
   in
   {
-    eng; params; config; policy; meta; shard; map_ep; servers; clients;
+    eng; params; policy; meta; shard; map_ep; servers; clients;
     caches; reliability; groups; migrations = [];
   }
 

@@ -9,7 +9,6 @@ let v ?(stripe_size = Units.mib) ~stripe_count () =
 
 let max_stripes = 256
 let rid ~fid ~stripe = (fid * max_stripes) + stripe
-let rid_fid r = r / max_stripes
 let rid_stripe r = r mod max_stripes
 
 let chunks t (iv : Interval.t) =

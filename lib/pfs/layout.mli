@@ -25,5 +25,4 @@ val file_offset : t -> stripe:int -> int -> int
 (** Inverse map: object offset back to file offset. *)
 
 val rid : fid:int -> stripe:int -> int
-val rid_fid : int -> int
 val rid_stripe : int -> int

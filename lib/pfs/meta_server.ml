@@ -62,8 +62,6 @@ let create eng params ~node =
   t
 
 let endpoint t = Option.get t.ep
-let file_count t = Hashtbl.length t.by_path
-
 let resp_to_string = function
   | Attrs a -> Printf.sprintf "Attrs{fid=%d,size=%d}" a.fid a.size
   | Ok -> "Ok"

@@ -18,7 +18,6 @@ type resp = Attrs of attrs | Ok | Enoent
 
 val create : Dessim.Engine.t -> Netsim.Params.t -> node:Netsim.Node.t -> t
 val endpoint : t -> (req, resp) Netsim.Rpc.endpoint
-val file_count : t -> int
 val resp_to_string : resp -> string
 (** Short rendering for diagnostics: ["Attrs{fid=3,size=8192}"], ["Ok"],
     ["Enoent"]. *)

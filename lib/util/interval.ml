@@ -26,11 +26,6 @@ let align ~page a =
   let hi = if a.hi = eof then eof else (a.hi + page - 1) / page * page in
   { lo; hi }
 
-let split_at a cut =
-  let below = if a.lo < cut then Some { lo = a.lo; hi = min a.hi cut } else None in
-  let above = if a.hi > cut then Some { lo = max a.lo cut; hi = a.hi } else None in
-  (below, above)
-
 let compare a b =
   match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c
 

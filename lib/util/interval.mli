@@ -46,10 +46,6 @@ val align : page:int -> t -> t
     4 KiB pages, which is what makes adjacent unaligned writes conflict
     in the paper's Fig. 21 workload). *)
 
-val split_at : t -> int -> t option * t option
-(** [split_at a cut] splits into the parts strictly below and at-or-above
-    [cut]. *)
-
 val compare : t -> t -> int
 (** Order by [lo], then [hi]. *)
 

@@ -4,14 +4,13 @@ type t = {
   mutable samples : float array;
   mutable n : int;
   mutable sum : float;
-  mutable sumsq : float;
   mutable mn : float;
   mutable mx : float;
   mutable sorted : float array option;
 }
 
 let create () =
-  { samples = [||]; n = 0; sum = 0.; sumsq = 0.; mn = infinity;
+  { samples = [||]; n = 0; sum = 0.; mn = infinity;
     mx = neg_infinity; sorted = None }
 
 let add t x =
@@ -23,7 +22,6 @@ let add t x =
   t.samples.(t.n) <- x;
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
-  t.sumsq <- t.sumsq +. (x *. x);
   if x < t.mn then t.mn <- x;
   if x > t.mx then t.mx <- x;
   t.sorted <- None
@@ -32,13 +30,6 @@ let count t = t.n
 let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
 let min t = if t.n = 0 then 0. else t.mn
 let max t = if t.n = 0 then 0. else t.mx
-
-let stddev t =
-  if t.n < 2 then 0.
-  else
-    let m = mean t in
-    let var = (t.sumsq /. float_of_int t.n) -. (m *. m) in
-    sqrt (Float.max 0. var)
 
 let sorted t =
   match t.sorted with

@@ -11,7 +11,6 @@ val mean : t -> float
 
 val min : t -> float
 val max : t -> float
-val stddev : t -> float
 val percentile : t -> float -> float
 (** [percentile t p]: the nearest-rank percentile — the smallest sample
     whose rank [i] (1-based, ascending) satisfies [i/n >= p/100].

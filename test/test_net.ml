@@ -158,7 +158,6 @@ let test_params_b_flush () =
 let test_node_no_disk () =
   let eng = Engine.create () in
   let n = Node.create eng params ~name:"diskless" () in
-  Alcotest.(check bool) "has_disk" false (Node.has_disk n);
   Alcotest.check_raises "disk access" (Invalid_argument "diskless: node has no disk")
     (fun () -> ignore (Node.disk n))
 

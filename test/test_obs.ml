@@ -272,7 +272,6 @@ let test_json_error_paths () =
 
 let test_hub_plumbing () =
   Hub.reset ();
-  Alcotest.(check bool) "off by default" false (Hub.trace_requested ());
   Alcotest.(check bool) "no sink when off" true (Hub.new_sink () = None);
   let path = Filename.temp_file "ccpfs_trace" ".json" in
   Hub.request_trace path;

@@ -192,7 +192,6 @@ let prop_group_by_stripe_matches_reference =
 
 let test_rid_packing () =
   let rid = Layout.rid ~fid:42 ~stripe:7 in
-  Alcotest.(check int) "fid" 42 (Layout.rid_fid rid);
   Alcotest.(check int) "stripe" 7 (Layout.rid_stripe rid);
   Alcotest.(check bool) "distinct files distinct rids" true
     (Layout.rid ~fid:1 ~stripe:0 <> Layout.rid ~fid:0 ~stripe:1)
