@@ -12,8 +12,9 @@
     - {!dlm_datatype}: non-contiguous (datatype) locking — exact
       multi-range locks, no expansion, normal grant.
 
-    Ablation variants (early grant without early revocation, SeqDLM
-    without conversion) are derived with the [with_*] helpers. *)
+    The variants Figs. 18 and 19 compare (early grant without early
+    revocation, SeqDLM without conversion) are derived with the
+    [without_*] helpers. *)
 
 type expansion =
   | Greedy  (** expand the end to the largest compatible offset (→ EOF) *)

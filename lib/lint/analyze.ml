@@ -635,7 +635,10 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
         sub.expr sub body
     | _ -> default_iterator.expr sub e
   in
-  let open_declaration _ _ = () in
+  let open_declaration sub (od : Typedtree.open_declaration) =
+    if alias_target od.open_expr = None then
+      default_iterator.open_declaration sub od
+  in
   let it =
     { default_iterator with module_binding; module_expr; structure_item; expr;
       open_declaration }

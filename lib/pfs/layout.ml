@@ -41,9 +41,6 @@ let chunks t (iv : Interval.t) =
     !out
   end
 
-let spans_multiple t iv =
-  match chunks t iv with [] | [ _ ] -> false | _ :: _ :: _ -> true
-
 let file_offset t ~stripe obj_off =
   if t.stripe_count = 1 then obj_off
   else

@@ -17,10 +17,6 @@ val chunks : t -> Ccpfs_util.Interval.t -> (int * Ccpfs_util.Interval.t) list
     interval per stripe, ordered by stripe index.  A range confined to
     one stripe-size chunk yields a single element. *)
 
-val spans_multiple : t -> Ccpfs_util.Interval.t -> bool
-(** Whether the file range touches more than one stripe (selects BW over
-    NBW in the Fig. 10 rules). *)
-
 val file_offset : t -> stripe:int -> int -> int
 (** Inverse map: object offset back to file offset. *)
 

@@ -18,9 +18,7 @@ let test_layout_single_stripe () =
     "identity map"
     [ (0, (123, 456_000)) ]
     (Layout.chunks l (iv 123 456_000)
-    |> List.map (fun (s, (r : Interval.t)) -> (s, (r.lo, r.hi))));
-  Alcotest.(check bool) "never spans" false
-    (Layout.spans_multiple l (iv 0 (100 * mib)))
+    |> List.map (fun (s, (r : Interval.t)) -> (s, (r.lo, r.hi))))
 
 let test_layout_two_stripes () =
   let l = Layout.v ~stripe_size:mib ~stripe_count:2 () in
@@ -32,10 +30,7 @@ let test_layout_two_stripes () =
   Alcotest.(check (list (triple int int int)))
     "one object range per stripe"
     [ (0, 0, mib); (1, 0, mib) ]
-    got;
-  Alcotest.(check bool) "spans" true (Layout.spans_multiple l (iv 0 (2 * mib)));
-  Alcotest.(check bool) "within one chunk" false
-    (Layout.spans_multiple l (iv 100 200))
+    got
 
 let test_layout_contiguous_merging () =
   (* A 4 MiB write on 2 stripes: each stripe's two chunks merge into one
