@@ -1,4 +1,4 @@
-(** The pluggable invariant layer of the protocol sanitizer.
+(** The invariant layer of the protocol sanitizer.
 
     Each invariant inspects one lock server's introspection views (never
     its internals) and raises {!Violation.Violation} when the protocol

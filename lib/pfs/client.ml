@@ -19,7 +19,6 @@ type t = {
   mutable op_counter : int;
   mutable w_bytes : int;
   mutable r_bytes : int;
-  mutable io_secs : float;
 }
 
 type file = { f_fid : int; f_layout : Layout.t; f_path : string }
@@ -61,7 +60,7 @@ let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
   {
     eng; params; config; node; id = client_id; meta; io_route; cache; locks;
     policy; rel = reliability; view;
-    op_counter = 0; w_bytes = 0; r_bytes = 0; io_secs = 0.;
+    op_counter = 0; w_bytes = 0; r_bytes = 0;
   }
 
 (* Data-server I/O: fenced + retried when the cluster runs with a retry
@@ -87,12 +86,6 @@ let open_file t ?(create = false) ?(layout = Layout.v ~stripe_count:1 ()) path =
 
 let fid f = f.f_fid
 let layout f = f.f_layout
-
-let timed t f =
-  let t0 = Engine.now t.eng in
-  let v = f () in
-  t.io_secs <- t.io_secs +. (Engine.now t.eng -. t0);
-  v
 
 let overhead t =
   if t.params.Params.client_io_overhead > 0. then
@@ -189,23 +182,21 @@ let do_write ?mode ?(lock_whole_range = false) t file ~data_by_stripe =
 
 let write ?mode ?lock_whole_range t file ~off ~len =
   if len <= 0 then invalid_arg "Client.write: len must be positive";
-  timed t (fun () ->
-      io_span t "client.write"
-        [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ]
-        (fun () ->
-          let chunks =
-            Layout.chunks file.f_layout (Interval.of_len ~lo:off ~len)
-          in
-          do_write ?mode ?lock_whole_range t file
-            ~data_by_stripe:(group_by_stripe chunks)))
+  io_span t "client.write"
+    [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ]
+    (fun () ->
+      let chunks =
+        Layout.chunks file.f_layout (Interval.of_len ~lo:off ~len)
+      in
+      do_write ?mode ?lock_whole_range t file
+        ~data_by_stripe:(group_by_stripe chunks))
 
 let write_multi ?mode t file ~ranges =
   if ranges = [] then invalid_arg "Client.write_multi: no ranges";
-  timed t (fun () ->
-      let chunks =
-        List.concat_map (fun iv -> Layout.chunks file.f_layout iv) ranges
-      in
-      do_write ?mode t file ~data_by_stripe:(group_by_stripe chunks))
+  let chunks =
+    List.concat_map (fun iv -> Layout.chunks file.f_layout iv) ranges
+  in
+  do_write ?mode t file ~data_by_stripe:(group_by_stripe chunks)
 
 let fetch_stripe t file ~stripe ~range =
   let rid = Layout.rid ~fid:file.f_fid ~stripe in
@@ -255,35 +246,34 @@ let fetch_stripe t file ~stripe ~range =
 
 let read t file ~off ~len =
   if len <= 0 then invalid_arg "Client.read: len must be positive";
-  timed t (fun () ->
-    io_span t "client.read"
-      [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ]
-      (fun () ->
-      t.op_counter <- t.op_counter + 1;
-      overhead t;
-      let chunks = Layout.chunks file.f_layout (Interval.of_len ~lo:off ~len) in
-      let by_stripe = group_by_stripe chunks in
-      let lock_by_stripe =
-        List.map
-          (fun (s, ranges) ->
-            ( s,
-              [ Interval.align ~page:t.config.Config.page
-                  (Types.ranges_hull ranges) ] ))
-          by_stripe
-      in
-      let held = acquire_stripes t file ~mode:Mode.PR ~by_stripe:lock_by_stripe in
-      let segs =
-        List.concat_map
-          (fun (stripe, ranges) ->
-            List.concat_map
-              (fun range ->
-                t.r_bytes <- t.r_bytes + Interval.length range;
-                fetch_stripe t file ~stripe ~range)
-              ranges)
-          (List.sort (fun (a, _) (b, _) -> Int.compare a b) by_stripe)
-      in
-      List.iter (fun (_, h) -> Lock_client.release t.locks h) held;
-      segs))
+  io_span t "client.read"
+    [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ]
+    (fun () ->
+    t.op_counter <- t.op_counter + 1;
+    overhead t;
+    let chunks = Layout.chunks file.f_layout (Interval.of_len ~lo:off ~len) in
+    let by_stripe = group_by_stripe chunks in
+    let lock_by_stripe =
+      List.map
+        (fun (s, ranges) ->
+          ( s,
+            [ Interval.align ~page:t.config.Config.page
+                (Types.ranges_hull ranges) ] ))
+        by_stripe
+    in
+    let held = acquire_stripes t file ~mode:Mode.PR ~by_stripe:lock_by_stripe in
+    let segs =
+      List.concat_map
+        (fun (stripe, ranges) ->
+          List.concat_map
+            (fun range ->
+              t.r_bytes <- t.r_bytes + Interval.length range;
+              fetch_stripe t file ~stripe ~range)
+            ranges)
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) by_stripe)
+    in
+    List.iter (fun (_, h) -> Lock_client.release t.locks h) held;
+    segs)
 
 let read_checksum t file ~off ~len =
   (* Canonicalise first: fragment boundaries depend on cache state, so
@@ -334,45 +324,44 @@ let stat_size t file =
 
 let append t file ~len =
   if len <= 0 then invalid_arg "Client.append: len must be positive";
-  timed t (fun () ->
-    io_span t "client.append"
-      [ ("len", Obs.Json.Int len) ]
-      (fun () ->
-      let held = whole_file_locks t file in
-      let size = stat_size t file in
-      let chunks = Layout.chunks file.f_layout (Interval.of_len ~lo:size ~len) in
-      t.op_counter <- t.op_counter + 1;
-      let op = t.op_counter in
-      overhead t;
-      List.iter
-        (fun (stripe, range) ->
-          let rid = Layout.rid ~fid:file.f_fid ~stripe in
-          let sn =
-            match List.assoc_opt rid held with
-            | Some h -> Lock_client.sn h
-            | None ->
-                Protocol_error.fail
-                  ~endpoint:(Printf.sprintf "client%d" t.id)
-                  ~request:
-                    (Printf.sprintf "append op %d: SN for stripe rid %d" op rid)
-                  ~got:"no whole-file lock handle held for that stripe"
-          in
-          Client_cache.write t.cache ~rid ~range ~sn ~op;
-          t.w_bytes <- t.w_bytes + Interval.length range)
-        chunks;
-      (match
-         Rpc.call t.meta ~src:t.node
-           (Meta_server.Update_size { fid = file.f_fid; size = size + len })
-       with
-      | Meta_server.Ok -> ()
-      | (Meta_server.Attrs _ | Meta_server.Enoent) as r ->
-          Protocol_error.fail ~endpoint:(Rpc.name t.meta)
-            ~request:
-              (Printf.sprintf "Update_size fid=%d size=%d" file.f_fid
-                 (size + len))
-            ~got:(Meta_server.resp_to_string r));
-      List.iter (fun (_, h) -> Lock_client.release t.locks h) held;
-      size))
+  io_span t "client.append"
+    [ ("len", Obs.Json.Int len) ]
+    (fun () ->
+    let held = whole_file_locks t file in
+    let size = stat_size t file in
+    let chunks = Layout.chunks file.f_layout (Interval.of_len ~lo:size ~len) in
+    t.op_counter <- t.op_counter + 1;
+    let op = t.op_counter in
+    overhead t;
+    List.iter
+      (fun (stripe, range) ->
+        let rid = Layout.rid ~fid:file.f_fid ~stripe in
+        let sn =
+          match List.assoc_opt rid held with
+          | Some h -> Lock_client.sn h
+          | None ->
+              Protocol_error.fail
+                ~endpoint:(Printf.sprintf "client%d" t.id)
+                ~request:
+                  (Printf.sprintf "append op %d: SN for stripe rid %d" op rid)
+                ~got:"no whole-file lock handle held for that stripe"
+        in
+        Client_cache.write t.cache ~rid ~range ~sn ~op;
+        t.w_bytes <- t.w_bytes + Interval.length range)
+      chunks;
+    (match
+       Rpc.call t.meta ~src:t.node
+         (Meta_server.Update_size { fid = file.f_fid; size = size + len })
+     with
+    | Meta_server.Ok -> ()
+    | (Meta_server.Attrs _ | Meta_server.Enoent) as r ->
+        Protocol_error.fail ~endpoint:(Rpc.name t.meta)
+          ~request:
+            (Printf.sprintf "Update_size fid=%d size=%d" file.f_fid
+               (size + len))
+          ~got:(Meta_server.resp_to_string r));
+    List.iter (fun (_, h) -> Lock_client.release t.locks h) held;
+    size)
 
 (* Object-space boundary of a stripe for a file truncated to [size]. *)
 let stripe_keep_below layout ~stripe ~size =
@@ -385,36 +374,35 @@ let stripe_keep_below layout ~stripe ~size =
 
 let truncate t file ~size =
   if size < 0 then invalid_arg "Client.truncate: negative size";
-  timed t (fun () ->
-    io_span t "client.truncate"
-      [ ("size", Obs.Json.Int size) ]
-      (fun () ->
-      let held = whole_file_locks t file in
-      (match
-         Rpc.call t.meta ~src:t.node
-           (Meta_server.Set_size { fid = file.f_fid; size })
-       with
-      | Meta_server.Ok -> ()
-      | (Meta_server.Attrs _ | Meta_server.Enoent) as r ->
-          Protocol_error.fail ~endpoint:(Rpc.name t.meta)
-            ~request:(Printf.sprintf "Set_size fid=%d size=%d" file.f_fid size)
-            ~got:(Meta_server.resp_to_string r));
-      for stripe = 0 to file.f_layout.Layout.stripe_count - 1 do
-        let rid = Layout.rid ~fid:file.f_fid ~stripe in
-        let keep_below = stripe_keep_below file.f_layout ~stripe ~size in
-        Client_cache.drop_clean t.cache ~rid
-          ~range:(Interval.to_eof ~lo:keep_below);
-        match
-          io_call t rid (Data_server.Truncate { rid; keep_below })
-        with
-        | Data_server.Done -> ()
-        | Data_server.Data _ as r ->
-            Protocol_error.fail
-              ~endpoint:(Rpc.name (t.io_route rid))
-              ~request:(Printf.sprintf "Truncate rid=%d keep_below=%d" rid keep_below)
-              ~got:(Data_server.io_resp_to_string r)
-      done;
-      List.iter (fun (_, h) -> Lock_client.release t.locks h) held))
+  io_span t "client.truncate"
+    [ ("size", Obs.Json.Int size) ]
+    (fun () ->
+    let held = whole_file_locks t file in
+    (match
+       Rpc.call t.meta ~src:t.node
+         (Meta_server.Set_size { fid = file.f_fid; size })
+     with
+    | Meta_server.Ok -> ()
+    | (Meta_server.Attrs _ | Meta_server.Enoent) as r ->
+        Protocol_error.fail ~endpoint:(Rpc.name t.meta)
+          ~request:(Printf.sprintf "Set_size fid=%d size=%d" file.f_fid size)
+          ~got:(Meta_server.resp_to_string r));
+    for stripe = 0 to file.f_layout.Layout.stripe_count - 1 do
+      let rid = Layout.rid ~fid:file.f_fid ~stripe in
+      let keep_below = stripe_keep_below file.f_layout ~stripe ~size in
+      Client_cache.drop_clean t.cache ~rid
+        ~range:(Interval.to_eof ~lo:keep_below);
+      match
+        io_call t rid (Data_server.Truncate { rid; keep_below })
+      with
+      | Data_server.Done -> ()
+      | Data_server.Data _ as r ->
+          Protocol_error.fail
+            ~endpoint:(Rpc.name (t.io_route rid))
+            ~request:(Printf.sprintf "Truncate rid=%d keep_below=%d" rid keep_below)
+            ~got:(Data_server.io_resp_to_string r)
+    done;
+    List.iter (fun (_, h) -> Lock_client.release t.locks h) held)
 
 let fsync t = Client_cache.flush_all t.cache
 
