@@ -637,7 +637,6 @@ let add_tracer t f =
             f now ev)
 
 let set_validator t f = t.validator <- Some f
-let clear_validator t = t.validator <- None
 
 let pp_trace_event ppf = function
   | T_request r -> Format.fprintf ppf "request  %a" Types.pp_request r
