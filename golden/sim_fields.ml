@@ -6,7 +6,8 @@
 
 module J = Obs.Json
 
-let host_top = [ "setup_s"; "host_s"; "heap_peak_mb"; "minor_words"; "major_collections" ]
+let host_top =
+  [ "setup_s"; "host_s"; "heap_peak_mb"; "minor_words"; "major_collections" ]
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
