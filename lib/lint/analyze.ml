@@ -538,7 +538,8 @@ let functor_param_values ctx (f : Typedtree.module_expr) =
           Some
             (List.filter_map
                (function
-                 | Types.Sig_value (id, _, _) -> Some (Ident.name id) | _ -> None)
+                 | Types.Sig_value (id, _, _) -> Some (Ident.name id)
+                 | _ -> None)
                sg)
       | _ -> None)
   | _ -> None
@@ -631,7 +632,8 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
     match e.exp_desc with
     | Texp_ident (p, _, _) -> emit (Value (resolve p))
     | Texp_letmodule (Some id, { txt = Some name; _ }, _, me, body) ->
-        within None (fun () -> bind_module id name me (fun () -> sub.module_expr sub me));
+        within None (fun () ->
+            bind_module id name me (fun () -> sub.module_expr sub me));
         sub.expr sub body
     | _ -> default_iterator.expr sub e
   in
@@ -660,7 +662,9 @@ let rec exported prefix (sg : Typedtree.signature) acc =
       | _ -> acc)
     acc sg.sig_items
 
-let unit_set u = function None -> Some (SS.singleton u) | Some s -> Some (SS.add u s)
+let unit_set u = function
+  | None -> Some (SS.singleton u)
+  | Some s -> Some (SS.add u s)
 
 (* Resolves every unit's raw uses and returns [referenced unit key]:
    whether a unit other than [unit] names [key] or uses a module that
@@ -673,19 +677,20 @@ let resolve_uses (per_unit : (string * use list) list) =
           (fun (al, inc) -> function
             | Alias (a, b) when a <> b -> (KM.add a b al, inc)
             | Include (a, b) ->
-                (al, KM.update a (fun l -> Some (b :: Option.value l ~default:[])) inc)
+                let add l = Some (b :: Option.value l ~default:[]) in
+                (al, KM.update a add inc)
             | _ -> (al, inc))
           acc uses)
       (KM.empty, KM.empty) per_unit
   in
+  let take n l = List.filteri (fun i _ -> i < n) l in
   (* Rewrite the longest prefix that is an alias, until none is; the
      depth bound stops an alias cycle. *)
   let rec canon depth m =
     let rec longest n =
       if n = 0 then None
       else
-        let pre = List.filteri (fun i _ -> i < n) m in
-        match KM.find_opt pre aliases with
+        match KM.find_opt (take n m) aliases with
         | Some target -> Some (target @ List.filteri (fun i _ -> i >= n) m)
         | None -> longest (n - 1)
     in
@@ -718,7 +723,8 @@ let resolve_uses (per_unit : (string * use list) list) =
                       ws )
                 | None -> (vs, ws))
             | Whole m ->
-                (vs, List.fold_left (fun ws m -> KM.update m (unit_set u) ws) ws (modules 0 m))
+                let add ws m = KM.update m (unit_set u) ws in
+                (vs, List.fold_left add ws (modules 0 m))
             | Alias _ | Include _ -> (vs, ws))
           acc uses)
       (KM.empty, KM.empty) per_unit
@@ -730,7 +736,7 @@ let resolve_uses (per_unit : (string * use list) list) =
   fun unit key ->
     other unit (KM.find_opt key values)
     || List.exists
-         (fun n -> other unit (KM.find_opt (List.filteri (fun i _ -> i < n) key) wholes))
+         (fun n -> other unit (KM.find_opt (take n key) wholes))
          (List.init (List.length key - 1) (fun i -> i + 1))
 
 let check_exports ctx referenced cmti =
@@ -812,7 +818,9 @@ let analyze_structure ctx (str : Typedtree.structure) =
    their interfaces export against the uses in [roots] and [refs]. *)
 let run_roots ?(refs = []) roots =
   let cmts = find ".cmt" roots in
-  let ref_cmts = List.filter (fun c -> not (List.mem c cmts)) (find ".cmt" refs) in
+  let ref_cmts =
+    List.filter (fun c -> not (List.mem c cmts)) (find ".cmt" refs)
+  in
   init_load_path (cmts @ ref_cmts);
   let ctx =
     {
@@ -840,7 +848,8 @@ let run_roots ?(refs = []) roots =
               analyze_structure ctx str
             end;
             let unit_comps = split_components infos.cmt_modname in
-            uses := (infos.cmt_modname, collect_uses ctx ~unit_comps str) :: !uses
+            let u = collect_uses ctx ~unit_comps str in
+            uses := (infos.cmt_modname, u) :: !uses
         | _ -> ())
   in
   List.iter (read ~lint:true) cmts;
