@@ -464,12 +464,10 @@ let bench_dllist_churn =
          Sys.opaque_identity (Dllist.length l)))
 
 let bench_interval_index_query =
-  let m =
-    List.fold_left
-      (fun m k -> Interval_index.add m (iv (k * 8192) ((k * 8192) + 4096)) ~id:k k)
-      Interval_index.empty
-      (List.init 1000 (fun k -> k))
-  in
+  let m = Interval_index.create () in
+  for k = 0 to 999 do
+    Interval_index.add m (iv (k * 8192) ((k * 8192) + 4096)) ~id:k k
+  done;
   row "interval_index: 1k stabbing queries over 1k extents"
     (fun () -> Staged.stage (fun () ->
          let acc = ref 0 in
@@ -479,6 +477,31 @@ let bench_interval_index_query =
              (fun _ _ _ -> incr acc)
          done;
          Sys.opaque_identity !acc))
+
+(* The grant-index churn of a strided run: 16k live grants with
+   ascending hull starts, every other one reaching EOF as expanded
+   grants do, and each step adds the next grant and drops the oldest,
+   so the index stays at 16k entries.  One run is 1k such steps. *)
+let bench_interval_index_churn =
+  row "interval_index: 1k add/remove churn at 16k grants" (fun () ->
+      let n = 16384 and stride = 65536 in
+      let hull k =
+        if k mod 2 = 0 then Interval.to_eof ~lo:(k * stride)
+        else iv (k * stride) ((k + 1) * stride)
+      in
+      let m = Interval_index.create () in
+      for k = 0 to n - 1 do
+        Interval_index.add m (hull k) ~id:k k
+      done;
+      let next = ref n in
+      Staged.stage (fun () ->
+          for _ = 1 to 1000 do
+            let k = !next in
+            Interval_index.add m (hull k) ~id:k k;
+            Interval_index.remove m (hull (k - n)) ~id:(k - n);
+            next := k + 1
+          done;
+          Sys.opaque_identity (Interval_index.cardinal m)))
 
 (* The open-loop schedule generator: drawing arrival gaps is on the
    load driver's setup path (one draw per injected request, the whole
@@ -634,6 +657,7 @@ let micro_rows =
     bench_layout_chunks;
     bench_dllist_churn;
     bench_interval_index_query;
+    bench_interval_index_churn;
   ]
   @ bench_arrival_gaps
   @ [
