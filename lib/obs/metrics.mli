@@ -29,6 +29,11 @@ val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 (** Records the latest value and tracks the maximum seen. *)
 
+val set_gauge_int : gauge -> int -> unit
+(** [set_gauge] of an integer value, converted only while the registry
+    is enabled: a hot-path caller allocates no boxed float for a
+    disabled registry. *)
+
 val gauge_value : gauge -> float
 
 type histogram
@@ -40,6 +45,10 @@ val observe : histogram -> float -> unit
     [2^(i-64)], so the span covers ~5.4e-20 .. 9.2e18 with one bucket per
     doubling — ns-to-hours latencies and byte-to-TiB sizes both fit.
     Non-positive values land in the lowest bucket. *)
+
+val observe_int : histogram -> int -> unit
+(** [observe] of an integer value, converted only while the registry is
+    enabled, as {!set_gauge_int}. *)
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
