@@ -131,5 +131,12 @@ val inject_drop_block : t -> every:int -> unit
     every [every]-th incoming flush block (a lost device write).  The
     shadow-file oracle must catch the resulting divergence. *)
 
+val always_coalesce : t -> unit
+(** For the coalescing tests only: run every due same-(SN, op)
+    coalescing pass, including those the server skips because no two
+    touching cache extents carry an equal (SN, op).  A skipped pass is a
+    no-op, so a server with this set must keep the same caches and stats
+    as one without. *)
+
 val io_resp_to_string : io_resp -> string
 (** Short rendering for diagnostics: ["Done"], ["Data(4 segments)"]. *)

@@ -17,7 +17,11 @@ let signal t =
   | Some resume -> resume ()
   | None -> ()
 
+(* Runs on every client-cache write and lock release, usually with
+   nobody waiting: an empty queue returns before anything is built. *)
 let broadcast t =
-  let ws = Queue.to_seq t.waiters |> List.of_seq in
-  Queue.clear t.waiters;
-  List.iter (fun resume -> resume ()) ws
+  if not (Queue.is_empty t.waiters) then begin
+    let ws = Queue.to_seq t.waiters |> List.of_seq in
+    Queue.clear t.waiters;
+    List.iter (fun resume -> resume ()) ws
+  end

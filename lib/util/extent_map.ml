@@ -393,6 +393,49 @@ let coalesce ~eq t =
           { m = replace lo lo hi v m; n = t.n - List.length keys })
         t !edits
 
+(* Seam probes for callers that track whether a {!coalesce} could merge
+   anything.  They walk the shared tree and return its nodes, never a
+   fresh option or closure, so a probe allocates nothing. *)
+let rec ending_at pos = function
+  | Leaf -> Leaf
+  | Node n as t ->
+      if n.hi = pos then t
+      else if n.hi < pos then ending_at pos n.r
+      else ending_at pos n.l
+
+let rec starting_at pos = function
+  | Leaf -> Leaf
+  | Node n as t ->
+      if n.lo = pos then t
+      else if n.lo < pos then starting_at pos n.r
+      else starting_at pos n.l
+
+let equal_at ~eq t pos =
+  match (ending_at pos t.m, starting_at pos t.m) with
+  | Node a, Node b -> eq a.v b.v
+  | _ -> false
+
+exception Equal_seam
+
+(* In order, [prev] the extent just before the subtree. *)
+let rec scan_seams eq prev = function
+  | Leaf -> prev
+  | Node n as node ->
+      (match scan_seams eq prev n.l with
+      | Node p when p.hi = n.lo && eq p.v n.v -> raise_notrace Equal_seam
+      | _ -> ());
+      scan_seams eq node n.r
+
+let seams_equal ~eq t sub =
+  match (leftmost sub.m, rightmost sub.m) with
+  | Node first, Node last -> (
+      equal_at ~eq t first.lo || equal_at ~eq t last.hi
+      ||
+      match scan_seams eq Leaf sub.m with
+      | _ -> false
+      | exception Equal_seam -> true)
+  | _ -> false
+
 let filter f t =
   fold
     (fun (iv : Interval.t) v acc ->

@@ -105,6 +105,18 @@ val of_list : (Interval.t * 'a) list -> 'a t
 val coalesce : eq:('a -> 'a -> bool) -> 'a t -> 'a t
 (** Merge adjacent extents carrying equal values. *)
 
+val equal_at : eq:('a -> 'a -> bool) -> 'a t -> int -> bool
+(** [equal_at ~eq m pos]: an extent of [m] ends at [pos], the next one
+    starts there, and their values are [eq] — a seam {!coalesce} would
+    merge across.  O(log n), allocation-free. *)
+
+val seams_equal : eq:('a -> 'a -> bool) -> 'a t -> 'a t -> bool
+(** [seams_equal ~eq m sub], for a [sub] whose extents are all in [m]
+    and lie back to back there (as after {!set_all} of [sub] into a
+    gap): whether [m] has an {!equal_at} seam inside [sub]'s span or at
+    either end of it.  O(k + log n) for [sub]'s k extents,
+    allocation-free. *)
+
 val filter : (Interval.t -> 'a -> bool) -> 'a t -> 'a t
 
 val check_invariants : 'a t -> unit
