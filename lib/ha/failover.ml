@@ -32,11 +32,10 @@ type t = {
   membership : Membership.t;
   detector : Detector.t;
   hb : (unit, unit) Rpc.endpoint array;
-  mon_node : Node.t;
   repl_view : Rpc.View.t; (* election/fetch req-id space (DESIGN.md §16) *)
-  mutable crash_ts : float array;
-  mutable detect_ts : float array;
-  mutable dropped : int array;
+  crash_ts : float array;
+  detect_ts : float array;
+  dropped : int array;
   mutable records : record list; (* most recent first *)
   failovers : Obs.Metrics.counter;
   reinstalled : Obs.Metrics.counter;
@@ -283,7 +282,7 @@ let install ?period ?hb_timeout ?(misses_allowed = 2) ?lease cl =
   let rec t =
     lazy
       {
-        cl; eng; membership; hb; mon_node;
+        cl; eng; membership; hb;
         (* Salted past every client (0..n_clients-1) and every shipping
            group (n_clients..n_clients+n_servers-1). *)
         repl_view =

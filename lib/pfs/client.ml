@@ -21,7 +21,7 @@ type t = {
   mutable r_bytes : int;
 }
 
-type file = { f_fid : int; f_layout : Layout.t; f_path : string }
+type file = { f_fid : int; f_layout : Layout.t }
 
 let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
     ~policy ~reliability =
@@ -77,7 +77,7 @@ let open_file t ?(create = false) ?(layout = Layout.v ~stripe_count:1 ()) path =
   match
     Rpc.call t.meta ~src:t.node (Meta_server.Open { path; create; layout })
   with
-  | Meta_server.Attrs a -> { f_fid = a.fid; f_layout = a.layout; f_path = path }
+  | Meta_server.Attrs a -> { f_fid = a.fid; f_layout = a.layout }
   | Meta_server.Enoent -> raise Not_found
   | Meta_server.Ok as r ->
       Protocol_error.fail ~endpoint:(Rpc.name t.meta)

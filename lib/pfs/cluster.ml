@@ -25,7 +25,6 @@ type t = {
   policy : Seqdlm.Policy.t;
   meta : Meta_server.t;
   shard : Shard_map.t;
-  map_ep : (unit, Shard_map.snapshot) Rpc.endpoint;
   servers : server array;
   clients : Client.t array;
   caches : Shard_map.Cache.t array; (* one shard-map replica per client *)
@@ -131,7 +130,7 @@ let create ?(params = Params.default) ?(config = Config.default)
                 Repl.Replica.create eng params ~node ~name ~id:j)
           in
           let g =
-            Repl.Group.create eng params
+            Repl.Group.create eng
               ~name:(Printf.sprintf "ls%d" i)
               ~src:servers.(i).s_node ~backups ?reliability
               ~salt:(n_clients + i) ()
@@ -140,7 +139,7 @@ let create ?(params = Params.default) ?(config = Config.default)
           g)
   in
   {
-    eng; params; policy; meta; shard; map_ep; servers; clients;
+    eng; params; policy; meta; shard; servers; clients;
     caches; reliability; groups; migrations = [];
   }
 

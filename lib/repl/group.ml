@@ -3,7 +3,6 @@ open Netsim
 
 type t = {
   eng : Engine.t;
-  params : Params.t;
   name : string; (* the primary lock server's name, e.g. "ls0" *)
   src : Node.t; (* the primary's node: appends ship from here *)
   log : Grant_log.t; (* the primary's in-memory log *)
@@ -13,10 +12,9 @@ type t = {
   shipped : Obs.Metrics.counter;
 }
 
-let create eng params ~name ~src ~backups ?reliability ~salt () =
+let create eng ~name ~src ~backups ?reliability ~salt () =
   {
     eng;
-    params;
     name;
     src;
     log = Grant_log.create ();

@@ -12,7 +12,7 @@
 type t
 
 val create :
-  Dessim.Engine.t -> Netsim.Params.t -> name:string -> src:Netsim.Node.t ->
+  Dessim.Engine.t -> name:string -> src:Netsim.Node.t ->
   backups:Replica.t array -> ?reliability:Netsim.Rpc.reliability ->
   salt:int -> unit -> t
 (** [name] is the primary lock server's name; [src] its node; [salt]

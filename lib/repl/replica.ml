@@ -11,7 +11,6 @@ type resp =
   | Log of { l_epoch : int; l_entries : Grant_log.entry list }
 
 type t = {
-  eng : Engine.t;
   id : int;
   node : Node.t;
   log : Grant_log.t; (* committed contiguous prefix *)
@@ -83,7 +82,6 @@ let handle t msg ~reply =
 let create eng params ~node ~name ~id =
   let t =
     {
-      eng;
       id;
       node;
       log = Grant_log.create ();
