@@ -69,17 +69,15 @@ let canonical cycle =
       List.init n (fun i -> arr.((!start + i) mod n))
 
 let find_cycles edges =
-  let adj : (Types.client_id, Types.client_id list) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let adj : Types.client_id list Int_tbl.t = Int_tbl.create 16 in
   List.iter
     (fun e ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt adj e.e_waiter) in
+      let cur = Option.value ~default:[] (Int_tbl.find_opt adj e.e_waiter) in
       if not (List.mem e.e_holder cur) then
-        Hashtbl.replace adj e.e_waiter (e.e_holder :: cur))
+        Int_tbl.replace adj e.e_waiter (e.e_holder :: cur))
     edges;
   let cycles = ref [] in
-  let visited : (Types.client_id, unit) Hashtbl.t = Hashtbl.create 16 in
+  let visited : unit Int_tbl.t = Int_tbl.create 16 in
   let rec dfs path c =
     match List.find_index (Int.equal c) path with
     | Some i ->
@@ -89,18 +87,18 @@ let find_cycles edges =
         let cycle = canonical cycle in
         if not (List.mem cycle !cycles) then cycles := cycle :: !cycles
     | None ->
-        if not (Hashtbl.mem visited c) then begin
-          Hashtbl.add visited c ();
+        if not (Int_tbl.mem visited c) then begin
+          Int_tbl.add visited c ();
           List.iter
             (dfs (c :: path))
-            (Option.value ~default:[] (Hashtbl.find_opt adj c))
+            (Option.value ~default:[] (Int_tbl.find_opt adj c))
         end
   in
   (* The DFS shares [visited] across roots, so which cycles get reported
      (and in what orientation) depends on root order: start from sorted
      client ids, not raw table order, or two runs of the same scenario
      can disagree on the cycle list. *)
-  List.iter (dfs []) (Ccpfs_util.Det_tbl.sorted_keys ~cmp:Int.compare adj);
+  List.iter (dfs []) (Int_tbl.sorted_keys adj);
   List.rev !cycles
 
 let analyze ~servers ~blocked =

@@ -13,8 +13,8 @@ type t = {
   node : Node.t;
   client_id : int;
   io_route : int -> (Data_server.io_req, Data_server.io_resp) Rpc.endpoint;
-  dirty : (int, stripe) Hashtbl.t;
-  clean : (int, Content.tag option Extent_map.t ref) Hashtbl.t;
+  dirty : stripe Int_tbl.t;
+  clean : Content.tag option Extent_map.t ref Int_tbl.t;
   mutable clean_total : int;
   mutable r_hits : int;
   mutable r_misses : int;
@@ -40,11 +40,11 @@ type t = {
 }
 
 let dirty_stripe t rid =
-  match Hashtbl.find_opt t.dirty rid with
+  match Int_tbl.find_opt t.dirty rid with
   | Some d -> d
   | None ->
       let d = { map = Extent_map.empty; bytes = 0 } in
-      Hashtbl.add t.dirty rid d;
+      Int_tbl.add t.dirty rid d;
       d
 
 let account t delta =
@@ -126,10 +126,10 @@ let flush t ~rid ~ranges =
 let flush_all t =
   List.iter
     (fun rid -> flush t ~rid ~ranges:[ Interval.to_eof ~lo:0 ])
-    (Det_tbl.sorted_keys ~cmp:Int.compare t.dirty)
+    (Int_tbl.sorted_keys t.dirty)
 
 let drain_order t =
-  Det_tbl.fold_sorted ~cmp:Int.compare
+  Int_tbl.fold_sorted
     (fun rid d acc -> if d.bytes > 0 then (d.bytes, rid) :: acc else acc)
     t.dirty []
   (* ties broken by rid: equal-sized stripes are the common case, and
@@ -155,8 +155,8 @@ let create eng params config ~node ~client_id ~io_route =
   let t =
     {
       eng; params; config; node; client_id; io_route;
-      dirty = Hashtbl.create 16;
-      clean = Hashtbl.create 16;
+      dirty = Int_tbl.create 16;
+      clean = Int_tbl.create 16;
       clean_total = 0;
       r_hits = 0;
       r_misses = 0;
@@ -201,7 +201,7 @@ let write t ~rid ~range ~sn ~op =
   (* Keep the clean cache coherent with our own writes, otherwise a read
      after the dirty data has been flushed away would see the pre-write
      version. *)
-  (match Hashtbl.find_opt t.clean rid with
+  (match Int_tbl.find_opt t.clean rid with
   | Some cm when not (Extent_map.is_empty !cm) ->
       cm := Extent_map.set !cm range (Some tag)
   | Some _ | None -> ());
@@ -211,22 +211,22 @@ let write t ~rid ~range ~sn ~op =
   match t.audit with Some f -> f ~rid | None -> ()
 
 let has_dirty t ~rid ~ranges =
-  match Hashtbl.find_opt t.dirty rid with
+  match Int_tbl.find_opt t.dirty rid with
   | None -> false
   | Some d ->
       List.exists (Extent_map.overlaps d.map) ranges
 
 let local_view t ~rid ~range =
-  match Hashtbl.find_opt t.dirty rid with
+  match Int_tbl.find_opt t.dirty rid with
   | None -> []
   | Some d -> Extent_map.overlapping d.map range
 
 let clean_map t rid =
-  match Hashtbl.find_opt t.clean rid with
+  match Int_tbl.find_opt t.clean rid with
   | Some m -> m
   | None ->
       let m = ref Extent_map.empty in
-      Hashtbl.add t.clean rid m;
+      Int_tbl.add t.clean rid m;
       m
 
 let store_clean t ~rid segments =
@@ -238,7 +238,7 @@ let store_clean t ~rid segments =
     segments
 
 let clean_covers t ~rid ~range =
-  match Hashtbl.find_opt t.clean rid with
+  match Int_tbl.find_opt t.clean rid with
   | None -> false
   | Some m ->
       let covers = Extent_map.covered !m range in
@@ -246,12 +246,12 @@ let clean_covers t ~rid ~range =
       covers
 
 let clean_view t ~rid ~range =
-  match Hashtbl.find_opt t.clean rid with
+  match Int_tbl.find_opt t.clean rid with
   | None -> []
   | Some m -> Extent_map.overlapping !m range
 
 let invalidate_clean t ~rid ~ranges =
-  match Hashtbl.find_opt t.clean rid with
+  match Int_tbl.find_opt t.clean rid with
   | None -> ()
   | Some m ->
       List.iter
@@ -278,7 +278,7 @@ let drop_clean t ~rid ~range =
 
 let lose_all_dirty t =
   let lost = t.dirty_total in
-  Det_tbl.iter_sorted ~cmp:Int.compare
+  Int_tbl.iter_sorted
     (fun _ d ->
       d.map <- Extent_map.empty;
       d.bytes <- 0)
@@ -288,7 +288,7 @@ let lose_all_dirty t =
   lost
 
 let dirty_view t =
-  Det_tbl.fold_sorted ~cmp:Int.compare
+  Int_tbl.fold_sorted
     (fun rid d acc ->
       match Extent_map.to_list d.map with
       | [] -> acc
@@ -306,7 +306,7 @@ let read_cache_misses t = t.r_misses
 let dirty_bytes t = t.dirty_total
 
 let stripe_dirty_bytes t ~rid =
-  match Hashtbl.find_opt t.dirty rid with Some d -> d.bytes | None -> 0
+  match Int_tbl.find_opt t.dirty rid with Some d -> d.bytes | None -> 0
 let dirty_peak t = t.peak
 let cache_write_seconds t = t.cache_seconds
 let bytes_flushed t = t.flushed_bytes

@@ -3,18 +3,18 @@ open Ccpfs_util
 type t = {
   n_servers : int;
   mutable epoch : int;
-  overrides : (int, int) Hashtbl.t; (* rid -> owner, when not the hash *)
+  overrides : int Int_tbl.t; (* rid -> owner, when not the hash *)
 }
 
 let create ~n_servers =
   if n_servers <= 0 then invalid_arg "Shard_map.create: n_servers <= 0";
-  { n_servers; epoch = 0; overrides = Hashtbl.create 8 }
+  { n_servers; epoch = 0; overrides = Int_tbl.create 8 }
 
 let epoch t = t.epoch
 let data_owner t rid = rid mod t.n_servers
 
 let lock_owner t rid =
-  match Hashtbl.find_opt t.overrides rid with
+  match Int_tbl.find_opt t.overrides rid with
   | Some owner -> owner
   | None -> rid mod t.n_servers
 
@@ -23,8 +23,8 @@ let migrate t ~rid ~dst =
     invalid_arg (Printf.sprintf "Shard_map.migrate: server %d out of range" dst);
   (* Back to the default placement: drop the override instead of pinning
      it, so the table only ever holds exceptions. *)
-  if dst = rid mod t.n_servers then Hashtbl.remove t.overrides rid
-  else Hashtbl.replace t.overrides rid dst;
+  if dst = rid mod t.n_servers then Int_tbl.remove t.overrides rid
+  else Int_tbl.replace t.overrides rid dst;
   t.epoch <- t.epoch + 1;
   t.epoch
 
@@ -35,7 +35,7 @@ let fence t =
   t.epoch <- t.epoch + 1;
   t.epoch
 
-let overrides t = Det_tbl.bindings_sorted ~cmp:Int.compare t.overrides
+let overrides t = Int_tbl.bindings_sorted t.overrides
 
 type snapshot = {
   s_epoch : int;
@@ -50,22 +50,22 @@ module Cache = struct
   type t = {
     n_servers : int;
     mutable epoch : int;
-    overrides : (int, int) Hashtbl.t;
+    overrides : int Int_tbl.t;
   }
 
-  let create ~n_servers = { n_servers; epoch = 0; overrides = Hashtbl.create 8 }
+  let create ~n_servers = { n_servers; epoch = 0; overrides = Int_tbl.create 8 }
   let epoch t = t.epoch
 
   let owner t rid =
-    match Hashtbl.find_opt t.overrides rid with
+    match Int_tbl.find_opt t.overrides rid with
     | Some owner -> owner
     | None -> rid mod t.n_servers
 
   let install t (s : snapshot) =
     if s.s_epoch > t.epoch then begin
       t.epoch <- s.s_epoch;
-      Hashtbl.reset t.overrides;
-      List.iter (fun (rid, owner) -> Hashtbl.add t.overrides rid owner)
+      Int_tbl.reset t.overrides;
+      List.iter (fun (rid, owner) -> Int_tbl.add t.overrides rid owner)
         s.s_overrides
     end
 end
