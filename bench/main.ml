@@ -104,6 +104,44 @@ let bench_client_cache_flush =
           Sys.opaque_identity
             (Extent_map.total_length taken + Extent_map.cardinal left)))
 
+(* A sequential writer's path through the client cache: 4,096 writes of
+   64 KiB, each past the stripe's dirty data, then one whole-stripe
+   flush to a data server stub that acknowledges at once.  Each run
+   builds its own engine and cache; the dirty limits are high enough
+   that the flush daemon never fires. *)
+let bench_client_cache_appends =
+  row "client cache: 4k sequential 64 KiB appends + whole-stripe flush"
+    (fun () ->
+      let params = Netsim.Params.default in
+      let config =
+        Ccpfs.Config.with_dirty_limits ~dirty_min:Units.gib
+          ~dirty_max:(2 * Units.gib) Ccpfs.Config.default
+      in
+      let block = 65536 in
+      Staged.stage (fun () ->
+          let eng = Dessim.Engine.create () in
+          let node = Netsim.Node.create eng params ~name:"ds" () in
+          let ep =
+            Netsim.Rpc.endpoint eng params ~node ~name:"ds.io"
+              ~handler:(fun _ ~reply -> reply Ccpfs.Data_server.Done)
+          in
+          let cc =
+            Ccpfs.Client_cache.create eng params config
+              ~node:(Netsim.Node.create eng params ~name:"c0" ())
+              ~client_id:0
+              ~io_route:(fun _ -> ep)
+          in
+          Dessim.Engine.spawn eng ~name:"writer" (fun () ->
+              for k = 0 to 4095 do
+                Ccpfs.Client_cache.write cc ~rid:1
+                  ~range:(iv (k * block) ((k + 1) * block))
+                  ~sn:1 ~op:k
+              done;
+              Ccpfs.Client_cache.flush cc ~rid:1
+                ~ranges:[ Interval.to_eof ~lo:0 ]);
+          Dessim.Engine.run eng;
+          Sys.opaque_identity (Ccpfs.Client_cache.bytes_flushed cc)))
+
 (* The data server's cache on the N-1 segmented pattern, without the
    rest of [ingest]: one merge into the gap past the last of [n]
    extents.  The map is persistent, so every run appends to the same
@@ -244,7 +282,8 @@ let bench_layout_chunks =
   row "layout.chunks (16MiB over 8 stripes)"
     (fun () -> Staged.stage (fun () ->
          Sys.opaque_identity
-           (List.length (Ccpfs.Layout.chunks l (iv 12345 (12345 + (16 * Units.mib)))))))
+           (List.length
+              (Ccpfs.Layout.chunks l [ iv 12345 (12345 + (16 * Units.mib)) ]))))
 
 let bench_engine_events =
   row "engine: 1k processes x sleep"
@@ -653,6 +692,7 @@ let micro_rows =
     bench_data_server_ingest 262144;
     bench_data_server_gap_flush;
     bench_client_cache_flush;
+    bench_client_cache_appends;
     bench_lcm;
     bench_layout_chunks;
     bench_dllist_churn;

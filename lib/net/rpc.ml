@@ -1,4 +1,5 @@
 open Dessim
+module Int_tbl = Ccpfs_util.Int_tbl
 
 type reliability = {
   rel_timeout : float;
@@ -37,7 +38,7 @@ type 'resp dedup_entry = {
    delivery that carries a request id: plain endpoints, two per client,
    never need one. *)
 type 'resp amo = {
-  table : (int, 'resp dedup_entry) Hashtbl.t;
+  table : 'resp dedup_entry Int_tbl.t;
   order : 'resp dedup_entry Queue.t;
 }
 
@@ -319,16 +320,16 @@ let set_dedup_cap t cap =
    its own) is dropped without touching the table. *)
 let prune_dedup t a =
   let continue = ref true in
-  while !continue && Hashtbl.length a.table > t.dedup_cap do
+  while !continue && Int_tbl.length a.table > t.dedup_cap do
     match Queue.peek_opt a.order with
     | None -> continue := false
     | Some e -> (
-        match Hashtbl.find_opt a.table e.de_id with
+        match Int_tbl.find_opt a.table e.de_id with
         | Some live when live == e ->
             if Option.is_none e.de_result then continue := false
             else begin
               ignore (Queue.pop a.order);
-              Hashtbl.remove a.table e.de_id
+              Int_tbl.remove a.table e.de_id
             end
         | Some _ | None -> ignore (Queue.pop a.order))
   done
@@ -337,7 +338,7 @@ let amo t =
   match t.amo with
   | Some a -> a
   | None ->
-      let a = { table = Hashtbl.create 64; order = Queue.create () } in
+      let a = { table = Int_tbl.create 64; order = Queue.create () } in
       t.amo <- Some a;
       a
 
@@ -364,7 +365,7 @@ let deliver_fenced t ~src ~resp_bytes ~epoch:req_epoch ~req_id ivar req () =
             { de_id = id; de_result = None; de_pending = [ send_reply ];
               de_epoch = req_epoch }
           in
-          Hashtbl.add a.table id e;
+          Int_tbl.add a.table id e;
           Queue.push e a.order;
           prune_dedup t a;
           t.handler req ~reply:(fun resp ->
@@ -376,7 +377,7 @@ let deliver_fenced t ~src ~resp_bytes ~epoch:req_epoch ~req_id ivar req () =
                   e.de_pending <- [];
                   List.iter (fun send -> send resp) ps)
         in
-        match Hashtbl.find_opt a.table id with
+        match Int_tbl.find_opt a.table id with
         | Some e when e.de_result <> None && req_epoch > e.de_epoch ->
             (* The stored reply predates an epoch bump this caller has
                already observed (a post-election re-submission): the
@@ -385,7 +386,7 @@ let deliver_fenced t ~src ~resp_bytes ~epoch:req_epoch ~req_id ivar req () =
                id's stale slot in [a.order] names the purged entry,
                so pruning drops it without evicting this
                re-submission. *)
-            Hashtbl.remove a.table id;
+            Int_tbl.remove a.table id;
             run_fresh ()
         | Some e -> (
             (* Retransmission (or duplicate) of a request we already

@@ -92,13 +92,15 @@ let overhead t =
     Engine.sleep t.eng t.params.Params.client_io_overhead
 
 (* One application-level IO span on the calling process's tid.  The end
-   event is emitted on the exception path too, so traces always pair up. *)
+   event is emitted on the exception path too, so traces always pair up.
+   [args] is only called with the sink on. *)
 let io_span t name args f =
   let sink = Engine.trace_sink t.eng in
   if not (Obs.Trace.enabled sink) then f ()
   else begin
     let tid = Engine.current_pid t.eng in
-    Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"io" ~args name;
+    Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"io"
+      ~args:(args ()) name;
     match f () with
     | v ->
         Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid name;
@@ -108,9 +110,8 @@ let io_span t name args f =
         raise e
   end
 
-(* Group object-space ranges per stripe and lock the stripes in rid
-   order (the fixed order is what makes multi-stripe BW acquisition
-   deadlock-free). *)
+(* Lock the stripes in rid order (the fixed order is what makes
+   multi-stripe BW acquisition deadlock-free). *)
 let acquire_stripes t file ~mode ~by_stripe =
   List.map
     (fun (stripe, lock_ranges) ->
@@ -119,20 +120,12 @@ let acquire_stripes t file ~mode ~by_stripe =
       (rid, h))
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) by_stripe)
 
-(* Stripe order, not the chunks' order: callers iterate the result
-   directly (cache writes, read gathers). *)
-let group_by_stripe chunks =
-  let rec group = function
-    | [] -> []
-    | (stripe, iv) :: rest ->
-        let rec take ivs = function
-          | (s, iv) :: rest when s = stripe -> take (iv :: ivs) rest
-          | rest -> (ivs, rest)
-        in
-        let ivs, rest = take [ iv ] rest in
-        (stripe, Types.normalize_ranges ivs) :: group rest
-  in
-  group (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) chunks)
+let write_ranges t ~rid ~sn ~op ranges =
+  List.iter
+    (fun range ->
+      Client_cache.write t.cache ~rid ~range ~sn ~op;
+      t.w_bytes <- t.w_bytes + Interval.length range)
+    ranges
 
 let do_write ?mode ?(lock_whole_range = false) t file ~data_by_stripe =
   t.op_counter <- t.op_counter + 1;
@@ -146,57 +139,52 @@ let do_write ?mode ?(lock_whole_range = false) t file ~data_by_stripe =
         Policy.select_write t.policy ~spans_resources:(stripes > 1)
           ~implicit_read:false
   in
+  let page = t.config.Config.page in
   let lock_ranges_of ranges =
     if lock_whole_range then [ Interval.to_eof ~lo:0 ]
-    else if t.policy.Policy.datatype_requests then
-      List.map (Interval.align ~page:t.config.Config.page) ranges
-      |> Types.normalize_ranges
     else
-      [ Interval.align ~page:t.config.Config.page (Types.ranges_hull ranges) ]
+      match ranges with
+      | [ range ] -> [ Interval.align ~page range ]
+      | _ when t.policy.Policy.datatype_requests ->
+          List.map (Interval.align ~page) ranges |> Types.normalize_ranges
+      | _ -> [ Interval.align ~page (Types.ranges_hull ranges) ]
   in
-  let held =
-    acquire_stripes t file ~mode
-      ~by_stripe:
-        (List.map (fun (s, ranges) -> (s, lock_ranges_of ranges)) data_by_stripe)
-  in
-  let sn_of rid =
-    match List.assoc_opt rid held with
-    | Some h -> Lock_client.sn h
-    | None ->
-        Protocol_error.fail
-          ~endpoint:(Printf.sprintf "client%d" t.id)
-          ~request:(Printf.sprintf "write op %d: SN for stripe rid %d" op rid)
-          ~got:"no lock handle held for that stripe"
-  in
-  List.iter
-    (fun (stripe, ranges) ->
+  match data_by_stripe with
+  | [ (stripe, ranges) ] ->
+      (* One stripe, the common case: no handle list. *)
       let rid = Layout.rid ~fid:file.f_fid ~stripe in
-      let sn = sn_of rid in
-      List.iter
-        (fun range ->
-          Client_cache.write t.cache ~rid ~range ~sn ~op;
-          t.w_bytes <- t.w_bytes + Interval.length range)
-        ranges)
-    data_by_stripe;
-  List.iter (fun (_, h) -> Lock_client.release t.locks h) held
+      let h =
+        Lock_client.acquire t.locks ~rid ~mode ~ranges:(lock_ranges_of ranges)
+      in
+      write_ranges t ~rid ~sn:(Lock_client.sn h) ~op ranges;
+      Lock_client.release t.locks h
+  | _ ->
+      let held =
+        acquire_stripes t file ~mode
+          ~by_stripe:
+            (List.map
+               (fun (s, ranges) -> (s, lock_ranges_of ranges))
+               data_by_stripe)
+      in
+      (* [data_by_stripe] is in stripe order, so [held] is in its order. *)
+      List.iter2
+        (fun (_, ranges) (rid, h) ->
+          write_ranges t ~rid ~sn:(Lock_client.sn h) ~op ranges)
+        data_by_stripe held;
+      List.iter (fun (_, h) -> Lock_client.release t.locks h) held
 
 let write ?mode ?lock_whole_range t file ~off ~len =
   if len <= 0 then invalid_arg "Client.write: len must be positive";
   io_span t "client.write"
-    [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ]
+    (fun () -> [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ])
     (fun () ->
-      let chunks =
-        Layout.chunks file.f_layout (Interval.of_len ~lo:off ~len)
-      in
       do_write ?mode ?lock_whole_range t file
-        ~data_by_stripe:(group_by_stripe chunks))
+        ~data_by_stripe:
+          (Layout.chunks file.f_layout [ Interval.of_len ~lo:off ~len ]))
 
 let write_multi ?mode t file ~ranges =
   if ranges = [] then invalid_arg "Client.write_multi: no ranges";
-  let chunks =
-    List.concat_map (fun iv -> Layout.chunks file.f_layout iv) ranges
-  in
-  do_write ?mode t file ~data_by_stripe:(group_by_stripe chunks)
+  do_write ?mode t file ~data_by_stripe:(Layout.chunks file.f_layout ranges)
 
 let fetch_stripe t file ~stripe ~range =
   let rid = Layout.rid ~fid:file.f_fid ~stripe in
@@ -247,12 +235,13 @@ let fetch_stripe t file ~stripe ~range =
 let read t file ~off ~len =
   if len <= 0 then invalid_arg "Client.read: len must be positive";
   io_span t "client.read"
-    [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ]
+    (fun () -> [ ("off", Obs.Json.Int off); ("len", Obs.Json.Int len) ])
     (fun () ->
     t.op_counter <- t.op_counter + 1;
     overhead t;
-    let chunks = Layout.chunks file.f_layout (Interval.of_len ~lo:off ~len) in
-    let by_stripe = group_by_stripe chunks in
+    let by_stripe =
+      Layout.chunks file.f_layout [ Interval.of_len ~lo:off ~len ]
+    in
     let lock_by_stripe =
       List.map
         (fun (s, ranges) ->
@@ -270,7 +259,7 @@ let read t file ~off ~len =
               t.r_bytes <- t.r_bytes + Interval.length range;
               fetch_stripe t file ~stripe ~range)
             ranges)
-        (List.sort (fun (a, _) (b, _) -> Int.compare a b) by_stripe)
+        by_stripe
     in
     List.iter (fun (_, h) -> Lock_client.release t.locks h) held;
     segs)
@@ -325,16 +314,18 @@ let stat_size t file =
 let append t file ~len =
   if len <= 0 then invalid_arg "Client.append: len must be positive";
   io_span t "client.append"
-    [ ("len", Obs.Json.Int len) ]
+    (fun () -> [ ("len", Obs.Json.Int len) ])
     (fun () ->
     let held = whole_file_locks t file in
     let size = stat_size t file in
-    let chunks = Layout.chunks file.f_layout (Interval.of_len ~lo:size ~len) in
+    let by_stripe =
+      Layout.chunks file.f_layout [ Interval.of_len ~lo:size ~len ]
+    in
     t.op_counter <- t.op_counter + 1;
     let op = t.op_counter in
     overhead t;
     List.iter
-      (fun (stripe, range) ->
+      (fun (stripe, ranges) ->
         let rid = Layout.rid ~fid:file.f_fid ~stripe in
         let sn =
           match List.assoc_opt rid held with
@@ -346,9 +337,8 @@ let append t file ~len =
                   (Printf.sprintf "append op %d: SN for stripe rid %d" op rid)
                 ~got:"no whole-file lock handle held for that stripe"
         in
-        Client_cache.write t.cache ~rid ~range ~sn ~op;
-        t.w_bytes <- t.w_bytes + Interval.length range)
-      chunks;
+        write_ranges t ~rid ~sn ~op ranges)
+      by_stripe;
     (match
        Rpc.call t.meta ~src:t.node
          (Meta_server.Update_size { fid = file.f_fid; size = size + len })
@@ -375,7 +365,7 @@ let stripe_keep_below layout ~stripe ~size =
 let truncate t file ~size =
   if size < 0 then invalid_arg "Client.truncate: negative size";
   io_span t "client.truncate"
-    [ ("size", Obs.Json.Int size) ]
+    (fun () -> [ ("size", Obs.Json.Int size) ])
     (fun () ->
     let held = whole_file_locks t file in
     (match

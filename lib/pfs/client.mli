@@ -76,12 +76,6 @@ val crash : t -> int
     and BeeGFS; data already flushed survives.  Returns the number of
     bytes lost.  The client object must not be used afterwards. *)
 
-val group_by_stripe :
-  (int * Ccpfs_util.Interval.t) list -> (int * Ccpfs_util.Interval.t list) list
-(** [group_by_stripe chunks] gathers (stripe, object-space range) chunks
-    per stripe, in increasing stripe order, each stripe's ranges
-    normalized (sorted, touching ones merged). *)
-
 (** {1 Instrumentation} *)
 
 val lock_client : t -> Seqdlm.Lock_client.t

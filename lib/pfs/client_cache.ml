@@ -3,8 +3,36 @@ open Dessim
 open Netsim
 
 (* One stripe's dirty extents and their byte count, kept in step so
-   the flush daemon can rank stripes without walking their maps. *)
-type stripe = { mutable map : Content.tag Extent_map.t; mutable bytes : int }
+   the flush daemon can rank stripes without walking their maps.  A
+   write that starts at or past the end of the stripe's dirty data
+   (every write of a sequential or strided writer) is consed onto
+   [run] instead of path-copying [map]; the run joins [map] in one
+   [Extent_map.append] when it holds [run_max] extents, and before
+   anything reads [map] ([settle]).  So [map] after a settle is the
+   map successive inserts would have built. *)
+type stripe = {
+  mutable map : Content.tag Extent_map.t;
+  mutable run : (Interval.t * Content.tag) list; (* newest first *)
+  mutable run_len : int;
+  mutable tail : int;
+      (* at or past the end of every dirty extent, [map]'s and [run]'s
+         alike; 0 when there is none, since no range starts below 0 *)
+  mutable bytes : int;
+}
+
+(* Bounds the extents a stripe holds outside [map] (and so the tags
+   kept alive only by a run): a join costs O(run_max + log n), so the
+   per-append share of the map's path copy is already small at 8. *)
+let run_max = 8
+
+let settle d =
+  if d.run_len > 0 then begin
+    d.map <- Extent_map.append d.map d.run;
+    d.run <- [];
+    d.run_len <- 0
+  end
+
+let end_of map = match Extent_map.span map with Some s -> s.hi | None -> 0
 
 type t = {
   eng : Engine.t;
@@ -43,7 +71,9 @@ let dirty_stripe t rid =
   match Int_tbl.find_opt t.dirty rid with
   | Some d -> d
   | None ->
-      let d = { map = Extent_map.empty; bytes = 0 } in
+      let d =
+        { map = Extent_map.empty; run = []; run_len = 0; tail = 0; bytes = 0 }
+      in
       Int_tbl.add t.dirty rid d;
       d
 
@@ -60,6 +90,7 @@ let account t delta =
    per block would, since none can run in between. *)
 let flush t ~rid ~ranges =
   let d = dirty_stripe t rid in
+  settle d;
   let extents =
     List.fold_left
       (fun acc range ->
@@ -68,6 +99,7 @@ let flush t ~rid ~ranges =
         Extent_map.set_all acc taken)
       Extent_map.empty ranges
   in
+  d.tail <- end_of d.map;
   if not (Extent_map.is_empty extents) then begin
     let bytes = Extent_map.total_length extents in
     d.bytes <- d.bytes - bytes;
@@ -188,15 +220,30 @@ let write t ~rid ~range ~sn ~op =
   let d = dirty_stripe t rid in
   let tag = { Content.writer = t.client_id; op; sn } in
   let covered =
-    List.fold_left
-      (fun acc (iv, _) -> acc + Interval.length iv)
+    if range.lo >= d.tail then begin
+      (* Past every dirty extent: a gap insert, as [merge] would make. *)
+      d.run <- (range, tag) :: d.run;
+      d.run_len <- d.run_len + 1;
+      if d.run_len >= run_max then settle d;
       0
-      (Extent_map.overlapping d.map range)
+    end
+    else begin
+      settle d;
+      let covered =
+        List.fold_left
+          (fun acc (iv, _) -> acc + Interval.length iv)
+          0
+          (Extent_map.overlapping d.map range)
+      in
+      let m, _ =
+        Extent_map.merge d.map range tag ~keep_new:(fun ~old ->
+            sn >= old.Content.sn)
+      in
+      d.map <- m;
+      covered
+    end
   in
-  let m, _ =
-    Extent_map.merge d.map range tag ~keep_new:(fun ~old -> sn >= old.Content.sn)
-  in
-  d.map <- m;
+  if range.hi > d.tail then d.tail <- range.hi;
   d.bytes <- d.bytes + Interval.length range - covered;
   (* Keep the clean cache coherent with our own writes, otherwise a read
      after the dirty data has been flushed away would see the pre-write
@@ -214,12 +261,15 @@ let has_dirty t ~rid ~ranges =
   match Int_tbl.find_opt t.dirty rid with
   | None -> false
   | Some d ->
+      settle d;
       List.exists (Extent_map.overlaps d.map) ranges
 
 let local_view t ~rid ~range =
   match Int_tbl.find_opt t.dirty rid with
   | None -> []
-  | Some d -> Extent_map.overlapping d.map range
+  | Some d ->
+      settle d;
+      Extent_map.overlapping d.map range
 
 let clean_map t rid =
   match Int_tbl.find_opt t.clean rid with
@@ -266,6 +316,7 @@ let invalidate_clean t ~rid ~ranges =
 let drop_clean t ~rid ~range =
   invalidate_clean t ~rid ~ranges:[ range ];
   let d = dirty_stripe t rid in
+  settle d;
   let covered =
     List.fold_left
       (fun acc (iv, _) -> acc + Interval.length iv)
@@ -273,6 +324,7 @@ let drop_clean t ~rid ~range =
       (Extent_map.overlapping d.map range)
   in
   d.map <- Extent_map.remove d.map range;
+  d.tail <- end_of d.map;
   d.bytes <- d.bytes - covered;
   account t (-covered)
 
@@ -281,6 +333,9 @@ let lose_all_dirty t =
   Int_tbl.iter_sorted
     (fun _ d ->
       d.map <- Extent_map.empty;
+      d.run <- [];
+      d.run_len <- 0;
+      d.tail <- 0;
       d.bytes <- 0)
     t.dirty;
   t.dirty_total <- 0;
@@ -290,6 +345,7 @@ let lose_all_dirty t =
 let dirty_view t =
   Int_tbl.fold_sorted
     (fun rid d acc ->
+      settle d;
       match Extent_map.to_list d.map with
       | [] -> acc
       | extents -> (rid, extents) :: acc)

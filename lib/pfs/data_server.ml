@@ -247,13 +247,14 @@ let trigger_cleanup t =
 
 (* One server-side IO span nested inside Rpc's serve span (same courier
    tid), so flushes/reads/truncates are attributable per data server in
-   the trace. *)
+   the trace.  [args] is only called with the sink on. *)
 let ds_span t name args f =
   let sink = Engine.trace_sink t.eng in
   if not (Obs.Trace.enabled sink) then f ()
   else begin
     let tid = Engine.current_pid t.eng in
-    Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"io" ~args name;
+    Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"io"
+      ~args:(args ()) name;
     match f () with
     | v ->
         Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid name;
@@ -267,9 +268,10 @@ let handle t req ~reply =
   match req with
   | Write_flush { rid; extents; ctl } ->
       ds_span t "ds.write_flush"
-        [ ("rid", Obs.Json.Int rid);
-          ("blocks", Obs.Json.Int (Extent_map.cardinal extents));
-          ("ctl", Obs.Json.Int (List.length ctl)) ]
+        (fun () ->
+          [ ("rid", Obs.Json.Int rid);
+            ("blocks", Obs.Json.Int (Extent_map.cardinal extents));
+            ("ctl", Obs.Json.Int (List.length ctl)) ])
       @@ fun () ->
       (* Piggybacked control traffic splits around the blocks (DESIGN.md
          §13): acks and downgrades land first — they only weaken the
@@ -298,8 +300,9 @@ let handle t req ~reply =
       reply Done
   | Read { rid; range } ->
       ds_span t "ds.read"
-        [ ("rid", Obs.Json.Int rid);
-          ("len", Obs.Json.Int (Interval.length range)) ]
+        (fun () ->
+          [ ("rid", Obs.Json.Int rid);
+            ("len", Obs.Json.Int (Interval.length range)) ])
       @@ fun () ->
       let st = stripe t rid in
       t.stats.reads <- t.stats.reads + 1;
@@ -307,8 +310,9 @@ let handle t req ~reply =
       reply (Data (Content.read st.store range))
   | Truncate { rid; keep_below } ->
       ds_span t "ds.truncate"
-        [ ("rid", Obs.Json.Int rid);
-          ("keep_below", Obs.Json.Int keep_below) ]
+        (fun () ->
+          [ ("rid", Obs.Json.Int rid);
+            ("keep_below", Obs.Json.Int keep_below) ])
       @@ fun () ->
       let st = stripe t rid in
       let keep_below = max 0 keep_below in

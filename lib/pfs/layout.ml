@@ -11,35 +11,44 @@ let max_stripes = 256
 let rid ~fid ~stripe = (fid * max_stripes) + stripe
 let rid_stripe r = r mod max_stripes
 
-let chunks t (iv : Interval.t) =
-  if t.stripe_count = 1 then [ (0, iv) ]
-  else begin
-    let acc = Array.make t.stripe_count [] in
-    let s = t.stripe_size in
-    let pos = ref iv.lo in
-    while !pos < iv.hi do
-      let chunk = !pos / s in
-      let chunk_end = (chunk + 1) * s in
-      let hi = min iv.hi chunk_end in
-      let stripe = chunk mod t.stripe_count in
-      let obj_lo = (chunk / t.stripe_count * s) + (!pos mod s) in
-      let obj = Interval.v ~lo:obj_lo ~hi:(obj_lo + (hi - !pos)) in
-      acc.(stripe) <- obj :: acc.(stripe);
-      pos := hi
-    done;
-    let out = ref [] in
-    for stripe = t.stripe_count - 1 downto 0 do
-      match Seqdlm.Types.normalize_ranges acc.(stripe) with
-      | [] -> ()
-      | ranges ->
-          (* One lock/flush range per stripe: take the covering hull so a
-             strided write holds a single extent lock per stripe, as in
-             §V-D ("a lock with a minimum range covering all of the
-             non-contiguous writes for each stripe"). *)
-          List.iter (fun r -> out := (stripe, r) :: !out) ranges
-    done;
-    !out
-  end
+(* The object range of file bytes [lo, hi), all inside stripe-size
+   chunk [chunk]. *)
+let piece t ~chunk ~lo ~hi =
+  let s = t.stripe_size in
+  let obj_lo = (chunk / t.stripe_count * s) + (lo mod s) in
+  Interval.v ~lo:obj_lo ~hi:(obj_lo + (hi - lo))
+
+let chunks t ranges =
+  let s = t.stripe_size in
+  match ranges with
+  | [] -> []
+  | [ _ ] when t.stripe_count = 1 -> [ (0, ranges) ]
+  | _ when t.stripe_count = 1 -> [ (0, Seqdlm.Types.normalize_ranges ranges) ]
+  | [ (iv : Interval.t) ] when iv.lo / s = (iv.hi - 1) / s ->
+      (* Inside one chunk: one stripe, one object range. *)
+      let chunk = iv.lo / s in
+      [ (chunk mod t.stripe_count, [ piece t ~chunk ~lo:iv.lo ~hi:iv.hi ]) ]
+  | _ ->
+      let acc = Array.make t.stripe_count [] in
+      List.iter
+        (fun (iv : Interval.t) ->
+          let pos = ref iv.lo in
+          while !pos < iv.hi do
+            let chunk = !pos / s in
+            let hi = min iv.hi ((chunk + 1) * s) in
+            let stripe = chunk mod t.stripe_count in
+            acc.(stripe) <- piece t ~chunk ~lo:!pos ~hi :: acc.(stripe);
+            pos := hi
+          done)
+        ranges;
+      let out = ref [] in
+      for stripe = t.stripe_count - 1 downto 0 do
+        match acc.(stripe) with
+        | [] -> ()
+        | pieces ->
+            out := (stripe, Seqdlm.Types.normalize_ranges pieces) :: !out
+      done;
+      !out
 
 let file_offset t ~stripe obj_off =
   if t.stripe_count = 1 then obj_off

@@ -1,3 +1,4 @@
+open Ccpfs_util
 open Dessim
 open Netsim
 
@@ -14,7 +15,7 @@ type t = {
   id : int;
   node : Node.t;
   log : Grant_log.t; (* committed contiguous prefix *)
-  pending : (int, Seqdlm.Lock_server.repl_event) Hashtbl.t;
+  pending : Seqdlm.Lock_server.repl_event Int_tbl.t;
       (* out-of-order arrivals beyond the committed prefix, by lsn *)
   mutable high : int; (* highest lsn buffered in this regime, else 0 *)
   mutable ep : (msg, resp) Rpc.endpoint option;
@@ -37,6 +38,10 @@ let ack t =
       r_high = high_water t;
     }
 
+let commit t ev =
+  ignore (Grant_log.append t.log ev);
+  Obs.Metrics.incr t.applied
+
 let handle t msg ~reply =
   match msg with
   | Probe -> reply (ack t)
@@ -57,25 +62,33 @@ let handle t msg ~reply =
           (* First entry of a new regime: the old log is superseded
              wholesale (the new primary re-seeds from lsn 1). *)
           Grant_log.reset t.log ~epoch:a_epoch;
-          Hashtbl.reset t.pending;
+          Int_tbl.reset t.pending;
           t.high <- 0
         end;
-        if a_lsn > Grant_log.last_lsn t.log then begin
-          Hashtbl.replace t.pending a_lsn a_ev;
-          t.high <- max t.high a_lsn
+        if a_lsn = Grant_log.last_lsn t.log + 1 && Int_tbl.length t.pending = 0
+        then begin
+          (* In order with nothing buffered, the common case: commit it
+             without a round trip through [pending]. *)
+          t.high <- max t.high a_lsn;
+          commit t a_ev
+        end
+        else begin
+          if a_lsn > Grant_log.last_lsn t.log then begin
+            Int_tbl.replace t.pending a_lsn a_ev;
+            t.high <- max t.high a_lsn
+          end;
+          (* Commit the contiguous prefix the buffer now extends. *)
+          let rec drain () =
+            let next = Grant_log.last_lsn t.log + 1 in
+            match Int_tbl.find_opt t.pending next with
+            | Some ev ->
+                Int_tbl.remove t.pending next;
+                commit t ev;
+                drain ()
+            | None -> ()
+          in
+          drain ()
         end;
-        (* Commit the contiguous prefix the buffer now extends. *)
-        let rec drain () =
-          let next = Grant_log.last_lsn t.log + 1 in
-          match Hashtbl.find_opt t.pending next with
-          | Some ev ->
-              Hashtbl.remove t.pending next;
-              ignore (Grant_log.append t.log ev);
-              Obs.Metrics.incr t.applied;
-              drain ()
-          | None -> ()
-        in
-        drain ();
         reply (ack t)
       end
 
@@ -85,7 +98,7 @@ let create eng params ~node ~name ~id =
       id;
       node;
       log = Grant_log.create ();
-      pending = Hashtbl.create 16;
+      pending = Int_tbl.create 16;
       high = 0;
       ep = None;
       applied = Obs.Metrics.counter (Engine.metrics eng) "repl.applied";

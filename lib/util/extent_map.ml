@@ -294,6 +294,43 @@ let set_all t sub =
       in
       go t sub.m
 
+(* The run, newest first, is built into a balanced tree from the top
+   down: each subtree takes its right half off the front of the list
+   (the larger offsets), then its root, then its left half.  The
+   oldest extent is left over, and [join] puts it between the map and
+   that tree, walking down the taller one: O(k + log n). *)
+let append t run =
+  match run with
+  | [] -> t
+  | _ :: _ ->
+      let k = List.length run in
+      let rest = ref run and above = ref Interval.eof in
+      let next () =
+        match !rest with
+        | (((iv : Interval.t), _) as e) :: tl ->
+            if iv.hi > !above then
+              invalid_arg "Extent_map.append: run not sorted";
+            rest := tl;
+            above := iv.lo;
+            e
+        | [] -> assert false
+      in
+      let rec build n =
+        if n = 0 then Leaf
+        else
+          let nl = (n - 1) / 2 in
+          let r = build (n - 1 - nl) in
+          let iv, v = next () in
+          create (build nl) iv.lo iv.hi v r
+      in
+      let sub = build (k - 1) in
+      let first, v = next () in
+      (match rightmost t.m with
+      | Node last when last.hi > first.lo ->
+          invalid_arg "Extent_map.append: run starts inside the map"
+      | _ -> ());
+      { m = join t.m first.lo first.hi v sub; n = t.n + k }
+
 (* The first [i] extents end where the [i]-th (from 0) starts. *)
 exception Start of int
 

@@ -21,6 +21,8 @@
       O((k + 1) log n) otherwise;
     - {!set_all}: O(log n + log m) when the argument map's m extents
       span a gap, m extents set one by one otherwise;
+    - {!append}: O(k + log n) for a sorted run of k extents past the
+      map's end;
     - {!cut}: O(log n), copying no node, when the range covers every
       extent or meets none, O(log n + k) otherwise; {!split_nth} [i]:
       O(log n + i);
@@ -85,6 +87,16 @@ val set_all : 'a t -> 'a t -> 'a t
     its span meets no extent of [m] (the gap case), [m] is split where
     [sub] goes and [sub]'s tree is joined in whole, so the result
     shares [sub]'s nodes; into an empty [m], [sub] itself comes back. *)
+
+val append : 'a t -> (Interval.t * 'a) list -> 'a t
+(** [append m run] sets the extents of [run], given newest first (in
+    decreasing offset order, as a run consed one write at a time is),
+    when each ends at or before the start of the one before it in the
+    list and the oldest starts at or past the end of [m]'s last
+    extent: the map successive {!set}s in offset order would give, in
+    O(k + log n) for k extents, instead of k descents that each copy a
+    path.  Raises [Invalid_argument] when the run is out of order or
+    meets [m]. *)
 
 val split_nth : 'a t -> int -> 'a t * 'a t
 (** [split_nth m i]: the first [i] extents in offset order and the

@@ -12,19 +12,25 @@ let mib = Units.mib
 (* Layout                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* [Layout.chunks] of one range, one (stripe, object range) per line. *)
+let flat_chunks l r =
+  Layout.chunks l [ r ]
+  |> List.concat_map (fun (s, rs) ->
+         List.map (fun (r : Interval.t) -> (s, r)) rs)
+
 let test_layout_single_stripe () =
   let l = Layout.v ~stripe_count:1 () in
   Alcotest.(check (list (pair int (pair int int))))
     "identity map"
     [ (0, (123, 456_000)) ]
-    (Layout.chunks l (iv 123 456_000)
+    (flat_chunks l (iv 123 456_000)
     |> List.map (fun (s, (r : Interval.t)) -> (s, (r.lo, r.hi))))
 
 let test_layout_two_stripes () =
   let l = Layout.v ~stripe_size:mib ~stripe_count:2 () in
   (* [0, 2MiB) covers chunk 0 (stripe 0) and chunk 1 (stripe 1). *)
   let got =
-    Layout.chunks l (iv 0 (2 * mib))
+    flat_chunks l (iv 0 (2 * mib))
     |> List.map (fun (s, (r : Interval.t)) -> (s, r.lo, r.hi))
   in
   Alcotest.(check (list (triple int int int)))
@@ -37,7 +43,7 @@ let test_layout_contiguous_merging () =
      contiguous object range. *)
   let l = Layout.v ~stripe_size:mib ~stripe_count:2 () in
   let got =
-    Layout.chunks l (iv 0 (4 * mib))
+    flat_chunks l (iv 0 (4 * mib))
     |> List.map (fun (s, (r : Interval.t)) -> (s, r.lo, r.hi))
   in
   Alcotest.(check (list (triple int int int)))
@@ -49,7 +55,7 @@ let test_layout_unaligned_span () =
   let l = Layout.v ~stripe_size:mib ~stripe_count:4 () in
   let lo = mib - 1000 in
   let got =
-    Layout.chunks l (iv lo (lo + 2000))
+    flat_chunks l (iv lo (lo + 2000))
     |> List.map (fun (s, (r : Interval.t)) -> (s, r.lo, r.hi))
   in
   Alcotest.(check (list (triple int int int)))
@@ -65,7 +71,7 @@ let prop_layout_partition =
        Gen.(triple (int_range 1 8) (int_bound 10_000_000) (int_range 1 5_000_000)))
     (fun (stripe_count, lo, len) ->
       let l = Layout.v ~stripe_size:65536 ~stripe_count () in
-      let chunks = Layout.chunks l (iv lo (lo + len)) in
+      let chunks = flat_chunks l (iv lo (lo + len)) in
       let total =
         List.fold_left (fun acc (_, r) -> acc + Interval.length r) 0 chunks
       in
@@ -74,7 +80,7 @@ let prop_layout_partition =
           (fun (stripe, (r : Interval.t)) ->
             let f = Layout.file_offset l ~stripe r.lo in
             lo <= f && f < lo + len
-            && Layout.chunks l (iv f (f + 1))
+            && flat_chunks l (iv f (f + 1))
                |> List.for_all (fun (s', (r' : Interval.t)) ->
                       s' = stripe && r'.lo = r.lo))
           chunks
@@ -99,7 +105,7 @@ let prop_layout_byte_bijection =
       let l = Layout.v ~stripe_size ~stripe_count () in
       let seen = Hashtbl.create 64 in
       for f = lo to lo + len - 1 do
-        (match Layout.chunks l (iv f (f + 1)) with
+        (match flat_chunks l (iv f (f + 1)) with
         | [ (stripe, (r : Interval.t)) ] when Interval.length r = 1 ->
             let key = (stripe, r.lo) in
             (match Hashtbl.find_opt seen key with
@@ -134,15 +140,15 @@ let prop_layout_extents_round_trip =
     (fun ((stripe_count, stripe_size), (lo, len)) ->
       let l = Layout.v ~stripe_size ~stripe_count () in
       let bytes =
-        Layout.chunks l (iv lo (lo + len))
+        flat_chunks l (iv lo (lo + len))
         |> List.concat_map (fun (stripe, (r : Interval.t)) ->
                List.init (Interval.length r) (fun k ->
                    Layout.file_offset l ~stripe (r.lo + k)))
       in
       List.sort_uniq compare bytes = List.init len (fun k -> lo + k))
 
-(* [Client.group_by_stripe] as it was with a hash table per write,
-   kept as the reference for the property below. *)
+(* Grouping by stripe as it was done with a hash table per write, kept
+   as the reference for the property below. *)
 let ref_group_by_stripe chunks =
   let tbl = Int_tbl.create 8 in
   List.iter
@@ -155,35 +161,51 @@ let ref_group_by_stripe chunks =
     tbl []
   |> List.rev
 
-(* Chunks in any stripe order, with duplicate, overlapping and touching
-   ranges common, plus the real shape: a striped range's chunks. *)
+(* [Layout.chunks] groups per stripe itself (what [Client] used to do
+   with a second pass over the chunks).  Its grouping of several file
+   ranges, with duplicate, overlapping and touching ones common, must be
+   the reference grouping of every byte's own (stripe, object byte),
+   computed here from the round-robin formula.  The ranges include the
+   real shapes: one striped range, and one inside a single chunk. *)
 let prop_group_by_stripe_matches_reference =
   let open QCheck in
-  let chunk = Gen.(triple (int_bound 5) (int_bound 200) (int_range 1 40)) in
-  let print (chunks, (sc, lo, len)) =
-    Printf.sprintf "%s + striped sc=%d [%d,+%d)"
-      (Print.list
-         (fun (s, lo, len) -> Printf.sprintf "%d:[%d,+%d)" s lo len)
-         chunks)
-      sc lo len
+  let range = Gen.(pair (int_bound 200) (int_range 1 40)) in
+  let print ((sc, ss), ranges) =
+    Printf.sprintf "sc=%d ss=%d %s" sc ss
+      (Print.list (fun (lo, len) -> Printf.sprintf "[%d,+%d)" lo len) ranges)
   in
   Test.make ~name:"group_by_stripe agrees with the hash-table grouping"
     ~count:500
     (make ~print
        Gen.(
-         pair (list_size (int_bound 30) chunk)
-           (triple (int_range 1 6) (int_bound 500) (int_range 1 300))))
-    (fun (chunks, (stripe_count, lo, len)) ->
-      let l = Layout.v ~stripe_size:16 ~stripe_count () in
-      let chunks =
-        List.map (fun (s, lo, len) -> (s, iv lo (lo + len))) chunks
-        @ Layout.chunks l (iv lo (lo + len))
+         pair
+           (pair (int_range 1 6) (int_range 1 32))
+           (oneof
+              [
+                list_size (int_range 1 8) range;
+                map (fun r -> [ r ]) (pair (int_bound 500) (int_range 1 300));
+              ])))
+    (fun ((stripe_count, stripe_size), ranges) ->
+      let l = Layout.v ~stripe_size ~stripe_count () in
+      let bytes =
+        List.concat_map
+          (fun (lo, len) ->
+            List.init len (fun k ->
+                let f = lo + k in
+                let chunk = f / stripe_size in
+                let obj =
+                  (chunk / stripe_count * stripe_size) + (f mod stripe_size)
+                in
+                (chunk mod stripe_count, iv obj (obj + 1))))
+          ranges
       in
       let flat =
         List.map (fun (s, ivs) ->
             (s, List.map (fun (r : Interval.t) -> (r.lo, r.hi)) ivs))
       in
-      flat (Client.group_by_stripe chunks) = flat (ref_group_by_stripe chunks))
+      flat
+        (Layout.chunks l (List.map (fun (lo, len) -> iv lo (lo + len)) ranges))
+      = flat (ref_group_by_stripe bytes))
 
 let test_rid_packing () =
   let rid = Layout.rid ~fid:42 ~stripe:7 in
@@ -729,6 +751,187 @@ let prop_client_cache_counters =
       match !failed with
       | None -> true
       | Some (i, op) -> Test.fail_reportf "inconsistent after step %d (%s)" i op)
+
+(* The client cache buffers writes that land past a stripe's dirty
+   data and joins them into its map later.  Against a plain
+   [Extent_map] per stripe, written with the same SN rule and cut by
+   the same flushes, nothing may show: not the maps the flushes ship
+   (a stub data server records them), not [has_dirty], [local_view],
+   [dirty_view], what [drop_clean] and [lose_all_dirty] discard, nor
+   the byte counters.  Sequential runs longer than the cache's run
+   bound are common, so joins happen both when a run fills and when a
+   reader comes. *)
+let prop_client_cache_append_runs =
+  let open QCheck in
+  let rids = [ 1; 2 ] in
+  let range = Gen.(pair (int_bound 200_000) (int_range 1 20_000)) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (6, map3 (fun rid (n, len, gap) sn -> `Appends (rid, n, len, gap, sn))
+                (int_range 1 2)
+                (triple (int_range 1 30) (int_range 1 8192) (int_bound 2))
+                (int_bound 4));
+          (2, map3 (fun rid r sn -> `Write (rid, r, sn)) (int_range 1 2) range
+                (int_bound 4));
+          (2, map2 (fun rid cuts -> `Flush (rid, cuts)) (int_range 1 2)
+                (list_size (int_range 1 6) (int_bound 300_000)));
+          (1, map (fun rid -> `Flush_all rid) (int_range 1 2));
+          (1, map2 (fun rid r -> `Has (rid, r)) (int_range 1 2) range);
+          (1, map2 (fun rid r -> `View (rid, r)) (int_range 1 2) range);
+          (1, map2 (fun rid r -> `Drop (rid, r)) (int_range 1 2) range);
+          (1, return `Dirty_view);
+          (1, return `Crash);
+        ])
+  in
+  let print_op = function
+    | `Appends (rid, n, len, gap, sn) ->
+        Printf.sprintf "a%d:%dx%d+%dsn%d" rid n len gap sn
+    | `Write (rid, (lo, len), sn) ->
+        Printf.sprintf "w%d[%d,+%d)sn%d" rid lo len sn
+    | `Flush (rid, cuts) ->
+        Printf.sprintf "f%d{%s}" rid
+          (String.concat "," (List.map string_of_int cuts))
+    | `Flush_all rid -> Printf.sprintf "F%d" rid
+    | `Has (rid, (lo, len)) -> Printf.sprintf "h%d[%d,+%d)" rid lo len
+    | `View (rid, (lo, len)) -> Printf.sprintf "v%d[%d,+%d)" rid lo len
+    | `Drop (rid, (lo, len)) -> Printf.sprintf "d%d[%d,+%d)" rid lo len
+    | `Dirty_view -> "dirty_view"
+    | `Crash -> "crash"
+  in
+  let to_iv (lo, len) = Interval.of_len ~lo ~len in
+  let rec ranges_of = function
+    | a :: b :: rest -> iv a b :: ranges_of rest
+    | [ a ] -> [ Interval.to_eof ~lo:a ]
+    | [] -> []
+  in
+  let config =
+    Config.with_dirty_limits ~dirty_min:(1024 * mib) ~dirty_max:(2048 * mib)
+      Config.default
+  in
+  Test.make ~name:"buffered appends match a plain extent map" ~count:200
+    (make ~print:Print.(list print_op) Gen.(list_size (int_range 1 40) op))
+    (fun ops ->
+      let eng = Engine.create () in
+      let node = Netsim.Node.create eng fast_params ~name:"ds" () in
+      let shipped = ref [] in
+      let ep =
+        Netsim.Rpc.endpoint eng fast_params ~node ~name:"ds.io"
+          ~handler:(fun req ~reply ->
+            (match req with
+            | Data_server.Write_flush { extents; _ } ->
+                shipped := Extent_map.to_list extents :: !shipped
+            | Data_server.Read _ | Data_server.Truncate _ -> ());
+            reply Data_server.Done)
+      in
+      let cc =
+        Client_cache.create eng fast_params config
+          ~node:(Netsim.Node.create eng fast_params ~name:"c0" ())
+          ~client_id:0 ~io_route:(fun _ -> ep)
+      in
+      let model = Int_tbl.create 4 and flushed = ref 0 and rpcs = ref 0 in
+      let get rid =
+        Option.value (Int_tbl.find_opt model rid) ~default:Extent_map.empty
+      in
+      let total m = Extent_map.total_length m in
+      let failed = ref None and step = ref "" in
+      let check what ok =
+        if (not ok) && !failed = None then
+          failed := Some (what ^ " at " ^ !step)
+      in
+      let write i rid range sn =
+        Client_cache.write cc ~rid ~range ~sn ~op:i;
+        let tag = { Content.writer = 0; op = i; sn } in
+        Int_tbl.replace model rid
+          (fst
+             (Extent_map.merge (get rid) range tag ~keep_new:(fun ~old ->
+                  sn >= old.Content.sn)))
+      in
+      let flush rid ranges =
+        shipped := [];
+        Client_cache.flush cc ~rid ~ranges;
+        let taken, left =
+          List.fold_left
+            (fun (acc, m) r ->
+              let taken, left = Extent_map.cut m r in
+              (Extent_map.set_all acc taken, left))
+            (Extent_map.empty, get rid) ranges
+        in
+        Int_tbl.replace model rid left;
+        if not (Extent_map.is_empty taken) then begin
+          flushed := !flushed + total taken;
+          incr rpcs
+        end;
+        (* [flush] returns once the stub has acknowledged the message *)
+        check "shipped map"
+          (!shipped
+          =
+          if Extent_map.is_empty taken then []
+          else [ Extent_map.to_list taken ])
+      in
+      Engine.spawn eng ~name:"ops" (fun () ->
+          List.iteri
+            (fun i op ->
+              step := Printf.sprintf "step %d (%s)" i (print_op op);
+              (match op with
+              | `Appends (rid, n, len, gap, sn) ->
+                  for k = 1 to n do
+                    let lo =
+                      match Extent_map.span (get rid) with
+                      | Some s -> s.Interval.hi + gap
+                      | None -> gap
+                    in
+                    write ((i * 100) + k) rid (Interval.of_len ~lo ~len) sn
+                  done
+              | `Write (rid, r, sn) -> write (i * 100) rid (to_iv r) sn
+              | `Flush (rid, cuts) ->
+                  flush rid (ranges_of (List.sort_uniq Int.compare cuts))
+              | `Flush_all rid -> flush rid [ Interval.to_eof ~lo:0 ]
+              | `Has (rid, r) ->
+                  check "has_dirty"
+                    (Client_cache.has_dirty cc ~rid ~ranges:[ to_iv r ]
+                    = Extent_map.overlaps (get rid) (to_iv r))
+              | `View (rid, r) ->
+                  check "local_view"
+                    (Client_cache.local_view cc ~rid ~range:(to_iv r)
+                    = Extent_map.overlapping (get rid) (to_iv r))
+              | `Drop (rid, r) ->
+                  Client_cache.drop_clean cc ~rid ~range:(to_iv r);
+                  Int_tbl.replace model rid
+                    (Extent_map.remove (get rid) (to_iv r))
+              | `Dirty_view ->
+                  check "dirty_view"
+                    (Client_cache.dirty_view cc
+                    = List.filter_map
+                        (fun rid ->
+                          match Extent_map.to_list (get rid) with
+                          | [] -> None
+                          | l -> Some (rid, l))
+                        rids)
+              | `Crash ->
+                  let lost = Client_cache.lose_all_dirty cc in
+                  check "lost bytes"
+                    (lost
+                    = List.fold_left (fun a rid -> a + total (get rid)) 0 rids);
+                  Int_tbl.reset model);
+              check "stripe bytes"
+                (List.for_all
+                   (fun rid ->
+                     Client_cache.stripe_dirty_bytes cc ~rid = total (get rid))
+                   rids);
+              check "dirty bytes"
+                (Client_cache.dirty_bytes cc
+                = List.fold_left (fun a rid -> a + total (get rid)) 0 rids);
+              check "bytes flushed" (Client_cache.bytes_flushed cc = !flushed);
+              check "flush rpcs" (Client_cache.flush_rpcs cc = !rpcs))
+            ops;
+          step := "the final whole-stripe flushes";
+          List.iter (fun rid -> flush rid [ Interval.to_eof ~lo:0 ]) rids);
+      Engine.run eng;
+      match !failed with
+      | None -> true
+      | Some what -> Test.fail_reportf "diverged: %s" what)
 
 (* ------------------------------------------------------------------ *)
 (* Data-server machinery                                               *)
@@ -1463,6 +1666,8 @@ let suite =
           test_client_crash_durability;
         QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
           prop_client_cache_counters;
+        QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
+          prop_client_cache_append_runs;
       ] );
     ( "pfs.readcache",
       [

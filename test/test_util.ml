@@ -665,6 +665,66 @@ let prop_em_cut_and_join =
       ignore (List.fold_left step (m, r) ops);
       true)
 
+(* [append] against successive [set]s: a base map of random extents
+   (overwrites included, so its tree is not the one a run would give),
+   then a run past its end, gapped or back to back, given newest first
+   as the client cache conses it.  The result must hold the same
+   extents, be a valid tree with the right count, and a run that is
+   out of order or starts inside the map must be refused. *)
+let prop_em_append =
+  let open QCheck in
+  let base =
+    Gen.(list_size (int_bound 40)
+           (triple (int_bound 500) (int_range 1 30) small_nat))
+  in
+  let run =
+    Gen.(list_size (int_bound 70) (pair (int_range 1 20) (int_bound 3)))
+  in
+  Test.make ~name:"append equals successive sets" ~count:300
+    (make
+       ~print:
+         Print.(
+           pair
+             (list (triple int int int))
+             (pair int (list (pair int int))))
+       Gen.(pair base (pair (int_bound 3) run)))
+    (fun (base, (start, run)) ->
+      let m =
+        List.fold_left
+          (fun m (lo, len, v) -> Extent_map.set m (iv lo (lo + len)) v)
+          Extent_map.empty base
+      in
+      let tail = match Extent_map.span m with Some s -> s.hi | None -> 0 in
+      (* each extent [gap] past the one before, consed newest first *)
+      let _, newest_first =
+        List.fold_left
+          (fun (pos, acc) (len, gap) ->
+            let lo = pos + gap in
+            (lo + len, (iv lo (lo + len), lo) :: acc))
+          (tail + start, []) run
+      in
+      let ascending = List.rev newest_first in
+      let got = Extent_map.append m newest_first in
+      let want =
+        List.fold_left (fun m (x, v) -> Extent_map.set m x v) m ascending
+      in
+      Extent_map.check_invariants got;
+      let refused run =
+        match Extent_map.append m run with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Extent_map.to_list got = Extent_map.to_list want
+      && Extent_map.cardinal got = Extent_map.cardinal m + List.length run
+      && (match ascending with
+         | _ :: _ :: _ -> refused ascending (* oldest first: out of order *)
+         | _ -> true)
+      &&
+      match Extent_map.span m with
+      | Some s when s.hi > 0 ->
+          refused (newest_first @ [ (iv (s.hi - 1) s.hi, 0) ])
+      | _ -> true)
+
 (* The data server's ior-segmented shape at full size: 262,144
    ascending gap appends, each carrying its own value, all kept. *)
 let test_em_ascending_appends () =
@@ -1555,6 +1615,7 @@ let suite =
         q prop_em_differential;
         q prop_em_differential_at_scale;
         q prop_em_cut_and_join;
+        q prop_em_append;
       ] );
     ( "util.content",
       [
