@@ -475,9 +475,9 @@ let bench_grant_log =
             else
               Seqdlm.Lock_server.R_lock
                 {
-                  e_rid = i; e_lock_id = i; e_client = i; e_mode = Seqdlm.Mode.PW;
-                  e_ranges = [ iv (i * 4096) ((i + 1) * 4096) ]; e_sn = i;
-                  e_state = Seqdlm.Lcm.Granted;
+                  rid = i; lock_id = i; client = i; mode = Seqdlm.Mode.PW;
+                  ranges = [ iv (i * 4096) ((i + 1) * 4096) ]; sn = i;
+                  state = Seqdlm.Lcm.Granted;
                 })
       in
       Staged.stage (fun () ->
@@ -661,13 +661,19 @@ let bench_lock_server_grant_over ?(canceling = 0) n =
         grant k
       done;
       for i = 1 to canceling do
-        Seqdlm.Lock_server.reinstall server ~client:i
-          ~locks:
-            [
-              ( 1, n + i, Seqdlm.Mode.NBW,
-                [ Interval.to_eof ~lo:((i - 1) * (n / canceling) * block) ],
-                n + i, Seqdlm.Lcm.Canceling );
-            ]
+        Seqdlm.Lock_server.reinstall server
+          [
+            {
+              Seqdlm.Types.rid = 1;
+              lock_id = n + i;
+              client = i;
+              mode = Seqdlm.Mode.NBW;
+              ranges =
+                [ Interval.to_eof ~lo:((i - 1) * (n / canceling) * block) ];
+              sn = n + i;
+              state = Seqdlm.Lcm.Canceling;
+            };
+          ]
       done;
       let next = ref 0 in
       Staged.stage (fun () ->

@@ -2,16 +2,7 @@ open Ccpfs_util
 open Dessim
 open Seqdlm
 
-type edge = {
-  e_waiter : Types.client_id;
-  e_holder : Types.client_id;
-  e_rid : Types.resource_id;
-  e_wait_mode : Mode.t;
-  e_hold_mode : Mode.t;
-  e_hold_state : Lcm.lock_state;
-  e_wait_ranges : Interval.t list;
-  e_hold_ranges : Interval.t list;
-}
+type edge = { waiter : Lock_server.waiter_view; held : Types.lock }
 
 type report = {
   edges : edge list;
@@ -32,25 +23,14 @@ let edges_of_server srv =
       List.concat_map
         (fun (w : Lock_server.waiter_view) ->
           List.filter_map
-            (fun (g : Lock_server.lock_view) ->
+            (fun (g : Types.lock) ->
               if
-                g.v_client <> w.q_client
-                && Types.ranges_overlap w.q_ranges g.v_ranges
+                g.client <> w.q_client
+                && Types.ranges_overlap w.q_ranges g.ranges
                 && not
-                     (Lcm.compatible ~req:w.q_eff_mode ~granted:g.v_mode
-                        ~state:g.v_state)
-              then
-                Some
-                  {
-                    e_waiter = w.q_client;
-                    e_holder = g.v_client;
-                    e_rid = rid;
-                    e_wait_mode = w.q_eff_mode;
-                    e_hold_mode = g.v_mode;
-                    e_hold_state = g.v_state;
-                    e_wait_ranges = w.q_ranges;
-                    e_hold_ranges = g.v_ranges;
-                  }
+                     (Lcm.compatible ~req:w.q_eff_mode ~granted:g.mode
+                        ~state:g.state)
+              then Some { waiter = w; held = g }
               else None)
             granted)
         (Lock_server.waiting_view srv rid))
@@ -72,9 +52,9 @@ let find_cycles edges =
   let adj : Types.client_id list Int_tbl.t = Int_tbl.create 16 in
   List.iter
     (fun e ->
-      let cur = Option.value ~default:[] (Int_tbl.find_opt adj e.e_waiter) in
-      if not (List.mem e.e_holder cur) then
-        Int_tbl.replace adj e.e_waiter (e.e_holder :: cur))
+      let w = e.waiter.q_client and h = e.held.client in
+      let cur = Option.value ~default:[] (Int_tbl.find_opt adj w) in
+      if not (List.mem h cur) then Int_tbl.replace adj w (h :: cur))
     edges;
   let cycles = ref [] in
   let visited : unit Int_tbl.t = Int_tbl.create 16 in
@@ -105,14 +85,13 @@ let analyze ~servers ~blocked =
   let edges = List.concat_map edges_of_server servers in
   { edges; cycles = find_cycles edges; blocked }
 
-let pp_edge ppf e =
+let pp_edge ppf { waiter = w; held = g } =
   Format.fprintf ppf "c%d (%s %a) waits on c%d holding %s/%s %a of r%d"
-    e.e_waiter
-    (Mode.to_string e.e_wait_mode)
-    Invariant.pp_ranges e.e_wait_ranges e.e_holder
-    (Mode.to_string e.e_hold_mode)
-    (Lcm.state_to_string e.e_hold_state)
-    Invariant.pp_ranges e.e_hold_ranges e.e_rid
+    w.q_client
+    (Mode.to_string w.q_eff_mode)
+    Invariant.pp_ranges w.q_ranges g.client (Mode.to_string g.mode)
+    (Lcm.state_to_string g.state)
+    Invariant.pp_ranges g.ranges g.rid
 
 let pp ppf r =
   Format.fprintf ppf "deadlock: %d blocked process(es)"

@@ -5,20 +5,17 @@
     lock servers' state at quiescence: an edge [c1 -> c2] means client
     [c1] has a queued request that conflicts with a lock client [c2]
     holds, and a cycle among the edges is a lock-order deadlock (e.g. the
-    BW multi-resource atomic-write ordering violations of §III-B1). *)
+    BW multi-resource atomic-write ordering violations of §III-B1).
+    An edge holds the two server views it was read from, unchanged. *)
 
 open Dessim
 open Seqdlm
 
 type edge = {
-  e_waiter : Types.client_id;
-  e_holder : Types.client_id;
-  e_rid : Types.resource_id;
-  e_wait_mode : Mode.t;  (** effective (post-conversion) requested mode *)
-  e_hold_mode : Mode.t;
-  e_hold_state : Lcm.lock_state;
-  e_wait_ranges : Ccpfs_util.Interval.t list;
-  e_hold_ranges : Ccpfs_util.Interval.t list;
+  waiter : Lock_server.waiter_view;
+      (** the queued request; its [q_eff_mode] (post-conversion) is
+          what conflicts *)
+  held : Types.lock;  (** the granted lock it waits on *)
 }
 
 type report = {

@@ -8,11 +8,11 @@ let pp_ranges ppf ranges =
        Interval.pp)
     ranges
 
-let pp_lock ppf (v : Lock_server.lock_view) =
-  Format.fprintf ppf "#%d c%d %s/%s sn=%d %a" v.v_lock_id v.v_client
-    (Mode.to_string v.v_mode)
-    (Lcm.state_to_string v.v_state)
-    v.v_sn pp_ranges v.v_ranges
+let pp_lock ppf (v : Types.lock) =
+  Format.fprintf ppf "#%d c%d %s/%s sn=%d %a" v.lock_id v.client
+    (Mode.to_string v.mode)
+    (Lcm.state_to_string v.state)
+    v.sn pp_ranges v.ranges
 
 (* No two granted locks may overlap unless Table II allows their
    coexistence in at least one direction — the only asymmetric cells are
@@ -22,16 +22,16 @@ let check_compat srv rid =
   let locks = Lock_server.granted_locks srv rid in
   let rec pairs = function
     | [] -> ()
-    | (g : Lock_server.lock_view) :: rest ->
+    | (g : Types.lock) :: rest ->
         List.iter
-          (fun (h : Lock_server.lock_view) ->
-            if Types.ranges_overlap g.v_ranges h.v_ranges then
+          (fun (h : Types.lock) ->
+            if Types.ranges_overlap g.ranges h.ranges then
               if
                 not
-                  (Lcm_oracle.compatible ~req:g.v_mode ~granted:h.v_mode
-                     ~state:h.v_state
-                  || Lcm_oracle.compatible ~req:h.v_mode ~granted:g.v_mode
-                       ~state:g.v_state)
+                  (Lcm_oracle.compatible ~req:g.mode ~granted:h.mode
+                     ~state:h.state
+                  || Lcm_oracle.compatible ~req:h.mode ~granted:g.mode
+                       ~state:g.state)
               then
                 Violation.fail ~inv:"lcm-compat"
                   "%s r%d holds conflicting overlapping grants %a and %a"
@@ -47,17 +47,17 @@ let check_sn srv rid =
   let next = Lock_server.next_sn srv rid in
   let writes =
     List.filter
-      (fun (v : Lock_server.lock_view) -> Mode.is_write v.v_mode)
+      (fun (v : Types.lock) -> Mode.is_write v.mode)
       (Lock_server.granted_locks srv rid)
   in
   List.iter
-    (fun (v : Lock_server.lock_view) ->
-      if v.v_sn >= next then
+    (fun (v : Types.lock) ->
+      if v.sn >= next then
         Violation.fail ~inv:"sn-rules"
           "%s r%d write grant %a carries sn >= next_sn %d"
           (Lock_server.name srv) rid pp_lock v next)
     writes;
-  let sns = List.map (fun (v : Lock_server.lock_view) -> v.v_sn) writes in
+  let sns = List.map (fun (v : Types.lock) -> v.sn) writes in
   if List.length sns <> List.length (List.sort_uniq Int.compare sns) then
     Violation.fail ~inv:"sn-rules" "%s r%d has duplicate write-grant SNs: %a"
       (Lock_server.name srv) rid
@@ -127,8 +127,8 @@ let check_client_rid ~lock_client ~cache rid =
   if dirty <> [] then begin
     let protection =
       Lock_client.locks_for_recovery lock_client ~owned:(fun _ -> true)
-      |> List.filter_map (fun (l : Lock_client.recovery_lock) ->
-             if l.r_rid = rid && Mode.can_write l.r_mode then Some l.r_ranges
+      |> List.filter_map (fun (l : Types.lock) ->
+             if l.rid = rid && Mode.can_write l.mode then Some l.ranges
              else None)
       |> List.concat |> Types.normalize_ranges
     in

@@ -38,7 +38,7 @@ val check_client :
 (** [cache-under-lock] over every stripe with dirty data. *)
 
 val pp_ranges : Format.formatter -> Ccpfs_util.Interval.t list -> unit
-val pp_lock : Format.formatter -> Lock_server.lock_view -> unit
+val pp_lock : Format.formatter -> Types.lock -> unit
 
 val check_repl_group : Repl.Group.t -> unit
 (** Replication sweep (DESIGN.md §16): every backup of the group is in a

@@ -32,15 +32,6 @@ type recovery_query = {
   rq_endpoints : string list;
 }
 
-type recovery_lock = {
-  r_rid : Types.resource_id;
-  r_lock_id : int;
-  r_mode : Mode.t;
-  r_ranges : Interval.t list;
-  r_sn : int;
-  r_state : Lcm.lock_state;
-}
-
 (* Pending control messages for one lock server, awaiting a ride on that
    node's data traffic (DESIGN.md §13).  [pb_msgs] is kept reversed;
    takers restore send order. *)
@@ -73,7 +64,7 @@ type t = {
   pb : (string, pb_queue) Hashtbl.t; (* server node name -> pending ctl *)
   mutable piggyback : bool; (* park ctl messages for flush RPCs *)
   mutable revoke_ep : (Types.server_msg, unit) Rpc.endpoint option;
-  mutable recover_ep : (recovery_query, recovery_lock list) Rpc.endpoint option;
+  mutable recover_ep : (recovery_query, Types.lock list) Rpc.endpoint option;
   view : Rpc.View.t;
   mutable rel : Rpc.reliability option;
   mutable map_refresh : (min_epoch:int -> unit) option;
@@ -285,14 +276,9 @@ let locks_for_recovery t ~owned =
       if owned rid then
         Int_tbl.fold_sorted
           (fun _ (l : cached_lock) acc ->
-            {
-              r_rid = rid;
-              r_lock_id = l.lock_id;
-              r_mode = l.cmode;
-              r_ranges = l.ranges;
-              r_sn = l.csn;
-              r_state = l.state;
-            }
+            ({ rid; lock_id = l.lock_id; client = t.id; mode = l.cmode;
+               ranges = l.ranges; sn = l.csn; state = l.state }
+              : Types.lock)
             :: acc)
           r.by_id acc
       else acc)

@@ -69,21 +69,15 @@ val is_canceling : handle -> bool
 (** {1 Server recovery (§IV-C2)}
 
     After a lock-server failure the server rebuilds its lock table by
-    gathering the grants its clients still cache. *)
-
-type recovery_lock = {
-  r_rid : Types.resource_id;
-  r_lock_id : int;
-  r_mode : Mode.t;
-  r_ranges : Ccpfs_util.Interval.t list;
-  r_sn : int;
-  r_state : Lcm.lock_state;
-}
+    gathering the grants its clients still cache, each reported as the
+    same {!Types.lock} record the server's table lists and
+    {!Lock_server.reinstall} takes. *)
 
 val locks_for_recovery :
-  t -> owned:(Types.resource_id -> bool) -> recovery_lock list
-(** The cached locks whose resources the recovering server owns
-    (canceling locks included: their releases are still coming). *)
+  t -> owned:(Types.resource_id -> bool) -> Types.lock list
+(** This client's cached locks whose resources the recovering server
+    owns, in ascending (rid, lock id) order (canceling locks included:
+    their releases are still coming). *)
 
 (** {1 Online failover (lib/ha)}
 
@@ -142,7 +136,7 @@ type recovery_query = {
 }
 
 val recovery_endpoint :
-  t -> (recovery_query, recovery_lock list) Netsim.Rpc.endpoint
+  t -> (recovery_query, Types.lock list) Netsim.Rpc.endpoint
 (** The gather service the recovery coordinator calls.  Its handler first
     raises the client's epoch view over [rq_endpoints] — fencing off any
     still-in-flight grant from the crashed epoch — and then reports

@@ -3,6 +3,16 @@ open Ccpfs_util
 type client_id = int
 type resource_id = int
 
+type lock = {
+  rid : resource_id;
+  lock_id : int;
+  client : client_id;
+  mode : Mode.t;
+  ranges : Interval.t list;
+  sn : int;
+  state : Lcm.lock_state;
+}
+
 type request = {
   client : client_id;
   rid : resource_id;

@@ -11,6 +11,21 @@
 type client_id = int
 type resource_id = int
 
+(** One granted lock, as every module outside the lock server's own
+    table describes it: the grant log's snapshot, the clients' recovery
+    report, reinstalls and migrations.  Declared before [request] and
+    [grant], so an unannotated [r.rid] or [g.sn] still resolves to those
+    records. *)
+type lock = {
+  rid : resource_id;
+  lock_id : int;
+  client : client_id;
+  mode : Mode.t;
+  ranges : Ccpfs_util.Interval.t list;
+  sn : int;
+  state : Lcm.lock_state;
+}
+
 type request = {
   client : client_id;
   rid : resource_id;

@@ -61,20 +61,17 @@ let audit cl =
   for i = 0 to Cluster.n_clients cl - 1 do
     let lc = Client.lock_client (Cluster.client cl i) in
     List.iter
-      (fun (r : Seqdlm.Lock_client.recovery_lock) ->
+      (fun (r : Seqdlm.Types.lock) ->
         match
           List.find_opt
-            (fun (v : Seqdlm.Lock_server.lock_view) ->
-              v.v_lock_id = r.r_lock_id && v.v_client = i)
-            (Seqdlm.Lock_server.granted_locks srv r.r_rid)
+            (fun (v : Seqdlm.Types.lock) ->
+              v.lock_id = r.lock_id && v.client = r.client)
+            (Seqdlm.Lock_server.granted_locks srv r.rid)
         with
         | None -> incr lost
         | Some v ->
-            if
-              v.v_sn <> r.r_sn
-              || not (String.equal (Seqdlm.Mode.to_string v.v_mode)
-                        (Seqdlm.Mode.to_string r.r_mode))
-            then incr divergent)
+            if v.sn <> r.sn || not (Seqdlm.Mode.equal v.mode r.mode) then
+              incr divergent)
       (Seqdlm.Lock_client.locks_for_recovery lc ~owned:(fun _ -> true))
   done;
   (!lost, !divergent)

@@ -78,8 +78,8 @@ let assert_sn_floor cl srv =
            [next_sn] taken without consuming it, so a fresh post-recovery
            read legitimately carries sn = next_sn. *)
         List.fold_left
-          (fun m (v : Seqdlm.Lock_server.lock_view) ->
-            if Seqdlm.Mode.is_write v.v_mode then max m v.v_sn else m)
+          (fun m (v : Seqdlm.Types.lock) ->
+            if Seqdlm.Mode.is_write v.mode then max m v.sn else m)
           0
           (Seqdlm.Lock_server.granted_locks ls_owner rid)
       in

@@ -79,22 +79,23 @@ val refresh_client_maps : t -> unit
     (the query is treated as carrying the map). *)
 
 val recover_lock_server :
-  t -> int -> gather:(Client.t -> Seqdlm.Lock_client.recovery_lock list) -> int
-(** The §IV-C2 recovery core shared by {!crash_and_recover_server} and
-    the online coordinator ({!Ha.Failover}): reinstall each client's
-    gathered grants for the resources server [i] owns (filtered against
-    the authoritative map), restore SN floors from the extent logs of
+  t -> int -> gather:(Client.t -> Seqdlm.Types.lock list) -> int
+(** The §IV-C2 recovery core shared by {!crash_and_recover_server}, the
+    online coordinator ({!Ha.Failover}) and {!replay_lock_server}:
+    client by client in index order, reinstall the locks [gather]
+    reports for the resources server [i] owns (filtered against the
+    authoritative map), then restore SN floors from the extent logs of
     each resource's {e data} home, and run the server self-check.
     Returns the number of locks reinstalled. *)
 
 val replay_lock_server :
   t -> int -> snapshot:Repl.Grant_log.snapshot -> int
-(** The replay twin of {!recover_lock_server} (DESIGN.md §16): rebuild
-    server [i]'s lock table from an elected backup's materialized grant
-    log — same reinstall order, same extent-log floor sweep, plus the
-    log's recorded sequencer positions — so gather and replay produce
-    bit-identical post-recovery state on the same history.  Returns the
-    number of locks reinstalled. *)
+(** The replay twin of {!recover_lock_server} (DESIGN.md §16): the same
+    core, with each client's locks taken from an elected backup's
+    materialized grant log instead of its cache, then the log's recorded
+    sequencer positions applied as SN floors — so gather and replay
+    produce bit-identical post-recovery state, and emit the same events,
+    on the same history.  Returns the number of locks reinstalled. *)
 
 val crash_and_recover_server : t -> int -> unit
 (** Fail server [i] between runs and run the §IV-C2 recovery protocol:

@@ -1,4 +1,3 @@
-open Ccpfs_util
 module Ls = Seqdlm.Lock_server
 module Int_map = Map.Make (Int)
 
@@ -58,7 +57,7 @@ let reset t ~epoch =
    to charge the transport for appends and log fetches (an R_lock entry
    carries its range list; the others are a few ints). *)
 let event_bytes = function
-  | Ls.R_lock l -> 48 + (16 * List.length l.e_ranges)
+  | Ls.R_lock l -> 48 + (16 * List.length l.ranges)
   | Ls.R_drop _ | Ls.R_sn _ | Ls.R_drop_resource _ -> 24
 
 let bytes t =
@@ -72,17 +71,8 @@ let bytes t =
 (* Replay: materialize the lock-table snapshot a log prefix describes   *)
 (* ------------------------------------------------------------------ *)
 
-type snap_lock = {
-  s_lock_id : int;
-  s_client : Seqdlm.Types.client_id;
-  s_mode : Seqdlm.Mode.t;
-  s_ranges : Interval.t list;
-  s_sn : int;
-  s_state : Seqdlm.Lcm.lock_state;
-}
-
 type snap_resource = {
-  sr_locks : snap_lock list; (* ascending lock id *)
+  sr_locks : Seqdlm.Types.lock list; (* ascending lock id *)
   sr_next_sn : int; (* sequencer floor: highest R_sn seen, else 1 *)
 }
 
@@ -91,23 +81,16 @@ type snapshot = (Seqdlm.Types.resource_id * snap_resource) list
 let materialize (es : entry list) : snapshot =
   let step acc { ev; _ } =
     match ev with
-    | Ls.R_lock l ->
-        let locks, sn =
-          match Int_map.find_opt l.e_rid acc with
+    | Ls.R_lock { rid; lock_id; client; mode; ranges; sn; state } ->
+        let locks, floor =
+          match Int_map.find_opt rid acc with
           | Some v -> v
           | None -> (Int_map.empty, 1)
         in
-        let lock =
-          {
-            s_lock_id = l.e_lock_id;
-            s_client = l.e_client;
-            s_mode = l.e_mode;
-            s_ranges = l.e_ranges;
-            s_sn = l.e_sn;
-            s_state = l.e_state;
-          }
+        let lock : Seqdlm.Types.lock =
+          { rid; lock_id; client; mode; ranges; sn; state }
         in
-        Int_map.add l.e_rid (Int_map.add l.e_lock_id lock locks, sn) acc
+        Int_map.add rid (Int_map.add lock_id lock locks, floor) acc
     | Ls.R_drop d -> (
         match Int_map.find_opt d.e_rid acc with
         | None -> acc

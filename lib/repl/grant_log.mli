@@ -55,21 +55,15 @@ val bytes : t -> int
 
     Folding a log prefix yields the lock table it describes: upserts and
     drops resolve to the surviving lock set per resource, [R_sn] events
-    to the exact pre-crash sequencer position.  Queued waiters are not
-    part of the log — the fenced retry path resubmits them after a
-    failover, exactly as it does for the gather-based recovery. *)
-
-type snap_lock = {
-  s_lock_id : int;
-  s_client : Seqdlm.Types.client_id;
-  s_mode : Seqdlm.Mode.t;
-  s_ranges : Ccpfs_util.Interval.t list;
-  s_sn : int;
-  s_state : Seqdlm.Lcm.lock_state;
-}
+    to the exact pre-crash sequencer position.  Each surviving lock is
+    the {!Seqdlm.Types.lock} record the server's table lists and the
+    clients report to a gather, so a snapshot feeds the same reinstall
+    path.  Queued waiters are not part of the log — the fenced retry
+    path resubmits them after a failover, exactly as it does for the
+    gather-based recovery. *)
 
 type snap_resource = {
-  sr_locks : snap_lock list;  (** ascending lock id *)
+  sr_locks : Seqdlm.Types.lock list;  (** ascending lock id *)
   sr_next_sn : int;  (** highest published sequencer position, else 1 *)
 }
 

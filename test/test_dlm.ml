@@ -620,7 +620,7 @@ let test_early_revoked_grant_cancels_after_use () =
   Alcotest.(check int) "one lock left on the server" 1 (List.length remaining);
   (match remaining with
   | [ v ] ->
-      Alcotest.(check bool) "and it is GRANTED" true (v.v_state = Lcm.Granted)
+      Alcotest.(check bool) "and it is GRANTED" true (v.state = Lcm.Granted)
   | _ -> Alcotest.fail "expected one lock");
   let cached_total =
     List.fold_left
@@ -746,14 +746,23 @@ let test_canceling_nbw_from_downgrade_and_reinstall () =
         Lock_server.control s
           (Types.Downgrade { rid; lock_id = !id; mode = Mode.NBW })
     | `Reinstall ->
-        Lock_server.reinstall s ~client:0
-          ~locks:
-            [ (rid, 1, Mode.NBW, [ iv lo (lo + 4096) ], 1, Lcm.Canceling) ]);
+        Lock_server.reinstall s
+          [
+            {
+              Types.rid;
+              lock_id = 1;
+              client = 0;
+              mode = Mode.NBW;
+              ranges = [ iv lo (lo + 4096) ];
+              sn = 1;
+              state = Lcm.Canceling;
+            };
+          ]);
     Lock_server.check_invariants s;
     (match Lock_server.granted_locks s rid with
     | [ v ] ->
-        Alcotest.check mode "held in NBW" Mode.NBW v.v_mode;
-        Alcotest.(check bool) "held CANCELING" true (v.v_state = Lcm.Canceling)
+        Alcotest.check mode "held in NBW" Mode.NBW v.mode;
+        Alcotest.(check bool) "held CANCELING" true (v.state = Lcm.Canceling)
     | l -> Alcotest.failf "expected one lock, got %d" (List.length l));
     s
   in
@@ -1156,7 +1165,7 @@ type side = {
   s_live : (int * int) list ref; (* (rid, lock_id), newest first *)
   s_q_len : int -> int;
   s_next_sn : int -> int;
-  s_granted : int -> (int * int * Mode.t * (int * int) list * int * bool) list;
+  s_granted : int -> Types.lock list;
   s_waiting : int -> (int * Mode.t * Mode.t * (int * int) list) list;
   (* counter fields of the server's stats record, as a comparable tuple *)
   s_stats : unit -> int * int * int * int * int * int * int * int * int;
@@ -1198,17 +1207,7 @@ let indexed_side eng ~policy ~clients =
         s_live = ref [];
         s_q_len = Lock_server.queue_length s;
         s_next_sn = Lock_server.next_sn s;
-        s_granted =
-          (fun rid ->
-            List.map
-              (fun (v : Lock_server.lock_view) ->
-                ( v.v_lock_id,
-                  v.v_client,
-                  v.v_mode,
-                  flat_ranges v.v_ranges,
-                  v.v_sn,
-                  v.v_state = Lcm.Canceling ))
-              (Lock_server.granted_locks s rid));
+        s_granted = Lock_server.granted_locks s;
         s_waiting =
           (fun rid ->
             List.map
@@ -1263,17 +1262,7 @@ let reference_side eng ~policy ~clients =
         s_live = ref [];
         s_q_len = Ref_lock_server.queue_length s;
         s_next_sn = Ref_lock_server.next_sn s;
-        s_granted =
-          (fun rid ->
-            List.map
-              (fun (v : Ref_lock_server.lock_view) ->
-                ( v.v_lock_id,
-                  v.v_client,
-                  v.v_mode,
-                  flat_ranges v.v_ranges,
-                  v.v_sn,
-                  v.v_state = Lcm.Canceling ))
-              (Ref_lock_server.granted_locks s rid));
+        s_granted = Ref_lock_server.granted_locks s;
         s_waiting =
           (fun rid ->
             List.map

@@ -48,16 +48,9 @@ let test_recovery_round_trip () =
   Cluster.crash_and_recover_server cl 0;
 
   let after = Seqdlm.Lock_server.granted_locks ls rid in
-  Alcotest.(check int) "lock table regathered" (List.length before)
-    (List.length after);
-  List.iter2
-    (fun (a : Seqdlm.Lock_server.lock_view) (b : Seqdlm.Lock_server.lock_view) ->
-      Alcotest.(check int) "same lock id" a.v_lock_id b.v_lock_id;
-      Alcotest.(check int) "same client" a.v_client b.v_client;
-      Alcotest.(check int) "same SN" a.v_sn b.v_sn;
-      Alcotest.(check bool) "same mode" true
-        (Seqdlm.Mode.equal a.v_mode b.v_mode))
-    before after;
+  Alcotest.(check bool) "lock table regathered" true (before <> []);
+  Alcotest.(check bool) "same locks: ids, clients, modes, ranges, SNs, states"
+    true (after = before);
   Alcotest.(check bool) "SN floor restored" true
     (Seqdlm.Lock_server.next_sn ls rid >= sn_before);
   let cache_after = Data_server.extent_cache_of (Cluster.data_server cl 0) rid in
@@ -256,7 +249,7 @@ let test_queued_waiters_then_recovery () =
       in
       let reinstalled =
         List.fold_left
-          (fun m (v : Seqdlm.Lock_server.lock_view) -> max m v.v_sn)
+          (fun m (v : Seqdlm.Types.lock) -> max m v.sn)
           0
           (Seqdlm.Lock_server.granted_locks ls rid)
       in
@@ -307,8 +300,8 @@ let test_multi_server_recovery_ownership () =
   let survivor = Cluster.server_of_rid cl rid1 in
   Alcotest.(check bool) "stripes land on different servers" true
     (crashed <> survivor);
-  let view_key (v : Seqdlm.Lock_server.lock_view) =
-    (v.v_client, v.v_sn, Seqdlm.Mode.to_string v.v_mode)
+  let view_key (v : Seqdlm.Types.lock) =
+    (v.client, v.sn, Seqdlm.Mode.to_string v.mode)
   in
   let table ls rid =
     List.sort compare (List.map view_key (Seqdlm.Lock_server.granted_locks ls rid))

@@ -167,17 +167,17 @@ let server_state cl i =
           Buffer.add_string buf
             (Printf.sprintf "r%d sn%d:" rid (Seqdlm.Lock_server.next_sn ls rid));
           List.iter
-            (fun (v : Seqdlm.Lock_server.lock_view) ->
+            (fun (v : Seqdlm.Types.lock) ->
               Buffer.add_string buf
-                (Printf.sprintf " [%d c%d %s sn%d %s %s]" v.v_lock_id v.v_client
-                   (Seqdlm.Mode.to_string v.v_mode)
-                   v.v_sn
-                   (Seqdlm.Lcm.state_to_string v.v_state)
+                (Printf.sprintf " [%d c%d %s sn%d %s %s]" v.lock_id v.client
+                   (Seqdlm.Mode.to_string v.mode)
+                   v.sn
+                   (Seqdlm.Lcm.state_to_string v.state)
                    (String.concat ","
                       (List.map
                          (fun (iv : Interval.t) ->
                            Printf.sprintf "%d-%d" iv.lo iv.hi)
-                         v.v_ranges))))
+                         v.ranges))))
             locks;
           Buffer.add_char buf '\n')
     (List.sort_uniq Int.compare (Seqdlm.Lock_server.resource_ids ls));
