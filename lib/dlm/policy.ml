@@ -8,7 +8,6 @@ type mode_selection = Seq_modes | Traditional_modes
 type t = {
   name : string;
   expansion : expansion;
-  early_grant : bool;
   early_revocation : bool;
   auto_convert : bool;
   datatype_requests : bool;
@@ -24,7 +23,6 @@ let seqdlm =
   {
     name = "SeqDLM";
     expansion = Greedy;
-    early_grant = true;
     early_revocation = true;
     auto_convert = true;
     datatype_requests = false;
@@ -36,7 +34,6 @@ let dlm_basic =
   {
     name = "DLM-basic";
     expansion = Greedy;
-    early_grant = false;
     early_revocation = false;
     auto_convert = false;
     datatype_requests = false;

@@ -30,9 +30,6 @@ type mode_selection =
 type t = {
   name : string;
   expansion : expansion;
-  early_grant : bool;
-      (** whether clients may select NBW/BW (the LCM's early-grant
-          entries are only reachable through those modes) *)
   early_revocation : bool;
       (** piggyback revocation in the grant reply when a queued conflict
           exists and the range could not be expanded *)
@@ -40,6 +37,8 @@ type t = {
   datatype_requests : bool;
       (** clients send the exact non-contiguous range list *)
   selection : mode_selection;
+      (** which write modes clients select; only [Seq_modes] selects
+          NBW/BW, so it alone reaches the LCM's early-grant entries *)
   piggyback_release : bool;
       (** ride the final Release (and pending control messages) on the
           revocation flush instead of separate RPCs — SeqDLM's

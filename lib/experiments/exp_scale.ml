@@ -79,7 +79,6 @@ let run_one ~clients ~writes_each =
   }
 
 let row_of (m : measurement) =
-  let s = m.m_lock_stats in
   let open Obs.Json in
   Obj
     [
@@ -94,21 +93,7 @@ let row_of (m : measurement) =
       ("sim_total_s", Float m.m_sim_total_s);
       ("write_lat_p50_s", Float (Stats.percentile m.m_write_lat 50.));
       ("write_lat_p99_s", Float (Stats.percentile m.m_write_lat 99.));
-      ( "lock_stats",
-        Obj
-          [
-            ("grants", Int s.grants);
-            ("early_grants", Int s.early_grants);
-            ("early_revocations", Int s.early_revocations);
-            ("revokes_sent", Int s.revokes_sent);
-            ("upgrades", Int s.upgrades);
-            ("downgrades", Int s.downgrades);
-            ("releases", Int s.releases);
-            ("expansions", Int s.expansions);
-            ("revocation_wait_s", Float s.revocation_wait);
-            ("release_wait_s", Float s.release_wait);
-            ("max_queue", Int s.max_queue);
-          ] );
+      ("lock_stats", Harness.lock_stats_json m.m_lock_stats);
     ]
 
 let results_schema = "ccpfs.scale/1"

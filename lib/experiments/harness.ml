@@ -32,10 +32,26 @@ let collect cl ~pio ~f =
 
 type spawn = int -> string -> (Client.t -> unit) -> unit
 
+let lock_stats_json (s : Seqdlm.Lock_server.stats) =
+  Obs.Json.(
+    Obj
+      [
+        ("grants", Int s.grants);
+        ("early_grants", Int s.early_grants);
+        ("early_revocations", Int s.early_revocations);
+        ("revokes_sent", Int s.revokes_sent);
+        ("upgrades", Int s.upgrades);
+        ("downgrades", Int s.downgrades);
+        ("releases", Int s.releases);
+        ("expansions", Int s.expansions);
+        ("revocation_wait_s", Float s.revocation_wait);
+        ("release_wait_s", Float s.release_wait);
+        ("max_queue", Int s.max_queue);
+      ])
+
 (* One machine-readable row per measured run (BENCH_experiments.json);
    the experiment id / scale were stamped on Obs.Hub by the driver. *)
 let result_row cl ~run_id ~servers ~clients r =
-  let s : Seqdlm.Lock_server.stats = r.lock_stats in
   let open Obs.Json in
   Obj
     [
@@ -51,21 +67,7 @@ let result_row cl ~run_id ~servers ~clients r =
       ("locking_s", Float r.locking);
       ("cache_io_s", Float r.cache_io);
       ("ops", Int r.ops);
-      ( "lock_stats",
-        Obj
-          [
-            ("grants", Int s.grants);
-            ("early_grants", Int s.early_grants);
-            ("early_revocations", Int s.early_revocations);
-            ("revokes_sent", Int s.revokes_sent);
-            ("upgrades", Int s.upgrades);
-            ("downgrades", Int s.downgrades);
-            ("releases", Int s.releases);
-            ("expansions", Int s.expansions);
-            ("revocation_wait_s", Float s.revocation_wait);
-            ("release_wait_s", Float s.release_wait);
-            ("max_queue", Int s.max_queue);
-          ] );
+      ("lock_stats", lock_stats_json r.lock_stats);
       ("metrics", Obs.Metrics.to_json (Dessim.Engine.metrics (Cluster.engine cl)));
     ]
 

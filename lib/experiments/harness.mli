@@ -41,6 +41,10 @@ val run :
     run id (taken once per measured run), the kept cluster and the
     continuation's result. *)
 
+val lock_stats_json : Seqdlm.Lock_server.stats -> Obs.Json.t
+(** The eleven-field ["lock_stats"] object of [BENCH_experiments.json]
+    and [BENCH_scale.json] rows. *)
+
 val write_rows : schema:string -> path:string -> Obs.Json.t list -> int
 (** Write [rows] as a fresh [schema] document at [path] and return the
     row count.  Rows the harness accumulated for

@@ -8,7 +8,6 @@ type t = {
   params : Params.t;
   config : Config.t;
   node : Node.t;
-  id : int;
   meta : (Meta_server.req, Meta_server.resp) Rpc.endpoint;
   io_route : int -> (Data_server.io_req, Data_server.io_resp) Rpc.endpoint;
   cache : Client_cache.t;
@@ -58,7 +57,7 @@ let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
             Lock_client.take_piggyback locks ~rid)
       end);
   {
-    eng; params; config; node; id = client_id; meta; io_route; cache; locks;
+    eng; params; config; node; meta; io_route; cache; locks;
     policy; rel = reliability; view;
     op_counter = 0; w_bytes = 0; r_bytes = 0;
   }
@@ -327,17 +326,9 @@ let append t file ~len =
     List.iter
       (fun (stripe, ranges) ->
         let rid = Layout.rid ~fid:file.f_fid ~stripe in
-        let sn =
-          match List.assoc_opt rid held with
-          | Some h -> Lock_client.sn h
-          | None ->
-              Protocol_error.fail
-                ~endpoint:(Printf.sprintf "client%d" t.id)
-                ~request:
-                  (Printf.sprintf "append op %d: SN for stripe rid %d" op rid)
-                ~got:"no whole-file lock handle held for that stripe"
-        in
-        write_ranges t ~rid ~sn ~op ranges)
+        (* [held] covers every stripe of the file. *)
+        write_ranges t ~rid ~sn:(Lock_client.sn (List.assoc rid held)) ~op
+          ranges)
       by_stripe;
     (match
        Rpc.call t.meta ~src:t.node
