@@ -43,7 +43,7 @@ let () =
     Engine.spawn eng ~name:(Printf.sprintf "worker%d" i) (fun () ->
         for round = 1 to 3 do
           Lock_client.with_lock workers.(i) ~rid:resource ~mode:Mode.NBW
-            ~ranges:[ Interval.to_eof ~lo:0 ]
+            ~ranges:(Ranges.single (Interval.to_eof ~lo:0))
             (fun h ->
               Printf.printf "t=%-8s worker %d holds the log (SN %d%s)\n"
                 (Units.seconds_to_string (Engine.now eng))

@@ -26,7 +26,7 @@ let edges_of_server srv =
             (fun (g : Types.lock) ->
               if
                 g.client <> w.q_client
-                && Types.ranges_overlap w.q_ranges g.ranges
+                && Ranges.overlaps w.q_ranges g.ranges
                 && not
                      (Lcm.compatible ~req:w.q_eff_mode ~granted:g.mode
                         ~state:g.state)

@@ -37,7 +37,7 @@ val check_client :
   lock_client:Lock_client.t -> cache:Ccpfs.Client_cache.t -> unit
 (** [cache-under-lock] over every stripe with dirty data. *)
 
-val pp_ranges : Format.formatter -> Ccpfs_util.Interval.t list -> unit
+val pp_ranges : Format.formatter -> Ccpfs_util.Ranges.t -> unit
 val pp_lock : Format.formatter -> Types.lock -> unit
 
 val check_repl_group : Repl.Group.t -> unit

@@ -35,7 +35,7 @@ let three_client_contention ~perm choose =
              explorer covers every tie the protocol then produces. *)
           if slot > 0 then Engine.sleep eng (float_of_int slot *. 1.3e-6);
           Lock_client.with_lock lc ~rid:1 ~mode:Mode.NBW
-            ~ranges:[ Interval.v ~lo:0 ~hi:4096 ]
+            ~ranges:(Ranges.single (Interval.v ~lo:0 ~hi:4096))
             (fun _ -> incr granted)))
     perm;
   Engine.run eng;

@@ -3,16 +3,16 @@ open Dessim
 open Netsim
 
 type hooks = {
-  flush : rid:Types.resource_id -> ranges:Interval.t list -> unit;
-  has_dirty : rid:Types.resource_id -> ranges:Interval.t list -> bool;
-  invalidate : rid:Types.resource_id -> ranges:Interval.t list -> unit;
+  flush : rid:Types.resource_id -> ranges:Ranges.t -> unit;
+  has_dirty : rid:Types.resource_id -> ranges:Ranges.t -> bool;
+  invalidate : rid:Types.resource_id -> ranges:Ranges.t -> unit;
 }
 
 type cached_lock = {
   lock_id : int;
   rid : Types.resource_id;
   mutable cmode : Mode.t;
-  ranges : Interval.t list;
+  ranges : Ranges.t;
   csn : int;
   mutable state : Lcm.lock_state;
   mutable holders : int;
@@ -100,7 +100,7 @@ let remove_lock t (l : cached_lock) =
       match Int_tbl.find_opt r.by_id l.lock_id with
       | Some l' when l' == l ->
           Int_tbl.remove r.by_id l.lock_id;
-          Interval_index.remove r.idx (Types.ranges_hull l.ranges) ~id:l.stamp
+          Interval_index.remove r.idx (Ranges.hull l.ranges) ~id:l.stamp
       | Some _ | None -> ())
   | None -> ()
 
@@ -331,11 +331,6 @@ let create eng params ~node ~client_id ~route ~hooks =
          ~handler:(fun q ~reply -> reply (handle_recovery_query t q)));
   t
 
-let covers (l : cached_lock) ranges =
-  List.for_all
-    (fun iv -> List.exists (fun r -> Interval.contains r iv) l.ranges)
-    ranges
-
 (* The newest-installed usable lock covering [ranges].  A covering lock
    contains the first range, so its hull overlaps it: the index probe
    visits only those candidates and keeps the highest stamp among the
@@ -344,7 +339,7 @@ let find_usable t ~rid ~mode ~ranges =
   match Int_tbl.find_opt t.by_rid rid with
   | None -> None
   | Some r ->
-      let probe = match ranges with q :: _ -> q | [] -> Interval.to_eof ~lo:0 in
+      let probe = List.hd (ranges : Ranges.t :> Interval.t list) in
       Interval_index.fold_overlapping r.idx probe ~init:None
         ~f:(fun best _ _ (l : cached_lock) ->
           match best with
@@ -353,7 +348,7 @@ let find_usable t ~rid ~mode ~ranges =
               if
                 l.state = Lcm.Granted && (not l.cancel_started)
                 && Mode.subsumes ~cached:l.cmode ~wanted:mode
-                && covers l ranges
+                && Ranges.covers l.ranges ranges
               then Some l
               else best)
 
@@ -383,7 +378,7 @@ let install_grant t (g : Types.grant) =
   List.iter (fun old -> old.merged_into <- Some l) merged;
   Option.iter (remove_lock t) (Int_tbl.find_opt r.by_id g.lock_id);
   Int_tbl.replace r.by_id g.lock_id l;
-  Interval_index.add r.idx (Types.ranges_hull l.ranges) ~id:l.stamp l;
+  Interval_index.add r.idx (Ranges.hull l.ranges) ~id:l.stamp l;
   if Int_tbl.mem r.pending_revokes g.lock_id then begin
     Int_tbl.remove r.pending_revokes g.lock_id;
     if l.state = Lcm.Granted then begin

@@ -20,12 +20,12 @@
 type t
 
 type hooks = {
-  flush : rid:Types.resource_id -> ranges:Ccpfs_util.Interval.t list -> unit;
+  flush : rid:Types.resource_id -> ranges:Ccpfs_util.Ranges.t -> unit;
       (** Flush the dirty extents under these ranges to the data server;
           blocks until the data is durable there.  May be called with
           nothing dirty (no-op). *)
-  has_dirty : rid:Types.resource_id -> ranges:Ccpfs_util.Interval.t list -> bool;
-  invalidate : rid:Types.resource_id -> ranges:Ccpfs_util.Interval.t list -> unit;
+  has_dirty : rid:Types.resource_id -> ranges:Ccpfs_util.Ranges.t -> bool;
+  invalidate : rid:Types.resource_id -> ranges:Ccpfs_util.Ranges.t -> unit;
       (** Drop clean cached data under these ranges: called when a lock
           loses its read capability (cancel, or PW → NBW downgrade) so the
           client cannot serve stale reads afterwards. *)
@@ -44,8 +44,8 @@ type handle
 (** A held reference to a cached lock.  Must be released exactly once. *)
 
 val acquire :
-  t -> rid:Types.resource_id -> mode:Mode.t ->
-  ranges:Ccpfs_util.Interval.t list -> handle
+  t -> rid:Types.resource_id -> mode:Mode.t -> ranges:Ccpfs_util.Ranges.t ->
+  handle
 (** Blocks the calling process until a usable lock is held. *)
 
 val release : t -> handle -> unit
@@ -53,8 +53,8 @@ val release : t -> handle -> unit
     begin their cancel once the last holder is gone. *)
 
 val with_lock :
-  t -> rid:Types.resource_id -> mode:Mode.t ->
-  ranges:Ccpfs_util.Interval.t list -> (handle -> 'a) -> 'a
+  t -> rid:Types.resource_id -> mode:Mode.t -> ranges:Ccpfs_util.Ranges.t ->
+  (handle -> 'a) -> 'a
 
 val lock_id : handle -> int
 (** The server-assigned id of the held lock. *)
@@ -63,7 +63,7 @@ val sn : handle -> int
 (** Sequence number tagging data written under this hold. *)
 
 val mode : handle -> Mode.t
-val granted_ranges : handle -> Ccpfs_util.Interval.t list
+val granted_ranges : handle -> Ccpfs_util.Ranges.t
 val is_canceling : handle -> bool
 
 (** {1 Server recovery (§IV-C2)}

@@ -25,13 +25,12 @@ type file = { f_fid : int; f_layout : Layout.t }
 let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
     ~policy ~reliability =
   let cache = Client_cache.create eng params config ~node ~client_id ~io_route in
+  let of_lock f ~rid ~ranges = f ~rid ~ranges:(ranges : Ranges.t :> _ list) in
   let hooks =
     {
-      Lock_client.flush =
-        (fun ~rid ~ranges -> Client_cache.flush cache ~rid ~ranges);
-      has_dirty = (fun ~rid ~ranges -> Client_cache.has_dirty cache ~rid ~ranges);
-      invalidate =
-        (fun ~rid ~ranges -> Client_cache.invalidate_clean cache ~rid ~ranges);
+      Lock_client.flush = of_lock (Client_cache.flush cache);
+      has_dirty = of_lock (Client_cache.has_dirty cache);
+      invalidate = of_lock (Client_cache.invalidate_clean cache);
     }
   in
   let locks =
@@ -119,12 +118,12 @@ let acquire_stripes t file ~mode ~by_stripe =
       (rid, h))
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) by_stripe)
 
-let write_ranges t ~rid ~sn ~op ranges =
+let write_ranges t ~rid ~sn ~op (ranges : Ranges.t) =
   List.iter
     (fun range ->
       Client_cache.write t.cache ~rid ~range ~sn ~op;
       t.w_bytes <- t.w_bytes + Interval.length range)
-    ranges
+    (ranges :> Interval.t list)
 
 let do_write ?mode ?(lock_whole_range = false) t file ~data_by_stripe =
   t.op_counter <- t.op_counter + 1;
@@ -139,14 +138,15 @@ let do_write ?mode ?(lock_whole_range = false) t file ~data_by_stripe =
           ~implicit_read:false
   in
   let page = t.config.Config.page in
-  let lock_ranges_of ranges =
-    if lock_whole_range then [ Interval.to_eof ~lo:0 ]
+  let lock_ranges_of (ranges : Ranges.t) =
+    if lock_whole_range then Ranges.single (Interval.to_eof ~lo:0)
     else
-      match ranges with
-      | [ range ] -> [ Interval.align ~page range ]
-      | _ when t.policy.Policy.datatype_requests ->
-          List.map (Interval.align ~page) ranges |> Types.normalize_ranges
-      | _ -> [ Interval.align ~page (Types.ranges_hull ranges) ]
+      match (ranges :> Interval.t list) with
+      | [ range ] -> Ranges.single (Interval.align ~page range)
+      | ranges when t.policy.Policy.datatype_requests ->
+          (* Alignment can make neighbouring ranges touch: normalize. *)
+          Ranges.of_list (List.map (Interval.align ~page) ranges)
+      | _ -> Ranges.single (Interval.align ~page (Ranges.hull ranges))
   in
   match data_by_stripe with
   | [ (stripe, ranges) ] ->
@@ -245,19 +245,20 @@ let read t file ~off ~len =
       List.map
         (fun (s, ranges) ->
           ( s,
-            [ Interval.align ~page:t.config.Config.page
-                (Types.ranges_hull ranges) ] ))
+            Ranges.single
+              (Interval.align ~page:t.config.Config.page (Ranges.hull ranges))
+          ))
         by_stripe
     in
     let held = acquire_stripes t file ~mode:Mode.PR ~by_stripe:lock_by_stripe in
     let segs =
       List.concat_map
-        (fun (stripe, ranges) ->
+        (fun (stripe, (ranges : Ranges.t)) ->
           List.concat_map
             (fun range ->
               t.r_bytes <- t.r_bytes + Interval.length range;
               fetch_stripe t file ~stripe ~range)
-            ranges)
+            (ranges :> Interval.t list))
         by_stripe
     in
     List.iter (fun (_, h) -> Lock_client.release t.locks h) held;
@@ -299,7 +300,8 @@ let read_checksum t file ~off ~len =
 let whole_file_locks t file =
   let stripes = List.init file.f_layout.Layout.stripe_count (fun s -> s) in
   acquire_stripes t file ~mode:Mode.PW
-    ~by_stripe:(List.map (fun s -> (s, [ Interval.to_eof ~lo:0 ])) stripes)
+    ~by_stripe:
+      (List.map (fun s -> (s, Ranges.single (Interval.to_eof ~lo:0))) stripes)
 
 let stat_size t file =
   match Rpc.call t.meta ~src:t.node (Meta_server.Stat { fid = file.f_fid }) with

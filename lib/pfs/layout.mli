@@ -13,13 +13,12 @@ val v : ?stripe_size:int -> stripe_count:int -> unit -> t
 (** Default stripe size 1 MiB (the evaluation's configuration). *)
 
 val chunks :
-  t -> Ccpfs_util.Interval.t list ->
-  (int * Ccpfs_util.Interval.t list) list
-(** Decompose file ranges into object ranges grouped per stripe: each
-    stripe the ranges touch, in increasing stripe order, with its
-    object ranges normalized (sorted, touching ones merged).  A single
-    range confined to one stripe-size chunk yields [[ (stripe, [ r ]) ]]
-    without building the grouping. *)
+  t -> Ccpfs_util.Interval.t list -> (int * Ccpfs_util.Ranges.t) list
+(** Decompose file ranges (in any order, overlapping or not) into object
+    ranges grouped per stripe: each stripe the ranges touch, in
+    increasing stripe order, with its object ranges as one range set.  A
+    single range confined to one stripe-size chunk yields one stripe and
+    one range without building the grouping. *)
 
 val file_offset : t -> stripe:int -> int -> int
 (** Inverse map: object offset back to file offset. *)

@@ -57,7 +57,8 @@ let reset t ~epoch =
    to charge the transport for appends and log fetches (an R_lock entry
    carries its range list; the others are a few ints). *)
 let event_bytes = function
-  | Ls.R_lock l -> 48 + (16 * List.length l.ranges)
+  | Ls.R_lock l ->
+      48 + (16 * List.length (l.ranges :> Ccpfs_util.Interval.t list))
   | Ls.R_drop _ | Ls.R_sn _ | Ls.R_drop_resource _ -> 24
 
 let bytes t =

@@ -15,8 +15,8 @@ let mib = Units.mib
 (* [Layout.chunks] of one range, one (stripe, object range) per line. *)
 let flat_chunks l r =
   Layout.chunks l [ r ]
-  |> List.concat_map (fun (s, rs) ->
-         List.map (fun (r : Interval.t) -> (s, r)) rs)
+  |> List.concat_map (fun (s, (rs : Ranges.t)) ->
+         List.map (fun (r : Interval.t) -> (s, r)) (rs :> Interval.t list))
 
 let test_layout_single_stripe () =
   let l = Layout.v ~stripe_count:1 () in
@@ -157,7 +157,7 @@ let ref_group_by_stripe chunks =
       Int_tbl.replace tbl stripe (iv :: cur))
     chunks;
   Int_tbl.fold_sorted
-    (fun s ivs acc -> (s, Seqdlm.Types.normalize_ranges ivs) :: acc)
+    (fun s ivs acc -> (s, Ranges.of_list ivs) :: acc)
     tbl []
   |> List.rev
 
@@ -200,8 +200,11 @@ let prop_group_by_stripe_matches_reference =
           ranges
       in
       let flat =
-        List.map (fun (s, ivs) ->
-            (s, List.map (fun (r : Interval.t) -> (r.lo, r.hi)) ivs))
+        List.map (fun (s, (ivs : Ranges.t)) ->
+            ( s,
+              List.map
+                (fun (r : Interval.t) -> (r.lo, r.hi))
+                (ivs :> Interval.t list) ))
       in
       flat
         (Layout.chunks l (List.map (fun (lo, len) -> iv lo (lo + len)) ranges))

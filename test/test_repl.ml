@@ -27,7 +27,8 @@ let iv ~off ~len = Interval.of_len ~lo:off ~len
 let r_lock ?(state = Seqdlm.Lcm.Granted) ~rid ~id ~client ~mode ~off ~len
     ~sn () =
   Ls.R_lock
-    { rid; lock_id = id; client; mode; ranges = [ iv ~off ~len ]; sn; state }
+    { rid; lock_id = id; client; mode; ranges = Ranges.single (iv ~off ~len);
+      sn; state }
 
 (* ---------------------------------------------------------------- *)
 (* Grant_log                                                         *)

@@ -177,7 +177,7 @@ let server_state cl i =
                       (List.map
                          (fun (iv : Interval.t) ->
                            Printf.sprintf "%d-%d" iv.lo iv.hi)
-                         v.ranges))))
+                         (v.ranges :> Interval.t list)))))
             locks;
           Buffer.add_char buf '\n')
     (List.sort_uniq Int.compare (Seqdlm.Lock_server.resource_ids ls));

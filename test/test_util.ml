@@ -262,6 +262,69 @@ let prop_interval_inter_hull_algebra =
          | None -> true)
       && Interval.contains (Interval.align ~page:8 a) a)
 
+(* ------------------------------------------------------------------ *)
+(* Ranges                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let pairs (r : Ranges.t) =
+  List.map (fun (i : Interval.t) -> (i.lo, i.hi)) (r :> Interval.t list)
+
+let test_ranges_examples () =
+  let rs = Ranges.of_list in
+  Alcotest.(check (list (pair int int)))
+    "of_list sorts and merges touching ranges"
+    [ (0, 30); (40, 50) ]
+    (pairs (rs [ iv 20 30; iv 0 10; iv 10 20; iv 40 50 ]));
+  let a = rs [ iv 0 10; iv 20 30 ] in
+  Alcotest.(check bool) "interleaved, touching but disjoint" false
+    (Ranges.overlaps a (rs [ iv 10 20 ]));
+  Alcotest.(check bool) "hit in the second range" true
+    (Ranges.overlaps a (rs [ iv 25 26 ]));
+  Alcotest.check_raises "no empty range set"
+    (Invalid_argument "Ranges.of_list: empty range list") (fun () ->
+      ignore (Ranges.of_list []))
+
+(* Every [Ranges] function against the O(n^2) byte-set oracle, on raw
+   lists that are unsorted and full of overlapping and touching ranges:
+   the shapes a canonicalizing constructor must absorb. *)
+let prop_ranges_match_byte_oracle =
+  let open QCheck in
+  (* [gen_interval 64] ends below 64 + 16. *)
+  let raw = Gen.list_size (Gen.int_range 1 8) (gen_interval 64) in
+  let bound = 80 in
+  let bytes l =
+    Array.init bound (fun b -> List.exists (fun x -> Interval.mem x b) l)
+  in
+  let subset x y = Array.for_all2 (fun a b -> (not a) || b) x y in
+  let shared x y = Array.exists2 ( && ) x y in
+  let rec canonical = function
+    | (x : Interval.t) :: (y :: _ as rest) -> x.hi < y.lo && canonical rest
+    | [ _ ] -> true
+    | [] -> false
+  in
+  Test.make ~name:"Ranges agrees with the byte-set oracle on raw lists"
+    ~count:500
+    (make
+       ~print:Print.(pair (list print_iv) (list print_iv))
+       Gen.(pair raw raw))
+    (fun (a, b) ->
+      let ra = Ranges.of_list a and rb = Ranges.of_list b in
+      let la = (ra :> Interval.t list) in
+      let ba = bytes a and bb = bytes b in
+      let hull = Ranges.hull ra in
+      bytes la = ba && canonical la
+      && Ranges.of_list (List.rev a) = ra
+      && Ranges.overlaps ra rb = shared ba bb
+      && Ranges.overlaps rb ra = shared ba bb
+      && Ranges.union ra rb = Ranges.of_list (a @ b)
+      && Ranges.union rb ra = Ranges.of_list (a @ b)
+      && Ranges.covers ra rb = subset bb ba
+      && Ranges.covers rb ra = subset ba bb
+      && Array.for_all2 ( = ) (bytes [ hull ])
+           (Array.init bound (fun i ->
+                Array.exists Fun.id (Array.sub ba 0 (i + 1))
+                && Array.exists Fun.id (Array.sub ba i (bound - i)))))
+
 (* The pairwise-disjointness invariant under random inserts is what makes
    every extent store trustworthy; check_invariants asserts sortedness
    and disjointness of the underlying list. *)
@@ -1589,6 +1652,11 @@ let suite =
         Alcotest.test_case "page alignment" `Quick test_interval_align;
         Alcotest.test_case "invalid args" `Quick test_interval_invalid;
         q prop_interval_inter_hull_algebra;
+      ] );
+    ( "util.ranges",
+      [
+        Alcotest.test_case "examples" `Quick test_ranges_examples;
+        q prop_ranges_match_byte_oracle;
       ] );
     ( "util.extent_map",
       [

@@ -80,16 +80,14 @@ let test_tile_counts () =
 let test_tile_neighbours_overlap () =
   (* Tiles 0 and 1 share a 2-pixel vertical strip; tiles 0 and 3 share a
      2-pixel horizontal strip (rank 3 = row 1, col 0). *)
-  let r0 = Tile_io.ranges small_grid ~rank:0 in
-  let r1 = Tile_io.ranges small_grid ~rank:1 in
-  let r3 = Tile_io.ranges small_grid ~rank:3 in
+  let tile rank = Ranges.of_list (Tile_io.ranges small_grid ~rank) in
+  let r0 = tile 0 in
   Alcotest.(check bool) "horizontal neighbours overlap" true
-    (Seqdlm.Types.ranges_overlap r0 r1);
+    (Ranges.overlaps r0 (tile 1));
   Alcotest.(check bool) "vertical neighbours overlap" true
-    (Seqdlm.Types.ranges_overlap r0 r3);
-  let r2 = Tile_io.ranges small_grid ~rank:2 in
+    (Ranges.overlaps r0 (tile 3));
   Alcotest.(check bool) "distant tiles disjoint" false
-    (Seqdlm.Types.ranges_overlap r0 r2)
+    (Ranges.overlaps r0 (tile 2))
 
 let test_tile_paper_grid () =
   let g = Tile_io.paper_grid in
