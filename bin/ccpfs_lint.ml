@@ -4,7 +4,7 @@
    lib/ and bin/ trees) for .cmt files, runs Lint.Analyze over them and
    prints the report.  The code under each --refs root (bench/, test/)
    is not linted, but its references keep the roots' exports in use
-   for rule U001.  Exit status: 0 clean, 1 findings, 2 usage or
+   for rules U001 and U002.  Exit status: 0 clean, 1 findings, 2 usage or
    internal error.  `dune build @lint` drives it over the whole repo. *)
 
 let usage () =
@@ -13,7 +13,7 @@ let usage () =
      \n\
      Lints the .cmt files found under each ROOT.\n\
      \  --report FILE   also write the report to FILE\n\
-     \  --refs DIR      read DIR's .cmt files for references only (U001)\n\
+     \  --refs DIR      read DIR's .cmt files for references only (U001, U002)\n\
      \  --explain       append each fired rule's rationale";
   exit 2
 

@@ -630,9 +630,45 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
         | _ -> ())
     | _ -> default_iterator.structure_item sub it
   in
+  (* U002: a field read is a [Value] use of the field's key, the record
+     type's path and the label, as [exported] spells it.  A type of this
+     unit reaches the typedtree as a local [Pident], resolved through the
+     module its declaration was walked in. *)
+  let type_homes = Hashtbl.create 16 in
+  let type_declaration sub (td : Typedtree.type_declaration) =
+    Option.iter
+      (fun pre ->
+        Hashtbl.replace type_homes (Ident.unique_name td.typ_id)
+          (pre @ [ td.typ_name.txt ]))
+      !prefix;
+    default_iterator.type_declaration sub td
+  in
+  let read_field env (lbl : Types.label_description) =
+    let _, ty = expand ctx env lbl.lbl_res in
+    match Types.get_desc ty with
+    | Tconstr (p, _, _) ->
+        let ty_comps =
+          match p with
+          | Pident id -> Hashtbl.find_opt type_homes (Ident.unique_name id)
+          | _ -> Some (resolve p)
+        in
+        Option.iter (fun c -> emit (Value (c @ [ lbl.lbl_name ]))) ty_comps
+    | _ -> ()
+  in
+  let pat : type k. iterator -> k Typedtree.general_pattern -> unit =
+   fun sub p ->
+    (match p.pat_desc with
+    | Tpat_record (fields, _) ->
+        List.iter (fun (_, lbl, _) -> read_field p.pat_env lbl) fields
+    | _ -> ());
+    default_iterator.pat sub p
+  in
   let expr sub (e : Typedtree.expression) =
     match e.exp_desc with
     | Texp_ident (p, _, _) -> emit (Value (resolve p))
+    | Texp_field (r, _, lbl) ->
+        read_field e.exp_env lbl;
+        sub.expr sub r
     | Texp_letmodule (Some id, { txt = Some name; _ }, _, me, body) ->
         within None (fun () ->
             bind_module id name me (fun () -> sub.module_expr sub me));
@@ -645,18 +681,36 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
   in
   let it =
     { default_iterator with module_binding; module_expr; structure_item; expr;
-      open_declaration }
+      pat; type_declaration; open_declaration }
   in
   it.structure it str;
   !uses
 
-(* The values a unit's interface exports, submodule signatures
-   included, each with its declaration. *)
+(* What a unit's interface exports, submodule signatures included: each
+   value (U001) and each field of a record type (U002), with its key,
+   attributes and location. *)
 let rec exported prefix (sg : Typedtree.signature) acc =
   List.fold_left
     (fun acc (item : Typedtree.signature_item) ->
       match item.sig_desc with
-      | Tsig_value vd -> (prefix @ [ vd.val_name.txt ], vd) :: acc
+      | Tsig_value vd ->
+          ("U001", prefix @ [ vd.val_name.txt ], vd.val_attributes, vd.val_loc)
+          :: acc
+      | Tsig_type (_, decls) ->
+          List.fold_left
+            (fun acc (td : Typedtree.type_declaration) ->
+              match td.typ_kind with
+              | Ttype_record lds ->
+                  List.fold_left
+                    (fun acc (ld : Typedtree.label_declaration) ->
+                      ( "U002",
+                        prefix @ [ td.typ_name.txt; ld.ld_name.txt ],
+                        ld.ld_attributes,
+                        ld.ld_loc )
+                      :: acc)
+                    acc lds
+              | _ -> acc)
+            acc decls
       | Tsig_module
           { md_name = { txt = Some name; _ };
             md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
@@ -747,16 +801,29 @@ let check_exports ctx referenced cmti =
   | { cmt_annots = Interface sg; cmt_modname; _ } ->
       let unit_comps = split_components cmt_modname in
       List.iter
-        (fun (key, (vd : Typedtree.value_description)) ->
-          let frames = frames_of_attributes ctx vd.val_attributes in
+        (fun (rule, key, attrs, loc) ->
+          let frames = frames_of_attributes ctx attrs in
           push_frames ctx frames;
-          if not (referenced cmt_modname key || allowed ctx "U001") then
-            add_finding ctx ~rule:"U001" ~loc:vd.val_loc
-              (Printf.sprintf
-                 "%s is exported but no other compilation unit references \
-                  it; delete it (and its implementation if nothing else \
-                  uses it) or justify with [@@lint.allow \"U001 ...\"]"
-                 (String.concat "." key));
+          let name = String.concat "." key in
+          (match rule with
+          | "U001" ->
+              if not (referenced cmt_modname key || allowed ctx "U001") then
+                add_finding ctx ~rule ~loc
+                  (Printf.sprintf
+                     "%s is exported but no other compilation unit \
+                      references it; delete it (and its implementation if \
+                      nothing else uses it) or justify with [@@lint.allow \
+                      \"U001 ...\"]"
+                     name)
+          | _ ->
+              (* Any unit's read counts, the record's own module too. *)
+              if not (referenced "" key || allowed ctx "U002") then
+                add_finding ctx ~rule ~loc
+                  (Printf.sprintf
+                     "record field %s is exported but no unit reads it \
+                      (by field access or pattern); delete it or justify \
+                      with [@lint.allow \"U002 ...\"]"
+                     name));
           pop_frames ctx frames)
         (List.rev (exported unit_comps sg []))
   | _ -> ()

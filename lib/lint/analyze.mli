@@ -10,9 +10,9 @@
 
 val run_roots : ?refs:string list -> string list -> Diagnostic.report
 (** Lint the [.cmt] files under the given files/directories, then check
-    every value their [.cmti] files export (rule U001) against the
-    references made by the units under the roots and under [refs],
-    whose code is read for references only.  The compiler load path is
-    taken from the cmts' recorded paths (resolved against ./, ../ and
-    ../../ so it works both from the build root and from test
-    directories). *)
+    every value their [.cmti] files export (rule U001) and every record
+    field (rule U002) against the references made by the units under
+    the roots and under [refs], whose code is read for references only.
+    The compiler load path is taken from the cmts' recorded paths
+    (resolved against ./, ../ and ../../ so it works both from the build
+    root and from test directories). *)

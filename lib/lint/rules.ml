@@ -68,6 +68,17 @@ let all =
          [@@lint.allow \"U001 <why it stays>\"] on the val.";
     };
     {
+      id = "U002";
+      title = "exported record field no unit reads";
+      rationale =
+        "A record field a lib/ interface exports that no unit in lib/, \
+         bin/, bench/ or test/ reads, by field access or pattern, is \
+         written, documented and carried in every record for no reader \
+         (warning 69 skips fields exported through an interface).  \
+         Delete the field, or carry [@lint.allow \"U002 <why it \
+         stays>\"] on its declaration.";
+    };
+    {
       id = "L000";
       title = "lint.allow names an unknown rule";
       rationale =

@@ -8,16 +8,7 @@ type server = {
   s_data : Data_server.t;
 }
 
-type migration_record = {
-  m_rid : int;
-  m_from : int;
-  m_to : int;
-  m_epoch : int;
-  m_start : float;
-  m_commit : float;
-  m_locks_moved : int;
-  m_bounced : int;
-}
+type migration_record = { m_from : int; m_to : int; m_locks_moved : int }
 
 type t = {
   eng : Engine.t;
@@ -312,7 +303,6 @@ let migrate_resource t ~rid ~dst =
   if src = dst then None
   else begin
     let s_src = t.servers.(src).s_lock and s_dst = t.servers.(dst).s_lock in
-    let start = Engine.now t.eng in
     Lock_server.freeze s_src rid;
     (* The drain window: two control RTTs stand in for the
        prepare/transfer exchange between the owners. *)
@@ -354,14 +344,9 @@ let migrate_resource t ~rid ~dst =
       Lock_server.check_invariants s_dst;
       let r =
         {
-          m_rid = rid;
           m_from = src;
           m_to = dst;
-          m_epoch = epoch;
-          m_start = start;
-          m_commit = Engine.now t.eng;
           m_locks_moved = List.length st.Lock_server.mig_locks;
-          m_bounced = st.Lock_server.mig_bounced;
         }
       in
       t.migrations <- r :: t.migrations;

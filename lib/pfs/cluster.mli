@@ -109,16 +109,7 @@ val crash_and_recover_server : t -> int -> unit
 
 (** {1 Resource migration (DESIGN.md §15)} *)
 
-type migration_record = {
-  m_rid : int;
-  m_from : int;
-  m_to : int;
-  m_epoch : int;  (** shard-map epoch installed by this migration *)
-  m_start : float;
-  m_commit : float;
-  m_locks_moved : int;
-  m_bounced : int;  (** waiters bounced with [Stale_owner] *)
-}
+type migration_record = { m_from : int; m_to : int; m_locks_moved : int }
 
 val migrate_resource : t -> rid:int -> dst:int -> migration_record option
 (** Epoch-fenced rehoming of one resource's lock namespace onto [dst],

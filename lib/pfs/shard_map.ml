@@ -37,14 +37,9 @@ let fence t =
 
 let overrides t = Int_tbl.bindings_sorted t.overrides
 
-type snapshot = {
-  s_epoch : int;
-  s_n_servers : int;
-  s_overrides : (int * int) list;
-}
+type snapshot = { s_epoch : int; s_overrides : (int * int) list }
 
-let snapshot t =
-  { s_epoch = t.epoch; s_n_servers = t.n_servers; s_overrides = overrides t }
+let snapshot t = { s_epoch = t.epoch; s_overrides = overrides t }
 
 module Cache = struct
   type t = {

@@ -46,7 +46,6 @@ val overrides : t -> (int * int) list
 (** A wire-friendly copy of the whole map at one epoch. *)
 type snapshot = {
   s_epoch : int;
-  s_n_servers : int;
   s_overrides : (int * int) list;  (** (rid, owner), sorted by rid *)
 }
 

@@ -3,7 +3,6 @@ open Netsim
 
 type outcome = {
   el_backup : int; (* index into the group's backup array *)
-  el_epoch : int;
   el_committed : int;
   el_live : int; (* backups that answered the probe *)
   el_rounds : int; (* probe rounds run (re-probes wait out known holes) *)
@@ -65,11 +64,10 @@ let elect group ~src ~view ~timeout =
               None live
           in
           (match best with
-          | Some (id, ep, c) ->
+          | Some (id, _, c) ->
               Some
                 {
                   el_backup = id;
-                  el_epoch = ep;
                   el_committed = c;
                   el_live = List.length live;
                   el_rounds = round;

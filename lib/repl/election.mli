@@ -17,7 +17,6 @@
 
 type outcome = {
   el_backup : int;  (** elected replica id (index into the backup array) *)
-  el_epoch : int;  (** its log epoch *)
   el_committed : int;  (** entries available for replay *)
   el_live : int;  (** backups that answered the probe *)
   el_rounds : int;  (** probe rounds run *)

@@ -5,8 +5,9 @@
    Per rule the corpus carries three files: <rule>_bad.ml (must fire),
    <rule>_ok.ml (must stay silent) and <rule>_allow.ml (a justified
    [@lint.allow] — must become a suppression record, not a finding).
-   U001 judges interfaces, so its three are .mli/.ml pairs, and
-   u001_user.ml is the sibling that references u001_ok's exports;
+   U001 and U002 judge interfaces, so their three are .mli/.ml pairs,
+   and u001_user.ml and u002_user.ml are the siblings that reference
+   the ok fixtures' exports;
    l_meta.ml plants the three suppression-misuse findings L000/L001/
    L002.  d001_bad.ml is the exact pre-PR 4 [group_by_stripe] shape, so
    this suite is also the regression proof that reverting that fix
@@ -92,6 +93,8 @@ let test_finding_counts () =
       ("p002_bad.ml", 2) (* (=) + compare *);
       ("u001_bad.ml", 1) (* orphan *);
       ("u001_user.ml", 0);
+      ("u002_bad.ml", 1) (* unread *);
+      ("u002_user.ml", 0);
     ]
 
 let test_l_rules () =
@@ -137,6 +140,8 @@ let suite =
           (check_rule "P002");
         Alcotest.test_case "U001 unreferenced exports" `Quick
           (check_rule "U001");
+        Alcotest.test_case "U002 exported fields nothing reads" `Quick
+          (check_rule "U002");
         Alcotest.test_case "planted finding counts" `Quick test_finding_counts;
         Alcotest.test_case "suppression misuse (L-rules)" `Quick test_l_rules;
         Alcotest.test_case "report is deterministic" `Quick
