@@ -488,6 +488,22 @@ let reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req k =
 let call_reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req =
   block t (reliable t ~src ?req_bytes ?resp_bytes ?reliability ~view req)
 
+(* The one courier kind of both reliable sends: its first step asks
+   [next] for a message, and each ack asks again, until [next] says
+   [None].  Every message gets its own request id. *)
+let stream_reliable t ~src ?reliability ~view next =
+  let rec send () =
+    match next () with
+    | None -> Engine.Done
+    | Some (req, req_bytes) ->
+        reliable t ~src ~req_bytes ?reliability ~view req (fun _ -> send ())
+  in
+  Engine.spawn_steps t.eng ~name:(names t).send send
+
 let send_reliable t ~src ?req_bytes ?reliability ~view req =
-  Engine.spawn_steps t.eng ~name:(names t).send (fun () ->
-      reliable t ~src ?req_bytes ?reliability ~view req (fun _ -> Engine.Done))
+  let req_bytes = Option.value req_bytes ~default:t.params.Params.ctl_msg_bytes in
+  let msg = ref (Some (req, req_bytes)) in
+  stream_reliable t ~src ?reliability ~view (fun () ->
+      let m = !msg in
+      msg := None;
+      m)

@@ -39,14 +39,16 @@ let append_entry t (e : entry) =
          (t.len + 1));
   push t e.ev
 
-let entries_from t ~lsn =
+let entries t =
   let acc = ref [] in
-  for i = t.len downto max 1 lsn do
+  for i = t.len downto 1 do
     acc := { lsn = i; ev = t.evs.(i - 1) } :: !acc
   done;
   !acc
 
-let entries t = entries_from t ~lsn:1
+let events_from t ~lsn =
+  let lo = max 1 lsn in
+  if lo > t.len then [||] else Array.sub t.evs (lo - 1) (t.len - lo + 1)
 
 let reset t ~epoch =
   t.epoch <- epoch;

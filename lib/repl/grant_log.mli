@@ -16,7 +16,7 @@
     A log is an array of events indexed by lsn.  Entries are not boxed,
     and a backup holds the same event values its primary shipped, so a
     replicated entry costs one array slot per log.  {!entry} records
-    exist only in the lists {!entries} and {!entries_from} build. *)
+    exist only in the lists {!entries} builds. *)
 
 type entry = { lsn : int; ev : Seqdlm.Lock_server.repl_event }
 type t
@@ -38,8 +38,9 @@ val append_entry : t -> entry -> unit
 val entries : t -> entry list
 (** In lsn order. *)
 
-val entries_from : t -> lsn:int -> entry list
-(** Entries with [lsn >= lsn], in order; empty past the tail. *)
+val events_from : t -> lsn:int -> Seqdlm.Lock_server.repl_event array
+(** The events with lsns [>= lsn], in lsn order, in a fresh array (a
+    shipped batch); empty past the tail. *)
 
 val reset : t -> epoch:int -> unit
 (** Truncate and move to a new epoch (election / adoption). *)

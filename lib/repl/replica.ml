@@ -3,7 +3,11 @@ open Dessim
 open Netsim
 
 type msg =
-  | Append of { a_epoch : int; a_lsn : int; a_ev : Seqdlm.Lock_server.repl_event }
+  | Append of {
+      a_epoch : int;
+      a_first_lsn : int;
+      a_evs : Seqdlm.Lock_server.repl_event array;
+    }
   | Probe
   | Fetch
 
@@ -42,6 +46,27 @@ let commit t ev =
   ignore (Grant_log.append t.log ev);
   Obs.Metrics.incr t.applied
 
+(* One shipped entry: skip it if already committed; commit it at once
+   when it is next and nothing is buffered (the common case); else
+   buffer it until the hole before it fills. *)
+let accept t lsn ev =
+  let last = Grant_log.last_lsn t.log in
+  if lsn > last then begin
+    t.high <- max t.high lsn;
+    if lsn = last + 1 && Int_tbl.length t.pending = 0 then commit t ev
+    else Int_tbl.replace t.pending lsn ev
+  end
+
+(* Commit the contiguous prefix the buffer now extends. *)
+let rec drain t =
+  let next = Grant_log.last_lsn t.log + 1 in
+  match Int_tbl.find_opt t.pending next with
+  | Some ev ->
+      Int_tbl.remove t.pending next;
+      commit t ev;
+      drain t
+  | None -> ()
+
 let handle t msg ~reply =
   match msg with
   | Probe -> reply (ack t)
@@ -50,45 +75,23 @@ let handle t msg ~reply =
         (Log
            { l_epoch = Grant_log.epoch t.log;
              l_entries = Grant_log.entries t.log })
-  | Append { a_epoch; a_lsn; a_ev } ->
+  | Append { a_epoch; a_first_lsn; a_evs } ->
       let lepoch = Grant_log.epoch t.log in
       if a_epoch < lepoch then
         (* A stale primary's courier: acknowledge (so its retry loop
-           terminates) but apply nothing — the entry belongs to a
+           terminates) but apply nothing — the batch belongs to a
            fenced-off regime. *)
         reply (ack t)
       else begin
         if a_epoch > lepoch then begin
-          (* First entry of a new regime: the old log is superseded
+          (* First batch of a new regime: the old log is superseded
              wholesale (the new primary re-seeds from lsn 1). *)
           Grant_log.reset t.log ~epoch:a_epoch;
           Int_tbl.reset t.pending;
           t.high <- 0
         end;
-        if a_lsn = Grant_log.last_lsn t.log + 1 && Int_tbl.length t.pending = 0
-        then begin
-          (* In order with nothing buffered, the common case: commit it
-             without a round trip through [pending]. *)
-          t.high <- max t.high a_lsn;
-          commit t a_ev
-        end
-        else begin
-          if a_lsn > Grant_log.last_lsn t.log then begin
-            Int_tbl.replace t.pending a_lsn a_ev;
-            t.high <- max t.high a_lsn
-          end;
-          (* Commit the contiguous prefix the buffer now extends. *)
-          let rec drain () =
-            let next = Grant_log.last_lsn t.log + 1 in
-            match Int_tbl.find_opt t.pending next with
-            | Some ev ->
-                Int_tbl.remove t.pending next;
-                commit t ev;
-                drain ()
-            | None -> ()
-          in
-          drain ()
-        end;
+        Array.iteri (fun i ev -> accept t (a_first_lsn + i) ev) a_evs;
+        drain t;
         reply (ack t)
       end
 

@@ -1,22 +1,24 @@
 (** One backup replica of a lock server's grant log (DESIGN.md §16).
 
     A replica is a passive log store on its own node: the primary ships
-    each appended entry over the fenced transport ({!Group}), and the
-    replica commits arrivals strictly in lsn order, buffering
-    out-of-order deliveries (retries and duplicates reorder freely)
-    until the hole they sit behind fills.  Probe/Fetch serve the
-    election and the replay-based recovery.
+    its log to it in batches over the fenced transport ({!Group}), and
+    the replica applies a batch entry by entry: it skips an entry it
+    has already committed, commits the next lsn, and buffers an entry
+    that sits past a hole (retransmissions and duplicates reorder
+    freely) until the hole fills; then it acknowledges the batch once.
+    Probe/Fetch serve the election and the replay-based recovery.
 
-    Epoch discipline: an append stamped with a newer log epoch
-    supersedes the whole log (the new primary re-seeds from lsn 1); an
-    append from an older epoch is acknowledged — so the dead primary's
-    orphan couriers terminate — but never applied. *)
+    Epoch discipline: a batch stamped with a newer log epoch supersedes
+    the whole log (the new primary re-seeds from lsn 1); a batch from an
+    older epoch is acknowledged — so the dead regime's courier moves on
+    — but never applied. *)
 
 type msg =
   | Append of {
       a_epoch : int;  (** the shipping primary's log epoch *)
-      a_lsn : int;
-      a_ev : Seqdlm.Lock_server.repl_event;
+      a_first_lsn : int;  (** the lsn of [a_evs.(0)] *)
+      a_evs : Seqdlm.Lock_server.repl_event array;
+          (** consecutive entries, in lsn order *)
     }
   | Probe  (** election: report epoch / committed / high-water *)
   | Fetch  (** recovery: return the whole committed log *)

@@ -82,10 +82,12 @@ let test_log_growth_and_reset () =
     List.iter
       (fun lsn ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s: entries_from %d" phase lsn)
+          (Printf.sprintf "%s: events_from %d" phase lsn)
           true
-          (pairs (Repl.Grant_log.entries_from log ~lsn)
-          = List.filter (fun (l, _) -> l >= lsn) expect))
+          (Array.to_list (Repl.Grant_log.events_from log ~lsn)
+          = List.filter_map
+              (fun (l, ev) -> if l >= lsn then Some ev else None)
+              expect))
       [ -1; 0; 1; 2; 16; 17; n / 2; n; n + 1; n + 7 ];
     Alcotest.(check int) (phase ^ ": bytes sum the entries")
       (List.fold_left
@@ -161,13 +163,240 @@ let with_replica f =
   Dessim.Engine.run eng;
   r
 
-let append r src ~epoch ~lsn ev =
+(* Deliver one batch of consecutive entries from [first]; the reply is
+   the backup's (committed, high-water). *)
+let batch r src ~epoch ~first evs =
   match
     Netsim.Rpc.call (Repl.Replica.endpoint r) ~src
-      (Repl.Replica.Append { a_epoch = epoch; a_lsn = lsn; a_ev = ev })
+      (Repl.Replica.Append
+         { a_epoch = epoch; a_first_lsn = first; a_evs = Array.of_list evs })
   with
   | Repl.Replica.Ack { r_committed; r_high; _ } -> (r_committed, r_high)
   | Repl.Replica.Log _ -> Alcotest.fail "Append answered with Log"
+
+let append r src ~epoch ~lsn ev = batch r src ~epoch ~first:lsn [ ev ]
+
+let log_events r =
+  List.map
+    (fun (e : Repl.Grant_log.entry) -> e.ev)
+    (Repl.Grant_log.entries (Repl.Replica.log r))
+
+let ev_seq i =
+  r_lock ~rid:6 ~id:i ~client:(i mod 3) ~mode:Mode.PW ~off:(i * 4096)
+    ~len:4096 ~sn:i ()
+
+let evs lo hi = List.init (hi - lo + 1) (fun k -> ev_seq (lo + k))
+
+let test_batch_in_order () =
+  let r =
+    with_replica (fun r src ->
+        Alcotest.(check (pair int int)) "three entries commit" (3, 3)
+          (batch r src ~epoch:0 ~first:1 (evs 1 3));
+        Alcotest.(check (pair int int)) "the next batch extends them" (5, 5)
+          (batch r src ~epoch:0 ~first:4 (evs 4 5)))
+  in
+  Alcotest.(check int) "one handler run (one ack) per batch" 2
+    (Netsim.Rpc.calls (Repl.Replica.endpoint r));
+  Alcotest.(check bool) "log holds the batches in order" true
+    (log_events r = evs 1 5)
+
+let test_batch_duplicate_and_overlap () =
+  let r =
+    with_replica (fun r src ->
+        ignore (batch r src ~epoch:0 ~first:1 (evs 1 3));
+        Alcotest.(check (pair int int)) "a retransmitted batch applies nothing"
+          (3, 3)
+          (batch r src ~epoch:0 ~first:1 (evs 1 3));
+        Alcotest.(check (pair int int)) "a batch inside the prefix" (3, 3)
+          (batch r src ~epoch:0 ~first:2 (evs 2 2));
+        Alcotest.(check (pair int int))
+          "a batch overlapping the prefix applies only its tail" (6, 6)
+          (batch r src ~epoch:0 ~first:2 (evs 2 6)))
+  in
+  Alcotest.(check bool) "every entry applied exactly once" true
+    (log_events r = evs 1 6)
+
+let test_batch_out_of_order () =
+  let r =
+    with_replica (fun r src ->
+        ignore (batch r src ~epoch:0 ~first:1 (evs 1 2));
+        Alcotest.(check (pair int int)) "past a hole: buffered" (2, 7)
+          (batch r src ~epoch:0 ~first:5 (evs 5 7));
+        Alcotest.(check int) "high water shows the hole" 7
+          (Repl.Replica.high_water r);
+        Alcotest.(check (pair int int)) "the hole fills, the buffer drains"
+          (8, 8)
+          (batch r src ~epoch:0 ~first:3 (evs 3 8)))
+  in
+  Alcotest.(check bool) "contiguous log" true (log_events r = evs 1 8)
+
+let test_batch_epochs () =
+  let r =
+    with_replica (fun r src ->
+        ignore (batch r src ~epoch:2 ~first:1 (evs 1 2));
+        Alcotest.(check (pair int int)) "a stale regime's batch: acked only"
+          (2, 2)
+          (batch r src ~epoch:1 ~first:3 (evs 3 5));
+        Alcotest.(check int) "regime unchanged" 2 (Repl.Replica.epoch r);
+        Alcotest.(check (pair int int)) "a newer regime resets the replica"
+          (2, 2)
+          (batch r src ~epoch:4 ~first:1 (evs 11 12)))
+  in
+  Alcotest.(check int) "final regime" 4 (Repl.Replica.epoch r);
+  Alcotest.(check bool) "only the new regime's entries" true
+    (log_events r = evs 11 12)
+
+(* A group shipping to [backups] backups, driven by [f] from a process,
+   run to quiescence.  A daemon probe counts each backup's live
+   couriers every eighth of an RTT; returns the largest count seen and
+   whether any was seen at all. *)
+let with_group ?(fault = fun _ -> ()) ~backups f =
+  let eng = Dessim.Engine.create () in
+  Obs.Metrics.enable (Dessim.Engine.metrics eng);
+  let src = Netsim.Node.create eng params ~name:"ls0" () in
+  let rs =
+    Array.init backups (fun j ->
+        let name = Printf.sprintf "ls0.b%d" j in
+        let node = Netsim.Node.create eng params ~name () in
+        let r = Repl.Replica.create eng params ~node ~name ~id:j in
+        fault (Repl.Replica.endpoint r);
+        r)
+  in
+  let g =
+    Repl.Group.create eng ~name:"ls0" ~src ~backups:rs
+      ~reliability:(Netsim.Rpc.reliability_for params) ~salt:1 ()
+  in
+  let couriers_max = ref 0 and couriers_seen = ref false in
+  (* The courier processes alive now, per backup (distinct pids: a
+     waiter with a timeout also sits in the event queue). *)
+  let couriers j =
+    let name = Printf.sprintf "ls0.b%d.repl.send" j in
+    Dessim.Engine.blocked_report eng
+    |> List.filter (fun (b : Dessim.Engine.blocked_proc) -> b.b_name = name)
+    |> List.map (fun (b : Dessim.Engine.blocked_proc) -> b.b_pid)
+    |> List.sort_uniq Int.compare |> List.length
+  in
+  Dessim.Engine.spawn eng ~name:"driver" (fun () -> f eng g);
+  Dessim.Engine.spawn eng ~daemon:true ~name:"probe" (fun () ->
+      while true do
+        Dessim.Engine.sleep eng (params.Netsim.Params.rtt /. 8.);
+        for j = 0 to backups - 1 do
+          let n = couriers j in
+          couriers_max := max !couriers_max n;
+          if n > 0 then couriers_seen := true
+        done
+      done);
+  Dessim.Engine.run eng;
+  (g, eng, !couriers_max, !couriers_seen)
+
+let shipped eng =
+  Obs.Metrics.counter_value
+    (Obs.Metrics.counter (Dessim.Engine.metrics eng) "repl.shipped")
+
+(* Reset the group while its first Append is on the wire: the orphan is
+   acknowledged, and the next batch carries the new regime from lsn 1
+   (one starting past lsn 1 would sit in the backup's buffer). *)
+let test_group_reset_in_flight () =
+  let g, eng, _, _ =
+    with_group ~backups:1 (fun eng g ->
+        List.iter (Repl.Group.append g) (evs 1 3);
+        Dessim.Engine.sleep eng (params.Netsim.Params.rtt /. 4.);
+        let b = (Repl.Group.backups g).(0) in
+        Alcotest.(check int) "the first batch is still in flight" 0
+          (Repl.Replica.committed b);
+        Repl.Group.reset g ~epoch:1;
+        List.iter (Repl.Group.append g) (evs 21 22))
+  in
+  let b = (Repl.Group.backups g).(0) in
+  Alcotest.(check int) "two Appends: the orphan, then the new regime" 2
+    (Netsim.Rpc.calls (Repl.Replica.endpoint b));
+  Alcotest.(check int) "backup follows the new regime" 1 (Repl.Replica.epoch b);
+  Alcotest.(check bool) "new regime from lsn 1" true
+    (log_events b = evs 21 22);
+  Alcotest.(check int) "no lag" 0 (Repl.Group.max_lag g);
+  Alcotest.(check int) "shipped counts entries" 5 (shipped eng)
+
+(* Append bursts, gaps and resets against backups whose endpoints lose
+   and duplicate messages.  At quiescence each backup's log equals the
+   primary's, entry for entry, and the lag is 0; at no probe does a
+   backup have two couriers (two Appends) in flight. *)
+let prop_group_ships_everything =
+  let open QCheck in
+  let step =
+    Gen.(
+      frequency
+        [
+          (6, map (fun n -> `Burst n) (int_range 1 4));
+          (3, map (fun k -> `Gap k) (int_range 1 40));
+          (1, return `Reset);
+        ])
+  in
+  let print_step = function
+    | `Burst n -> Printf.sprintf "burst %d" n
+    | `Gap k -> Printf.sprintf "gap %d" k
+    | `Reset -> "reset"
+  in
+  let case =
+    Gen.(
+      quad (int_range 1 2) (int_bound 1_000_000)
+        (pair (float_bound_inclusive 0.3) (float_bound_inclusive 0.3))
+        (list_size (int_range 1 30) step))
+  in
+  let print (backups, seed, (loss, dup), steps) =
+    Printf.sprintf "backups=%d seed=%d loss=%.3f dup=%.3f [%s] then burst 1"
+      backups
+      seed loss dup
+      (String.concat "; " (List.map print_step steps))
+  in
+  Test.make ~name:"group ships every entry, one Append in flight" ~count:60
+    (make ~print case)
+    (fun (backups, seed, (loss, dup), steps) ->
+      let rng = Det_random.create ~seed in
+      let fault ep =
+        Netsim.Rpc.set_fault ep ~loss ~dup ~rng:(fun () ->
+            Det_random.float rng 1.)
+      in
+      let next = ref 0 in
+      let burst g n =
+        for _ = 1 to n do
+          incr next;
+          Repl.Group.append g (ev_seq !next)
+        done
+      in
+      let g, _, couriers_max, couriers_seen =
+        with_group ~fault ~backups (fun eng g ->
+            List.iter
+              (function
+                | `Burst n -> burst g n
+                | `Gap k ->
+                    Dessim.Engine.sleep eng
+                      (float_of_int k *. params.Netsim.Params.rtt /. 4.)
+                | `Reset ->
+                    Repl.Group.reset g
+                      ~epoch:(Repl.Grant_log.epoch (Repl.Group.log g) + 1))
+              steps;
+            burst g 1)
+      in
+      let plog = Repl.Group.log g in
+      Array.iter
+        (fun b ->
+          let blog = Repl.Replica.log b in
+          if Repl.Grant_log.epoch blog <> Repl.Grant_log.epoch plog then
+            Test.fail_reportf "backup %d in regime %d, primary in %d"
+              (Repl.Replica.id b) (Repl.Grant_log.epoch blog)
+              (Repl.Grant_log.epoch plog);
+          if Repl.Grant_log.entries blog <> Repl.Grant_log.entries plog then
+            Test.fail_reportf "backup %d: %d entries, primary %d"
+              (Repl.Replica.id b)
+              (Repl.Grant_log.last_lsn blog)
+              (Repl.Grant_log.last_lsn plog))
+        (Repl.Group.backups g);
+      if Repl.Group.max_lag g <> 0 then
+        Test.fail_reportf "max_lag %d at quiescence" (Repl.Group.max_lag g);
+      if not couriers_seen then Test.fail_report "the probe saw no courier";
+      if couriers_max > 1 then
+        Test.fail_reportf "%d Appends in flight to one backup" couriers_max;
+      true)
 
 let test_replica_reorders () =
   let ev i =
@@ -482,6 +711,21 @@ let suite =
           `Quick test_replica_epoch_discipline;
         Alcotest.test_case "high water: hole, fill, new regime" `Quick
           test_replica_high_water;
+        Alcotest.test_case "batch: in order, one ack" `Quick
+          test_batch_in_order;
+        Alcotest.test_case "batch: duplicate or overlap applies once" `Quick
+          test_batch_duplicate_and_overlap;
+        Alcotest.test_case "batch: out of order buffers, then drains" `Quick
+          test_batch_out_of_order;
+        Alcotest.test_case "batch: stale regime acked, newer resets" `Quick
+          test_batch_epochs;
+      ] );
+    ( "repl.group",
+      [
+        Alcotest.test_case "reset with an Append in flight" `Quick
+          test_group_reset_in_flight;
+        QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ())
+          prop_group_ships_everything;
       ] );
     ( "repl.cluster",
       [
