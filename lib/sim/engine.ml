@@ -65,9 +65,8 @@ module Heap = struct
     mutable n : int;
   }
 
-  let initial = 1024
-
-  let create () =
+  (* [initial] is at least 1, so that doubling the full heap grows it. *)
+  let create initial =
     { times = Array.make initial 0.; seqs = Array.make initial 0;
       slots = Array.init initial Fun.id; procs = Array.make initial None;
       thunks = Array.make initial no_thunk; n = 0 }
@@ -231,6 +230,9 @@ type t = {
   mutable now : float;
   mutable seq : int;
   heap : Heap.t;
+  daemons : Heap.t;
+      (* the events of daemon processes, merged with [heap] by [run]:
+         their idle timers stay out of the dispatch heap's sifts *)
   lane : Lane.t; (* in-order [at] events, merged with [heap] by [run] *)
   mutable current : proc option;
   mutable live : int; (* regular (non-daemon) processes not yet done *)
@@ -281,7 +283,8 @@ let fnv_string h s =
   !h
 
 let create () =
-  { now = 0.; seq = 0; heap = Heap.create (); lane = Lane.create ();
+  { now = 0.; seq = 0; heap = Heap.create 1024; daemons = Heap.create 16;
+    lane = Lane.create ();
     current = None; live = 0;
     regular_spawned = 0; next_pid = 0; dispatched = 0;
     blocked_procs = Ccpfs_util.Int_tbl.create 64;
@@ -294,14 +297,22 @@ let events_dispatched t = t.dispatched
 let fingerprint t = Int64.of_int t.fp
 
 (* A chooser must be offered every event tied at the minimal time, so
-   the lane's pending events move into the heap under their own keys;
-   while a chooser is installed, [at] bypasses the lane. *)
+   the lane's and the daemon heap's pending events move into the heap
+   under their own keys; while a chooser is installed, [at] bypasses the
+   lane and [push_event] the daemon heap. *)
 let set_tie_chooser t f =
   let l = t.lane in
   while not (Lane.is_empty l) do
     let time = l.Lane.times.(l.Lane.head) and seq = l.Lane.seqs.(l.Lane.head) in
     let thunk = Lane.pop l in
     Heap.push t.heap time (-0.) seq None thunk
+  done;
+  let d = t.daemons in
+  while d.Heap.n > 0 do
+    let slot = d.Heap.slots.(0) in
+    Heap.push t.heap d.Heap.times.(0) (-0.) d.Heap.seqs.(0) d.Heap.procs.(slot)
+      d.Heap.thunks.(slot);
+    Heap.remove_top d
   done;
   t.tie_chooser <- Some f
 let set_event_jitter t f = t.jitter <- Some f
@@ -329,16 +340,24 @@ let current_name t = Option.map (fun p -> p.name) t.current
    delivery perturbation: any event may run later than asked, never
    earlier).  The tie chooser's re-push path in [promote_tie] uses
    [Heap.push] directly, so deferred ties are not jittered twice.  The
-   event's time is [base +. offset] (see [Heap.push]). *)
+   event's time is [base +. offset] (see [Heap.push]).  A daemon's
+   events go to the daemon heap unless a tie chooser is installed (it
+   must see every tie in [heap]); the seq is taken here either way, so
+   the routing never changes the (time, seq) order [run] dispatches. *)
 let push_event t base offset proc thunk =
   t.seq <- t.seq + 1;
+  let h =
+    match proc with
+    | Some p when p.daemon && t.tie_chooser == None -> t.daemons
+    | Some _ | None -> t.heap
+  in
   match t.jitter with
-  | None -> Heap.push t.heap base offset t.seq proc thunk
+  | None -> Heap.push h base offset t.seq proc thunk
   | Some f ->
       let d = f () in
       if d < 0. || not (Float.is_finite d) then
         invalid_arg "Engine: jitter hook returned a negative or NaN delay";
-      Heap.push t.heap (base +. offset) d t.seq proc thunk
+      Heap.push h (base +. offset) d t.seq proc thunk
 
 let schedule t ?(delay = 0.) thunk =
   if delay < 0. || not (Float.is_finite delay) then
@@ -539,15 +558,18 @@ let rec run_steps t = function
    their pending wake events, the only queued events whose process is
    marked blocked (a spawn is queued before its process first blocks, a
    resumed continuation after [mark_unblocked]).  A post-mortem only: it
-   scans the whole heap (the lane holds no process events). *)
+   scans both heaps whole (the lane holds no process events). *)
 let blocked_report t =
-  let h = t.heap in
   let sleeping = ref [] in
-  for i = 0 to h.Heap.n - 1 do
-    match h.Heap.procs.(h.Heap.slots.(i)) with
-    | Some p when p.blocked -> sleeping := p :: !sleeping
-    | Some _ | None -> ()
-  done;
+  let scan h =
+    for i = 0 to h.Heap.n - 1 do
+      match h.Heap.procs.(h.Heap.slots.(i)) with
+      | Some p when p.blocked -> sleeping := p :: !sleeping
+      | Some _ | None -> ()
+    done
+  in
+  scan t.heap;
+  scan t.daemons;
   Ccpfs_util.Int_tbl.fold_sorted
     (fun _ p acc -> p :: acc)
     t.blocked_procs !sleeping
@@ -561,9 +583,9 @@ let blocked_report t =
    order) — the schedule explorer's lever for enumerating same-timestamp
    interleavings.  The others go back under their own seqs; the pick
    goes back under seq -1, below every real seq (which start at 1), so
-   it is the root [run] dispatches next.  The lane is empty while a
-   chooser is installed (see [set_tie_chooser]), so the heap holds
-   every tie. *)
+   it is the root [run] dispatches next.  The lane and the daemon heap
+   are empty while a chooser is installed (see [set_tie_chooser]), so
+   the heap holds every tie. *)
 let promote_tie t choose =
   let h = t.heap in
   let time = h.Heap.times.(0) in
@@ -583,16 +605,30 @@ let promote_tie t choose =
       Heap.push h time (-0.) (if i = pick then -1 else seq) proc thunk)
     ties
 
-(* The next event is the smaller by (time, seq) of the heap's root and
-   the lane's head: both are sorted by that key and every seq is
-   unique, so the merge is the order one queue holding both would
-   give. *)
+(* The next event is the smallest by (time, seq) of the dispatch
+   heap's root, the daemon heap's root and the lane's head: each queue
+   is sorted by that key and every seq is unique, so the merge is the
+   order one queue holding all three would give.  The two roots are
+   compared first, and the smaller one against the lane. *)
 let run ?until t =
   let stop_time = Option.value until ~default:infinity in
-  let h = t.heap and l = t.lane in
+  if not (stop_time >= t.now) then
+    invalid_arg "Engine.run: until is before now or NaN";
+  let heap = t.heap and daemons = t.daemons and l = t.lane in
   let rec loop () =
     if t.regular_spawned > 0 && t.live = 0 then ()
     else
+      let h =
+        if
+          daemons.Heap.n > 0
+          && (heap.Heap.n = 0
+             ||
+             let dt = daemons.Heap.times.(0) and ht = heap.Heap.times.(0) in
+             dt < ht
+             || (dt = ht && daemons.Heap.seqs.(0) < heap.Heap.seqs.(0)))
+        then daemons
+        else heap
+      in
       let from_lane =
         (not (Lane.is_empty l))
         && (h.Heap.n = 0

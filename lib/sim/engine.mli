@@ -11,14 +11,19 @@
     order in which events were scheduled: events at the same virtual
     time run first-scheduled first.
 
-    The pending events sit in two queues merged by (time, sequence
-    number): an index heap, whose arrays hold only the unboxed keys and
-    a pool slot per event (the event's process and thunk are written to
-    the pool once and never moved by a sift), and an arrival lane, a
-    FIFO for {!at} events installed in time order.  Scheduling and
-    dispatching an event allocates nothing beyond the caller's thunk.  A
-    sleeping process is recorded only by its wake event in the heap
-    (DESIGN.md §18).
+    The pending events sit in three queues merged by (time, sequence
+    number): the dispatch heap, an index heap whose arrays hold only the
+    unboxed keys and a pool slot per event (the event's process and
+    thunk are written to the pool once and never moved by a sift); the
+    daemon heap, a second such heap holding every event of a daemon
+    process, so that idle daemon timers (one flush daemon per client
+    cache) do not deepen the dispatch heap's sifts; and an arrival lane,
+    a FIFO for {!at} events installed in time order.  Every event takes
+    its sequence number when it is scheduled, whichever queue it goes
+    to, so the merge dispatches the order one queue would.  Scheduling
+    and dispatching an event allocates nothing beyond the caller's
+    thunk.  A sleeping process is recorded only by its wake event in a
+    heap (DESIGN.md §18).
 
     Two kinds of processes exist: regular ones, which the simulation runs
     to completion, and daemons (cache-flush daemons, extent-cache cleanup
@@ -58,9 +63,12 @@ val now : t -> float
 
 val spawn : t -> ?daemon:bool -> name:string -> (unit -> unit) -> unit
 (** Start a process at the current virtual time.  [daemon] defaults to
-    [false].  The body runs as a fiber: it may block anywhere, through
-    {!sleep}, {!suspend} and the structures built on them.  This is
-    {!spawn_steps} with one [Fiber] step. *)
+    [false]; a daemon may block forever without holding up {!run}, and
+    its events wait in the daemon heap (they dispatch in the same
+    (time, sequence) order as if they were in the dispatch heap).  The
+    body runs as a fiber: it may block anywhere, through {!sleep},
+    {!suspend} and the structures built on them.  This is {!spawn_steps}
+    with one [Fiber] step. *)
 
 (** {1 Step processes}
 
@@ -122,7 +130,9 @@ val run : ?until:float -> t -> unit
     empty, or virtual time would pass [until].  May be called again to
     continue a paused simulation.
 
-    @raise Deadlock if the queue drains with regular processes blocked. *)
+    @raise Deadlock if the queue drains with regular processes blocked.
+    @raise Invalid_argument if [until] is before {!now} or NaN: the clock
+    never moves backwards. *)
 
 (** {1 Inside a process}
 
@@ -173,8 +183,9 @@ val set_tie_chooser : t -> (int -> int) -> unit
     deterministic seq order) of the event to dispatch.  The default —
     without a chooser — is index 0.  This is the schedule explorer's
     lever: every return value in [0, n) is a legal protocol ordering.
-    Arrivals already in the {!at} lane move into the heap here, so the
-    chooser is offered them too. *)
+    Arrivals already in the {!at} lane and daemon events already in the
+    daemon heap move into the dispatch heap here, and later ones go
+    there directly, so the chooser is offered them too. *)
 
 val set_event_jitter : t -> (unit -> float) -> unit
 (** [set_event_jitter t f] delays every subsequently scheduled event by
@@ -208,7 +219,7 @@ val blocked_report : t -> blocked_proc list
     with their [ctx], and those in {!sleep} with context ["sleep"] (what
     {!Deadlock} would carry if the queue drained now; a deadlock report
     never holds a sleeper, whose wake is still queued).  Sleepers are
-    found by scanning the event queue, so this costs time linear in the
+    found by scanning both heaps, so this costs time linear in the
     pending events: it is meant for post-mortems, not for hot paths.  If
     a process body raised, the dead process has been dropped and does
     not appear here. *)

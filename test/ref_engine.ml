@@ -1,8 +1,9 @@
 (* The engine's event queue before it became an index heap with an
-   arrival lane, kept as the reference model for the differential
-   property in test_sim.ml: one binary min-heap on (time, seq) in four
-   parallel arrays whose sifts move every field, procs and thunks
-   included, and every [at] event queued in it.  [Heap], [push_event]
+   arrival lane and a daemon heap, kept as the reference model for the
+   differential property in test_sim.ml: one binary min-heap on
+   (time, seq) in four parallel arrays whose sifts move every field,
+   procs and thunks included, and every event queued in it, daemons'
+   and [at] arrivals alike.  [Heap], [push_event]
    and [promote_tie] are verbatim, and so is [run] but for failing
    where the engine raises [Deadlock]; the engine around them keeps
    only what the property drives (no trace sink, metrics, seeded

@@ -53,6 +53,25 @@ let test_run_until () =
   Alcotest.(check int) "resumed" 2 !hit;
   feq "completed" 11.0 (Engine.now eng)
 
+(* An [until] before the clock would move it backwards, after which [at]
+   would accept times earlier than events already dispatched. *)
+let test_run_until_past () =
+  let eng = Engine.create () in
+  Engine.spawn eng ~name:"p" (fun () -> Engine.sleep eng 2.);
+  Engine.run ~until:1.5 eng;
+  List.iter
+    (fun until ->
+      Alcotest.check_raises "past until"
+        (Invalid_argument "Engine.run: until is before now or NaN")
+        (fun () -> Engine.run ~until eng))
+    [ 1.; nan ];
+  feq "clock kept" 1.5 (Engine.now eng);
+  Engine.run ~until:1.5 eng;
+  Alcotest.(check int) "an until at now dispatches nothing" 1
+    (Engine.events_dispatched eng);
+  Engine.run eng;
+  feq "completed" 2. (Engine.now eng)
+
 let test_deadlock_detection () =
   let eng = Engine.create () in
   let mb : int Mailbox.t = Mailbox.create eng in
@@ -352,6 +371,36 @@ let test_blocked_report_mid_run () =
   check "only the daemon is left" [ "3 flushd (daemon) blocked on flush-work" ]
     (report ())
 
+(* Daemons' sleeps wait in the daemon heap, beside the dispatch heap:
+   the post-mortem must find them there too, fiber and step process
+   alike, also once the last regular process has finished and [run]
+   returned with their wakes still queued. *)
+let test_blocked_report_sleeping_daemon () =
+  let eng = Engine.create () in
+  Engine.spawn eng ~daemon:true ~name:"tick" (fun () ->
+      while true do
+        Engine.sleep eng 0.05
+      done);
+  let rec idle () = Engine.Sleep (0.05, idle) in
+  Engine.spawn_steps eng ~daemon:true ~name:(Engine.proc_name "flushd") idle;
+  Engine.spawn eng ~name:"worker" (fun () -> Engine.sleep eng 0.12);
+  let report () =
+    List.map
+      (fun b -> Format.asprintf "%d %a" b.Engine.b_pid Engine.pp_blocked b)
+      (Engine.blocked_report eng)
+  in
+  let check = Alcotest.(check (list string)) in
+  Engine.run ~until:0.07 eng;
+  check "daemons and the regular sleeper"
+    [ "1 tick (daemon) blocked on sleep"; "2 flushd (daemon) blocked on sleep";
+      "3 worker blocked on sleep" ]
+    (report ());
+  Engine.run eng;
+  feq "stopped with the worker" 0.12 (Engine.now eng);
+  check "only the daemons are left"
+    [ "1 tick (daemon) blocked on sleep"; "2 flushd (daemon) blocked on sleep" ]
+    (report ())
+
 (* A 32-client by 8-write PW convoy on one lock server (seeded think
    time before each whole-file write): many small
    control RPCs queued on one server, the dispatch-bound case.  The
@@ -467,10 +516,15 @@ let prop_queue_order =
    fingerprints must be identical.  Two up-front bursts push the lane
    and the heap past their initial 1,024 entries.  The lane's burst
    ends before t = 1.9, so later arrivals find it empty or short and
-   tie with heap events of smaller seq.  The run pauses twice at
-   [run ~until] and the program schedules more from outside.  The mode
-   adds a seeded tie chooser or event jitter, installed after the
-   bursts are queued (mode 1, 2) or at the first pause (mode 3). *)
+   tie with heap events of smaller seq.  Daemons and regular processes
+   interleave: a regular anchor sleeps in half-second steps until
+   t = 20, the bursts queue daemons that wake on the quarter-second
+   grid every other event also lands on, and the program spawns both
+   kinds (a regular process only sleeps, so it always finishes).  The
+   run pauses twice at [run ~until] with daemons asleep, and the
+   program schedules more from outside.  The mode adds a seeded tie
+   chooser or event jitter, installed after the bursts are queued
+   (mode 1, 2) or at the first pause (mode 3). *)
 module type QUEUE_ENGINE = sig
   type t
 
@@ -515,7 +569,7 @@ module Queue_program (E : QUEUE_ENGINE) = struct
       for _ = 1 to R.int rng 3 do
         if !budget > 0 then begin
           decr budget;
-          match R.int rng 6 with
+          match R.int rng 7 with
           | 0 -> E.schedule eng ~delay:(delay ()) (fun () -> note (); act ())
           | 1 ->
               last_at :=
@@ -524,6 +578,15 @@ module Queue_program (E : QUEUE_ENGINE) = struct
           | 2 ->
               E.at eng ~time:(E.now eng +. delay ()) (fun () -> note (); act ())
           | 3 -> resume_one ()
+          | 4 ->
+              incr names;
+              E.spawn eng ~name:(string_of_int !names) (fun () ->
+                  note ();
+                  for _ = 1 to R.int rng 4 do
+                    E.sleep eng (0.25 +. delay ());
+                    note ();
+                    act ()
+                  done)
           | _ ->
               incr names;
               E.spawn eng ~daemon:true ~name:(string_of_int !names) (fun () ->
@@ -538,6 +601,14 @@ module Queue_program (E : QUEUE_ENGINE) = struct
         end
       done
     in
+    let sleeper ~daemon ~name period =
+      E.spawn eng ~daemon ~name (fun () ->
+          note ();
+          while E.now eng < 20. do
+            E.sleep eng period;
+            note ()
+          done)
+    in
     let levers () =
       let lever = R.create ~seed:(seed + 1) in
       if mode = 2 then
@@ -549,12 +620,16 @@ module Queue_program (E : QUEUE_ENGINE) = struct
       last_at := float_of_int (i / 20) *. 0.025;
       E.at eng ~time:!last_at (fun () -> note (); act ())
     done;
-    for _ = 1 to 600 do
+    sleeper ~daemon:false ~name:"anchor" 0.5;
+    for i = 1 to 600 do
       (* behind the last arrival, or scheduled: the heap *)
       let time = float_of_int (R.int rng 74) *. 0.025 in
       E.at eng ~time (fun () -> note (); act ());
       let delay = float_of_int (R.int rng 376) *. 0.025 in
-      E.schedule eng ~delay (fun () -> note (); act ())
+      E.schedule eng ~delay (fun () -> note (); act ());
+      if i mod 10 = 0 then
+        sleeper ~daemon:true ~name:(Printf.sprintf "d%d" i)
+          (float_of_int (1 + R.int rng 8) *. 0.25)
     done;
     if mode = 1 || mode = 2 then levers ();
     E.run ~until:2.6 eng;
@@ -700,6 +775,7 @@ let suite =
         Alcotest.test_case "deterministic ties" `Quick
           test_deterministic_tie_break;
         Alcotest.test_case "run until / resume" `Quick test_run_until;
+        Alcotest.test_case "past until rejected" `Quick test_run_until_past;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
         Alcotest.test_case "deadlock report includes daemons" `Quick
           test_deadlock_reports_daemons;
@@ -715,6 +791,8 @@ let suite =
         Alcotest.test_case "10k processes" `Quick test_many_processes_scale;
         Alcotest.test_case "blocked report mid-run" `Quick
           test_blocked_report_mid_run;
+        Alcotest.test_case "blocked report lists sleeping daemons" `Quick
+          test_blocked_report_sleeping_daemon;
         Alcotest.test_case "event stream pinned, PW convoy" `Quick
           test_pw_convoy_stream_pin;
         Alcotest.test_case "tie chooser sees lane arrivals" `Quick
