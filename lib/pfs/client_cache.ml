@@ -170,18 +170,30 @@ let drain_order t =
   |> List.sort (fun (a, ar) (b, br) ->
          match Int.compare b a with 0 -> Int.compare ar br | c -> c)
 
-let flush_daemon t () =
-  while true do
-    Engine.sleep t.eng t.config.Config.flush_period;
+(* The voluntary flush daemon: a step process that sleeps
+   [flush_period] and, while the cache holds no more than [dirty_min]
+   bytes, goes back to sleep without a fiber, so an idle wake-up costs
+   no effect round trip.  Once there is something to drain it becomes a
+   fiber (the flush RPCs block) and runs the same loop through
+   [Engine.run_steps]: the events are those of a fiber running the loop
+   from the start. *)
+let flush_daemon t =
+  let rec idle () = Engine.Sleep (t.config.Config.flush_period, check)
+  and check () =
     if t.dirty_total > t.config.Config.dirty_min then
-      (* Voluntary flushing: drain whole stripes until under the
-         threshold, largest first. *)
-      List.iter
-        (fun (_, rid) ->
-          if t.dirty_total > t.config.Config.dirty_min then
-            flush t ~rid ~ranges:[ Interval.to_eof ~lo:0 ])
-        (drain_order t)
-  done
+      Engine.Fiber
+        (fun () ->
+          (* Voluntary flushing: drain whole stripes until under the
+             threshold, largest first. *)
+          List.iter
+            (fun (_, rid) ->
+              if t.dirty_total > t.config.Config.dirty_min then
+                flush t ~rid ~ranges:[ Interval.to_eof ~lo:0 ])
+            (drain_order t);
+          Engine.run_steps t.eng (idle ()))
+    else idle ()
+  in
+  idle
 
 let create eng params config ~node ~client_id ~io_route =
   let t =
@@ -205,8 +217,8 @@ let create eng params config ~node ~client_id ~io_route =
       ctl_source = None;
     }
   in
-  Engine.spawn eng ~daemon:true
-    ~name:(Printf.sprintf "c%d.flushd" client_id)
+  Engine.spawn_steps eng ~daemon:true
+    ~name:(Engine.proc_name (Printf.sprintf "c%d.flushd" client_id))
     (flush_daemon t);
   t
 

@@ -378,6 +378,51 @@ let test_dirty_max_blocks_writers () =
   Alcotest.(check bool) "flush daemon drained voluntarily" true
     (Client_cache.bytes_flushed (Client.cache (Cluster.client cl 0)) > 0)
 
+(* The voluntary flush daemon drains on its own once the cache holds
+   more than [dirty_min]: a writer dirties 1.5 MiB per burst against a
+   1 MiB threshold, with think time between bursts, and never flushes
+   itself.  The daemon's flush spans (every [cache.flush] span not on
+   the writer's pid), their simulated times, and the run's event count
+   and fingerprint are pinned; they were taken from the daemon as a
+   fiber looping over [Engine.sleep]. *)
+let test_flush_daemon_drains () =
+  let config =
+    Config.with_dirty_limits ~dirty_min:(1 * mib) ~dirty_max:(64 * mib)
+      Config.default
+  in
+  let cl = make ~config ~servers:1 ~clients:1 () in
+  let eng = Cluster.engine cl in
+  let sink = Obs.Trace.make ~pid:1 ~label:"flushd" () in
+  Engine.set_trace_sink eng sink;
+  let writer = ref 0 in
+  Cluster.spawn_client cl 0 ~name:"w" (fun c ->
+      writer := Engine.current_pid eng;
+      let f = Client.open_file c ~create:true "/d" in
+      for burst = 0 to 3 do
+        for k = 0 to 5 do
+          Client.write c f ~off:(((burst * 6) + k) * 256 * 1024)
+            ~len:(256 * 1024)
+        done;
+        Engine.sleep eng 0.08
+      done);
+  Cluster.run cl;
+  let daemon_flushes =
+    List.filter_map
+      (fun (e : Obs.Trace.ev) ->
+        if e.ph = 'B' && e.name = "cache.flush" && e.tid <> !writer then
+          Some (Printf.sprintf "%.9f" e.ts)
+        else None)
+      (Obs.Trace.events sink)
+  in
+  Alcotest.(check (list string)) "daemon flush times"
+    [ "0.050000000"; "0.104918720"; "0.209837440"; "0.264756160" ]
+    daemon_flushes;
+  Alcotest.(check int) "bytes flushed" (6 * mib)
+    (Client_cache.bytes_flushed (Client.cache (Cluster.client cl 0)));
+  Alcotest.(check int) "engine events" 92 (Engine.events_dispatched eng);
+  Alcotest.(check int64) "engine fingerprint" 884032811234326076L
+    (Engine.fingerprint eng)
+
 (* ------------------------------------------------------------------ *)
 (* Data safety (paper §V-B1)                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1641,6 +1686,8 @@ let suite =
         Alcotest.test_case "truncate" `Quick test_truncate;
         Alcotest.test_case "dirty_max blocks writers" `Quick
           test_dirty_max_blocks_writers;
+        Alcotest.test_case "flush daemon drains past dirty_min" `Quick
+          test_flush_daemon_drains;
       ] );
     ( "pfs.safety",
       [
