@@ -78,10 +78,12 @@ type rstate = {
          [expanded_ranges] is four ordered-map probes instead of a scan
          of the whole queue per grant *)
   waiting_by_client : int Int_tbl.t;
-      (* queued-waiter count per client: against [by_client] it tells a
-         saturated [pass] whether any remaining visit could still merge
-         a same-client grant — if none can, the rest of the walk is a
-         provable no-op and is cut short *)
+      (* queued-waiter count per client *)
+  mutable convertible : int;
+      (* clients in both [by_client] and [waiting_by_client]: it tells a
+         saturated [pass] in O(1) whether any remaining visit could still
+         merge a same-client grant — if none can, the rest of the walk is
+         a provable no-op and is cut short *)
   mutable total_grants : int;
       (* cumulative; drives DLM-Lustre's contention heuristic *)
   (* Quiescent pass cache: after a settled [pass] during which nothing
@@ -205,19 +207,27 @@ let index_add rs ~early (g : lock) =
 let index_remove rs ~early (g : lock) =
   Interval_index.remove (index_of rs ~early) g.hull ~id:g.id
 
+(* [rs.convertible] moves when client [c] enters or leaves one of the
+   two per-client tables while it is in the other. *)
+let convertible_step rs other c delta =
+  if Int_tbl.mem other c then rs.convertible <- rs.convertible + delta
+
 let granted_add rs (g : lock) =
   Int_tbl.replace rs.granted g.id g;
   index_add rs ~early:(in_early_idx g) g;
   let n =
     match Int_tbl.find_opt rs.by_client g.client with Some n -> n | None -> 0
   in
+  if n = 0 then convertible_step rs rs.waiting_by_client g.client 1;
   Int_tbl.replace rs.by_client g.client (n + 1)
 
 let granted_remove rs (g : lock) =
   Int_tbl.remove rs.granted g.id;
   index_remove rs ~early:(in_early_idx g) g;
   match Int_tbl.find rs.by_client g.client with
-  | 1 -> Int_tbl.remove rs.by_client g.client
+  | 1 ->
+      Int_tbl.remove rs.by_client g.client;
+      convertible_step rs rs.waiting_by_client g.client (-1)
   | n -> Int_tbl.replace rs.by_client g.client (n - 1)
 
 (* After a write to [g]'s mode or state: remove it under its old class
@@ -368,14 +378,16 @@ let queue_track t rs (w : waiter) delta =
     ~rank:(Blocked.mode_rank w.eff_mode)
     ~lo:(Ranges.hull w.req.ranges).Interval.lo delta;
   let c = w.req.client in
-  let n =
-    (match Int_tbl.find_opt rs.waiting_by_client c with
+  let was =
+    match Int_tbl.find_opt rs.waiting_by_client c with
     | Some n -> n
-    | None -> 0)
-    + delta
+    | None -> 0
   in
+  let n = was + delta in
   if n <= 0 then Int_tbl.remove rs.waiting_by_client c
   else Int_tbl.replace rs.waiting_by_client c n;
+  if (was > 0) <> (n > 0) then
+    convertible_step rs rs.by_client c (if n > 0 then 1 else -1);
   (* Server-wide live queue depth: every enqueue/unlink funnels through
      here, so the counter (and its gauge, the rebalancer's load signal)
      is exact at all times. *)
@@ -472,6 +484,7 @@ let rstate t rid =
           waiting = Dllist.create ();
           q_lo = Array.make 4 Int_map.empty;
           waiting_by_client = Int_tbl.create 16;
+          convertible = 0;
           total_grants = 0;
           gen = 0;
           pass_blocked = None;
@@ -802,16 +815,8 @@ let visit_node t rs ~blocked ~saturated node =
 
 (* Once the blocked set saturates, the only visits that can still
    change state are same-client merges, and those need a queued waiter
-   whose client holds a grant.  The check intersects the two per-client
-   count tables. *)
-let tail_may_convert t rs =
-  t.policy.Policy.auto_convert
-  && (Int_tbl.fold
-        [@lint.allow
-          "D001 commutative exists: boolean OR of membership tests, \
-           iteration order invisible"])
-       (fun c _ acc -> acc || Int_tbl.mem rs.waiting_by_client c)
-       rs.by_client false
+   whose client holds a grant: one of [rs.convertible]. *)
+let tail_may_convert t rs = t.policy.Policy.auto_convert && rs.convertible > 0
 
 (* Walk the queue in place; granted waiters are unlinked immediately so
    later decisions in the same pass see a fresh queue.  A reply hook may
@@ -1407,7 +1412,26 @@ let check_indexes t =
       assert (Int_tbl.length rs.waiting_by_client = Int_tbl.length wbc');
       Int_tbl.iter_sorted
         (fun c n -> assert (Int_tbl.find_opt rs.waiting_by_client c = Some n))
-        wbc')
+        wbc';
+      (* ... and the grant counts per client, from the grant table, with
+         the count of clients in both. *)
+      let bc' = Int_tbl.create 16 in
+      granted_fold
+        (fun (g : lock) () ->
+          let n =
+            match Int_tbl.find_opt bc' g.client with Some n -> n | None -> 0
+          in
+          Int_tbl.replace bc' g.client (n + 1))
+        rs ();
+      assert (Int_tbl.length rs.by_client = Int_tbl.length bc');
+      let both =
+        Int_tbl.fold_sorted
+          (fun c n acc ->
+            assert (Int_tbl.find_opt rs.by_client c = Some n);
+            if Int_tbl.mem wbc' c then acc + 1 else acc)
+          bc' 0
+      in
+      assert (rs.convertible = both))
     (sorted_resources t);
   (* The live server-wide queue counter (the rebalancer's load signal)
      must equal a recomputation from the per-resource queues. *)
