@@ -7,7 +7,8 @@
    Part 2 runs Bechamel microbenchmarks of the hot paths the simulation
    rests on: extent-map updates (client cache & data-server extent
    cache), LCM checks, layout arithmetic, lock range sets, lock-server
-   queue passes, engine dispatch (a deep queue of sleepers among them),
+   queue passes, engine dispatch (a deep queue of sleepers and RPCs
+   among idle daemon timers among them),
    the bare RPC transport (a call round trip and a reliable
    fire-and-forget send), whole mini-cluster steps, creating a
    1,024-client cluster and a grant log's appends and reads.
@@ -369,6 +370,40 @@ let bench_engine_deep_sleepers =
       Staged.stage (fun () ->
           Dessim.Engine.run ~until:(Dessim.Engine.now eng +. 1e-6) eng;
           Sys.opaque_identity (Dessim.Engine.events_dispatched eng)))
+
+(* The shape of a many-client run between its bursts: 1,024 daemons
+   (the client caches' flush daemons) sleep 50 ms at staggered phases
+   while one caller makes 16 control RPC round trips, each a chain of
+   step-process couriers.  The daemons are spawned once, outside the
+   measured function; a run covers about 0.3 ms of simulated time, so
+   a few daemons wake in it, and every RPC event is scheduled and
+   dispatched beside the 1,024 pending daemon wakes. *)
+let bench_engine_idle_daemons =
+  row "engine: RPC round trips among 1k idle daemon timers" (fun () ->
+      let params = Netsim.Params.default in
+      let eng = Dessim.Engine.create () in
+      let server = Netsim.Node.create eng params ~name:"s" () in
+      let client = Netsim.Node.create eng params ~name:"c" () in
+      let ep =
+        Netsim.Rpc.endpoint eng params ~node:server ~name:"s.echo"
+          ~handler:(fun k ~reply -> reply (k + 1))
+      in
+      let period = 0.05 and daemons = 1024 in
+      for i = 1 to daemons do
+        let rec idle () = Dessim.Engine.Sleep (period, idle) in
+        let phase = period *. float_of_int i /. float_of_int daemons in
+        Dessim.Engine.spawn_steps eng ~daemon:true
+          ~name:(Dessim.Engine.proc_name (Printf.sprintf "c%d.flushd" i))
+          (fun () -> Dessim.Engine.Sleep (phase, idle))
+      done;
+      let sum = ref 0 in
+      Staged.stage (fun () ->
+          Dessim.Engine.spawn eng ~name:"caller" (fun () ->
+              for i = 1 to 16 do
+                sum := !sum + Netsim.Rpc.call ep ~src:client i
+              done);
+          Dessim.Engine.run eng;
+          Sys.opaque_identity !sum))
 
 (* One control RPC per caller with a handler that replies at once: the
    transport alone (request courier, server NIC and ops queue, reply
@@ -778,6 +813,7 @@ let micro_rows =
       bench_engine_events;
       bench_engine_pending_arrivals;
       bench_engine_deep_sleepers;
+      bench_engine_idle_daemons;
       bench_rpc_round_trip;
       bench_rpc_reliable_send;
       bench_lock_handoff;
