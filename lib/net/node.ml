@@ -41,7 +41,7 @@ let disk t =
 
 let disk_write t bytes =
   t.disk_bytes <- t.disk_bytes + bytes;
-  Resource.consume (disk t) (float_of_int bytes)
+  Resource.reserve (disk t) (float_of_int bytes)
 
 let disk_bytes_written t = t.disk_bytes
 let rpc_count t = t.rpcs

@@ -27,9 +27,10 @@ val mem : t -> Dessim.Resource.t
 val disk : t -> Dessim.Resource.t
 (** @raise Invalid_argument if the node was created without a disk. *)
 
-val disk_write : t -> int -> unit
-(** Occupy the device for [bytes / b_disk] seconds (FIFO) and account the
-    bytes. *)
+val disk_write : t -> int -> float
+(** Account the bytes and reserve the device for [bytes / b_disk]
+    seconds (FIFO); the result is the delay until the write is done,
+    for the caller to wait out ([Engine.Sleep] in a step handler). *)
 
 val disk_bytes_written : t -> int
 val rpc_count : t -> int

@@ -17,11 +17,12 @@
     resolution).  Deferred or not, the reply's
     network cost is charged when [reply] runs.
 
-    A handler that must block on simulated resources (a data server's
-    write handler occupies the disk before replying) belongs to an
-    endpoint declared [~blocking:true]: its handler runs as a fiber of
-    the request courier, which stalls the server's other requests no
-    more than the FIFO resources it holds.
+    A handler that must wait on simulated resources (a data server's
+    write handler occupies the disk before replying) is a step handler
+    ({!step_endpoint}): it returns the rest of its work as steps, which
+    the request courier runs as its own remaining steps, so a wait costs
+    the events a fiber's would and no fiber.  It stalls the server's
+    other requests no more than the FIFO resources it holds.
 
     One-way notifications ({!notify}) model the server→client callbacks of
     the lock protocol (revocations); they never block the sender. *)
@@ -29,13 +30,23 @@
 type ('req, 'resp) endpoint
 
 val endpoint :
-  ?blocking:bool -> Dessim.Engine.t -> Params.t -> node:Node.t -> name:string ->
+  Dessim.Engine.t -> Params.t -> node:Node.t -> name:string ->
   handler:('req -> reply:('resp -> unit) -> unit) ->
   ('req, 'resp) endpoint
 (** Register a service on [node].  [handler] is invoked after the
-    request's transport + service costs have been paid.  With [blocking]
-    (default [false]) the handler may block; without it, a handler that
-    blocks raises [Invalid_argument] naming the endpoint. *)
+    request's transport + service costs have been paid, and must not
+    block: a handler that blocks raises [Invalid_argument] naming the
+    endpoint. *)
+
+val step_endpoint :
+  Dessim.Engine.t -> Params.t -> node:Node.t -> name:string ->
+  handler:('req -> reply:('resp -> unit) -> Dessim.Engine.step) ->
+  ('req, 'resp) endpoint
+(** {!endpoint} with a step handler: what [handler] returns runs as the
+    request courier's remaining steps ([Sleep] for a disk wait, say; a
+    zero delay goes on at once, without an event), and the serve trace
+    span closes when they reach [Done].  The handler itself runs inline
+    and must not block, as on {!endpoint}. *)
 
 val call :
   ('req, 'resp) endpoint -> src:Node.t -> ?req_bytes:int -> ?resp_bytes:int ->

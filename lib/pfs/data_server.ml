@@ -247,7 +247,9 @@ let trigger_cleanup t =
 
 (* One server-side IO span nested inside Rpc's serve span (same courier
    tid), so flushes/reads/truncates are attributable per data server in
-   the trace.  [args] is only called with the sink on. *)
+   the trace.  [f] returns the handler's steps; the span closes when
+   they reach [Done], after the disk wait.  [args] is only called with
+   the sink on. *)
 let ds_span t name args f =
   let sink = Engine.trace_sink t.eng in
   if not (Obs.Trace.enabled sink) then f ()
@@ -255,16 +257,19 @@ let ds_span t name args f =
     let tid = Engine.current_pid t.eng in
     Obs.Trace.begin_span sink ~ts:(Engine.now t.eng) ~tid ~cat:"io"
       ~args:(args ()) name;
+    let close () = Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid name in
     match f () with
-    | v ->
-        Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid name;
-        v
+    | steps -> Engine.on_done steps close
     | exception e ->
-        Obs.Trace.end_span sink ~ts:(Engine.now t.eng) ~tid name;
+        close ();
         raise e
   end
 
-let handle t req ~reply =
+(* The io endpoint's step handler.  Flushes and reads charge the disk
+   as one [Sleep] of the delay the disk's FIFO reservation gives (a
+   zero delay goes on at once), then reply; the request courier runs
+   these steps, so no handler needs a fiber. *)
+let handle t req ~reply : Engine.step =
   match req with
   | Write_flush { rid; extents; ctl } ->
       ds_span t "ds.write_flush"
@@ -295,9 +300,12 @@ let handle t req ~reply =
       if entries > t.config.Config.extent_cache_limit then trigger_cleanup t;
       (* Device occupancy for the update set (the discarded parts never
          reach the device). *)
-      Node.disk_write t.node written;
-      List.iter (Seqdlm.Lock_server.control (lock_server_for t rid)) post;
-      reply Done
+      Engine.Sleep
+        ( Node.disk_write t.node written,
+          fun () ->
+            List.iter (Seqdlm.Lock_server.control (lock_server_for t rid)) post;
+            reply Done;
+            Engine.Done )
   | Read { rid; range } ->
       ds_span t "ds.read"
         (fun () ->
@@ -306,8 +314,12 @@ let handle t req ~reply =
       @@ fun () ->
       let st = stripe t rid in
       t.stats.reads <- t.stats.reads + 1;
-      Resource.consume (Node.disk t.node) (float_of_int (Interval.length range));
-      reply (Data (Content.read st.store range))
+      Engine.Sleep
+        ( Resource.reserve (Node.disk t.node)
+            (float_of_int (Interval.length range)),
+          fun () ->
+            reply (Data (Content.read st.store range));
+            Engine.Done )
   | Truncate { rid; keep_below } ->
       ds_span t "ds.truncate"
         (fun () ->
@@ -319,7 +331,8 @@ let handle t req ~reply =
       st.store <- Content.truncate st.store keep_below;
       st.cache <- snd (Extent_map.cut st.cache (Interval.to_eof ~lo:keep_below));
       shrunk st;
-      reply Done
+      reply Done;
+      Engine.Done
 
 (* The asynchronous extent-cache cleanup task (§IV-B).  Removes entries
    whose SN is no larger than the mSN of unreleased write locks over the
@@ -421,7 +434,7 @@ let create eng params config ~node ~name ~lock_server =
   t.ep <-
     Some
       (* Write_flush and Read occupy the disk before replying. *)
-      (Rpc.endpoint ~blocking:true eng params ~node ~name:(name ^ ".io")
+      (Rpc.step_endpoint eng params ~node ~name:(name ^ ".io")
          ~handler:(fun req ~reply -> handle t req ~reply));
   Engine.spawn eng ~daemon:true ~name:(name ^ ".cleanup") (cleanup_daemon t);
   t

@@ -106,6 +106,12 @@ val spawn_steps : t -> ?daemon:bool -> name:proc_name -> (unit -> step) -> unit
     raised by a step, or by a [Wait]'s register function, ends the
     process as one raised by a fiber body does. *)
 
+val on_done : step -> (unit -> unit) -> step
+(** [on_done s f] is the chain [s] with [f] run when it reaches [Done],
+    or when one of its steps raises (then the exception goes on).  It
+    pushes the events [s] pushes: what closes a trace span opened
+    before the chain. *)
+
 val schedule : t -> ?delay:float -> (unit -> unit) -> unit
 (** Run a plain thunk (not a blocking process) at [now + delay].
     @raise Invalid_argument if [delay] is negative, infinite or NaN. *)

@@ -111,14 +111,19 @@ let test_notify_does_not_block () =
   feq "delivered after rtt/2 + service" 0.0105 !received
 
 let test_blocking_handler_uses_disk () =
+  (* A step handler waits on the disk by returning the wait as a step:
+     the request courier sleeps it out, then runs the reply. *)
   let eng = Engine.create () in
   let server = Node.create eng params ~name:"s" ~with_disk:true () in
   let client = Node.create eng params ~name:"c" () in
   let ep =
-    Rpc.endpoint ~blocking:true eng params ~node:server ~name:"write"
+    Rpc.step_endpoint eng params ~node:server ~name:"write"
       ~handler:(fun bytes ~reply ->
-        Node.disk_write server bytes;
-        reply ())
+        Engine.Sleep
+          ( Node.disk_write server bytes,
+            fun () ->
+              reply ();
+              Engine.Done ))
   in
   Engine.spawn eng ~name:"caller" (fun () ->
       Rpc.call ep ~src:client ~req_bytes:500_000 500_000;
@@ -128,8 +133,8 @@ let test_blocking_handler_uses_disk () =
   Alcotest.(check int) "disk bytes" 500_000 (Node.disk_bytes_written server)
 
 let test_undeclared_blocking_handler_refused () =
-  (* Couriers run a handler inline unless its endpoint is declared
-     blocking: a handler that blocks anyway is named in the error. *)
+  (* Couriers run a handler inline: a plain handler that blocks anyway
+     is named in the error. *)
   let eng = Engine.create () in
   let server = Node.create eng params ~name:"s" () in
   let client = Node.create eng params ~name:"c" () in
@@ -140,11 +145,46 @@ let test_undeclared_blocking_handler_refused () =
         reply ())
   in
   Engine.spawn eng ~name:"caller" (fun () -> Rpc.call ep ~src:client ());
-  Alcotest.check_raises "blocking handler on a non-blocking endpoint"
+  Alcotest.check_raises "blocking plain handler"
     (Invalid_argument
-       "Rpc: the handler of slow blocked, but the endpoint is not declared \
-        ~blocking:true")
+       "Rpc: the handler of slow blocked; a handler that waits must return \
+        the wait as a step (Rpc.step_endpoint)")
     (fun () -> Engine.run eng)
+
+let test_zero_delay_step_is_inline () =
+  (* A zero-delay [Sleep] from a step handler goes on in the same event,
+     as a zero [Engine.sleep] does: the call dispatches exactly the
+     events of a plain handler that replies at once. *)
+  let run mk =
+    let eng = Engine.create () in
+    let server = Node.create eng params ~name:"s" () in
+    let client = Node.create eng params ~name:"c" () in
+    let ep = mk eng server in
+    let at = ref 0. in
+    Engine.spawn eng ~name:"caller" (fun () ->
+        Rpc.call ep ~src:client ();
+        at := Engine.now eng);
+    Engine.run eng;
+    (Engine.events_dispatched eng, !at)
+  in
+  let plain =
+    run (fun eng server ->
+        Rpc.endpoint eng params ~node:server ~name:"svc"
+          ~handler:(fun () ~reply -> reply ()))
+  in
+  let steps =
+    run (fun eng server ->
+        Rpc.step_endpoint eng params ~node:server ~name:"svc"
+          ~handler:(fun () ~reply ->
+            Engine.Sleep
+              ( 0.,
+                fun () ->
+                  reply ();
+                  Engine.Done )))
+  in
+  Alcotest.(check int) "events of a plain handler" 7 (fst plain);
+  Alcotest.(check int) "no extra event" (fst plain) (fst steps);
+  feq "same reply time" (snd plain) (snd steps)
 
 let test_params_b_flush () =
   let p = Params.default in
@@ -419,8 +459,10 @@ let suite =
           test_notify_does_not_block;
         Alcotest.test_case "blocking handler on disk" `Quick
           test_blocking_handler_uses_disk;
-        Alcotest.test_case "blocking handler needs ~blocking" `Quick
+        Alcotest.test_case "blocking plain handler refused" `Quick
           test_undeclared_blocking_handler_refused;
+        Alcotest.test_case "zero-delay step adds no event" `Quick
+          test_zero_delay_step_is_inline;
       ] );
     ( "net.fenced",
       [
