@@ -666,10 +666,25 @@ let bench_arrival_gaps =
 
 (* The tentpole hot path, without the simulated network: every client
    PW-locks the whole file, so each grant goes through one full queue
-   pass with the rest of the fleet blocked behind a saturating waiter. *)
-let bench_lock_server_contended_pass =
+   pass with the rest of the fleet blocked behind a saturating waiter.
+   Each head lock is then handed on as [handoff] says: acked and
+   released, or downgraded PW -> NBW and released as a SeqDLM holder's
+   flush does, where the downgrade meets queued PW waiters that find
+   NBW as incompatible as PW and so needs no pass. *)
+let bench_lock_server_contended_pass ~handoff =
   let n = 256 in
-  row (Printf.sprintf "lock_server: %d contended whole-file PW handoffs" n)
+  let suffix, before =
+    match handoff with
+    | `Ack ->
+        ("", fun rid lock_id -> Seqdlm.Types.Revoke_ack { rid; lock_id })
+    | `Downgrade ->
+        ( ", downgrade + release",
+          fun rid lock_id ->
+            Seqdlm.Types.Downgrade { rid; lock_id; mode = Seqdlm.Mode.NBW } )
+  in
+  row
+    (Printf.sprintf "lock_server: %d contended whole-file PW handoffs%s" n
+       suffix)
     (fun () -> Staged.stage (fun () ->
          let params = Netsim.Params.default in
          let eng = Dessim.Engine.create () in
@@ -699,12 +714,11 @@ let bench_lock_server_contended_pass =
              ~on_grant:(fun g ->
                Queue.push (g.Seqdlm.Types.rid, g.Seqdlm.Types.lock_id) to_release)
          done;
-         (* Ping-pong: acking + releasing the head grant lets the next
-            waiter through, queueing its own (rid, lock_id) in turn. *)
+         (* Ping-pong: handing the head grant on lets the next waiter
+            through, queueing its own (rid, lock_id) in turn. *)
          while not (Queue.is_empty to_release) do
            let rid, lock_id = Queue.pop to_release in
-           Seqdlm.Lock_server.control server
-             (Seqdlm.Types.Revoke_ack { rid; lock_id });
+           Seqdlm.Lock_server.control server (before rid lock_id);
            Seqdlm.Lock_server.control server
              (Seqdlm.Types.Release { rid; lock_id })
          done;
@@ -806,7 +820,8 @@ let micro_rows =
   ]
   @ bench_arrival_gaps
   @ [
-      bench_lock_server_contended_pass;
+      bench_lock_server_contended_pass ~handoff:`Ack;
+      bench_lock_server_contended_pass ~handoff:`Downgrade;
       bench_lock_server_grant_over 1024;
       bench_lock_server_grant_over 16384;
       bench_lock_server_grant_over ~canceling:64 16384;
