@@ -7,8 +7,8 @@
    Part 2 runs Bechamel microbenchmarks of the hot paths the simulation
    rests on: extent-map updates (client cache & data-server extent
    cache), LCM checks, layout arithmetic, lock range sets, lock-server
-   queue passes, engine dispatch (a deep queue of sleepers and RPCs
-   among idle daemon timers among them),
+   queue passes, engine dispatch (one sleep-chain event at a time, a
+   deep queue of sleepers and RPCs among idle daemon timers among them),
    the bare RPC transport (a call round trip and a reliable
    fire-and-forget send), whole mini-cluster steps, creating a
    1,024-client cluster and a grant log's appends and reads.
@@ -369,6 +369,39 @@ let bench_engine_deep_sleepers =
       done;
       Staged.stage (fun () ->
           Dessim.Engine.run ~until:(Dessim.Engine.now eng +. 1e-6) eng;
+          Sys.opaque_identity (Dessim.Engine.events_dispatched eng)))
+
+(* Dispatch alone, one event per run: [pending] regular step processes
+   sleep [pending] ticks each, at staggered phases, so each tick of
+   simulated time wakes exactly one of them and exactly [pending] wake
+   events are queued at every dispatch.  A run advances the clock by one
+   tick, so its time is the cost of one dispatched event: the root's
+   thunk and the one push of its next sleep.  A tick is a power of two,
+   so the wake times are exact and never tie. *)
+let bench_engine_sleep_chain pending =
+  row
+    (Printf.sprintf "engine: sleep-chain dispatch, %d pending (ns/event)"
+       pending)
+    (fun () ->
+      let eng = Dessim.Engine.create () in
+      let tick = Float.ldexp 1. (-20) in
+      let period = float_of_int pending *. tick in
+      for i = 1 to pending do
+        let rec chain () = Dessim.Engine.Sleep (period, chain) in
+        Dessim.Engine.spawn_steps eng
+          ~name:(Dessim.Engine.proc_name (string_of_int i))
+          (fun () -> Dessim.Engine.Sleep (float_of_int i *. tick, chain))
+      done;
+      Dessim.Engine.run ~until:0. eng;
+      let step () =
+        Dessim.Engine.run ~until:(Dessim.Engine.now eng +. tick) eng
+      in
+      (* every process round its chain twice: one event per tick *)
+      let before = Dessim.Engine.events_dispatched eng in
+      for _ = 1 to 2 * pending do step () done;
+      assert (Dessim.Engine.events_dispatched eng - before = 2 * pending);
+      Staged.stage (fun () ->
+          step ();
           Sys.opaque_identity (Dessim.Engine.events_dispatched eng)))
 
 (* The shape of a many-client run between its bursts: 1,024 daemons
@@ -828,6 +861,8 @@ let micro_rows =
       bench_engine_events;
       bench_engine_pending_arrivals;
       bench_engine_deep_sleepers;
+      bench_engine_sleep_chain 10;
+      bench_engine_sleep_chain 100;
       bench_engine_idle_daemons;
       bench_rpc_round_trip;
       bench_rpc_reliable_send;

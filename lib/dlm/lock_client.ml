@@ -60,8 +60,8 @@ type t = {
   hooks : hooks;
   by_rid : rid_locks Int_tbl.t;
   mutable next_stamp : int;
-  registered : (string, unit) Hashtbl.t;
-  pb : (string, pb_queue) Hashtbl.t; (* server node name -> pending ctl *)
+  mutable registered : Lock_server.t list; (* the servers that know us *)
+  mutable pb : (Lock_server.t * pb_queue) list; (* pending ctl, by server *)
   mutable piggyback : bool; (* park ctl messages for flush RPCs *)
   mutable revoke_ep : (Types.server_msg, unit) Rpc.endpoint option;
   mutable recover_ep : (recovery_query, Types.lock list) Rpc.endpoint option;
@@ -104,11 +104,14 @@ let remove_lock t (l : cached_lock) =
       | Some _ | None -> ())
   | None -> ()
 
+(* The per-server tables are keyed by the server itself: a cluster has
+   one lock server per node and a handful of servers in all, so a list
+   searched by physical equality costs less than hashing a name on every
+   acquire, flush and control message. *)
 let server t rid =
   let srv = t.route rid in
-  let key = Node.name (Lock_server.node srv) in
-  if not (Hashtbl.mem t.registered key) then begin
-    Hashtbl.add t.registered key ();
+  if not (List.memq srv t.registered) then begin
+    t.registered <- srv :: t.registered;
     Lock_server.register_client srv t.id (Option.get t.revoke_ep)
   end;
   srv
@@ -120,12 +123,11 @@ let server t rid =
    Per-server order is preserved — the queue is FIFO and a taker always
    takes everything. *)
 let pb_queue t srv =
-  let key = Node.name (Lock_server.node srv) in
-  match Hashtbl.find_opt t.pb key with
+  match List.assq_opt srv t.pb with
   | Some q -> q
   | None ->
       let q = { pb_srv = srv; pb_msgs = []; pb_armed = false } in
-      Hashtbl.add t.pb key q;
+      t.pb <- (srv, q) :: t.pb;
       q
 
 let pb_take q =
@@ -173,9 +175,10 @@ let start_cancel t (l : cached_lock) =
     Engine.spawn t.eng
       ~name:(String.concat "" [ "c"; string_of_int t.id; ".cancel.r"; lock ])
       (fun () ->
-        Condition.wait_until ~ctx:("lock-idle:r" ^ lock)
-          l.idle
-          (fun () -> l.holders = 0);
+        if l.holders > 0 then
+          Condition.wait_until ~ctx:("lock-idle:r" ^ lock)
+            l.idle
+            (fun () -> l.holders = 0);
         let srv = server t l.rid in
         let convert = (Lock_server.policy srv).Policy.auto_convert in
         let release_msg = Types.Release { rid = l.rid; lock_id = l.lock_id } in
@@ -303,8 +306,8 @@ let create eng params ~node ~client_id ~route ~hooks =
       eng; node; id = client_id; route; hooks;
       by_rid = Int_tbl.create 16;
       next_stamp = 0;
-      registered = Hashtbl.create 8;
-      pb = Hashtbl.create 8;
+      registered = [];
+      pb = [];
       piggyback = false;
       revoke_ep = None;
       recover_ep = None;
@@ -410,7 +413,7 @@ let acquire t ~rid ~mode ~ranges =
            request (best effort: ctl and lock travel on separate
            endpoints, and the server tolerates either arrival order —
            unknown lock ids no-op, own-lock conflicts convert). *)
-        (match Hashtbl.find_opt t.pb (Node.name (Lock_server.node srv)) with
+        (match List.assq_opt srv t.pb with
         | Some q -> pb_drain t q
         | None -> ());
         let ep = Lock_server.lock_endpoint srv in
@@ -494,9 +497,7 @@ let set_piggyback t = t.piggyback <- true
 let take_piggyback t ~rid =
   if not t.piggyback then []
   else
-    match
-      Hashtbl.find_opt t.pb (Node.name (Lock_server.node (t.route rid)))
-    with
+    match List.assq_opt (t.route rid) t.pb with
     | None -> []
     | Some q -> pb_take q
 let retries t = Rpc.View.retries t.view

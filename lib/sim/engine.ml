@@ -30,6 +30,8 @@ type proc = {
   daemon : bool;
   mutable blocked : bool;
   mutable wait_ctx : string option;
+      (* the context of a [suspend] or a [Wait], read only while the
+         process is in [blocked_procs]; a sleep writes none *)
   mutable resume_at : unit -> step; (* the step [wake] runs next *)
   mutable wake : unit -> unit;
       (* the thunk of every wake-up of a [Sleep] or [Wait] step, built at
@@ -54,7 +56,14 @@ let no_thunk () = ()
    order.  Sifts carry a hole instead of swapping, and compare keys
    inline: without flambda, ocamlopt boxes the float argument of every
    call to a function it does not inline, so a comparison helper taking
-   a key would allocate at each step. *)
+   a key would allocate at each step ([sink] reads its key from the
+   arrays instead).
+
+   [hole] marks a root that [run] has dispatched but not removed: the
+   entry at position 0 is dead, and still counted in [n].  The next
+   [push] writes its key and pool entry there and sinks it (one sift
+   where a pop and a push take two); [settle] removes it instead.  Every
+   reader of the heap's contents settles it first. *)
 module Heap = struct
   type t = {
     mutable times : float array;
@@ -63,13 +72,14 @@ module Heap = struct
     mutable procs : proc option array; (* the pool, by slot *)
     mutable thunks : (unit -> unit) array; (* the pool, by slot *)
     mutable n : int;
+    mutable hole : bool;
   }
 
   (* [initial] is at least 1, so that doubling the full heap grows it. *)
   let create initial =
     { times = Array.make initial 0.; seqs = Array.make initial 0;
       slots = Array.init initial Fun.id; procs = Array.make initial None;
-      thunks = Array.make initial no_thunk; n = 0 }
+      thunks = Array.make initial no_thunk; n = 0; hole = false }
 
   (* Only a full heap grows, so every old slot is live and the new ones
      are free, in the new positions. *)
@@ -86,78 +96,100 @@ module Heap = struct
     h.procs <- extend h.procs None;
     h.thunks <- extend h.thunks no_thunk
 
-  (* The key is [base +. offset], added here so that the sum is never
-     boxed: callers pass floats they already hold boxed (the clock, a
-     sleep's duration).  [offset = -0.] keeps [base] bit for bit, -0.
-     included. *)
-  let push h base offset seq proc thunk =
-    if h.n = Array.length h.seqs then grow h;
-    let time = base +. offset in
+  (* The entry at position 0 sinks to its place among positions [0, n). *)
+  let sink h n =
     let times = h.times and seqs = h.seqs and slots = h.slots in
-    let i = ref h.n in
-    let slot = slots.(!i) in
-    h.procs.(slot) <- proc;
-    h.thunks.(slot) <- thunk;
-    h.n <- h.n + 1;
-    let rising = ref true in
-    while !rising && !i > 0 do
-      let p = (!i - 1) / 2 in
-      let pt = times.(p) in
-      if time < pt || (time = pt && seq < seqs.(p)) then begin
-        times.(!i) <- pt;
-        seqs.(!i) <- seqs.(p);
-        slots.(!i) <- slots.(p);
-        i := p
+    let time = times.(0) and seq = seqs.(0) and slot = slots.(0) in
+    let i = ref 0 in
+    let sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && (times.(r) < times.(l)
+               || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < time || (ct = time && seqs.(c) < seq) then begin
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          slots.(!i) <- slots.(c);
+          i := c
+        end
+        else sinking := false
       end
-      else rising := false
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
     slots.(!i) <- slot
 
+  (* The key is [base +. offset], added here so that the sum is never
+     boxed: callers pass floats they already hold boxed (the clock, a
+     sleep's duration).  [offset = -0.] keeps [base] bit for bit, -0.
+     included.  A hole at the root takes the entry in place. *)
+  let push h base offset seq proc thunk =
+    let time = base +. offset in
+    if h.hole then begin
+      h.hole <- false;
+      let slot = h.slots.(0) in
+      h.procs.(slot) <- proc;
+      h.thunks.(slot) <- thunk;
+      h.times.(0) <- time;
+      h.seqs.(0) <- seq;
+      sink h h.n
+    end
+    else begin
+      if h.n = Array.length h.seqs then grow h;
+      let times = h.times and seqs = h.seqs and slots = h.slots in
+      let i = ref h.n in
+      let slot = slots.(!i) in
+      h.procs.(slot) <- proc;
+      h.thunks.(slot) <- thunk;
+      h.n <- h.n + 1;
+      let rising = ref true in
+      while !rising && !i > 0 do
+        let p = (!i - 1) / 2 in
+        let pt = times.(p) in
+        if time < pt || (time = pt && seq < seqs.(p)) then begin
+          times.(!i) <- pt;
+          seqs.(!i) <- seqs.(p);
+          slots.(!i) <- slots.(p);
+          i := p
+        end
+        else rising := false
+      done;
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      slots.(!i) <- slot
+    end
+
   (* Drop the minimum (position 0, whose pool entry the caller has
-     already read): its slot is cleared, the last entry fills the hole
-     from the top and sinks to its place, and the freed slot goes to
-     the first free position. *)
+     already read): its slot is cleared, the last entry moves to the
+     root and sinks to its place, and the freed slot goes to the first
+     free position. *)
   let remove_top h =
     let n = h.n - 1 in
     h.n <- n;
-    let times = h.times and seqs = h.seqs and slots = h.slots in
+    h.hole <- false;
+    let slots = h.slots in
     let top = slots.(0) in
     h.procs.(top) <- None;
     h.thunks.(top) <- no_thunk;
     if n > 0 then begin
-      let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
-      let i = ref 0 in
-      let sinking = ref true in
-      while !sinking do
-        let l = (2 * !i) + 1 in
-        if l >= n then sinking := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if
-              r < n
-              && (times.(r) < times.(l)
-                 || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
-            then r
-            else l
-          in
-          let ct = times.(c) in
-          if ct < time || (ct = time && seqs.(c) < seq) then begin
-            times.(!i) <- ct;
-            seqs.(!i) <- seqs.(c);
-            slots.(!i) <- slots.(c);
-            i := c
-          end
-          else sinking := false
-        end
-      done;
-      times.(!i) <- time;
-      seqs.(!i) <- seq;
-      slots.(!i) <- slot;
-      slots.(n) <- top
+      h.times.(0) <- h.times.(n);
+      h.seqs.(0) <- h.seqs.(n);
+      slots.(0) <- slots.(n);
+      slots.(n) <- top;
+      sink h n
     end
+
+  let settle h = if h.hole then remove_top h
 end
 
 (* The arrival lane: a FIFO of [at] events whose times never decrease
@@ -296,7 +328,9 @@ let fnv_pid h pid =
 
 let fnv_string h s =
   let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code s.[i])
+  done;
   !h
 
 let create () =
@@ -316,8 +350,12 @@ let fingerprint t = Int64.of_int t.fp
 (* A chooser must be offered every event tied at the minimal time, so
    the lane's and the daemon heap's pending events move into the heap
    under their own keys; while a chooser is installed, [at] bypasses the
-   lane and [push_event] the daemon heap. *)
+   lane and [push_event] the daemon heap.  A handler may install one, so
+   both heaps are settled first: a daemon heap's dead root must not
+   move. *)
 let set_tie_chooser t f =
+  Heap.settle t.heap;
+  Heap.settle t.daemons;
   let l = t.lane in
   while not (Lane.is_empty l) do
     let time = l.Lane.times.(l.Lane.head) and seq = l.Lane.seqs.(l.Lane.head) in
@@ -472,13 +510,12 @@ let run_fiber t proc some_proc body =
           | SleepFor d ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  (* no [blocked_procs] entry: the wake event below
-                     names the sleeper for [blocked_report] *)
+                  (* no [blocked_procs] entry and no [wait_ctx]: the
+                     wake event below names the sleeper for
+                     [blocked_report] *)
                   proc.blocked <- true;
-                  proc.wait_ctx <- sleep_ctx;
                   push_event t t.now d some_proc (fun () ->
                       proc.blocked <- false;
-                      proc.wait_ctx <- None;
                       continue k ()))
           | _ -> None);
     }
@@ -498,7 +535,6 @@ let rec drive t proc some_proc s =
       else if d = 0. then drive t proc some_proc (next t proc k)
       else begin
         proc.blocked <- true;
-        proc.wait_ctx <- sleep_ctx;
         proc.resume_at <- k;
         push_event t t.now d some_proc (wake_of t proc some_proc)
       end
@@ -528,7 +564,6 @@ and wake_of t proc some_proc =
     proc.wake <-
       (fun () ->
         proc.blocked <- false;
-        proc.wait_ctx <- None;
         drive t proc some_proc (next t proc proc.resume_at));
   proc.wake
 
@@ -594,29 +629,34 @@ let rec run_steps t = function
       run_steps t (k ())
   | Fiber body -> body ()
 
-(* Suspended processes come from [blocked_procs]; sleeping ones from
-   their pending wake events, the only queued events whose process is
-   marked blocked (a spawn is queued before its process first blocks, a
-   resumed continuation after [mark_unblocked]).  A post-mortem only: it
-   scans both heaps whole (the lane holds no process events). *)
+(* Suspended processes come from [blocked_procs], with the context
+   they were suspended on; sleeping ones from their pending wake events,
+   the only queued events whose process is marked blocked (a spawn is
+   queued before its process first blocks, a resumed continuation after
+   [mark_unblocked]), with context "sleep": a sleep writes no context.
+   A post-mortem only: it scans both heaps whole (the lane holds no
+   process events), settled first so that a dispatched root is not read
+   as pending: the root of the handler calling it (whose process may
+   have just suspended) or of one that raised. *)
 let blocked_report t =
   let sleeping = ref [] in
   let scan h =
+    Heap.settle h;
     for i = 0 to h.Heap.n - 1 do
       match h.Heap.procs.(h.Heap.slots.(i)) with
-      | Some p when p.blocked -> sleeping := p :: !sleeping
+      | Some p when p.blocked -> sleeping := (p, sleep_ctx) :: !sleeping
       | Some _ | None -> ()
     done
   in
   scan t.heap;
   scan t.daemons;
   Ccpfs_util.Int_tbl.fold_sorted
-    (fun _ p acc -> p :: acc)
+    (fun _ p acc -> (p, p.wait_ctx) :: acc)
     t.blocked_procs !sleeping
-  |> List.sort (fun a b -> Int.compare a.pid b.pid)
-  |> List.map (fun p ->
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a.pid b.pid)
+  |> List.map (fun (p, ctx) ->
          { b_name = p.name; b_pid = p.pid; b_daemon = p.daemon;
-           b_context = p.wait_ctx })
+           b_context = ctx })
 
 (* With a tie chooser installed, all events sharing the minimal
    timestamp are candidates and the chooser picks among them (in seq
@@ -625,7 +665,8 @@ let blocked_report t =
    goes back under seq -1, below every real seq (which start at 1), so
    it is the root [run] dispatches next.  The lane and the daemon heap
    are empty while a chooser is installed (see [set_tie_chooser]), so
-   the heap holds every tie. *)
+   the heap holds every tie; [run] calls this after settling the heap,
+   so the root is live. *)
 let promote_tie t choose =
   let h = t.heap in
   let time = h.Heap.times.(0) in
@@ -649,13 +690,19 @@ let promote_tie t choose =
    heap's root, the daemon heap's root and the lane's head: each queue
    is sorted by that key and every seq is unique, so the merge is the
    order one queue holding all three would give.  The two roots are
-   compared first, and the smaller one against the lane. *)
+   compared first, and the smaller one against the lane.  A dispatched
+   root stays in its heap as a hole that the handler's first push into
+   that heap fills; each iteration starts by settling both heaps, which
+   removes a hole no push filled, also one a handler left by raising
+   before a resumed [run]. *)
 let run ?until t =
   let stop_time = Option.value until ~default:infinity in
   if not (stop_time >= t.now) then
     invalid_arg "Engine.run: until is before now or NaN";
   let heap = t.heap and daemons = t.daemons and l = t.lane in
   let rec loop () =
+    Heap.settle heap;
+    Heap.settle daemons;
     if t.regular_spawned > 0 && t.live = 0 then ()
     else
       let h =
@@ -692,10 +739,9 @@ let run ?until t =
               | None -> ()
               | Some choose -> promote_tie t choose);
               let slot = h.Heap.slots.(0) in
-              let thunk = h.Heap.thunks.(slot) in
               t.current <- h.Heap.procs.(slot);
-              Heap.remove_top h;
-              thunk
+              h.Heap.hole <- true;
+              h.Heap.thunks.(slot)
             end
           in
           let bits = Int64.bits_of_float time in

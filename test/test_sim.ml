@@ -401,6 +401,59 @@ let test_blocked_report_sleeping_daemon () =
     [ "1 tick (daemon) blocked on sleep"; "2 flushd (daemon) blocked on sleep" ]
     (report ())
 
+(* A sleep writes no wait context: the post-mortem reports "sleep" for
+   every process it finds through a queued wake, step process and fiber
+   alike, and a suspended process's own context.  Once the sleepers
+   have suspended too, the report and the [Deadlock] carry the contexts
+   they suspended on, not a sleep's.  The report is taken inside
+   handlers, whose own event is still at the heap's root: a plain
+   thunk's, and a [Wait]'s register, whose process is then both blocked
+   and at the root (it must be listed once).  It is taken again after a
+   handler raised out of [run], which then resumes to the deadlock. *)
+let test_sleep_context_derived () =
+  let eng = Engine.create () in
+  let show bs =
+    List.map
+      (fun b -> Format.asprintf "%d %a" b.Engine.b_pid Engine.pp_blocked b)
+      bs
+  in
+  let report () = show (Engine.blocked_report eng) in
+  let in_register = ref [] and in_thunk = ref [] in
+  Engine.spawn_steps eng ~name:(Engine.proc_name "steps") (fun () ->
+      Engine.Sleep
+        ( 1.,
+          fun () -> Engine.Wait (Some "gate", ignore, fun () -> Engine.Done) ));
+  Engine.spawn eng ~name:"fiber" (fun () ->
+      Engine.sleep eng 1.;
+      Engine.suspend eng ignore);
+  Engine.spawn_steps eng ~name:(Engine.proc_name "waiter") (fun () ->
+      Engine.Wait
+        ( Some "inbox",
+          (fun _ -> in_register := report ()),
+          fun () -> Engine.Done ));
+  Engine.schedule eng ~delay:0.5 (fun () -> in_thunk := report ());
+  Engine.schedule eng ~delay:0.75 (fun () -> failwith "boom");
+  let check = Alcotest.(check (list string)) in
+  let asleep =
+    [ "1 steps blocked on sleep"; "2 fiber blocked on sleep";
+      "3 waiter blocked on inbox" ]
+  in
+  (match Engine.run eng with
+  | () -> Alcotest.fail "expected the raise to escape run"
+  | exception Failure _ -> ());
+  check "inside a register" asleep !in_register;
+  check "inside a thunk" asleep !in_thunk;
+  check "after a handler raised" asleep (report ());
+  match Engine.run eng with
+  | () -> Alcotest.fail "expected a deadlock"
+  | exception Engine.Deadlock bs ->
+      let stuck =
+        [ "1 steps blocked on gate"; "2 fiber blocked on <unknown>";
+          "3 waiter blocked on inbox" ]
+      in
+      check "deadlock contexts" stuck (show bs);
+      check "report after the deadlock" stuck (report ())
+
 (* A 32-client by 8-write PW convoy on one lock server (seeded think
    time before each whole-file write): many small
    control RPCs queued on one server, the dispatch-bound case.  The
@@ -524,7 +577,20 @@ let prop_queue_order =
    run pauses twice at [run ~until] with daemons asleep, and the
    program schedules more from outside.  The mode adds a seeded tie
    chooser or event jitter, installed after the bursts are queued
-   (mode 1, 2) or at the first pause (mode 3). *)
+   (mode 1, 2), at the first pause (mode 3) or by a daemon's handler
+   (mode 4), with the handler's own event still at the daemon heap's
+   root.
+
+   A dispatched event stays at its heap's root until its handler's
+   first push there takes its place, so the program's handlers push in
+   every shape: several events at once, nothing, or only into the other
+   heap (a daemon's last event spawns a regular process, a regular
+   process's last event resumes a suspended daemon).  After the first
+   pause, a plain thunk and a daemon raise [Boom] out of [run]; the
+   run resumes, after a [post_mortem] (the engine's [blocked_report])
+   every other time. *)
+exception Boom
+
 module type QUEUE_ENGINE = sig
   type t
 
@@ -542,6 +608,7 @@ module type QUEUE_ENGINE = sig
   val fingerprint : t -> int64
   val set_tie_chooser : t -> (int -> int) -> unit
   val set_event_jitter : t -> (unit -> float) -> unit
+  val post_mortem : t -> unit
 end
 
 module Queue_program (E : QUEUE_ENGINE) = struct
@@ -569,7 +636,7 @@ module Queue_program (E : QUEUE_ENGINE) = struct
       for _ = 1 to R.int rng 3 do
         if !budget > 0 then begin
           decr budget;
-          match R.int rng 7 with
+          match R.int rng 9 with
           | 0 -> E.schedule eng ~delay:(delay ()) (fun () -> note (); act ())
           | 1 ->
               last_at :=
@@ -587,6 +654,23 @@ module Queue_program (E : QUEUE_ENGINE) = struct
                     note ();
                     act ()
                   done)
+          | 5 ->
+              E.schedule eng ~delay:(delay ()) (fun () ->
+                  note ();
+                  for _ = 0 to 1 + R.int rng 2 do
+                    E.schedule eng ~delay:(delay ()) note
+                  done)
+          | 6 ->
+              incr names;
+              let name = string_of_int !names in
+              E.spawn eng ~daemon:true ~name (fun () ->
+                  E.sleep eng (0.25 +. delay ());
+                  note ();
+                  E.spawn eng ~name:(name ^ "r") (fun () ->
+                      note ();
+                      E.sleep eng (0.25 +. delay ());
+                      note ();
+                      resume_one ()))
           | _ ->
               incr names;
               E.spawn eng ~daemon:true ~name:(string_of_int !names) (fun () ->
@@ -632,15 +716,38 @@ module Queue_program (E : QUEUE_ENGINE) = struct
           (float_of_int (1 + R.int rng 8) *. 0.25)
     done;
     if mode = 1 || mode = 2 then levers ();
-    E.run ~until:2.6 eng;
+    if mode = 4 then
+      E.spawn eng ~daemon:true ~name:"lever" (fun () ->
+          E.sleep eng 1.3;
+          note ();
+          levers ();
+          act ();
+          E.sleep eng 0.25;
+          note ());
+    let booms = ref 0 in
+    let rec run_through ?until () =
+      match E.run ?until eng with
+      | () -> ()
+      | exception Boom ->
+          incr booms;
+          if !booms mod 2 = 1 then E.post_mortem eng;
+          run_through ?until ()
+    in
+    run_through ~until:2.6 ();
     if mode = 3 then levers ();
     budget := !budget + 1500;
     act ();
-    E.run ~until:6.1 eng;
+    E.schedule eng ~delay:0.5 (fun () -> note (); raise Boom);
+    E.schedule eng ~delay:0.75 (fun () -> note (); act (); raise Boom);
+    E.spawn eng ~daemon:true ~name:"boom" (fun () ->
+        E.sleep eng 1.;
+        note ();
+        raise Boom);
+    run_through ~until:6.1 ();
     budget := !budget + 1000;
     act ();
     resume_one ();
-    E.run eng;
+    run_through ();
     (List.rev !log, E.events_dispatched eng, E.fingerprint eng)
 end
 
@@ -648,9 +755,14 @@ module Prod_queue = Queue_program (struct
   include Engine
 
   let suspend t register = Engine.suspend t register
+  let post_mortem t = ignore (Engine.blocked_report t)
 end)
 
-module Ref_queue = Queue_program (Ref_engine)
+module Ref_queue = Queue_program (struct
+  include Ref_engine
+
+  let post_mortem _ = ()
+end)
 
 let queue_matches_reference (seed, mode) =
   let log, n, fp = Prod_queue.run ~seed ~mode in
@@ -661,7 +773,7 @@ let prop_queue_reference =
   QCheck.Test.make ~name:"queue = parallel-array reference" ~count:40
     (QCheck.make
        ~print:(fun (s, m) -> Printf.sprintf "seed %d, mode %d" s m)
-       QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 3)))
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_bound 4)))
     queue_matches_reference
 
 (* A chooser installed after arrivals are queued must still be offered
@@ -793,6 +905,8 @@ let suite =
           test_blocked_report_mid_run;
         Alcotest.test_case "blocked report lists sleeping daemons" `Quick
           test_blocked_report_sleeping_daemon;
+        Alcotest.test_case "sleep context derived from the queue" `Quick
+          test_sleep_context_derived;
         Alcotest.test_case "event stream pinned, PW convoy" `Quick
           test_pw_convoy_stream_pin;
         Alcotest.test_case "tie chooser sees lane arrivals" `Quick
