@@ -180,22 +180,16 @@ let check_repl_group (g : Repl.Group.t) =
             bid
             (Repl.Grant_log.last_lsn blog)
             (Repl.Grant_log.last_lsn plog);
-        let rec walk (p : Repl.Grant_log.entry list)
-            (bk : Repl.Grant_log.entry list) =
-          match (p, bk) with
-          | _, [] -> ()
-          | pe :: p', be :: b' ->
-              (* Structural equality is safe here: repl events carry only
-                 ints and immutable variants, no floats or closures. *)
-              if pe.Repl.Grant_log.lsn <> be.Repl.Grant_log.lsn
-                 || pe.Repl.Grant_log.ev <> be.Repl.Grant_log.ev
-              then
-                Violation.fail ~inv:"repl-log-prefix"
-                  "%s backup %d diverges from the primary at lsn %d" pname
-                  bid be.Repl.Grant_log.lsn;
-              walk p' b'
-          | [], _ :: _ -> () (* unreachable: tail check above *)
-        in
-        walk (Repl.Grant_log.entries plog) (Repl.Grant_log.entries blog)
+        (* Structural equality is safe here: repl events carry only ints
+           and immutable variants, no floats or closures.  Event [i] of
+           each array has lsn [i + 1]. *)
+        let pevs = Repl.Grant_log.events_from plog ~lsn:1 in
+        Array.iteri
+          (fun i ev ->
+            if ev <> pevs.(i) then
+              Violation.fail ~inv:"repl-log-prefix"
+                "%s backup %d diverges from the primary at lsn %d" pname bid
+                (i + 1))
+          (Repl.Grant_log.events_from blog ~lsn:1)
       end)
     (Repl.Group.backups g)

@@ -235,12 +235,12 @@ let row_of (m : measurement) =
     | Ha.Failover.Gather ->
         [
           ("log_entries", Int 0); ("log_bytes", Int 0);
-          ("election_rounds", Int 0); ("elected_backup", Int (-1));
+          ("elected_backup", Int (-1));
         ]
-    | Ha.Failover.Replay { r_backup; r_entries; r_rounds; r_log_bytes } ->
+    | Ha.Failover.Replay { r_backup; r_entries; r_log_bytes } ->
         [
           ("log_entries", Int r_entries); ("log_bytes", Int r_log_bytes);
-          ("election_rounds", Int r_rounds); ("elected_backup", Int r_backup);
+          ("elected_backup", Int r_backup);
         ]
   in
   let throughput_fields =

@@ -194,8 +194,7 @@ let repl =
         | "replay" ->
             ensure rep
               (int r "replication" >= 1 && int r "log_entries" > 0
-              && int r "log_bytes" > 0 && int r "election_rounds" >= 1
-              && int r "elected_backup" >= 0)
+              && int r "log_bytes" > 0 && int r "elected_backup" >= 0)
               "replay row without a replicated log fetched by election"
         | "gather" ->
             ensure rep

@@ -10,7 +10,6 @@ type recovery_mode =
   | Replay of {
       r_backup : int;
       r_entries : int;
-      r_rounds : int;
       r_log_bytes : int;
     }
 
@@ -154,8 +153,8 @@ let recover t i =
                 ~req_id:(Rpc.View.fresh_req_id t.repl_view)
                 Repl.Replica.Fetch
             with
-            | Rpc.Reply (Repl.Replica.Log { l_entries; _ }, _) ->
-                Some (o, l_entries, log_bytes)
+            | Rpc.Reply (Repl.Replica.Log { l_evs }, _) ->
+                Some (o, l_evs, log_bytes)
             | Rpc.Reply (Repl.Replica.Ack _, _) | Rpc.Stale _ | Rpc.Timeout
               ->
                 None))
@@ -175,14 +174,13 @@ let recover t i =
   Cluster.refresh_client_maps t.cl;
   let mode, reinstalled =
     match fetched with
-    | Some (o, entries, log_bytes) ->
-        let snapshot = Repl.Grant_log.materialize entries in
+    | Some (o, evs, log_bytes) ->
+        let snapshot = Repl.Grant_log.materialize evs in
         let n = Cluster.replay_lock_server t.cl i ~snapshot in
         ( Replay
             {
               r_backup = o.Repl.Election.el_backup;
-              r_entries = List.length entries;
-              r_rounds = o.el_rounds;
+              r_entries = Array.length evs;
               r_log_bytes = log_bytes;
             },
           n )

@@ -31,7 +31,6 @@ type recovery_mode =
   | Replay of {
       r_backup : int;  (** elected replica id *)
       r_entries : int;  (** log entries fetched and replayed *)
-      r_rounds : int;  (** election probe rounds *)
       r_log_bytes : int;  (** modeled fetch payload *)
     }
 

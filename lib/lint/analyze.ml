@@ -633,7 +633,8 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
   (* U002: a field read is a [Value] use of the field's key, the record
      type's path and the label, as [exported] spells it.  A type of this
      unit reaches the typedtree as a local [Pident], resolved through the
-     module its declaration was walked in. *)
+     module its declaration was walked in.  An inline record's type is
+     its constructor's, [Pextra_ty (type, Pcstr_ty constructor)]. *)
   let type_homes = Hashtbl.create 16 in
   let type_declaration sub (td : Typedtree.type_declaration) =
     Option.iter
@@ -643,16 +644,19 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
       !prefix;
     default_iterator.type_declaration sub td
   in
+  let rec type_comps : Path.t -> string list option = function
+    | Pident id -> Hashtbl.find_opt type_homes (Ident.unique_name id)
+    | Pextra_ty (p, Pcstr_ty c) ->
+        Option.map (fun t -> t @ [ c ]) (type_comps p)
+    | p -> Some (resolve p)
+  in
   let read_field env (lbl : Types.label_description) =
     let _, ty = expand ctx env lbl.lbl_res in
     match Types.get_desc ty with
     | Tconstr (p, _, _) ->
-        let ty_comps =
-          match p with
-          | Pident id -> Hashtbl.find_opt type_homes (Ident.unique_name id)
-          | _ -> Some (resolve p)
-        in
-        Option.iter (fun c -> emit (Value (c @ [ lbl.lbl_name ]))) ty_comps
+        Option.iter
+          (fun c -> emit (Value (c @ [ lbl.lbl_name ])))
+          (type_comps p)
     | _ -> ()
   in
   let pat : type k. iterator -> k Typedtree.general_pattern -> unit =
@@ -687,9 +691,17 @@ let collect_uses ctx ~unit_comps (str : Typedtree.structure) =
   !uses
 
 (* What a unit's interface exports, submodule signatures included: each
-   value (U001) and each field of a record type (U002), with its key,
-   attributes and location. *)
+   value (U001) and each field of a record type or of a constructor's
+   inline record (U002), with its key, attributes and location.  An
+   inline field's key runs through its constructor, [M.t.C.f]. *)
 let rec exported prefix (sg : Typedtree.signature) acc =
+  let fields path lds acc =
+    List.fold_left
+      (fun acc (ld : Typedtree.label_declaration) ->
+        ("U002", path @ [ ld.ld_name.txt ], ld.ld_attributes, ld.ld_loc)
+        :: acc)
+      acc lds
+  in
   List.fold_left
     (fun acc (item : Typedtree.signature_item) ->
       match item.sig_desc with
@@ -699,16 +711,17 @@ let rec exported prefix (sg : Typedtree.signature) acc =
       | Tsig_type (_, decls) ->
           List.fold_left
             (fun acc (td : Typedtree.type_declaration) ->
+              let ty = prefix @ [ td.typ_name.txt ] in
               match td.typ_kind with
-              | Ttype_record lds ->
+              | Ttype_record lds -> fields ty lds acc
+              | Ttype_variant cds ->
                   List.fold_left
-                    (fun acc (ld : Typedtree.label_declaration) ->
-                      ( "U002",
-                        prefix @ [ td.typ_name.txt; ld.ld_name.txt ],
-                        ld.ld_attributes,
-                        ld.ld_loc )
-                      :: acc)
-                    acc lds
+                    (fun acc (cd : Typedtree.constructor_declaration) ->
+                      match cd.cd_args with
+                      | Cstr_record lds ->
+                          fields (ty @ [ cd.cd_name.txt ]) lds acc
+                      | Cstr_tuple _ -> acc)
+                    acc cds
               | _ -> acc)
             acc decls
       | Tsig_module

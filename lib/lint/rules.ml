@@ -71,7 +71,8 @@ let all =
       id = "U002";
       title = "exported record field no unit reads";
       rationale =
-        "A record field a lib/ interface exports that no unit in lib/, \
+        "A record field a lib/ interface exports (a record type's or a \
+         constructor's inline record's) that no unit in lib/, \
          bin/, bench/ or test/ reads, by field access or pattern, is \
          written, documented and carried in every record for no reader \
          (warning 69 skips fields exported through an interface).  \

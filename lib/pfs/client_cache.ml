@@ -49,7 +49,6 @@ type t = {
   mutable dirty_total : int;
   mutable peak : int;
   space : Condition.t; (* signalled when dirty bytes shrink *)
-  work : Condition.t; (* wakes the voluntary flush daemon *)
   mutable cache_seconds : float;
   mutable flushed_bytes : int;
   mutable n_flush_rpcs : int;
@@ -207,7 +206,6 @@ let create eng params config ~node ~client_id ~io_route =
       dirty_total = 0;
       peak = 0;
       space = Condition.create eng;
-      work = Condition.create eng;
       cache_seconds = 0.;
       flushed_bytes = 0;
       n_flush_rpcs = 0;
@@ -265,7 +263,6 @@ let write t ~rid ~range ~sn ~op =
       cm := Extent_map.set !cm range (Some tag)
   | Some _ | None -> ());
   account t (Interval.length range - covered);
-  Condition.broadcast t.work;
   (match t.write_obs with Some f -> f ~rid ~range ~sn ~op | None -> ());
   match t.audit with Some f -> f ~rid | None -> ()
 

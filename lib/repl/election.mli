@@ -11,20 +11,20 @@
     the choice binding — stragglers of the old regime get [Stale] /
     [Stale_owner] rejections.
 
-    A live backup reporting committed < high-water has a known hole that
-    an in-flight retry courier will fill; election re-probes (bounded
-    rounds) rather than electing a log that is about to grow. *)
+    Each backup is probed once.  A backup holds exactly its committed
+    prefix (it refuses, never buffers, an event past it), so no answer
+    reports a hole that a retry is about to fill, and there is nothing
+    to re-probe for. *)
 
 type outcome = {
   el_backup : int;  (** elected replica id (index into the backup array) *)
   el_committed : int;  (** entries available for replay *)
   el_live : int;  (** backups that answered the probe *)
-  el_rounds : int;  (** probe rounds run *)
 }
 
 val elect :
   Group.t -> src:Netsim.Node.t -> view:Netsim.Rpc.View.t -> timeout:float ->
   outcome option
 (** [None] = no backup answered (total replica loss): the caller must
-    fall back to the client gather.  Runs in the calling process; each
-    round costs at most [backups × timeout]. *)
+    fall back to the client gather.  Runs in the calling process and
+    costs at most [backups × timeout]. *)

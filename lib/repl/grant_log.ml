@@ -1,8 +1,6 @@
 module Ls = Seqdlm.Lock_server
 module Int_map = Map.Make (Int)
 
-type entry = { lsn : int; ev : Ls.repl_event }
-
 (* Event [lsn] sits in slot [lsn - 1]; the slots from [len] on hold
    [vacant].  Entries are not boxed: the lsn is the index, and a backup
    stores the very event value its primary shipped, so one replicated
@@ -17,34 +15,16 @@ let vacant = Ls.R_drop_resource { e_rid = -1 }
 let create ?(epoch = 0) () = { epoch; evs = [||]; len = 0 }
 let epoch t = t.epoch
 let last_lsn t = t.len
-let length t = t.len
 
-let push t ev =
+let append t ev =
   if t.len = Array.length t.evs then begin
     let evs = Array.make (max 16 (2 * t.len)) vacant in
     Array.blit t.evs 0 evs 0 t.len;
     t.evs <- evs
   end;
   t.evs.(t.len) <- ev;
-  t.len <- t.len + 1
-
-let append t ev =
-  push t ev;
+  t.len <- t.len + 1;
   t.len
-
-let append_entry t (e : entry) =
-  if e.lsn <> t.len + 1 then
-    invalid_arg
-      (Printf.sprintf "Grant_log.append_entry: lsn %d, expected %d" e.lsn
-         (t.len + 1));
-  push t e.ev
-
-let entries t =
-  let acc = ref [] in
-  for i = t.len downto 1 do
-    acc := { lsn = i; ev = t.evs.(i - 1) } :: !acc
-  done;
-  !acc
 
 let events_from t ~lsn =
   let lo = max 1 lsn in
@@ -81,9 +61,8 @@ type snap_resource = {
 
 type snapshot = (Seqdlm.Types.resource_id * snap_resource) list
 
-let materialize (es : entry list) : snapshot =
-  let step acc { ev; _ } =
-    match ev with
+let materialize (evs : Ls.repl_event array) : snapshot =
+  let step acc = function
     | Ls.R_lock { rid; lock_id; client; mode; ranges; sn; state } ->
         let locks, floor =
           match Int_map.find_opt rid acc with
@@ -108,7 +87,7 @@ let materialize (es : entry list) : snapshot =
         Int_map.add s.e_rid (locks, max sn s.e_next_sn) acc
     | Ls.R_drop_resource d -> Int_map.remove d.e_rid acc
   in
-  let res = List.fold_left step Int_map.empty es in
+  let res = Array.fold_left step Int_map.empty evs in
   List.map
     (fun (rid, (locks, sn)) ->
       (rid, { sr_locks = List.map snd (Int_map.bindings locks); sr_next_sn = sn }))

@@ -2,23 +2,23 @@
 
     Every durable transition of the primary's lock table
     ({!Seqdlm.Lock_server.repl_event}) is appended under a log sequence
-    number; lsns are contiguous from 1 within one log epoch.  The same
-    structure holds a backup's committed prefix — a backup applies
-    entries strictly in lsn order, so its log is always an exact prefix
-    of what the primary produced under that epoch (the "log-prefix"
-    invariant the sanitizer sweeps).
+    number; lsns are contiguous from 1 within one log regime.  A log is
+    an array of events and an event's lsn is its position in it, on the
+    primary, on the wire (an Append names the lsn of its first event)
+    and on every backup.  The same structure holds a backup's committed
+    prefix: a backup only ever commits the next lsn, so its log is
+    always an exact prefix of what the primary produced in that regime
+    (the "log-prefix" invariant the sanitizer sweeps).
 
-    A log is volatile per epoch: an elected recovery resets it
-    ({!reset}) to the new membership epoch and the recovering primary's
-    reinstalls re-seed it, so log continuity survives consecutive
-    failovers.
+    A log is volatile per regime: a recovery resets it ({!reset}) to a
+    new regime, numbered by the shard map's fence epoch, and the
+    recovering primary's reinstalls re-seed it from lsn 1, so log
+    continuity survives consecutive failovers.
 
-    A log is an array of events indexed by lsn.  Entries are not boxed,
-    and a backup holds the same event values its primary shipped, so a
-    replicated entry costs one array slot per log.  {!entry} records
-    exist only in the lists {!entries} builds. *)
+    Events are not boxed, and a backup holds the same event values its
+    primary shipped, so a replicated event costs one array slot per
+    log. *)
 
-type entry = { lsn : int; ev : Seqdlm.Lock_server.repl_event }
 type t
 
 val create : ?epoch:int -> unit -> t
@@ -26,24 +26,19 @@ val epoch : t -> int
 val last_lsn : t -> int
 (** Highest appended lsn; 0 for an empty log. *)
 
-val length : t -> int
-
 val append : t -> Seqdlm.Lock_server.repl_event -> int
-(** Assign the next lsn (primary side) and return it. *)
-
-val append_entry : t -> entry -> unit
-(** Commit an already-numbered entry (backup side).
-    @raise Invalid_argument unless [entry.lsn] is exactly the next lsn. *)
-
-val entries : t -> entry list
-(** In lsn order. *)
+(** Commit the event under the next lsn and return that lsn (the
+    primary logging a transition, or a backup committing the next
+    shipped event). *)
 
 val events_from : t -> lsn:int -> Seqdlm.Lock_server.repl_event array
 (** The events with lsns [>= lsn], in lsn order, in a fresh array (a
-    shipped batch); empty past the tail. *)
+    shipped batch, a fetched log with [~lsn:1]); empty past the
+    tail. *)
 
 val reset : t -> epoch:int -> unit
-(** Truncate and move to a new epoch (election / adoption). *)
+(** Truncate and move to regime [epoch] (a recovery on the primary; the
+    first Append of a newer regime on a backup). *)
 
 val event_bytes : Seqdlm.Lock_server.repl_event -> int
 (** Modeled wire size of one shipped event. *)
@@ -71,4 +66,5 @@ type snap_resource = {
 type snapshot = (Seqdlm.Types.resource_id * snap_resource) list
 (** Ascending rid. *)
 
-val materialize : entry list -> snapshot
+val materialize : Seqdlm.Lock_server.repl_event array -> snapshot
+(** Folds events in array (lsn) order. *)

@@ -6,7 +6,6 @@ open Netsim
 type cursor = { mutable sent : int; mutable busy : bool }
 
 type t = {
-  eng : Engine.t;
   name : string; (* the primary lock server's name, e.g. "ls0" *)
   src : Node.t; (* the primary's node: appends ship from here *)
   log : Grant_log.t; (* the primary's in-memory log *)
@@ -19,7 +18,6 @@ type t = {
 
 let create eng ~name ~src ~backups ?reliability ~salt () =
   {
-    eng;
     name;
     src;
     log = Grant_log.create ();
@@ -30,7 +28,6 @@ let create eng ~name ~src ~backups ?reliability ~salt () =
     shipped = Obs.Metrics.counter (Engine.metrics eng) "repl.shipped";
   }
 
-let engine t = t.eng
 let log t = t.log
 let backups t = t.backups
 let f t = Array.length t.backups

@@ -32,7 +32,6 @@ val append : t -> Seqdlm.Lock_server.repl_event -> unit
     running; a running courier ships the entry after its current
     Append is acknowledged. *)
 
-val engine : t -> Dessim.Engine.t
 val log : t -> Grant_log.t
 val backups : t -> Replica.t array
 val f : t -> int

@@ -1,4 +1,3 @@
-open Ccpfs_util
 open Dessim
 open Netsim
 
@@ -12,69 +11,43 @@ type msg =
   | Fetch
 
 type resp =
-  | Ack of { r_epoch : int; r_committed : int; r_high : int }
-  | Log of { l_epoch : int; l_entries : Grant_log.entry list }
+  | Ack of { r_epoch : int; r_committed : int }
+  | Log of { l_evs : Seqdlm.Lock_server.repl_event array }
 
 type t = {
   id : int;
   node : Node.t;
   log : Grant_log.t; (* committed contiguous prefix *)
-  pending : Seqdlm.Lock_server.repl_event Int_tbl.t;
-      (* out-of-order arrivals beyond the committed prefix, by lsn *)
-  mutable high : int; (* highest lsn buffered in this regime, else 0 *)
   mutable ep : (msg, resp) Rpc.endpoint option;
   applied : Obs.Metrics.counter;
 }
 
-(* Highest lsn this backup has seen for its current epoch, committed or
-   buffered.  committed < high_water means the backup KNOWS it has a
-   hole that an in-flight retry will eventually fill; the election loop
-   waits those holes out.  Buffered lsns always exceed the committed
-   prefix when they arrive, and the prefix only grows past them by
-   draining them, so [high] never needs lowering within a regime. *)
-let high_water t = max t.high (Grant_log.last_lsn t.log)
-
 let ack t =
   Ack
-    {
-      r_epoch = Grant_log.epoch t.log;
-      r_committed = Grant_log.last_lsn t.log;
-      r_high = high_water t;
-    }
+    { r_epoch = Grant_log.epoch t.log; r_committed = Grant_log.last_lsn t.log }
 
-let commit t ev =
-  ignore (Grant_log.append t.log ev);
-  Obs.Metrics.incr t.applied
-
-(* One shipped entry: skip it if already committed; commit it at once
-   when it is next and nothing is buffered (the common case); else
-   buffer it until the hole before it fills. *)
+(* One shipped event.  A batch only ever starts at or below the
+   committed prefix + 1: the primary has one Append in flight per
+   backup, a retry or a duplicate resends the same batch, and a new
+   regime restarts at lsn 1.  So an lsn already committed is skipped,
+   the next one commits, and a later one is a shipping fault. *)
 let accept t lsn ev =
   let last = Grant_log.last_lsn t.log in
-  if lsn > last then begin
-    t.high <- max t.high lsn;
-    if lsn = last + 1 && Int_tbl.length t.pending = 0 then commit t ev
-    else Int_tbl.replace t.pending lsn ev
+  if lsn = last + 1 then begin
+    ignore (Grant_log.append t.log ev);
+    Obs.Metrics.incr t.applied
   end
-
-(* Commit the contiguous prefix the buffer now extends. *)
-let rec drain t =
-  let next = Grant_log.last_lsn t.log + 1 in
-  match Int_tbl.find_opt t.pending next with
-  | Some ev ->
-      Int_tbl.remove t.pending next;
-      commit t ev;
-      drain t
-  | None -> ()
+  else if lsn > last then
+    invalid_arg
+      (Printf.sprintf
+         "Replica.accept: backup %s got lsn %d past its committed prefix %d"
+         (Rpc.name (Option.get t.ep))
+         lsn last)
 
 let handle t msg ~reply =
   match msg with
   | Probe -> reply (ack t)
-  | Fetch ->
-      reply
-        (Log
-           { l_epoch = Grant_log.epoch t.log;
-             l_entries = Grant_log.entries t.log })
+  | Fetch -> reply (Log { l_evs = Grant_log.events_from t.log ~lsn:1 })
   | Append { a_epoch; a_first_lsn; a_evs } ->
       let lepoch = Grant_log.epoch t.log in
       if a_epoch < lepoch then
@@ -83,15 +56,11 @@ let handle t msg ~reply =
            fenced-off regime. *)
         reply (ack t)
       else begin
-        if a_epoch > lepoch then begin
+        if a_epoch > lepoch then
           (* First batch of a new regime: the old log is superseded
              wholesale (the new primary re-seeds from lsn 1). *)
           Grant_log.reset t.log ~epoch:a_epoch;
-          Int_tbl.reset t.pending;
-          t.high <- 0
-        end;
         Array.iteri (fun i ev -> accept t (a_first_lsn + i) ev) a_evs;
-        drain t;
         reply (ack t)
       end
 
@@ -101,8 +70,6 @@ let create eng params ~node ~name ~id =
       id;
       node;
       log = Grant_log.create ();
-      pending = Int_tbl.create 16;
-      high = 0;
       ep = None;
       applied = Obs.Metrics.counter (Engine.metrics eng) "repl.applied";
     }

@@ -93,7 +93,7 @@ let test_finding_counts () =
       ("p002_bad.ml", 2) (* (=) + compare *);
       ("u001_bad.ml", 1) (* orphan *);
       ("u001_user.ml", 0);
-      ("u002_bad.ml", 1) (* unread *);
+      ("u002_bad.ml", 2) (* unread + inline unseen *);
       ("u002_user.ml", 0);
     ]
 

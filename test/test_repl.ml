@@ -43,24 +43,23 @@ let test_log_lsns () =
   let ev2 = Ls.R_sn { e_rid = 7; e_next_sn = 2 } in
   Alcotest.(check int) "lsn 1" 1 (Repl.Grant_log.append log ev1);
   Alcotest.(check int) "lsn 2" 2 (Repl.Grant_log.append log ev2);
-  Alcotest.(check int) "length" 2 (Repl.Grant_log.length log);
-  (* Backup side: committing out of order is a programming error. *)
-  let e1 = { Repl.Grant_log.lsn = 1; ev = ev1 }
-  and e2 = { Repl.Grant_log.lsn = 2; ev = ev2 } in
+  Alcotest.(check int) "last lsn" 2 (Repl.Grant_log.last_lsn log);
+  (* Backup side: committing the shipped events in order puts each at
+     the lsn the primary gave it. *)
   let backup = Repl.Grant_log.create () in
-  Alcotest.check_raises "gap rejected"
-    (Invalid_argument "Grant_log.append_entry: lsn 2, expected 1") (fun () ->
-      Repl.Grant_log.append_entry backup e2);
-  Repl.Grant_log.append_entry backup e1;
-  Repl.Grant_log.append_entry backup e2;
+  Array.iter
+    (fun ev -> ignore (Repl.Grant_log.append backup ev))
+    (Repl.Grant_log.events_from log ~lsn:1);
   Alcotest.(check int) "prefix committed" 2 (Repl.Grant_log.last_lsn backup);
+  Alcotest.(check bool) "same events at the same lsns" true
+    (Repl.Grant_log.events_from backup ~lsn:1 = [| ev1; ev2 |]);
   Repl.Grant_log.reset log ~epoch:3;
   Alcotest.(check int) "reset truncates" 0 (Repl.Grant_log.last_lsn log);
   Alcotest.(check int) "reset moves regime" 3 (Repl.Grant_log.epoch log)
 
 (* The log's array grows by doubling and a reset drops it: across
    several growths, a reset and a regrowth, every read must agree with
-   a plain list of (lsn, event) pairs. *)
+   a plain list of events, event [i] at lsn [i + 1]. *)
 let test_log_growth_and_reset () =
   let log = Repl.Grant_log.create () in
   let ev i =
@@ -69,16 +68,13 @@ let test_log_growth_and_reset () =
       r_lock ~rid:(i mod 5) ~id:i ~client:(i mod 4) ~mode:Mode.PW
         ~off:(i * 4096) ~len:4096 ~sn:i ()
   in
-  let pairs es =
-    List.map (fun (e : Repl.Grant_log.entry) -> (e.lsn, e.ev)) es
-  in
   let check_against phase reference =
     let n = List.length reference in
     let expect = List.mapi (fun i ev -> (i + 1, ev)) reference in
     Alcotest.(check int) (phase ^ ": last lsn") n
       (Repl.Grant_log.last_lsn log);
-    Alcotest.(check bool) (phase ^ ": entries") true
-      (pairs (Repl.Grant_log.entries log) = expect);
+    Alcotest.(check bool) (phase ^ ": events") true
+      (Array.to_list (Repl.Grant_log.events_from log ~lsn:1) = reference);
     List.iter
       (fun lsn ->
         Alcotest.(check bool)
@@ -105,17 +101,14 @@ let test_log_growth_and_reset () =
   check_against "empty" [];
   let first = fill 1 150 in
   check_against "after four doublings" first;
-  Alcotest.check_raises "gap rejected on a grown log"
-    (Invalid_argument "Grant_log.append_entry: lsn 153, expected 151")
-    (fun () ->
-      Repl.Grant_log.append_entry log { lsn = 153; ev = ev 153 });
   Repl.Grant_log.reset log ~epoch:4;
   check_against "after reset" [];
   Alcotest.(check int) "reset moves regime" 4 (Repl.Grant_log.epoch log);
   let second = fill 1000 1040 in
   check_against "regrown" second;
-  Repl.Grant_log.append_entry log { lsn = 42; ev = ev 42 };
-  check_against "backup-side append" (second @ [ ev 42 ])
+  Alcotest.(check int) "an append past a regrowth takes the next lsn" 42
+    (Repl.Grant_log.append log (ev 42));
+  check_against "appended past the regrowth" (second @ [ ev 42 ])
 
 let test_log_materialize () =
   let log = Repl.Grant_log.create () in
@@ -131,7 +124,7 @@ let test_log_materialize () =
   (* r9 exists then migrates away entirely. *)
   push (r_lock ~rid:9 ~id:1 ~client:0 ~mode:Mode.PR ~off:0 ~len:4096 ~sn:0 ());
   push (Ls.R_drop_resource { e_rid = 9 });
-  match Repl.Grant_log.materialize (Repl.Grant_log.entries log) with
+  match Repl.Grant_log.materialize (Repl.Grant_log.events_from log ~lsn:1) with
   | [ (5, r5) ] ->
       Alcotest.(check int) "exact sequencer position" 3 r5.Repl.Grant_log.sr_next_sn;
       (match r5.sr_locks with
@@ -164,22 +157,20 @@ let with_replica f =
   r
 
 (* Deliver one batch of consecutive entries from [first]; the reply is
-   the backup's (committed, high-water). *)
+   the backup's committed prefix. *)
 let batch r src ~epoch ~first evs =
   match
     Netsim.Rpc.call (Repl.Replica.endpoint r) ~src
       (Repl.Replica.Append
          { a_epoch = epoch; a_first_lsn = first; a_evs = Array.of_list evs })
   with
-  | Repl.Replica.Ack { r_committed; r_high; _ } -> (r_committed, r_high)
+  | Repl.Replica.Ack { r_committed; _ } -> r_committed
   | Repl.Replica.Log _ -> Alcotest.fail "Append answered with Log"
 
 let append r src ~epoch ~lsn ev = batch r src ~epoch ~first:lsn [ ev ]
 
 let log_events r =
-  List.map
-    (fun (e : Repl.Grant_log.entry) -> e.ev)
-    (Repl.Grant_log.entries (Repl.Replica.log r))
+  Array.to_list (Repl.Grant_log.events_from (Repl.Replica.log r) ~lsn:1)
 
 let ev_seq i =
   r_lock ~rid:6 ~id:i ~client:(i mod 3) ~mode:Mode.PW ~off:(i * 4096)
@@ -190,9 +181,9 @@ let evs lo hi = List.init (hi - lo + 1) (fun k -> ev_seq (lo + k))
 let test_batch_in_order () =
   let r =
     with_replica (fun r src ->
-        Alcotest.(check (pair int int)) "three entries commit" (3, 3)
+        Alcotest.(check int) "three entries commit" 3
           (batch r src ~epoch:0 ~first:1 (evs 1 3));
-        Alcotest.(check (pair int int)) "the next batch extends them" (5, 5)
+        Alcotest.(check int) "the next batch extends them" 5
           (batch r src ~epoch:0 ~first:4 (evs 4 5)))
   in
   Alcotest.(check int) "one handler run (one ack) per batch" 2
@@ -204,42 +195,43 @@ let test_batch_duplicate_and_overlap () =
   let r =
     with_replica (fun r src ->
         ignore (batch r src ~epoch:0 ~first:1 (evs 1 3));
-        Alcotest.(check (pair int int)) "a retransmitted batch applies nothing"
-          (3, 3)
+        Alcotest.(check int) "a retransmitted batch applies nothing" 3
           (batch r src ~epoch:0 ~first:1 (evs 1 3));
-        Alcotest.(check (pair int int)) "a batch inside the prefix" (3, 3)
+        Alcotest.(check int) "a batch inside the prefix" 3
           (batch r src ~epoch:0 ~first:2 (evs 2 2));
-        Alcotest.(check (pair int int))
-          "a batch overlapping the prefix applies only its tail" (6, 6)
+        Alcotest.(check int)
+          "a batch overlapping the prefix applies only its tail" 6
           (batch r src ~epoch:0 ~first:2 (evs 2 6)))
   in
   Alcotest.(check bool) "every entry applied exactly once" true
     (log_events r = evs 1 6)
 
-let test_batch_out_of_order () =
-  let r =
-    with_replica (fun r src ->
-        ignore (batch r src ~epoch:0 ~first:1 (evs 1 2));
-        Alcotest.(check (pair int int)) "past a hole: buffered" (2, 7)
-          (batch r src ~epoch:0 ~first:5 (evs 5 7));
-        Alcotest.(check int) "high water shows the hole" 7
-          (Repl.Replica.high_water r);
-        Alcotest.(check (pair int int)) "the hole fills, the buffer drains"
-          (8, 8)
-          (batch r src ~epoch:0 ~first:3 (evs 3 8)))
-  in
-  Alcotest.(check bool) "contiguous log" true (log_events r = evs 1 8)
+(* A batch that starts past committed + 1 never arises (one Append in
+   flight per backup; retries resend the same batch; a new regime
+   restarts at lsn 1), so a replica refuses it rather than buffer it:
+   the handler raises, naming the backup, the lsn and the prefix, and
+   commits nothing. *)
+let test_batch_refused_past_prefix () =
+  let committed = ref (-1) in
+  Alcotest.check_raises "an lsn past committed + 1 is refused"
+    (Invalid_argument
+       "Replica.accept: backup ls0.b0.repl got lsn 4 past its committed \
+        prefix 2") (fun () ->
+      ignore
+        (with_replica (fun r src ->
+             ignore (batch r src ~epoch:0 ~first:1 (evs 1 2));
+             committed := Repl.Replica.committed r;
+             ignore (batch r src ~epoch:0 ~first:4 (evs 4 5)))));
+  Alcotest.(check int) "the prefix before the refused batch" 2 !committed
 
 let test_batch_epochs () =
   let r =
     with_replica (fun r src ->
         ignore (batch r src ~epoch:2 ~first:1 (evs 1 2));
-        Alcotest.(check (pair int int)) "a stale regime's batch: acked only"
-          (2, 2)
+        Alcotest.(check int) "a stale regime's batch: acked only" 2
           (batch r src ~epoch:1 ~first:3 (evs 3 5));
         Alcotest.(check int) "regime unchanged" 2 (Repl.Replica.epoch r);
-        Alcotest.(check (pair int int)) "a newer regime resets the replica"
-          (2, 2)
+        Alcotest.(check int) "a newer regime resets the replica" 2
           (batch r src ~epoch:4 ~first:1 (evs 11 12)))
   in
   Alcotest.(check int) "final regime" 4 (Repl.Replica.epoch r);
@@ -295,7 +287,7 @@ let shipped eng =
 
 (* Reset the group while its first Append is on the wire: the orphan is
    acknowledged, and the next batch carries the new regime from lsn 1
-   (one starting past lsn 1 would sit in the backup's buffer). *)
+   (one starting past lsn 1 would be refused). *)
 let test_group_reset_in_flight () =
   let g, eng, _, _ =
     with_group ~backups:1 (fun eng g ->
@@ -385,7 +377,10 @@ let prop_group_ships_everything =
             Test.fail_reportf "backup %d in regime %d, primary in %d"
               (Repl.Replica.id b) (Repl.Grant_log.epoch blog)
               (Repl.Grant_log.epoch plog);
-          if Repl.Grant_log.entries blog <> Repl.Grant_log.entries plog then
+          if
+            Repl.Grant_log.events_from blog ~lsn:1
+            <> Repl.Grant_log.events_from plog ~lsn:1
+          then
             Test.fail_reportf "backup %d: %d entries, primary %d"
               (Repl.Replica.id b)
               (Repl.Grant_log.last_lsn blog)
@@ -398,26 +393,6 @@ let prop_group_ships_everything =
         Test.fail_reportf "%d Appends in flight to one backup" couriers_max;
       true)
 
-let test_replica_reorders () =
-  let ev i =
-    r_lock ~rid:3 ~id:i ~client:0 ~mode:Mode.PR ~off:(i * 4096) ~len:4096
-      ~sn:0 ()
-  in
-  let r =
-    with_replica (fun r src ->
-        (* Deliver 1 then 3 (a hole), then 2: commit must stay contiguous
-           and the high-water mark must reveal the buffered entry. *)
-        let c, h = append r src ~epoch:0 ~lsn:1 (ev 1) in
-        Alcotest.(check (pair int int)) "lsn 1 lands" (1, 1) (c, h);
-        let c, h = append r src ~epoch:0 ~lsn:3 (ev 3) in
-        Alcotest.(check (pair int int)) "lsn 3 buffered as a known hole"
-          (1, 3) (c, h);
-        let c, h = append r src ~epoch:0 ~lsn:2 (ev 2) in
-        Alcotest.(check (pair int int)) "hole filled, prefix drains" (3, 3)
-          (c, h))
-  in
-  Alcotest.(check int) "committed" 3 (Repl.Replica.committed r)
-
 let test_replica_epoch_discipline () =
   let ev = r_lock ~rid:1 ~id:1 ~client:0 ~mode:Mode.PW ~off:0 ~len:4096 ~sn:1 () in
   let r =
@@ -425,41 +400,15 @@ let test_replica_epoch_discipline () =
         ignore (append r src ~epoch:2 ~lsn:1 ev);
         (* A stale regime's courier is acknowledged (so its retry loop
            terminates) but applies nothing. *)
-        let c, _ = append r src ~epoch:1 ~lsn:2 ev in
+        let c = append r src ~epoch:1 ~lsn:2 ev in
         Alcotest.(check int) "older epoch discarded" 1 c;
         Alcotest.(check int) "regime unchanged" 2 (Repl.Replica.epoch r);
         (* A newer regime supersedes the copy wholesale. *)
-        let c, _ = append r src ~epoch:5 ~lsn:1 ev in
+        let c = append r src ~epoch:5 ~lsn:1 ev in
         Alcotest.(check int) "new regime restarts from lsn 1" 1 c)
   in
   Alcotest.(check int) "final regime" 5 (Repl.Replica.epoch r);
   Alcotest.(check int) "final log" 1 (Repl.Replica.committed r)
-
-(* The high-water mark is kept, not recomputed: it must still report a
-   buffered hole, settle when the hole fills, and restart with a new
-   regime even though a stale buffered lsn sat above the prefix. *)
-let test_replica_high_water () =
-  let ev i =
-    r_lock ~rid:4 ~id:i ~client:0 ~mode:Mode.PR ~off:(i * 4096) ~len:4096
-      ~sn:0 ()
-  in
-  let step r src ~epoch ~lsn label expect =
-    Alcotest.(check (pair int int)) label expect
-      (append r src ~epoch ~lsn (ev lsn));
-    Alcotest.(check int) (label ^ ": high_water") (snd expect)
-      (Repl.Replica.high_water r)
-  in
-  let r =
-    with_replica (fun r src ->
-        step r src ~epoch:0 ~lsn:1 "in order" (1, 1);
-        step r src ~epoch:0 ~lsn:4 "hole behind lsn 4: high > committed" (1, 4);
-        step r src ~epoch:0 ~lsn:2 "hole narrows" (2, 4);
-        step r src ~epoch:0 ~lsn:3 "hole filled: equal" (4, 4);
-        step r src ~epoch:0 ~lsn:7 "a second hole" (4, 7);
-        step r src ~epoch:3 ~lsn:2 "new regime resets both" (0, 2);
-        step r src ~epoch:3 ~lsn:1 "new regime drains" (2, 2))
-  in
-  Alcotest.(check int) "final regime" 3 (Repl.Replica.epoch r)
 
 (* ---------------------------------------------------------------- *)
 (* Live cluster: shipping, election, invariant sweep                 *)
@@ -488,7 +437,7 @@ let test_shipping_drains () =
   let g = Option.get (Cluster.repl_group cl 0) in
   Alcotest.(check int) "replication factor" 2 (Cluster.replication cl);
   Alcotest.(check bool) "transitions were logged" true
-    (Repl.Grant_log.length (Repl.Group.log g) > 0);
+    (Repl.Grant_log.last_lsn (Repl.Group.log g) > 0);
   Alcotest.(check int) "every backup fully caught up" 0 (Repl.Group.max_lag g);
   (* The sweep the sanitizer runs: prefix + uniqueness. *)
   Check.Sanitize.check_cluster cl;
@@ -539,8 +488,7 @@ let test_election_prefers_longest_then_lowest () =
       Alcotest.(check int) "both answered" 2 o.el_live;
       Alcotest.(check int) "full log elected"
         (Repl.Grant_log.last_lsn (Repl.Group.log g))
-        o.el_committed;
-      Alcotest.(check int) "no re-probe needed" 1 o.el_rounds
+        o.el_committed
   | None -> Alcotest.fail "no backup answered the probe"
 
 (* ---------------------------------------------------------------- *)
@@ -591,10 +539,9 @@ let test_replay_failover () =
       Alcotest.(check bool) "recovered after detection" true
         (r.f_recover > r.f_detect);
       match r.f_mode with
-      | Ha.Failover.Replay { r_entries; r_log_bytes; r_rounds; r_backup } ->
+      | Ha.Failover.Replay { r_entries; r_log_bytes; r_backup } ->
           Alcotest.(check bool) "log entries replayed" true (r_entries > 0);
           Alcotest.(check bool) "fetch payload charged" true (r_log_bytes > 0);
-          Alcotest.(check int) "single probe round" 1 r_rounds;
           Alcotest.(check int) "backup 0 elected" 0 r_backup;
           Alcotest.(check bool) "locks came back from the log" true
             (r.f_reinstalled > 0)
@@ -652,8 +599,11 @@ let test_replay_matches_gather () =
   let g = Option.get (Cluster.repl_group cl 0) in
   Alcotest.(check int) "quiesced: backups caught up" 0 (Repl.Group.max_lag g);
   (* Freeze the pre-crash history: the backup's committed log. *)
-  let entries = Repl.Grant_log.entries (Repl.Replica.log (Repl.Group.backups g).(0)) in
-  Alcotest.(check bool) "history recorded" true (entries <> []);
+  let history =
+    Repl.Grant_log.events_from (Repl.Replica.log (Repl.Group.backups g).(0))
+      ~lsn:1
+  in
+  Alcotest.(check bool) "history recorded" true (history <> [||]);
   (* Three sources describe the same granted locks before the crash: the
      server's table, the primary's materialized log and the clients'
      caches (the gather's input). *)
@@ -661,7 +611,8 @@ let test_replay_matches_gather () =
   let logged =
     List.concat_map
       (fun (_, r) -> r.Repl.Grant_log.sr_locks)
-      (Repl.Grant_log.materialize (Repl.Grant_log.entries (Repl.Group.log g)))
+      (Repl.Grant_log.materialize
+         (Repl.Grant_log.events_from (Repl.Group.log g) ~lsn:1))
   in
   (* Each client reports in (rid, lock id) order; the records' first two
      fields are rid and lock id, so [compare] merges them into it. *)
@@ -684,7 +635,7 @@ let test_replay_matches_gather () =
   Repl.Group.reset g ~epoch:(Shard_map.fence (Cluster.shard_map cl));
   let reinstalled =
     Cluster.replay_lock_server cl 0
-      ~snapshot:(Repl.Grant_log.materialize entries)
+      ~snapshot:(Repl.Grant_log.materialize history)
   in
   let replay_dump = dump_server srv in
   Alcotest.(check bool) "locks were replayed" true (reinstalled > 0);
@@ -705,18 +656,14 @@ let suite =
       ] );
     ( "repl.replica",
       [
-        Alcotest.test_case "out-of-order appends commit contiguously" `Quick
-          test_replica_reorders;
         Alcotest.test_case "epoch discipline: discard old, supersede new"
           `Quick test_replica_epoch_discipline;
-        Alcotest.test_case "high water: hole, fill, new regime" `Quick
-          test_replica_high_water;
         Alcotest.test_case "batch: in order, one ack" `Quick
           test_batch_in_order;
         Alcotest.test_case "batch: duplicate or overlap applies once" `Quick
           test_batch_duplicate_and_overlap;
-        Alcotest.test_case "batch: out of order buffers, then drains" `Quick
-          test_batch_out_of_order;
+        Alcotest.test_case "batch: past committed + 1 is refused" `Quick
+          test_batch_refused_past_prefix;
         Alcotest.test_case "batch: stale regime acked, newer resets" `Quick
           test_batch_epochs;
       ] );
