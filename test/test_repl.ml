@@ -662,7 +662,7 @@ let suite =
           test_batch_in_order;
         Alcotest.test_case "batch: duplicate or overlap applies once" `Quick
           test_batch_duplicate_and_overlap;
-        Alcotest.test_case "batch: past committed + 1 is refused" `Quick
+        Alcotest.test_case "batch: a gap past the prefix is refused" `Quick
           test_batch_refused_past_prefix;
         Alcotest.test_case "batch: stale regime acked, newer resets" `Quick
           test_batch_epochs;
