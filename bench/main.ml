@@ -248,6 +248,64 @@ let bench_data_server_gap_flush =
           Dessim.Engine.run eng;
           Sys.opaque_identity (Ccpfs.Data_server.extent_cache_entries ds)))
 
+(* Fig. 20's N-1 strided stripe: 16 ranks' 64 KiB blocks at stride 16,
+   15,360 in all, 960 per rank.  The stripe is truncated empty, then
+   the 14,400 blocks of ranks 0-14 arrive as one Write_flush of a
+   persistent map: a gap flush, joined into the cache and the store
+   whole.  With [interleaved], rank 15's 960 blocks follow as a second
+   Write_flush.  Its span meets the cache, so every block takes the
+   per-block path, each one a gap insert between two of the other
+   ranks' blocks.  The rows differ by that flush alone:
+   (interleaved - gap) / 960 is the per-block path's cost per block. *)
+let bench_data_server_strided ~interleaved =
+  let name =
+    if interleaved then
+      "data server: 960-block interleaved flush into a 15,360-extent stripe"
+    else "data server: 14,400-block gap flush into an emptied stripe"
+  in
+  row name (fun () ->
+      let block = 65536 and ranks = 16 and per_rank = 960 in
+      let params = Netsim.Params.default in
+      let eng = Dessim.Engine.create () in
+      let node = Netsim.Node.create eng params ~name:"ds" ~with_disk:true () in
+      let client = Netsim.Node.create eng params ~name:"c" () in
+      let lock_server =
+        Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+          ~policy:Seqdlm.Policy.seqdlm
+      in
+      let ds =
+        Ccpfs.Data_server.create eng params Ccpfs.Config.default ~node
+          ~name:"ds" ~lock_server
+      in
+      let blocks keep =
+        List.init (ranks * per_rank) Fun.id
+        |> List.filter (fun k -> keep (k mod ranks))
+        |> List.fold_left
+             (fun m k ->
+               Extent_map.set m
+                 (iv (k * block) ((k + 1) * block))
+                 { Content.writer = k mod ranks; op = k; sn = 1 + (k mod ranks) })
+             Extent_map.empty
+      in
+      let others = blocks (fun r -> r < ranks - 1) in
+      let last = blocks (fun r -> r = ranks - 1) in
+      let ep = Ccpfs.Data_server.endpoint ds in
+      let call req =
+        match Netsim.Rpc.call ep ~src:client ~req_bytes:4096 req with
+        | Ccpfs.Data_server.Done -> ()
+        | r -> failwith (Ccpfs.Data_server.io_resp_to_string r)
+      in
+      let flush extents =
+        call (Ccpfs.Data_server.Write_flush { rid = 1; extents; ctl = [] })
+      in
+      Staged.stage (fun () ->
+          Dessim.Engine.spawn eng ~name:"flush" (fun () ->
+              call (Ccpfs.Data_server.Truncate { rid = 1; keep_below = 0 });
+              flush others;
+              if interleaved then flush last);
+          Dessim.Engine.run eng;
+          Sys.opaque_identity (Ccpfs.Data_server.extent_cache_entries ds)))
+
 (* One amortised coalescing pass over a cache where no neighbours share
    a value: a scan that should allocate nothing and return the map. *)
 let bench_extent_map_coalesce n =
@@ -841,6 +899,8 @@ let micro_rows =
     bench_data_server_ingest 16384;
     bench_data_server_ingest 262144;
     bench_data_server_gap_flush;
+    bench_data_server_strided ~interleaved:false;
+    bench_data_server_strided ~interleaved:true;
     bench_client_cache_flush;
     bench_client_cache_appends;
     bench_lcm;

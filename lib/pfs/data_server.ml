@@ -1,6 +1,7 @@
 open Ccpfs_util
 open Dessim
 open Netsim
+module Cache = Extent_map.Transient
 
 type block = { b_range : Interval.t; b_tag : Content.tag }
 
@@ -42,10 +43,12 @@ type stats = {
    uniqueness across clients (a lock-server invariant) makes the op
    comparison well-defined: equal SNs always belong to one client.  The
    cache holds each block's own tag, which the store shares, so an
-   entry allocates no key; only its [sn] and [op] are ever compared. *)
+   entry allocates no key; only its [sn] and [op] are ever compared.
+   Cache and store are transient handles, edited in place (DESIGN.md
+   §17); only [contents] hands the store out, frozen. *)
 type stripe = {
-  mutable cache : Content.tag Extent_map.t; (* range -> max (SN, op) *)
-  mutable store : Content.t; (* device contents *)
+  mutable cache : Content.tag Cache.t; (* range -> max (SN, op) *)
+  store : Content.Store.t; (* device contents *)
   mutable log : (Interval.t * Content.tag) list; (* extent log, newest first *)
   mutable coalesced_at : int;
       (* cache cardinality after the last coalescing pass; same-SN
@@ -64,7 +67,7 @@ type stripe = {
    the limit forces the next sync first.  It is never raised here, which
    would postpone merging the entries added since the last pass. *)
 let shrunk st =
-  st.coalesced_at <- min st.coalesced_at (Extent_map.cardinal st.cache)
+  st.coalesced_at <- min st.coalesced_at (Cache.cardinal st.cache)
 
 type t = {
   eng : Engine.t;
@@ -97,7 +100,8 @@ let stripe t rid =
   | Some s -> s
   | None ->
       let s =
-        { cache = Extent_map.empty; store = Content.empty; log = [];
+        { cache = Cache.of_map Extent_map.empty; store = Content.Store.create ();
+          log = [];
           coalesced_at = 0; seams_dirty = false }
       in
       Int_tbl.add t.stripes rid s;
@@ -106,7 +110,7 @@ let stripe t rid =
 let total_cache_entries t =
   (Int_tbl.fold
      [@lint.allow "D001 integer sum over the stripes, commutative: order invisible"])
-    (fun _ s acc -> acc + Extent_map.cardinal s.cache)
+    (fun _ s acc -> acc + Cache.cardinal s.cache)
     t.stripes 0
 
 (* Stripe sweeps iterate rids in this canonical order, never raw
@@ -124,20 +128,20 @@ let newer (a : Content.tag) (b : Content.tag) =
 (* Merge continuous same-(SN, op) extents (Fig. 15), amortised: a full
    pass only once the cache has grown 25% past its last coalesced size. *)
 let coalesce_limit st = (st.coalesced_at * 5 / 4) + 16
-let coalesce_due st = Extent_map.cardinal st.cache > coalesce_limit st
+let coalesce_due st = Cache.cardinal st.cache > coalesce_limit st
 
 (* A pass over a cache with no equal seam merges nothing and returns the
    cache as it was, so it is skipped; what it would have recorded, the
    cardinality it leaves, is recorded all the same. *)
 let coalesce t st =
   if st.seams_dirty || t.always_coalesce then begin
-    let n = Extent_map.cardinal st.cache in
-    st.cache <- Extent_map.coalesce ~eq:pair_eq st.cache;
-    st.coalesced_at <- Extent_map.cardinal st.cache;
+    let n = Cache.cardinal st.cache in
+    Cache.coalesce ~eq:pair_eq st.cache;
+    st.coalesced_at <- Cache.cardinal st.cache;
     t.stats.coalesced <- t.stats.coalesced + n - st.coalesced_at;
     st.seams_dirty <- false
   end
-  else st.coalesced_at <- Extent_map.cardinal st.cache
+  else st.coalesced_at <- Cache.cardinal st.cache
 
 (* Whether any piece of an update set, now in the cache, meets an equal
    neighbour at either end — each other included, when two pieces
@@ -146,8 +150,8 @@ let coalesce t st =
 let rec pieces_meet_equal cache = function
   | [] -> false
   | (seg : Interval.t) :: rest ->
-      Extent_map.equal_at ~eq:pair_eq cache seg.lo
-      || Extent_map.equal_at ~eq:pair_eq cache seg.hi
+      Cache.equal_at ~eq:pair_eq cache seg.lo
+      || Cache.equal_at ~eq:pair_eq cache seg.hi
       || pieces_meet_equal cache rest
 
 let received t ~size ~written =
@@ -157,17 +161,16 @@ let received t ~size ~written =
 
 (* Fig. 15 steps ①-④ for one incoming block. *)
 let apply_block t st range (tag : Content.tag) =
-  let cache, update_set =
-    Extent_map.merge st.cache range tag ~keep_new:(fun ~old -> newer tag old)
+  let update_set =
+    Cache.merge st.cache range tag ~keep_new:(fun ~old -> newer tag old)
   in
-  st.cache <- cache;
-  if (not st.seams_dirty) && pieces_meet_equal cache update_set then
+  if (not st.seams_dirty) && pieces_meet_equal st.cache update_set then
     st.seams_dirty <- true;
   if coalesce_due st then coalesce t st;
   let written =
     List.fold_left
       (fun acc seg ->
-        st.store <- Content.write st.store seg tag;
+        Content.Store.write st.store seg tag;
         if t.config.Config.extent_log then st.log <- (seg, tag) :: st.log;
         acc + Interval.length seg)
       0 update_set
@@ -184,21 +187,23 @@ let ingest t ~rid b = apply_block t (stripe t rid) b.b_range b.b_tag
    loop's coalescing pass would fire: with n0 entries before it, block
    j (from 0) leaves n0 + j + 1, so the pass runs after the first
    [coalesce_limit - n0 + 1] blocks.  The device takes every block as the
-   loop would; [Content.write_all] joins the map there too when the
+   loop would; [Content.Store.write_all] joins the map there too when the
    span is free on the device (older data, e.g. after a cleanup, gets
-   the blocks one by one). *)
+   the blocks one by one).  The joined nodes stay the message's: cache
+   and store share them and copy one only when a later block changes
+   it. *)
 let apply_gap t st extents =
   (* Each joined piece is checked for equal seams inside it and at its
      two ends; after a mid-join pass, the rest is checked afresh. *)
   let set_piece piece =
-    st.cache <- Extent_map.set_all st.cache piece;
+    Cache.set_all st.cache piece;
     if
       (not st.seams_dirty)
-      && Extent_map.seams_equal ~eq:pair_eq st.cache piece
+      && Cache.seams_equal ~eq:pair_eq st.cache piece
     then st.seams_dirty <- true
   in
   let rec join extents =
-    let room = coalesce_limit st - Extent_map.cardinal st.cache in
+    let room = coalesce_limit st - Cache.cardinal st.cache in
     if Extent_map.cardinal extents <= room then set_piece extents
     else begin
       let head, rest = Extent_map.split_nth extents (max 0 room + 1) in
@@ -208,7 +213,7 @@ let apply_gap t st extents =
     end
   in
   join extents;
-  st.store <- Content.write_all st.store extents;
+  Content.Store.write_all st.store extents;
   if t.config.Config.extent_log then
     Extent_map.iter (fun seg tag -> st.log <- (seg, tag) :: st.log) extents;
   t.blocks_seen <- t.blocks_seen + Extent_map.cardinal extents;
@@ -220,7 +225,7 @@ let apply_gap t st extents =
 let apply_flush t st extents =
   match Extent_map.span extents with
   | None -> 0
-  | Some span when t.drop_every = 0 && not (Extent_map.overlaps st.cache span) ->
+  | Some span when t.drop_every = 0 && not (Cache.overlaps st.cache span) ->
       apply_gap t st extents
   | Some _ ->
       Extent_map.fold
@@ -318,7 +323,7 @@ let handle t req ~reply : Engine.step =
         ( Resource.reserve (Node.disk t.node)
             (float_of_int (Interval.length range)),
           fun () ->
-            reply (Data (Content.read st.store range));
+            reply (Data (Content.Store.read st.store range));
             Engine.Done )
   | Truncate { rid; keep_below } ->
       ds_span t "ds.truncate"
@@ -328,8 +333,8 @@ let handle t req ~reply : Engine.step =
       @@ fun () ->
       let st = stripe t rid in
       let keep_below = max 0 keep_below in
-      st.store <- Content.truncate st.store keep_below;
-      st.cache <- snd (Extent_map.cut st.cache (Interval.to_eof ~lo:keep_below));
+      Content.Store.truncate st.store keep_below;
+      ignore (Cache.cut st.cache (Interval.to_eof ~lo:keep_below));
       shrunk st;
       reply Done;
       Engine.Done
@@ -347,7 +352,7 @@ let cleanup_round t =
       let st = Int_tbl.find t.stripes rid in
       if !budget > 0 then begin
         let examined = ref [] in
-        Extent_map.iter
+        Cache.iter
           (fun iv (tag : Content.tag) ->
             if !budget > 0 then begin
               decr budget;
@@ -364,7 +369,7 @@ let cleanup_round t =
           st.cache;
         List.iter
           (fun iv ->
-            st.cache <- Extent_map.remove st.cache iv;
+            Cache.remove st.cache iv;
             incr removed)
           !examined;
         shrunk st
@@ -391,8 +396,8 @@ let force_sync t =
   Int_tbl.iter_sorted
     (fun _ st ->
       t.stats.cleanup_removed <-
-        t.stats.cleanup_removed + Extent_map.cardinal st.cache;
-      st.cache <- Extent_map.empty;
+        t.stats.cleanup_removed + Cache.cardinal st.cache;
+      st.cache <- Cache.of_map Extent_map.empty;
       shrunk st;
       st.seams_dirty <- false;
       st.log <- [])
@@ -441,28 +446,28 @@ let create eng params config ~node ~name ~lock_server =
 
 let endpoint t = Option.get t.ep
 let set_lock_route t route = t.lock_route <- Some route
-let contents t rid = (stripe t rid).store
+let contents t rid = Content.Store.freeze (stripe t rid).store
 let extent_cache_entries t = total_cache_entries t
 
 let extent_cache_of t rid =
   List.map (fun (iv, (tag : Content.tag)) -> (iv, tag.sn))
-    (Extent_map.to_list (stripe t rid).cache)
+    (Cache.to_list (stripe t rid).cache)
 
 let rebuild_pairs t rid =
   if not t.config.Config.extent_log then
     invalid_arg (t.name ^ ": extent log disabled");
   let st = stripe t rid in
-  let rebuilt =
-    List.fold_left
-      (fun m (iv, tag) ->
-        fst (Extent_map.merge m iv tag ~keep_new:(fun ~old -> newer tag old)))
-      Extent_map.empty (List.rev st.log)
-  in
-  Extent_map.coalesce ~eq:pair_eq rebuilt
+  let rebuilt = Cache.of_map Extent_map.empty in
+  List.iter
+    (fun (iv, tag) ->
+      ignore (Cache.merge rebuilt iv tag ~keep_new:(fun ~old -> newer tag old)))
+    (List.rev st.log);
+  Cache.coalesce ~eq:pair_eq rebuilt;
+  rebuilt
 
 let rebuild_extent_cache_from_log t rid =
   List.map (fun (iv, (tag : Content.tag)) -> (iv, tag.sn))
-    (Extent_map.to_list (rebuild_pairs t rid))
+    (Cache.to_list (rebuild_pairs t rid))
 
 let crash_and_rebuild t =
   if not t.config.Config.extent_log then
@@ -471,7 +476,7 @@ let crash_and_rebuild t =
     (fun rid ->
       let st = Int_tbl.find t.stripes rid in
       st.cache <- rebuild_pairs t rid;
-      st.coalesced_at <- Extent_map.cardinal st.cache;
+      st.coalesced_at <- Cache.cardinal st.cache;
       st.seams_dirty <- false)
     (stripe_rids t)
 

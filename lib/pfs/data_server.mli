@@ -80,7 +80,10 @@ val set_lock_route : t -> (int -> Seqdlm.Lock_server.t) -> unit
     (the pre-sharding behaviour). *)
 
 val contents : t -> int -> Ccpfs_util.Content.t
-(** Current device contents of a stripe (empty if never written). *)
+(** Current device contents of a stripe (empty if never written), frozen:
+    later IO to the stripe leaves the returned contents as they are.
+    O(1); the next write to the stripe copies the nodes it changes once
+    ({!Ccpfs_util.Extent_map.Transient.freeze}). *)
 
 val extent_cache_entries : t -> int
 (** Total extent-cache entries across stripes. *)

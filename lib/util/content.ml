@@ -4,8 +4,6 @@ type t = tag Extent_map.t
 
 let empty = Extent_map.empty
 let write m iv tag = Extent_map.set m iv tag
-let write_all = Extent_map.set_all
-let truncate m off = snd (Extent_map.cut m (Interval.to_eof ~lo:off))
 
 let write_if_newer m iv tag =
   Extent_map.merge m iv tag ~keep_new:(fun ~old -> tag.sn > old.sn)
@@ -13,9 +11,9 @@ let write_if_newer m iv tag =
 let overlay_cached m iv tag =
   fst (Extent_map.merge m iv tag ~keep_new:(fun ~old -> tag.sn >= old.sn))
 
-let read m iv =
-  (* Walk the covered extents, inserting explicit holes. *)
-  let covered = Extent_map.overlapping m iv in
+(* [covered], the extents over [iv] clipped to it, with explicit holes
+   between them. *)
+let with_holes covered (iv : Interval.t) =
   let out = ref [] in
   let push lo hi v = if lo < hi then out := (Interval.v ~lo ~hi, v) :: !out in
   let pos =
@@ -24,10 +22,12 @@ let read m iv =
         push pos e.lo None;
         push e.lo e.hi (Some tag);
         e.hi)
-      iv.Interval.lo covered
+      iv.lo covered
   in
-  push pos iv.Interval.hi None;
+  push pos iv.hi None;
   List.rev !out
+
+let read m iv = with_holes (Extent_map.overlapping m iv) iv
 
 let tag_equal a b = a.writer = b.writer && a.op = b.op && a.sn = b.sn
 let normalize m = Extent_map.coalesce ~eq:tag_equal m
@@ -48,3 +48,16 @@ let checksum m =
     (normalize m) 0x9e3779b9
 
 let written_bytes = Extent_map.total_length
+
+module Store = struct
+  module T = Extent_map.Transient
+
+  type t = tag T.t
+
+  let create () = T.of_map Extent_map.empty
+  let write = T.set
+  let write_all = T.set_all
+  let truncate s off = ignore (T.cut s (Interval.to_eof ~lo:off))
+  let read s iv = with_holes (T.overlapping s iv) iv
+  let freeze = T.freeze
+end

@@ -18,15 +18,6 @@ val empty : t
 val write : t -> Interval.t -> tag -> t
 (** Overwrite a range unconditionally (in-order application). *)
 
-val write_all : t -> tag Extent_map.t -> t
-(** [write_all c m] writes every extent of [m], as successive {!write}s
-    would.  When [c] holds nothing in [m]'s span it costs O(log n) and
-    the result shares [m]'s nodes ({!Extent_map.set_all}). *)
-
-val truncate : t -> int -> t
-(** [truncate c off] drops every byte at or past [off] ([off >= 0]):
-    O(log n + k) for the k extents it drops ({!Extent_map.cut}). *)
-
 val write_if_newer : t -> Interval.t -> tag -> t * Interval.t list
 (** Apply a possibly out-of-order flush: the new data only lands where its
     [sn] is strictly greater than what is present.  Returns the update
@@ -47,3 +38,34 @@ val checksum : t -> int
 (** Stable across fragmentation; equal contents have equal checksums. *)
 
 val written_bytes : t -> int
+
+(** A device store: contents written in place, through an
+    {!Extent_map.Transient} handle.  A block that lands in a gap adds
+    one node to the nodes the store owns, where a persistent {!write}
+    copies a root-to-leaf path. *)
+module Store : sig
+  type content := t
+  type t
+
+  val create : unit -> t
+  (** An empty store. *)
+
+  val write : t -> Interval.t -> tag -> unit
+  (** {!Content.write} in place. *)
+
+  val write_all : t -> tag Extent_map.t -> unit
+  (** [write_all s m] writes every extent of [m], as successive {!write}s
+      would.  When [s] holds nothing in [m]'s span it costs O(log n) and
+      the store shares [m]'s nodes ({!Extent_map.Transient.set_all}). *)
+
+  val truncate : t -> int -> unit
+  (** [truncate s off] drops every byte at or past [off] ([off >= 0]):
+      O(log n + k) for the k extents it drops ({!Extent_map.Transient.cut}). *)
+
+  val read : t -> Interval.t -> (Interval.t * tag option) list
+  (** {!Content.read} of the current contents. *)
+
+  val freeze : t -> content
+  (** The current contents, which later writes to the store leave as
+      they are.  O(1). *)
+end

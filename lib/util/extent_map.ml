@@ -1,55 +1,109 @@
-(* A persistent AVL tree specialised to disjoint extents.  Each node
+(* An AVL tree specialised to disjoint extents, persistent, with
+   transient handles that edit the nodes they own in place.  Each node
    carries its extent [lo, hi) and value inline, keyed by [lo], plus its
-   height.  Invariants: in order, the extents are sorted and pairwise
-   disjoint; sibling heights differ by at most 2 (the balance Stdlib's
-   Map keeps).  The entry count is tracked beside the tree so
-   [cardinal] is O(1) — the data server's cleanup trigger reads it on
-   every flush RPC. *)
+   height and its owner.  Invariants: in order, the extents are sorted
+   and pairwise disjoint; sibling heights differ by at most 2 (the
+   balance Stdlib's Map keeps).  The entry count is tracked beside the
+   tree so [cardinal] is O(1) — the data server's cleanup trigger reads
+   it on every flush RPC.
+
+   Ownership.  [h] packs the height into its low [hbits] bits and an
+   owner id above them, so ownership costs a node no word.  Every edit
+   runs under an owner [o], kept shifted as it is stored: a node
+   carrying [o] is edited in place, any other is copied once into [o]'s
+   ownership ([attach]).  Ids come from one counter and are never
+   reused.  A handle keeps its id until [freeze] hands its tree out,
+   then takes a fresh one, so the nodes carrying its id are reachable
+   from its own tree only.  A persistent operation runs under an id of
+   its own, used once: it edits in place only nodes it made itself, as
+   when a rotation meets a node it has just copied.  Every node whose
+   children change is rebuilt under [o], so the nodes carrying a
+   handle's id form a cap at the top of its tree: below a node of any
+   other owner, none carries it. *)
 type 'a tree =
   | Leaf
-  | Node of { l : 'a tree; lo : int; hi : int; v : 'a; r : 'a tree; h : int }
+  | Node of {
+      mutable l : 'a tree;
+      lo : int;
+      hi : int;
+      v : 'a;
+      mutable r : 'a tree;
+      mutable h : int;
+    }
 
 type 'a t = { m : 'a tree; n : int }
+
+(* A handle: the tree it edits, its extent count and its owner. *)
+type 'a transient = {
+  mutable root : 'a tree;
+  mutable size : int;
+  mutable own : int;
+}
+
+let hbits = 8
+let hmask = (1 lsl hbits) - 1
+let owners = Atomic.make 0
+
+(* Id 0 is no one's: [release] hands nodes to it. *)
+let fresh_owner () = (Atomic.fetch_and_add owners 1 + 1) lsl hbits
 
 let empty = { m = Leaf; n = 0 }
 let is_empty t = t.n = 0
 let cardinal t = t.n
 
-let height = function Leaf -> 0 | Node { h; _ } -> h
+let height = function Leaf -> 0 | Node { h; _ } -> h land hmask
 
-let create l lo hi v r =
+let node o l lo hi v r =
   let hl = height l and hr = height r in
-  Node { l; lo; hi; v; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+  Node { l; lo; hi; v; r; h = (if hl >= hr then hl + 1 else hr + 1) lor o }
 
-(* Stdlib Map's rebalancing step: [l] and [r] are balanced and their
-   heights differ by at most 3. *)
-let bal l lo hi v r =
+(* [t]'s extent over the children [l] and [r], of heights [hl] and
+   [hr]: [t] itself, edited in place, when [o] owns it, else a copy
+   owned by [o]. *)
+let attach o t l hl r hr =
+  match t with
+  | Node n when n.h land lnot hmask = o ->
+      if n.l != l then n.l <- l;
+      if n.r != r then n.r <- r;
+      n.h <- (if hl >= hr then hl + 1 else hr + 1) lor o;
+      t
+  | Node n ->
+      Node { l; lo = n.lo; hi = n.hi; v = n.v; r;
+             h = (if hl >= hr then hl + 1 else hr + 1) lor o }
+  | Leaf -> assert false
+
+let rebuild o t l r = attach o t l (height l) r (height r)
+
+(* Stdlib Map's rebalancing step, [t]'s extent over [l] and [r]: they
+   are balanced and their heights differ by at most 3.  Every field a
+   rotation reads is bound before the first node is edited. *)
+let bal o t l r =
   let hl = height l and hr = height r in
   if hl > hr + 2 then
     match l with
-    | Node { l = ll; lo = llo; hi = lhi; v = lv; r = lr; _ } -> (
-        if height ll >= height lr then
-          create ll llo lhi lv (create lr lo hi v r)
+    | Node { l = ll; r = lr; _ } -> (
+        if height ll >= height lr then rebuild o l ll (rebuild o t lr r)
         else
           match lr with
-          | Node { l = lrl; lo = lrlo; hi = lrhi; v = lrv; r = lrr; _ } ->
-              create (create ll llo lhi lv lrl) lrlo lrhi lrv
-                (create lrr lo hi v r)
+          | Node { l = lrl; r = lrr; _ } ->
+              let a = rebuild o l ll lrl in
+              let b = rebuild o t lrr r in
+              rebuild o lr a b
           | Leaf -> assert false)
     | Leaf -> assert false
   else if hr > hl + 2 then
     match r with
-    | Node { l = rl; lo = rlo; hi = rhi; v = rv; r = rr; _ } -> (
-        if height rr >= height rl then
-          create (create l lo hi v rl) rlo rhi rv rr
+    | Node { l = rl; r = rr; _ } -> (
+        if height rr >= height rl then rebuild o r (rebuild o t l rl) rr
         else
           match rl with
-          | Node { l = rll; lo = rllo; hi = rlhi; v = rlv; r = rlr; _ } ->
-              create (create l lo hi v rll) rllo rlhi rlv
-                (create rlr rlo rhi rv rr)
+          | Node { l = rll; r = rlr; _ } ->
+              let a = rebuild o t l rll in
+              let b = rebuild o r rlr rr in
+              rebuild o rl a b
           | Leaf -> assert false)
     | Leaf -> assert false
-  else create l lo hi v r
+  else attach o t l hl r hr
 
 exception Overlap
 
@@ -58,13 +112,14 @@ exception Overlap
    at a node ending at or before [lo], its left subtree ends before it,
    and symmetrically on the right.  In particular [lo]'s in-order
    neighbours both lie on the path.  So either a visited node meets
-   [lo, hi), and the descent bails out with [Overlap], or it reaches a
-   leaf and the extent lies in a gap. *)
-let rec insert lo hi v = function
-  | Leaf -> Node { l = Leaf; lo; hi; v; r = Leaf; h = 1 }
-  | Node n ->
-      if hi <= n.lo then bal (insert lo hi v n.l) n.lo n.hi n.v n.r
-      else if lo >= n.hi then bal n.l n.lo n.hi n.v (insert lo hi v n.r)
+   [lo, hi), and the descent bails out with [Overlap] before any node
+   is edited, or it reaches a leaf and the extent lies in a gap.  Under
+   an owner of the whole path, that is one new node. *)
+let rec insert o lo hi v = function
+  | Leaf -> node o Leaf lo hi v Leaf
+  | Node n as t ->
+      if hi <= n.lo then bal o t (insert o lo hi v n.l) n.r
+      else if lo >= n.hi then bal o t n.l (insert o lo hi v n.r)
       else raise_notrace Overlap
 
 (* Fold [f] over the extents meeting [lo, hi), in decreasing offset
@@ -89,6 +144,16 @@ let rec meets lo hi = function
       else if n.hi <= lo then meets lo hi n.r
       else true
 
+(* The first extent meeting [lo, hi), or [Leaf].  Below a node that
+   meets the range only its left subtree can hold an earlier one, and
+   every extent there starts before [hi]: one path. *)
+let rec first_meeting lo hi = function
+  | Leaf -> Leaf
+  | Node n as t -> (
+      if n.lo >= hi then first_meeting lo hi n.l
+      else if n.hi <= lo then first_meeting lo hi n.r
+      else match first_meeting lo hi n.l with Leaf -> t | first -> first)
+
 let rec leftmost = function
   | Node { l = Leaf; _ } as t -> t
   | Node { l; _ } -> leftmost l
@@ -99,301 +164,238 @@ let rec rightmost = function
   | Node { r; _ } -> rightmost r
   | Leaf -> Leaf
 
-let singleton lo hi v = Node { l = Leaf; lo; hi; v; r = Leaf; h = 1 }
+(* [x], a node without children, put before (after) every extent. *)
+let rec add_min o x = function
+  | Leaf -> x
+  | Node n as t -> bal o t (add_min o x n.l) n.r
 
-let rec add_min lo hi v = function
-  | Leaf -> singleton lo hi v
-  | Node n -> bal (add_min lo hi v n.l) n.lo n.hi n.v n.r
+let rec add_max o x = function
+  | Leaf -> x
+  | Node n as t -> bal o t n.l (add_max o x n.r)
 
-let rec add_max lo hi v = function
-  | Leaf -> singleton lo hi v
-  | Node n -> bal n.l n.lo n.hi n.v (add_max lo hi v n.r)
-
-(* Stdlib Map's join: every extent of [l] lies before [lo, hi), every
-   one of [r] after it, and their heights are arbitrary.  Walks down
-   the taller side to a subtree the other matches, so O(|hl - hr| + 1). *)
-let rec join l lo hi v r =
+(* Stdlib Map's join: every extent of [l] lies before [m]'s, every one
+   of [r] after it, and their heights are arbitrary.  [m] is a node out
+   of any tree, whose children are dropped.  Walks down the taller side
+   to a subtree the other matches, so O(|hl - hr| + 1). *)
+let rec join o l m r =
   match (l, r) with
-  | Leaf, _ -> add_min lo hi v r
-  | _, Leaf -> add_max lo hi v l
+  | Leaf, _ -> add_min o (rebuild o m Leaf Leaf) r
+  | _, Leaf -> add_max o (rebuild o m Leaf Leaf) l
   | Node ln, Node rn ->
-      if ln.h > rn.h + 2 then bal ln.l ln.lo ln.hi ln.v (join ln.r lo hi v r)
-      else if rn.h > ln.h + 2 then bal (join l lo hi v rn.l) rn.lo rn.hi rn.v rn.r
-      else create l lo hi v r
+      let hl = ln.h land hmask and hr = rn.h land hmask in
+      if hl > hr + 2 then bal o l ln.l (join o ln.r m r)
+      else if hr > hl + 2 then bal o r (join o l m rn.l) rn.r
+      else attach o m l hl r hr
 
-let rec remove_min = function
+let rec remove_min o = function
   | Leaf -> Leaf
   | Node { l = Leaf; r; _ } -> r
-  | Node n -> bal (remove_min n.l) n.lo n.hi n.v n.r
+  | Node n as t -> bal o t (remove_min o n.l) n.r
 
-(* Every extent of [l] lies before every one of [r]. *)
-let concat l r =
-  match leftmost r with
-  | Leaf -> l
-  | Node m -> join l m.lo m.hi m.v (remove_min r)
+(* Every extent of [l] lies before every one of [r].  [remove_min]
+   unlinks [r]'s first node without editing it, and [join] takes it. *)
+let concat o l r =
+  match leftmost r with Leaf -> l | m -> join o l m (remove_min o r)
 
-(* [split x t] is the extents before [x] and those after it, an extent
-   straddling [x] clipped into one piece on each side, and whether
-   there was one: at most one can straddle, and it lies on the path.
-   One descent, a [join] per level: O(log n). *)
-let rec split x = function
+(* [split o x t] is the extents before [x] and those after it, an
+   extent straddling [x] clipped into one piece on each side, and
+   whether there was one: at most one can straddle, and it lies on the
+   path.  One descent, a [join] per level: O(log n). *)
+let rec split o x = function
   | Leaf -> (Leaf, Leaf, false)
-  | Node n ->
+  | Node n as t ->
       if x <= n.lo then
-        let ll, lr, clipped = split x n.l in
-        (ll, join lr n.lo n.hi n.v n.r, clipped)
+        let ll, lr, clipped = split o x n.l in
+        (ll, join o lr t n.r, clipped)
       else if x >= n.hi then
-        let rl, rr, clipped = split x n.r in
-        (join n.l n.lo n.hi n.v rl, rr, clipped)
-      else (add_max n.lo x n.v n.l, add_min x n.hi n.v n.r, true)
+        let rl, rr, clipped = split o x n.r in
+        (join o n.l t rl, rr, clipped)
+      else
+        ( add_max o (node o Leaf n.lo x n.v Leaf) n.l,
+          add_min o (node o Leaf x n.hi n.v Leaf) n.r,
+          true )
 
 let rec count = function Leaf -> 0 | Node n -> count n.l + 1 + count n.r
 
-let rec remove_key k = function
+let rec remove_key o k = function
   | Leaf -> Leaf
-  | Node n ->
-      if k < n.lo then bal (remove_key k n.l) n.lo n.hi n.v n.r
-      else if k > n.lo then bal n.l n.lo n.hi n.v (remove_key k n.r)
+  | Node n as t -> (
+      if k < n.lo then bal o t (remove_key o k n.l) n.r
+      else if k > n.lo then bal o t n.l (remove_key o k n.r)
       else
         match leftmost n.r with
-        | Node m -> bal n.l m.lo m.hi m.v (remove_min n.r)
         | Leaf -> n.l
+        | m ->
+            let r = remove_min o n.r in
+            bal o m n.l r)
 
-(* Rewrite the extent starting at [k] as [lo, hi) -> [v].  The caller
-   keeps the order: no other extent meets the new one, none starts
-   between [k] and [lo]. *)
-let rec replace k lo hi v = function
+(* Rewrite the extent starting at [k] as [lo, hi) -> [v], a new node in
+   its place.  The caller keeps the order: no other extent meets the
+   new one, none starts between [k] and [lo]. *)
+let rec replace o k lo hi v = function
   | Leaf -> Leaf
-  | Node n ->
-      if k < n.lo then Node { n with l = replace k lo hi v n.l }
-      else if k > n.lo then Node { n with r = replace k lo hi v n.r }
-      else Node { n with lo; hi; v }
+  | Node n as t ->
+      if k < n.lo then rebuild o t (replace o k lo hi v n.l) n.r
+      else if k > n.lo then rebuild o t n.l (replace o k lo hi v n.r)
+      else Node { l = n.l; lo; hi; v; r = n.r; h = (n.h land hmask) lor o }
 
-(* Clear [lo, hi), one edit per extent met: one that sticks out on the
-   left is shortened in place, one that sticks out on the right is
-   rekeyed in place (nothing starts inside it), one that sticks out on
+(* Hand the nodes [o] owns in a tree taken out of its handle to no one:
+   they are the cap at its top, so the walk stops at the first node of
+   another owner. *)
+let rec release o = function
+  | Node n when n.h land lnot hmask = o ->
+      n.h <- n.h land hmask;
+      release o n.l;
+      release o n.r
+  | Leaf | Node _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Edits on a handle.  A persistent operation runs them on a handle of *)
+(* its own ([edit]) and keeps the result ([result]).                   *)
+(* ------------------------------------------------------------------ *)
+
+let edit t = { root = t.m; size = t.n; own = fresh_owner () }
+let result t h = if h.root == t.m then t else { m = h.root; n = h.size }
+
+(* Clear [lo, hi), one edit per extent met, first to last: one that
+   sticks out on the left is shortened, one that sticks out on the
+   right is rekeyed (nothing starts inside it), one that sticks out on
    both sides is shortened and its right part inserted into the gap
-   that leaves, and the rest are removed by key.  The edits touch
-   distinct keys and each keeps the order on its own, so their order
-   does not matter.  A span covering every extent gives [empty]: the
-   client's whole-stripe flush [0, EOF). *)
-let remove_span t lo hi =
-  match (leftmost t.m, rightmost t.m) with
-  | Leaf, _ | _, Leaf -> t
-  | Node first, Node last when lo <= first.lo && last.hi <= hi -> empty
+   that leaves, and the rest are removed by key.  Each next extent is
+   found afresh past the last one's end, so no walk spans an edit.  A
+   span covering every extent leaves nothing: the client's
+   whole-stripe flush [0, EOF). *)
+let remove_span h lo hi =
+  match (leftmost h.root, rightmost h.root) with
+  | Leaf, _ | _, Leaf -> ()
+  | Node first, Node last when lo <= first.lo && last.hi <= hi ->
+      h.root <- Leaf;
+      h.size <- 0
   | Node _, Node _ ->
-      fold_desc lo hi
-        (fun l h w t ->
-          if l < lo then
-            let m = replace l l lo w t.m in
-            if h > hi then { m = insert hi h w m; n = t.n + 1 } else { t with m }
-          else if h > hi then { t with m = replace l hi h w t.m }
-          else { m = remove_key l t.m; n = t.n - 1 })
-        t.m t
+      let o = h.own in
+      let rec go pos =
+        match first_meeting pos hi h.root with
+        | Leaf -> ()
+        | Node n ->
+            let l = n.lo and e = n.hi and w = n.v in
+            if l < lo then begin
+              h.root <- replace o l l lo w h.root;
+              if e > hi then begin
+                h.root <- insert o hi e w h.root;
+                h.size <- h.size + 1
+              end
+            end
+            else if e > hi then h.root <- replace o l hi e w h.root
+            else begin
+              h.root <- remove_key o l h.root;
+              h.size <- h.size - 1
+            end;
+            if e < hi then go e
+      in
+      go lo
 
-let set t (iv : Interval.t) v =
-  match insert iv.lo iv.hi v t.m with
-  | m -> { m; n = t.n + 1 }
+let set_h h lo hi v =
+  (match insert h.own lo hi v h.root with
+  | root -> h.root <- root
   | exception Overlap ->
-      let t = remove_span t iv.lo iv.hi in
-      { m = insert iv.lo iv.hi v t.m; n = t.n + 1 }
+      remove_span h lo hi;
+      h.root <- insert h.own lo hi v h.root);
+  h.size <- h.size + 1
 
-let remove t (iv : Interval.t) = remove_span t iv.lo iv.hi
-
-let find t off =
-  let rec go = function
-    | Leaf -> None
-    | Node n ->
-        if off < n.lo then go n.l else if off >= n.hi then go n.r else Some n.v
-  in
-  go t.m
-
-let overlapping t (iv : Interval.t) =
+(* Sub-ranges of [iv] where the new value wins over [m]'s extents: gaps,
+   plus covered parts whose old value loses to [keep_new].  Walked right
+   to left, [pos] is the start of what is already decided. *)
+let won_over m (iv : Interval.t) ~keep_new =
+  let won = ref [] and pos = ref iv.hi in
+  let push lo hi = if lo < hi then won := Interval.v ~lo ~hi :: !won in
   fold_desc iv.lo iv.hi
-    (fun l h v acc -> (Interval.v ~lo:(max l iv.lo) ~hi:(min h iv.hi), v) :: acc)
-    t.m []
+    (fun l h w () ->
+      let lo = max l iv.lo and hi = min h iv.hi in
+      push hi !pos;
+      if keep_new ~old:w then push lo hi;
+      pos := lo)
+    m ();
+  push iv.lo !pos;
+  !won
 
-let overlaps t (iv : Interval.t) = meets iv.lo iv.hi t.m
-
-(* The end of the covered prefix of [lo, hi) starting at [pos], walked
-   in order over the extents met; a hole stops the walk, and every
-   caller up the path sees the returned end fall short of its own
-   start. *)
-let rec reach lo hi pos = function
-  | Leaf -> pos
-  | Node n ->
-      if n.lo >= hi then reach lo hi pos n.l
-      else if n.hi <= lo then reach lo hi pos n.r
-      else
-        let pos = reach lo hi pos n.l in
-        if n.lo > pos then pos else reach lo hi (max pos n.hi) n.r
-
-let covered t (iv : Interval.t) = reach iv.lo iv.hi iv.lo t.m >= iv.hi
-
-let merge m (iv : Interval.t) v ~keep_new =
-  match insert iv.lo iv.hi v m.m with
-  | tree ->
+let merge_h h (iv : Interval.t) v ~keep_new =
+  match insert h.own iv.lo iv.hi v h.root with
+  | root ->
       (* All gap, the common case on both the client cache and the data
          server: the update set is the whole extent. *)
-      ({ m = tree; n = m.n + 1 }, [ iv ])
+      h.root <- root;
+      h.size <- h.size + 1;
+      [ iv ]
   | exception Overlap ->
-      (* Sub-ranges of [iv] where the new value wins: gaps, plus covered
-         parts whose old value loses to [keep_new].  Walked right to
-         left, [pos] is the start of what is already decided. *)
-      let won = ref [] and pos = ref iv.hi in
-      let push lo hi = if lo < hi then won := Interval.v ~lo ~hi :: !won in
-      fold_desc iv.lo iv.hi
-        (fun l h w () ->
-          let lo = max l iv.lo and hi = min h iv.hi in
-          push hi !pos;
-          if keep_new ~old:w then push lo hi;
-          pos := lo)
-        m.m ();
-      push iv.lo !pos;
-      let won = !won in
-      (List.fold_left (fun m seg -> set m seg v) m won, won)
+      let won = won_over h.root iv ~keep_new in
+      List.iter (fun (seg : Interval.t) -> set_h h seg.lo seg.hi v) won;
+      won
 
-let span t =
-  match (leftmost t.m, rightmost t.m) with
+(* The general cut, two splits: the cut's own extents are counted,
+   O(k), and the rest's count follows from the pieces the splits made. *)
+let cut_tree o m n (iv : Interval.t) =
+  let below, rest, cut_lo = split o iv.lo m in
+  let inside, above, cut_hi = split o iv.hi rest in
+  let k = count inside in
+  (inside, k, concat o below above, n + Bool.to_int cut_lo + Bool.to_int cut_hi - k)
+
+let cut_h h (iv : Interval.t) =
+  match (leftmost h.root, rightmost h.root) with
+  | Node first, Node last when iv.lo <= first.lo && last.hi <= iv.hi ->
+      (* The whole tree goes, and the handle keeps no node: a fresh id
+         frees what it owned, in O(1). *)
+      let inside = { m = h.root; n = h.size } in
+      h.root <- Leaf;
+      h.size <- 0;
+      h.own <- fresh_owner ();
+      inside
+  | _ when not (meets iv.lo iv.hi h.root) -> empty
+  | _ ->
+      let inside, k, rest, n = cut_tree h.own h.root h.size iv in
+      h.root <- rest;
+      h.size <- n;
+      release h.own inside;
+      { m = inside; n = k }
+
+let span_tree m =
+  match (leftmost m, rightmost m) with
   | Node first, Node last -> Some (Interval.v ~lo:first.lo ~hi:last.hi)
   | Leaf, _ | _, Leaf -> None
 
-(* The whole map when the range covers it (the client's whole-stripe
-   flush), nothing when the range meets no extent, and otherwise two
-   splits: the cut's own extents are counted, O(k), and the rest's
-   count follows from the pieces the splits made. *)
-let cut t (iv : Interval.t) =
-  match (leftmost t.m, rightmost t.m) with
-  | Node first, Node last when iv.lo <= first.lo && last.hi <= iv.hi ->
-      (t, empty)
-  | _ when not (meets iv.lo iv.hi t.m) -> (empty, t)
-  | _ ->
-      let below, rest, cut_lo = split iv.lo t.m in
-      let inside, above, cut_hi = split iv.hi rest in
-      let k = count inside in
-      ( { m = inside; n = k },
-        {
-          m = concat below above;
-          n = t.n + Bool.to_int cut_lo + Bool.to_int cut_hi - k;
-        } )
-
-let set_all t sub =
-  match span sub with
-  | None -> t
-  | Some _ when t.n = 0 -> sub
-  | Some s when sub.n > 1 && not (meets s.lo s.hi t.m) ->
-      (* All gap: [t] splits where [sub] goes, and [sub]'s tree is
+let set_all_h h sub =
+  match span_tree sub.m with
+  | None -> ()
+  | Some _ when h.size = 0 ->
+      h.root <- sub.m;
+      h.size <- sub.n
+  | Some s when sub.n > 1 && not (meets s.lo s.hi h.root) ->
+      (* All gap: the tree splits where [sub] goes, and [sub]'s tree is
          joined in whole, so the result shares its nodes.  A single
          extent is cheaper to [set]: one descent, no split. *)
-      let below, above, _ = split s.lo t.m in
-      { m = concat (concat below sub.m) above; n = t.n + sub.n }
+      let o = h.own in
+      let below, above, _ = split o s.lo h.root in
+      h.root <- concat o (concat o below sub.m) above;
+      h.size <- h.size + sub.n
   | Some _ ->
-      let rec go t = function
-        | Leaf -> t
-        | Node n -> go (set (go t n.l) (Interval.v ~lo:n.lo ~hi:n.hi) n.v) n.r
+      (* [sub] is persistent: none of its nodes is the handle's. *)
+      let rec go = function
+        | Leaf -> ()
+        | Node n ->
+            go n.l;
+            set_h h n.lo n.hi n.v;
+            go n.r
       in
-      go t sub.m
-
-(* The run, newest first, is built into a balanced tree from the top
-   down: each subtree takes its right half off the front of the list
-   (the larger offsets), then its root, then its left half.  The
-   oldest extent is left over, and [join] puts it between the map and
-   that tree, walking down the taller one: O(k + log n). *)
-let append t run =
-  match run with
-  | [] -> t
-  | _ :: _ ->
-      let k = List.length run in
-      let rest = ref run and above = ref Interval.eof in
-      let next () =
-        match !rest with
-        | (((iv : Interval.t), _) as e) :: tl ->
-            if iv.hi > !above then
-              invalid_arg "Extent_map.append: run not sorted";
-            rest := tl;
-            above := iv.lo;
-            e
-        | [] -> assert false
-      in
-      let rec build n =
-        if n = 0 then Leaf
-        else
-          let nl = (n - 1) / 2 in
-          let r = build (n - 1 - nl) in
-          let iv, v = next () in
-          create (build nl) iv.lo iv.hi v r
-      in
-      let sub = build (k - 1) in
-      let first, v = next () in
-      (match rightmost t.m with
-      | Node last when last.hi > first.lo ->
-          invalid_arg "Extent_map.append: run starts inside the map"
-      | _ -> ());
-      { m = join t.m first.lo first.hi v sub; n = t.n + k }
-
-(* The first [i] extents end where the [i]-th (from 0) starts. *)
-exception Start of int
-
-let split_nth t i =
-  if i <= 0 then (empty, t)
-  else if i >= t.n then (t, empty)
-  else
-    let k = ref i in
-    let rec find = function
-      | Leaf -> ()
-      | Node n ->
-          find n.l;
-          if !k = 0 then raise_notrace (Start n.lo);
-          decr k;
-          find n.r
-    in
-    match find t.m with
-    | () -> assert false
-    | exception Start lo ->
-        let below, above, _ = split lo t.m in
-        ({ m = below; n = i }, { m = above; n = t.n - i })
-
-let total_length t =
-  let rec go acc = function
-    | Leaf -> acc
-    | Node n -> go (go (acc + n.hi - n.lo) n.l) n.r
-  in
-  go 0 t.m
-
-let fold f t acc =
-  let rec go acc = function
-    | Leaf -> acc
-    | Node n -> go (f (Interval.v ~lo:n.lo ~hi:n.hi) n.v (go acc n.l)) n.r
-  in
-  go acc t.m
-
-let iter f t =
-  let rec go = function
-    | Leaf -> ()
-    | Node n ->
-        go n.l;
-        f (Interval.v ~lo:n.lo ~hi:n.hi) n.v;
-        go n.r
-  in
-  go t.m
-
-let to_list t =
-  let rec go acc = function
-    | Leaf -> acc
-    | Node n -> go ((Interval.v ~lo:n.lo ~hi:n.hi, n.v) :: go acc n.r) n.l
-  in
-  go [] t.m
-
-let of_list l = List.fold_left (fun t (iv, v) -> set t iv v) empty l
+      go sub.m
 
 (* One in-order scan finds the runs of adjacent extents whose values
-   [eq] their run head's.  Only those runs are edited: the absorbed
-   starts are removed and the head is rewritten to span the run, so the
-   extents are the ones a rebuild from the merged runs would give.  A
-   scan that finds no run allocates nothing and returns [t] itself. *)
-let coalesce ~eq t =
-  match leftmost t.m with
-  | Leaf -> t
+   [eq] their run head's: for each, the head's start, the run's end and
+   value, and the absorbed starts.  Only those runs are edited: the
+   absorbed starts are removed and the head is rewritten to span the
+   run, so the extents are the ones a rebuild from the merged runs
+   would give.  A scan that finds no run edits nothing. *)
+let coalesce_runs ~eq m =
+  match leftmost m with
+  | Leaf -> []
   | Node first ->
       (* The open run: head start and value, end, absorbed starts. *)
       let head_lo = ref first.lo and head_v = ref first.v in
@@ -422,13 +424,43 @@ let coalesce ~eq t =
             end;
             scan n.r
       in
-      scan t.m;
+      scan m;
       close ();
-      List.fold_left
-        (fun t (lo, hi, v, keys) ->
-          let m = List.fold_left (fun m k -> remove_key k m) t.m keys in
-          { m = replace lo lo hi v m; n = t.n - List.length keys })
-        t !edits
+      !edits
+
+let merge_runs h runs =
+  List.iter
+    (fun (lo, hi, v, keys) ->
+      List.iter (fun k -> h.root <- remove_key h.own k h.root) keys;
+      h.root <- replace h.own lo lo hi v h.root;
+      h.size <- h.size - List.length keys)
+    runs
+
+(* ------------------------------------------------------------------ *)
+(* Queries                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let overlapping_tree m (iv : Interval.t) =
+  fold_desc iv.lo iv.hi
+    (fun l h v acc -> (Interval.v ~lo:(max l iv.lo) ~hi:(min h iv.hi), v) :: acc)
+    m []
+
+let iter_tree f m =
+  let rec go = function
+    | Leaf -> ()
+    | Node n ->
+        go n.l;
+        f (Interval.v ~lo:n.lo ~hi:n.hi) n.v;
+        go n.r
+  in
+  go m
+
+let to_list_tree m =
+  let rec go acc = function
+    | Leaf -> acc
+    | Node n -> go ((Interval.v ~lo:n.lo ~hi:n.hi, n.v) :: go acc n.r) n.l
+  in
+  go [] m
 
 (* Seam probes for callers that track whether a {!coalesce} could merge
    anything.  They walk the shared tree and return its nodes, never a
@@ -447,8 +479,8 @@ let rec starting_at pos = function
       else if n.lo < pos then starting_at pos n.r
       else starting_at pos n.l
 
-let equal_at ~eq t pos =
-  match (ending_at pos t.m, starting_at pos t.m) with
+let equal_at_tree ~eq m pos =
+  match (ending_at pos m, starting_at pos m) with
   | Node a, Node b -> eq a.v b.v
   | _ -> false
 
@@ -463,35 +495,240 @@ let rec scan_seams eq prev = function
       | _ -> ());
       scan_seams eq node n.r
 
-let seams_equal ~eq t sub =
+let seams_equal_tree ~eq m sub =
   match (leftmost sub.m, rightmost sub.m) with
   | Node first, Node last -> (
-      equal_at ~eq t first.lo || equal_at ~eq t last.hi
+      equal_at_tree ~eq m first.lo || equal_at_tree ~eq m last.hi
       ||
       match scan_seams eq Leaf sub.m with
       | _ -> false
       | exception Equal_seam -> true)
   | _ -> false
 
-let filter f t =
-  fold
-    (fun (iv : Interval.t) v acc ->
-      if f iv v then acc else { m = remove_key iv.lo acc.m; n = acc.n - 1 })
-    t t
-
-let check_invariants t =
+(* [own] is the handle's id, 0 for a persistent map. *)
+let check_tree ~own m n =
   let prev_hi = ref 0 in
-  let rec walk = function
+  let rec walk ~in_cap = function
     | Leaf -> 0
-    | Node n ->
-        let cl = walk n.l in
-        assert (n.lo < n.hi);
-        assert (n.lo >= !prev_hi);
-        prev_hi := n.hi;
-        let cr = walk n.r in
-        let hl = height n.l and hr = height n.r in
-        assert (n.h = max hl hr + 1);
+    | Node nd ->
+        let mine = own <> 0 && nd.h land lnot hmask = own in
+        assert (in_cap || not mine);
+        let cl = walk ~in_cap:mine nd.l in
+        assert (nd.lo < nd.hi);
+        assert (nd.lo >= !prev_hi);
+        prev_hi := nd.hi;
+        let cr = walk ~in_cap:mine nd.r in
+        let hl = height nd.l and hr = height nd.r in
+        assert (nd.h land hmask = max hl hr + 1);
         assert (abs (hl - hr) <= 2);
         cl + 1 + cr
   in
-  assert (walk t.m = t.n)
+  assert (walk ~in_cap:true m = n)
+
+(* ------------------------------------------------------------------ *)
+(* The persistent map                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let set t (iv : Interval.t) v =
+  match insert (fresh_owner ()) iv.lo iv.hi v t.m with
+  | m -> { m; n = t.n + 1 }
+  | exception Overlap ->
+      let h = edit t in
+      remove_span h iv.lo iv.hi;
+      h.root <- insert h.own iv.lo iv.hi v h.root;
+      h.size <- h.size + 1;
+      result t h
+
+let remove t (iv : Interval.t) =
+  let h = edit t in
+  remove_span h iv.lo iv.hi;
+  result t h
+
+let find t off =
+  let rec go = function
+    | Leaf -> None
+    | Node n ->
+        if off < n.lo then go n.l else if off >= n.hi then go n.r else Some n.v
+  in
+  go t.m
+
+let overlapping t iv = overlapping_tree t.m iv
+let overlaps t (iv : Interval.t) = meets iv.lo iv.hi t.m
+
+(* The end of the covered prefix of [lo, hi) starting at [pos], walked
+   in order over the extents met; a hole stops the walk, and every
+   caller up the path sees the returned end fall short of its own
+   start. *)
+let rec reach lo hi pos = function
+  | Leaf -> pos
+  | Node n ->
+      if n.lo >= hi then reach lo hi pos n.l
+      else if n.hi <= lo then reach lo hi pos n.r
+      else
+        let pos = reach lo hi pos n.l in
+        if n.lo > pos then pos else reach lo hi (max pos n.hi) n.r
+
+let covered t (iv : Interval.t) = reach iv.lo iv.hi iv.lo t.m >= iv.hi
+
+let merge t (iv : Interval.t) v ~keep_new =
+  match insert (fresh_owner ()) iv.lo iv.hi v t.m with
+  | m -> ({ m; n = t.n + 1 }, [ iv ])
+  | exception Overlap ->
+      let won = won_over t.m iv ~keep_new in
+      let h = edit t in
+      List.iter (fun (seg : Interval.t) -> set_h h seg.lo seg.hi v) won;
+      (result t h, won)
+
+let span t = span_tree t.m
+
+(* The whole map when the range covers it (the client's whole-stripe
+   flush), nothing when the range meets no extent, and otherwise two
+   splits. *)
+let cut t (iv : Interval.t) =
+  match (leftmost t.m, rightmost t.m) with
+  | Node first, Node last when iv.lo <= first.lo && last.hi <= iv.hi ->
+      (t, empty)
+  | _ when not (meets iv.lo iv.hi t.m) -> (empty, t)
+  | _ ->
+      let inside, k, rest, n = cut_tree (fresh_owner ()) t.m t.n iv in
+      ({ m = inside; n = k }, { m = rest; n })
+
+let set_all t sub =
+  if sub.n = 0 then t
+  else if t.n = 0 then sub
+  else
+    let h = edit t in
+    set_all_h h sub;
+    result t h
+
+(* The run, newest first, is built into a balanced tree from the top
+   down: each subtree takes its right half off the front of the list
+   (the larger offsets), then its root, then its left half.  The
+   oldest extent is left over, and [join] puts it between the map and
+   that tree, walking down the taller one: O(k + log n). *)
+let append t run =
+  match run with
+  | [] -> t
+  | _ :: _ ->
+      let o = fresh_owner () in
+      let k = List.length run in
+      let rest = ref run and above = ref Interval.eof in
+      let next () =
+        match !rest with
+        | (((iv : Interval.t), _) as e) :: tl ->
+            if iv.hi > !above then
+              invalid_arg "Extent_map.append: run not sorted";
+            rest := tl;
+            above := iv.lo;
+            e
+        | [] -> assert false
+      in
+      let rec build n =
+        if n = 0 then Leaf
+        else
+          let nl = (n - 1) / 2 in
+          let r = build (n - 1 - nl) in
+          let iv, v = next () in
+          node o (build nl) iv.lo iv.hi v r
+      in
+      let sub = build (k - 1) in
+      let first, v = next () in
+      (match rightmost t.m with
+      | Node last when last.hi > first.lo ->
+          invalid_arg "Extent_map.append: run starts inside the map"
+      | _ -> ());
+      { m = join o t.m (node o Leaf first.lo first.hi v Leaf) sub; n = t.n + k }
+
+(* The first [i] extents end where the [i]-th (from 0) starts. *)
+exception Start of int
+
+let split_nth t i =
+  if i <= 0 then (empty, t)
+  else if i >= t.n then (t, empty)
+  else
+    let k = ref i in
+    let rec find = function
+      | Leaf -> ()
+      | Node n ->
+          find n.l;
+          if !k = 0 then raise_notrace (Start n.lo);
+          decr k;
+          find n.r
+    in
+    match find t.m with
+    | () -> assert false
+    | exception Start lo ->
+        let below, above, _ = split (fresh_owner ()) lo t.m in
+        ({ m = below; n = i }, { m = above; n = t.n - i })
+
+let total_length t =
+  let rec go acc = function
+    | Leaf -> acc
+    | Node n -> go (go (acc + n.hi - n.lo) n.l) n.r
+  in
+  go 0 t.m
+
+let fold f t acc =
+  let rec go acc = function
+    | Leaf -> acc
+    | Node n -> go (f (Interval.v ~lo:n.lo ~hi:n.hi) n.v (go acc n.l)) n.r
+  in
+  go acc t.m
+
+let iter f t = iter_tree f t.m
+let to_list t = to_list_tree t.m
+let of_list l = List.fold_left (fun t (iv, v) -> set t iv v) empty l
+
+(* A scan that finds no run allocates no node and returns [t] itself. *)
+let coalesce ~eq t =
+  match coalesce_runs ~eq t.m with
+  | [] -> t
+  | runs ->
+      let h = edit t in
+      merge_runs h runs;
+      result t h
+
+
+(* [t] itself is walked while the handle's own copy is edited. *)
+let filter f t =
+  let h = edit t in
+  iter
+    (fun (iv : Interval.t) v ->
+      if not (f iv v) then begin
+        h.root <- remove_key h.own iv.lo h.root;
+        h.size <- h.size - 1
+      end)
+    t;
+  result t h
+
+let check_invariants t = check_tree ~own:0 t.m t.n
+
+(* ------------------------------------------------------------------ *)
+(* Transient handles                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Transient = struct
+  type 'a t = 'a transient
+
+  let of_map m = { root = m.m; size = m.n; own = fresh_owner () }
+
+  let freeze h =
+    let m = { m = h.root; n = h.size } in
+    h.own <- fresh_owner ();
+    m
+
+  let cardinal h = h.size
+  let set h (iv : Interval.t) v = set_h h iv.lo iv.hi v
+  let remove h (iv : Interval.t) = remove_span h iv.lo iv.hi
+  let merge = merge_h
+  let cut = cut_h
+  let set_all = set_all_h
+  let coalesce ~eq h = merge_runs h (coalesce_runs ~eq h.root)
+  let overlaps h (iv : Interval.t) = meets iv.lo iv.hi h.root
+  let overlapping h iv = overlapping_tree h.root iv
+  let equal_at ~eq h pos = equal_at_tree ~eq h.root pos
+  let seams_equal ~eq h sub = seams_equal_tree ~eq h.root sub
+  let iter f h = iter_tree f h.root
+  let to_list h = to_list_tree h.root
+  let check_invariants h = check_tree ~own:h.own h.root h.size
+end

@@ -11,9 +11,17 @@
     merged; use {!coalesce} (the extent cache merges "continuous extents
     of the same stripe with the same SN" to bound its size).
 
-    The map is a persistent AVL tree keyed by extent start, each node
-    carrying its extent and value.  With n extents stored and k of them
-    meeting the argument range:
+    {b Persistence.}  An ['a t] is persistent: no operation changes a
+    map once it is built, and every version stays valid and shares
+    nodes with the others.  A {!Transient.t} handle is the one mutable
+    form: it edits the nodes it owns in place, and {!Transient.freeze}
+    hands out its contents as an ['a t] that later edits of the handle
+    never touch.  A persistent map never holds a node a live handle
+    owns, so any map can go into any handle.
+
+    The map is an AVL tree keyed by extent start, each node carrying
+    its extent, value, height and owner.  With n extents stored and k
+    of them meeting the argument range:
     - {!cardinal}, {!is_empty}: O(1);
     - {!find}, {!overlaps}: O(log n), one descent, no allocation;
     - {!overlapping}, {!covered}: O(log n + k), one pruned descent;
@@ -30,7 +38,13 @@
       extent;
     - {!fold}, {!iter}, {!to_list}: O(n);
     - {!filter}: O(n), plus O(log n) per extent dropped;
-    - {!coalesce}: O(n) scan, plus O(log n) per absorbed extent. *)
+    - {!coalesce}: O(n) scan, plus O(log n) per absorbed extent.
+
+    A persistent edit copies the path to every node it changes.  The
+    same edit through a handle copies a node only the first time the
+    handle changes it, and edits it in place after that: a gap insert
+    under an owned path allocates one node.  The bounds above hold for
+    both. *)
 
 type 'a t
 
@@ -117,21 +131,80 @@ val of_list : (Interval.t * 'a) list -> 'a t
 val coalesce : eq:('a -> 'a -> bool) -> 'a t -> 'a t
 (** Merge adjacent extents carrying equal values. *)
 
-val equal_at : eq:('a -> 'a -> bool) -> 'a t -> int -> bool
-(** [equal_at ~eq m pos]: an extent of [m] ends at [pos], the next one
-    starts there, and their values are [eq] — a seam {!coalesce} would
-    merge across.  O(log n), allocation-free. *)
-
-val seams_equal : eq:('a -> 'a -> bool) -> 'a t -> 'a t -> bool
-(** [seams_equal ~eq m sub], for a [sub] whose extents are all in [m]
-    and lie back to back there (as after {!set_all} of [sub] into a
-    gap): whether [m] has an {!equal_at} seam inside [sub]'s span or at
-    either end of it.  O(k + log n) for [sub]'s k extents,
-    allocation-free. *)
-
 val filter : (Interval.t -> 'a -> bool) -> 'a t -> 'a t
 
 val check_invariants : 'a t -> unit
 (** Raises [Assert_failure] if intervals are not sorted and disjoint, a
     node's height is wrong, sibling heights differ by more than 2, or the
     stored count is wrong.  Used by the property tests. *)
+
+(** Transient handles: one map edited in place.
+
+    A handle owns the nodes it made or copied since it was created or
+    last frozen, and edits exactly those in place; any other node it
+    changes is copied once into its ownership.  Every node keeps its
+    owner id in its height field, so ownership adds no word to a node.
+    Ids come from one process-wide counter and are never reused; an id
+    decides only whether a node is edited in place or copied, never
+    what any operation answers.
+
+    A handle has no older version to alias: {!freeze} gives its
+    contents out as a persistent map and takes a fresh id, after which
+    the handle copies any node it changes again, once.  Maps handed in
+    ({!of_map}, {!set_all}) keep their nodes shared: the handle copies
+    one only when it has to change it.  Every edit has the cost its
+    persistent counterpart above lists. *)
+module Transient : sig
+  type 'a map := 'a t
+  type 'a t
+
+  val of_map : 'a map -> 'a t
+  (** A handle on the map's extents, sharing all its nodes.  O(1). *)
+
+  val freeze : 'a t -> 'a map
+  (** The handle's extents as a persistent map, which no later edit of
+      the handle changes.  O(1). *)
+
+  val cardinal : 'a t -> int
+  val set : 'a t -> Interval.t -> 'a -> unit
+  val remove : 'a t -> Interval.t -> unit
+
+  val merge :
+    'a t -> Interval.t -> 'a -> keep_new:(old:'a -> bool) -> Interval.t list
+  (** {!Extent_map.merge} in place: returns the update set. *)
+
+  val cut : 'a t -> Interval.t -> 'a map
+  (** {!Extent_map.cut} in place: the handle keeps the rest, and the
+      extents meeting the range come back as a persistent map.  A range
+      covering every extent hands the whole tree over and empties the
+      handle. *)
+
+  val set_all : 'a t -> 'a map -> unit
+  (** {!Extent_map.set_all} in place.  Into a gap, and into an empty
+      handle, the argument's tree is joined whole: its nodes stay
+      shared with it. *)
+
+  val coalesce : eq:('a -> 'a -> bool) -> 'a t -> unit
+  val overlaps : 'a t -> Interval.t -> bool
+  val overlapping : 'a t -> Interval.t -> (Interval.t * 'a) list
+
+  val equal_at : eq:('a -> 'a -> bool) -> 'a t -> int -> bool
+  (** [equal_at ~eq h pos]: an extent ends at [pos], the next one starts
+      there, and their values are [eq] — a seam {!coalesce} would merge
+      across.  O(log n), allocation-free. *)
+
+  val seams_equal : eq:('a -> 'a -> bool) -> 'a t -> 'a map -> bool
+  (** [seams_equal ~eq h sub], for a [sub] whose extents are all in the
+      handle and lie back to back there (as after {!set_all} of [sub]
+      into a gap): whether the handle has an {!equal_at} seam inside
+      [sub]'s span or at either end of it.  O(k + log n) for [sub]'s k
+      extents, allocation-free. *)
+
+  val iter : (Interval.t -> 'a -> unit) -> 'a t -> unit
+  val to_list : 'a t -> (Interval.t * 'a) list
+
+  val check_invariants : 'a t -> unit
+  (** {!Extent_map.check_invariants}, and that the nodes the handle owns
+      form a cap at the top of its tree: none lies below a node it does
+      not own. *)
+end

@@ -1199,6 +1199,82 @@ let test_gap_flush_over_device_data () =
     ((Data_server.stats ds).bytes_written - written);
   Alcotest.(check int) "cache entries" 3 (Data_server.extent_cache_entries ds)
 
+(* [contents] hands out a frozen snapshot.  After it, an interleaved
+   flush over the same stripe, whose span meets the extent cache, takes
+   the per-block path: each block is merged into the cache and written
+   to the store in place, gap inserts and splits of older extents
+   alike.  The snapshot must read as it did, and the live store must
+   hold what persistent writes of the same blocks give. *)
+let test_snapshot_survives_interleaved_flush () =
+  let page = 4096 in
+  let eng = Engine.create () in
+  let node = Netsim.Node.create eng fast_params ~name:"ds" ~with_disk:true () in
+  let lock_server =
+    Seqdlm.Lock_server.create eng fast_params ~node ~name:"ls"
+      ~policy:Seqdlm.Policy.seqdlm
+  in
+  let ds =
+    Data_server.create eng fast_params Config.default ~node ~name:"ds" ~lock_server
+  in
+  let client = Netsim.Node.create eng fast_params ~name:"c0" () in
+  let rid = 1 in
+  let flush blocks =
+    Engine.spawn eng ~name:"writer" (fun () ->
+        match
+          Netsim.Rpc.call (Data_server.endpoint ds) ~src:client ~req_bytes:page
+            (write_flush ~rid blocks)
+        with
+        | Data_server.Done -> ()
+        | r -> Alcotest.fail (Data_server.io_resp_to_string r));
+    Engine.run eng
+  in
+  let block lo hi ~sn ~op =
+    { Data_server.b_range = iv lo hi; b_tag = { Content.writer = op mod 3; op; sn } }
+  in
+  let pages ~from ~step n ~sn ~op =
+    List.init n (fun k ->
+        let p = from + (step * k) in
+        block (p * page) ((p + 1) * page) ~sn ~op:(op + k))
+  in
+  (* Every fourth page, SN 1: a gap flush into the empty stripe, whose
+     nodes the store shares.  Then the pages two past them, SN 2, block
+     by block: the store now owns the paths to them. *)
+  let first = pages ~from:0 ~step:4 16 ~sn:1 ~op:0 in
+  let second = pages ~from:2 ~step:4 16 ~sn:2 ~op:100 in
+  flush first;
+  flush second;
+  let everything = Interval.to_eof ~lo:0 in
+  let snap = Data_server.contents ds rid in
+  let snap_read = Content.read snap everything and snap_sum = Content.checksum snap in
+  (* SN 3, block by block: every odd page, into the holes, and the back
+     half of every fourth SN-1 page. *)
+  let third =
+    List.sort
+      (fun (a : Data_server.block) (b : Data_server.block) ->
+        compare a.b_range.lo b.b_range.lo)
+      (pages ~from:1 ~step:2 32 ~sn:3 ~op:200
+      @ List.init 4 (fun k ->
+            let p = 16 * k in
+            block ((p * page) + (page / 2)) ((p + 1) * page) ~sn:3 ~op:(300 + k)))
+  in
+  let written = (Data_server.stats ds).bytes_written in
+  flush third;
+  Alcotest.(check int) "every block of the third flush won" ((32 * page) + (4 * page / 2))
+    ((Data_server.stats ds).bytes_written - written);
+  Alcotest.(check int) "cache entries: 32 + 32 inserted + 4 split" 68
+    (Data_server.extent_cache_entries ds);
+  Alcotest.(check bool) "the snapshot reads as it did" true
+    (Content.read snap everything = snap_read);
+  Alcotest.(check int) "the snapshot's checksum" snap_sum (Content.checksum snap);
+  let replay =
+    List.fold_left
+      (fun c (b : Data_server.block) -> Content.write c b.b_range b.b_tag)
+      Content.empty (first @ second @ third)
+  in
+  Alcotest.(check int) "the live store equals a persistent replay"
+    (Content.checksum replay)
+    (Content.checksum (Data_server.contents ds rid))
+
 (* Fig. 15's order on one byte range: the higher SN wins, and under
    one SN the later op of the same lock (a re-flushed overwrite).  The
    writer never decides, and the replayed extent log agrees. *)
@@ -1748,5 +1824,7 @@ let suite =
           prop_coalesce_skip_matches_always_pass;
         Alcotest.test_case "gap flush over older device data" `Quick
           test_gap_flush_over_device_data;
+        Alcotest.test_case "a contents snapshot outlives an interleaved flush"
+          `Quick test_snapshot_survives_interleaved_flush;
       ] );
   ]

@@ -788,6 +788,173 @@ let prop_em_append =
           refused (newest_first @ [ (iv (s.hi - 1) s.hi, 0) ])
       | _ -> true)
 
+(* A transient handle against [Ref_extent_map], with every map it
+   froze or cut out kept beside the reference copy taken at that
+   moment.  The handle starts on a persistent base map, so its first
+   edits copy foreign nodes; scripts then mix gap inserts (a merge
+   placed in a hole of the current map), merges over existing extents
+   under [keep_new], [set], [remove], whole-range and partial [cut]s,
+   [coalesce], [set_all] of sub-maps (fresh ones, in a hole or over
+   extents, and the maps frozen or cut out of this very handle) and
+   [freeze]s at random points.  After every step the handle must hold
+   the reference's extents, count and update set, pass its own
+   [check_invariants] (heights read through the owner bits, the owned
+   nodes a cap at the top), and every persistent map it handed out, the
+   base included, must still equal its reference copy: an edit in place
+   of a node some frozen map shares would show there. *)
+let prop_em_transient =
+  let open QCheck in
+  let module T = Extent_map.Transient in
+  let range = Gen.(pair (int_bound 400) (int_range 1 16)) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map3 (fun at len v -> `Gap (at, len, v)) (int_bound 1000)
+               (int_range 1 16) (int_bound 3));
+          (3, map2 (fun r v -> `Merge (r, v)) range (int_bound 3));
+          (2, map2 (fun r v -> `Set (r, v)) range (int_bound 3));
+          (1, map (fun r -> `Remove r) range);
+          (1, map (fun r -> `Cut r) range);
+          (1, return `Cut_all);
+          (1, return `Coalesce);
+          (2, map3 (fun at n gap -> `Sub (at, n, gap)) (int_bound 400)
+               (int_range 1 12) bool);
+          (1, map (fun k -> `Pool k) small_nat);
+          (2, return `Freeze);
+        ])
+  in
+  let print_range (lo, len) = Printf.sprintf "[%d,+%d)" lo len in
+  let print_op = function
+    | `Gap (at, len, v) -> Printf.sprintf "gap@%d/1000+%d=%d" at len v
+    | `Merge (r, v) -> Printf.sprintf "merge%s=%d" (print_range r) v
+    | `Set (r, v) -> Printf.sprintf "set%s=%d" (print_range r) v
+    | `Remove r -> "rm" ^ print_range r
+    | `Cut r -> "cut" ^ print_range r
+    | `Cut_all -> "cut all"
+    | `Coalesce -> "coalesce"
+    | `Sub (at, n, gap) ->
+        Printf.sprintf "set_all %d@%d%s" n at (if gap then " in a hole" else "")
+    | `Pool k -> Printf.sprintf "set_all pool#%d" k
+    | `Freeze -> "freeze"
+  in
+  let to_iv (lo, len) = iv lo (lo + len) in
+  let flat l = List.map (fun ((i : Interval.t), v) -> (i.lo, i.hi, v)) l in
+  let ref_of_list l =
+    List.fold_left (fun r (x, v) -> Ref_extent_map.set r x v) Ref_extent_map.empty l
+  in
+  (* The first hole at or past [pos] and its end ([max_int] past the
+     last extent). *)
+  let hole r pos =
+    List.fold_left
+      (fun (lo, hi) ((x : Interval.t), _) ->
+        if hi < max_int then (lo, hi)
+        else if x.hi <= lo then (lo, hi)
+        else if x.lo <= lo then (x.hi, hi)
+        else (lo, x.lo))
+      (pos, max_int) (Ref_extent_map.to_list r)
+  in
+  Test.make ~name:"transient handle matches the reference; frozen maps stay put"
+    ~count:300
+    (make
+       ~print:Print.(pair (list (pair int int)) (list print_op))
+       Gen.(pair (list_size (int_bound 30) (pair (int_bound 400) (int_range 1 16)))
+              (list_size (int_range 1 80) op)))
+    (fun (base, ops) ->
+      let base_list = List.mapi (fun k r -> (to_iv r, k mod 4)) base in
+      let base = Extent_map.of_list base_list in
+      let h = T.of_map base in
+      let r = ref (ref_of_list base_list) in
+      (* Every persistent map in play, with its reference copy. *)
+      let pool = ref [ (base, !r) ] in
+      let check what =
+        T.check_invariants h;
+        if
+          flat (T.to_list h) <> flat (Ref_extent_map.to_list !r)
+          || T.cardinal h <> Ref_extent_map.cardinal !r
+        then Test.fail_reportf "the handle diverged after %s" what;
+        List.iteri
+          (fun k (m, rm) ->
+            if flat (Extent_map.to_list m) <> flat (Ref_extent_map.to_list rm)
+            then Test.fail_reportf "map #%d changed after %s" k what;
+            Extent_map.check_invariants m)
+          !pool
+      in
+      let merge x v =
+        let keep_new ~old = v >= old in
+        let won = T.merge h x v ~keep_new in
+        let r', ref_won = Ref_extent_map.merge !r x v ~keep_new in
+        r := r';
+        List.map Interval.to_string won = List.map Interval.to_string ref_won
+      in
+      let step op =
+        let won_ok =
+          match op with
+          | `Gap (at, len, v) ->
+              let tail =
+                match Ref_extent_map.to_list !r |> List.rev with
+                | ((x : Interval.t), _) :: _ -> x.hi
+                | [] -> 0
+              in
+              let lo, hi = hole !r (at * (tail + 1) / 1000) in
+              let x = iv lo (min hi (lo + len)) in
+              let n = T.cardinal h in
+              merge x v && T.cardinal h = n + 1
+          | `Merge (x, v) -> merge (to_iv x) v
+          | `Set (x, v) ->
+              T.set h (to_iv x) v;
+              r := Ref_extent_map.set !r (to_iv x) v;
+              true
+          | `Remove x ->
+              T.remove h (to_iv x);
+              r := Ref_extent_map.remove !r (to_iv x);
+              true
+          | `Cut x ->
+              let x = to_iv x in
+              let inside = T.cut h x in
+              pool := (inside, ref_of_list (Ref_extent_map.overlapping !r x)) :: !pool;
+              r := Ref_extent_map.remove !r x;
+              true
+          | `Cut_all ->
+              let inside = T.cut h (Interval.to_eof ~lo:0) in
+              pool := (inside, !r) :: !pool;
+              r := Ref_extent_map.empty;
+              T.cardinal h = 0
+          | `Coalesce ->
+              T.coalesce ~eq:Int.equal h;
+              r := Ref_extent_map.coalesce ~eq:Int.equal !r;
+              true
+          | `Sub (at, n, gap) ->
+              let l = List.init n (fun k -> (iv (at + (3 * k)) (at + (3 * k) + 2), k mod 4)) in
+              if gap then begin
+                let x = iv at (at + (3 * n)) in
+                T.remove h x;
+                r := Ref_extent_map.remove !r x
+              end;
+              let sub = Extent_map.of_list l in
+              pool := (sub, ref_of_list l) :: !pool;
+              T.set_all h sub;
+              r := List.fold_left (fun r (x, v) -> Ref_extent_map.set r x v) !r l;
+              true
+          | `Pool k ->
+              let m, rm = List.nth !pool (k mod List.length !pool) in
+              T.set_all h m;
+              r :=
+                List.fold_left
+                  (fun r (x, v) -> Ref_extent_map.set r x v)
+                  !r (Ref_extent_map.to_list rm);
+              true
+          | `Freeze ->
+              pool := (T.freeze h, !r) :: !pool;
+              true
+        in
+        if not won_ok then Test.fail_reportf "update set or count wrong at %s" (print_op op);
+        check (print_op op)
+      in
+      check "of_map";
+      List.iter step ops;
+      true)
+
 (* The data server's ior-segmented shape at full size: 262,144
    ascending gap appends, each carrying its own value, all kept. *)
 let test_em_ascending_appends () =
@@ -1684,6 +1851,7 @@ let suite =
         q prop_em_differential_at_scale;
         q prop_em_cut_and_join;
         q prop_em_append;
+        q prop_em_transient;
       ] );
     ( "util.content",
       [

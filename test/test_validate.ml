@@ -6,9 +6,14 @@ open Obs
 
 module V = Experiments.Validate
 
-let committed = function
-  | "experiments" -> "../BENCH_experiments.json"
-  | name -> Printf.sprintf "../BENCH_%s.json" name
+(* The committed documents are copied into the build root beside the
+   test directory, so they are found from the binary, whatever the
+   working directory: `dune exec test/test_main.exe -- test
+   experiments.rows` works from the repository root. *)
+let committed name =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Printf.sprintf "../BENCH_%s.json" name)
 
 let load name =
   Json.parse_exn (In_channel.with_open_bin (committed name) In_channel.input_all)
