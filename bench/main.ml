@@ -160,42 +160,59 @@ let bench_extent_map_append n =
 
 (* The data server's per-block routine on the N-1 segmented pattern:
    every 64 KiB block carries its own (SN, op) and lands in the gap past
-   the stripe's last extent, so nothing ever coalesces.  The cache holds
-   [n] entries when measuring starts and grows by one per run (some tens
-   of thousands over Bechamel's samples), crossing the amortised
-   coalescing threshold again and again.  The per-block cost should not
-   depend on [n]. *)
+   the stripe's last extent, so nothing ever coalesces.  Each run applies
+   1,024 such blocks past the cache's [n] entries, and a Truncate then
+   cuts them off again, so every run starts from the same [n] entries
+   (the cache limit is raised so that no cleanup runs).  The reading
+   over 1,024 is the per-block cost, plus a share of the Truncate; it
+   should not depend on [n]. *)
 let bench_data_server_ingest n =
   row
-    (Printf.sprintf "data server: apply one block into a %dk-entry extent cache"
+    (Printf.sprintf "data server: apply 1k blocks into a %dk-entry extent cache"
        (n / 1024))
     (fun () ->
-      let block = 65536 in
+      let block = 65536 and batch = 1024 in
       let params = Netsim.Params.default in
       let eng = Dessim.Engine.create () in
       let node = Netsim.Node.create eng params ~name:"ds" ~with_disk:true () in
+      let client = Netsim.Node.create eng params ~name:"c" () in
       let lock_server =
         Seqdlm.Lock_server.create eng params ~node ~name:"ls"
           ~policy:Seqdlm.Policy.seqdlm
       in
+      let config =
+        Ccpfs.Config.with_extent_cache ~limit:(4 * n) Ccpfs.Config.default
+      in
       let ds =
-        Ccpfs.Data_server.create eng params Ccpfs.Config.default ~node
-          ~name:"ds" ~lock_server
+        Ccpfs.Data_server.create eng params config ~node ~name:"ds" ~lock_server
       in
-      let next = ref 0 in
-      let ingest () =
-        let k = !next in
-        incr next;
-        Ccpfs.Data_server.ingest ds ~rid:1
-          {
-            Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
-            b_tag = { Content.writer = 0; op = k; sn = 1 };
-          }
+      let ingest k =
+        ignore
+          (Ccpfs.Data_server.ingest ds ~rid:1
+             {
+               Ccpfs.Data_server.b_range = iv (k * block) ((k + 1) * block);
+               b_tag = { Content.writer = 0; op = k; sn = 1 };
+             })
       in
-      for _ = 1 to n do
-        ignore (ingest ())
+      for k = 0 to n - 1 do
+        ingest k
       done;
-      Staged.stage (fun () -> Sys.opaque_identity (ingest ())))
+      let truncate () =
+        match
+          Netsim.Rpc.call (Ccpfs.Data_server.endpoint ds) ~src:client
+            ~req_bytes:4096
+            (Ccpfs.Data_server.Truncate { rid = 1; keep_below = n * block })
+        with
+        | Ccpfs.Data_server.Done -> ()
+        | r -> failwith (Ccpfs.Data_server.io_resp_to_string r)
+      in
+      Staged.stage (fun () ->
+          for k = n to n + batch - 1 do
+            ingest k
+          done;
+          Dessim.Engine.spawn eng ~name:"truncate" truncate;
+          Dessim.Engine.run eng;
+          Sys.opaque_identity (Ccpfs.Data_server.extent_cache_entries ds)))
 
 (* Table III's flush on the data server: 7,168 ascending 64 KiB blocks,
    one client's share of a voluntary flush on the N-1 segmented

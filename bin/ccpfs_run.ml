@@ -4,7 +4,10 @@
      ccpfs_run run fig20          one experiment at its default scale
      ccpfs_run run fig20 -s 0.1   override the workload scale
      ccpfs_run all [-s SCALE]     the whole evaluation section
-     ccpfs_run validate FILE...   check BENCH_*.json rows and traces *)
+     ccpfs_run validate FILE...   check BENCH_*.json rows and traces
+
+   CCPFS_CHECK=full runs any of them under the protocol sanitizer;
+   README's Knobs table lists every environment knob. *)
 
 open Cmdliner
 
@@ -14,17 +17,6 @@ let scale_arg =
      defaults shrink them to laptop-friendly sizes with the same shapes."
   in
   Arg.(value & opt (some float) None & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
-
-let check_arg =
-  let doc =
-    "Run under the protocol sanitizer: assert the DLM invariants on every \
-     lock-server transition, audit client caches, analyze engine stalls \
-     into wait-for graphs, and execute every scenario twice to verify \
-     determinism."
-  in
-  Arg.(value & flag & info [ "check" ] ~doc)
-
-let apply_check check = if check then Check.Sanitize.enable_all ()
 
 let trace_arg =
   let doc =
@@ -66,8 +58,7 @@ let run_cmd =
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")
   in
-  let run id scale check trace =
-    apply_check check;
+  let run id scale trace =
     apply_trace trace;
     match Experiments.Registry.find id with
     | Some e ->
@@ -80,7 +71,7 @@ let run_cmd =
             Printf.sprintf "unknown experiment %S; try `ccpfs_run list`" id )
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment")
-    Term.(ret (const run $ id_arg $ scale_arg $ check_arg $ trace_arg))
+    Term.(ret (const run $ id_arg $ scale_arg $ trace_arg))
 
 (* A narrated protocol timeline: three clients contend for one stripe
    under a chosen policy, and every lock-server step is printed with its
@@ -110,7 +101,7 @@ let trace_cmd =
         | Some sink ->
             Dessim.Engine.set_trace_sink (Ccpfs.Cluster.engine cl) sink
         | None -> ());
-        Seqdlm.Lock_server.set_tracer (Ccpfs.Cluster.lock_server cl 0)
+        Seqdlm.Lock_server.add_tracer (Ccpfs.Cluster.lock_server cl 0)
           (fun now ev ->
             Format.printf "%10.1fus  %a@." (now *. 1e6)
               Seqdlm.Lock_server.pp_trace_event ev);
@@ -135,14 +126,13 @@ let trace_cmd =
     Term.(ret (const run $ policy_arg $ trace_arg))
 
 let all_cmd =
-  let run scale check trace =
-    apply_check check;
+  let run scale trace =
     apply_trace trace;
     Experiments.Registry.run_all ?scale ();
     finish_obs ()
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment")
-    Term.(const run $ scale_arg $ check_arg $ trace_arg)
+    Term.(const run $ scale_arg $ trace_arg)
 
 (* Model-checking lite: replay a three-client write-contention scenario
    under every same-timestamp tie-break ordering the event heap allows,

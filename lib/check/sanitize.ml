@@ -1,23 +1,10 @@
 open Dessim
 open Ccpfs
 
-let invariants_on = ref false
-let determinism_on = ref false
-
-let () =
-  match Sys.getenv_opt "CCPFS_CHECK" with
-  | Some ("full" | "all") ->
-      invariants_on := true;
-      determinism_on := true
-  | Some ("0" | "off" | "") | None -> ()
-  | Some _ -> invariants_on := true
-
-let enable_all () =
-  invariants_on := true;
-  determinism_on := true
-
-let enabled () = !invariants_on
-let determinism_enabled () = !determinism_on
+(* Read at each call, so a malformed value fails the run that asks
+   rather than every binary at startup. *)
+let enabled () =
+  Ccpfs_util.Knob.choice "CCPFS_CHECK" ~default:"off" [ "full" ] = "full"
 
 let servers cl = List.init (Cluster.n_servers cl) (Cluster.lock_server cl)
 

@@ -1,22 +1,20 @@
 (** Front end of the protocol sanitizer.
 
-    Two independent switches, settable programmatically (the CLI's
-    [--check] flag) or through the [CCPFS_CHECK] environment variable
-    (any value enables the invariant layer; ["full"]/["all"] also enable
-    the determinism double-run — how the [@sanitize] dune alias runs the
-    test suites):
+    One switch, the [CCPFS_CHECK] environment variable: unset is off,
+    [full] is on, and any other value raises [Invalid_argument] naming
+    the knob.  The [@sanitize] dune alias runs the test suites with it
+    on.  When on, a harnessed run
 
-    - {e invariants}: wire {!Invariant} into every lock-server transition
-      and every client-cache mutation, and turn engine stalls into
-      wait-for-graph {!Deadlock} reports;
-    - {e determinism}: harnesses additionally execute each scenario twice
-      and compare event-stream fingerprints. *)
+    - wires {!Invariant} into every lock-server transition and every
+      client-cache mutation, and turns engine stalls into wait-for-graph
+      {!Deadlock} reports;
+    - executes each scenario twice and compares event-stream
+      fingerprints. *)
 
 open Ccpfs
 
-val enable_all : unit -> unit
 val enabled : unit -> bool
-val determinism_enabled : unit -> bool
+(** [CCPFS_CHECK=full], read at each call. *)
 
 val attach_cluster : Cluster.t -> unit
 (** The invariant validator and the SN-monotonicity monitor on every

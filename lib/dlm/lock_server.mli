@@ -90,8 +90,8 @@ val sync_resource : t -> Types.resource_id -> on_behalf:Types.client_id ->
 
 (** {1 Tracing}
 
-    An optional tracer observes every protocol step with its virtual
-    timestamp — the timeline the `ccpfs_run trace` command narrates. *)
+    Tracers observe every protocol step with its virtual timestamp — the
+    timeline the `ccpfs_run trace` command narrates. *)
 
 type trace_event =
   | T_request of Types.request
@@ -106,13 +106,12 @@ type trace_event =
       (** [crash_online]: the volatile lock table (and any queued
           waiters) was just lost *)
 
-val set_tracer : t -> (float -> trace_event -> unit) -> unit
 val pp_trace_event : Format.formatter -> trace_event -> unit
 
 val add_tracer : t -> (float -> trace_event -> unit) -> unit
-(** Chain another tracer after whatever is already installed — the
-    sanitizer monitors the protocol this way without stealing the trace
-    slot from the CLI's [trace] command. *)
+(** Chain another tracer after whatever is already installed, so that
+    the CLI's [trace] command and the sanitizer's SN monitor never
+    displace each other. *)
 
 (** {1 Sanitizer hooks}
 

@@ -20,17 +20,11 @@ open Ccpfs
    Rows carry no wall-clock fields, so a determinism double-run must
    reproduce them bit-identically.
 
-   Knobs:
-     CCPFS_LOAD_CLIENTS   cluster size (default 128)
-     CCPFS_LOAD_REQUESTS  arrivals per rate point (default 8 x clients, scaled)
-     CCPFS_LOAD_GRID      rate multipliers of measured capacity
-                          (default "0.25,0.5,0.75,0.9,1.1,1.4")
-     CCPFS_LOAD_RATES     absolute rates in req/s (overrides GRID)
-     CCPFS_LOAD_PROCESS   poisson | constant | mmpp (default poisson)
-     CCPFS_LOAD_SLO_MS    sojourn p99 SLO; default auto = 3 x closed-loop p99
-     CCPFS_LOAD_CAP       in-flight cap before shedding (default 4 x clients)
-     CCPFS_LOAD_CHURN     1 = clients leave/rejoin mid-sweep (default 1)
-     CCPFS_LOAD_BISECT    extra bisection points at the knee (default 0) *)
+   The shape is fixed: 128 clients, 8 x clients requests per rate point
+   (scaled), Poisson arrivals, an in-flight cap of 4 x clients, churn
+   on, and an SLO of 3 x the closed-loop p99.  Only the rate grid is a
+   knob: CCPFS_LOAD_GRID, the multipliers of the measured capacity
+   (default "0.25,0.5,0.75,0.9,1.1,1.4"). *)
 
 let xfer = 64 * Units.kib
 let seed_base = 0x10ad
@@ -98,19 +92,21 @@ let churn_schedule ~n_clients ~span =
   done;
   List.rev !acc
 
+(* In-flight requests before the driver sheds arrivals. *)
+let cap_of ~n_clients = 4 * n_clients
+
 (* One open-loop rate point on a fresh cluster. *)
-let run_point ~n_clients ~requests ~process ~cap ~churn rate =
+let run_point ~n_clients ~requests ~churn rate =
   let _, _, r =
     Harness.run ~name:"exp_load" (fresh_cluster ~n_clients) (fun cl ->
-        let proc = Option.get (Load.Arrivals.of_string ~rate process) in
         let span = float_of_int requests /. rate in
         let spec =
           Load.Driver.
             {
-              process = proc;
+              process = Load.Arrivals.Poisson rate;
               seed = seed_base;
               requests;
-              max_in_flight = cap;
+              max_in_flight = cap_of ~n_clients;
               churn = (if churn then churn_schedule ~n_clients ~span else []);
               start_at = 0.;
             }
@@ -123,48 +119,24 @@ let run_point ~n_clients ~requests ~process ~cap ~churn rate =
 type setup = {
   s_clients : int;
   s_requests : int;
-  s_process : string;
-  s_cap : int;
   s_churn : bool;
   s_slo_s : float;
   s_rates : float list;
-  s_bisect : int;
   s_cal : calibration;
 }
 
 let setup ~scale =
-  (* Every knob is read before the calibration run, so a malformed one
-     fails fast.  An SLO of 0 (outside the knob's range) means "auto";
-     an empty rate list means "use the grid". *)
-  let n_clients = Knob.int "CCPFS_LOAD_CLIENTS" ~default:128 ~min:1 in
-  let writes_each = Harness.scaled ~scale 8 in
-  let requests =
-    Knob.int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each) ~min:1
-  in
-  let slo_ms = Knob.float "CCPFS_LOAD_SLO_MS" ~default:0. ~above:0. in
-  let rates = Knob.float_list "CCPFS_LOAD_RATES" ~default:[] ~above:0. in
+  (* The grid is read before the calibration run, so a malformed one
+     fails fast. *)
   let grid = Knob.float_list "CCPFS_LOAD_GRID" ~default:default_grid ~above:0. in
-  let process =
-    Knob.choice "CCPFS_LOAD_PROCESS" ~default:"poisson"
-      [ "constant"; "poisson"; "mmpp" ]
-  in
-  let cap = Knob.int "CCPFS_LOAD_CAP" ~default:(4 * n_clients) ~min:1 in
-  let churn = Knob.flag "CCPFS_LOAD_CHURN" ~default:true in
-  let bisect = Knob.int "CCPFS_LOAD_BISECT" ~default:0 ~min:0 in
+  let n_clients = 128 and writes_each = Harness.scaled ~scale 8 in
   let cal = calibrate ~n_clients ~writes_each in
   {
     s_clients = n_clients;
-    s_requests = requests;
-    s_process = process;
-    s_cap = cap;
-    s_churn = churn;
-    s_slo_s =
-      (match slo_ms with
-      | 0. -> 3. *. Stats.percentile cal.closed_lat 99.
-      | ms -> ms /. 1e3);
-    s_rates =
-      (match rates with [] -> List.map (fun m -> m *. cal.cap_rps) grid | l -> l);
-    s_bisect = bisect;
+    s_requests = n_clients * writes_each;
+    s_churn = true;
+    s_slo_s = 3. *. Stats.percentile cal.closed_lat 99.;
+    s_rates = List.map (fun m -> m *. cal.cap_rps) grid;
     s_cal = cal;
   }
 
@@ -176,11 +148,11 @@ let sweep_points s =
       Load.Sweep.rates = s.s_rates;
       slo_s = s.s_slo_s;
       min_achieved_frac = 0.95;
-      bisect_steps = s.s_bisect;
+      bisect_steps = 0;
     }
     ~run_rate:
       (run_point ~n_clients:s.s_clients ~requests:s.s_requests
-         ~process:s.s_process ~cap:s.s_cap ~churn:s.s_churn)
+         ~churn:s.s_churn)
 
 let row_of s (p : Load.Sweep.point) =
   let r = p.Load.Sweep.p_result in
@@ -190,11 +162,11 @@ let row_of s (p : Load.Sweep.point) =
       ("experiment", Str "load");
       ("scale", Float (Obs.Hub.scale ()));
       ("clients", Int s.s_clients);
-      ("process", Str s.s_process);
+      ("process", Str "poisson");
       ("seed", Int seed_base);
       ("requests", Int s.s_requests);
       ("xfer_bytes", Int xfer);
-      ("cap_in_flight", Int s.s_cap);
+      ("cap_in_flight", Int (cap_of ~n_clients:s.s_clients));
       ("churn", Bool s.s_churn);
       ("slo_s", Float s.s_slo_s);
       ("offered_rate_rps", Float p.Load.Sweep.p_rate);
@@ -221,9 +193,9 @@ let run ~scale =
     Table.create
       ~title:
         (Printf.sprintf
-           "Open-loop load: %s arrivals, %d clients, %d requests/point, \
+           "Open-loop load: poisson arrivals, %d clients, %d requests/point, \
             SLO p99 <= %s"
-           s.s_process s.s_clients s.s_requests
+           s.s_clients s.s_requests
            (Units.seconds_to_string s.s_slo_s))
       ~columns:
         [ "offered/s"; "achieved/s"; "goodput"; "shed"; "p50"; "p99"; "p999";

@@ -23,12 +23,9 @@ open Ccpfs
    quiesces, every lock a client still caches must sit in the recovered
    server's table with the same mode and SN. *)
 
-(* CI's repl-smoke job pins the client count:
-   CCPFS_REPL_CLIENTS=8 ccpfs_run run repl *)
-let client_count () = Knob.int "CCPFS_REPL_CLIENTS" ~default:8 ~min:2
-
-(* Replication factor under test: CCPFS_REPL when set, else f=1. *)
-let repl_factor () = Stdlib.max 1 Config.default.Config.replication
+(* The shape is fixed: 8 clients, and f = 1 backup on the replay side. *)
+let n_clients = 8
+let replay_factor = 1
 
 let xfer = 64 * Units.kib
 let seed_base = 0x5ed1
@@ -302,9 +299,8 @@ let results_schema = "ccpfs.repl/1"
 let results_path = "BENCH_repl.json"
 
 let run ~scale =
-  let clients = client_count () in
+  let clients = n_clients in
   let writes_each = Stdlib.max 4 (Harness.scaled ~scale 32) in
-  let f = repl_factor () in
   let tbl =
     Table.create
       ~title:
@@ -313,7 +309,7 @@ let run ~scale =
             clients x %d writes x %s, f=%d)"
            clients writes_each
            (Units.bytes_to_string xfer)
-           f)
+           replay_factor)
       ~columns:
         [ "mode"; "loop"; "detect"; "recover"; "unavailable"; "locks back";
           "lost"; "ops" ]
@@ -332,7 +328,7 @@ let run ~scale =
       ]
   in
   let gather = run_closed ~clients ~writes_each ~replication:0 in
-  let replay = run_closed ~clients ~writes_each ~replication:f in
+  let replay = run_closed ~clients ~writes_each ~replication:replay_factor in
   (* The open-loop pair offers ~60% of the closed loop's achieved rate:
      below the knee in steady state, so the sojourn tail isolates the
      outage rather than saturation. *)
@@ -341,7 +337,7 @@ let run ~scale =
   in
   let requests = clients * writes_each in
   let gather_o = run_open ~clients ~requests ~rate ~replication:0 in
-  let replay_o = run_open ~clients ~requests ~rate ~replication:f in
+  let replay_o = run_open ~clients ~requests ~rate ~replication:replay_factor in
   List.iter add_row [ gather; replay; gather_o; replay_o ];
   let n =
     Harness.write_rows ~schema:results_schema ~path:results_path

@@ -11,8 +11,9 @@ open Ccpfs
    pw-convoy workload, not here.  One row per client count goes to
    BENCH_scale.json (schema ccpfs.scale/1). *)
 
-(* CI's scale-smoke job runs the reduced 128-client point only:
-   CCPFS_SCALE_CLIENTS="128" ccpfs_run run scale *)
+(* CCPFS_SCALE_CLIENTS (comma-separated) overrides the client counts:
+   the committed document runs "128,256,512,4096" and golden/dune's
+   sanitized scale smoke runs "128". *)
 let client_counts () =
   Knob.int_list "CCPFS_SCALE_CLIENTS" ~default:[ 128; 256; 512 ] ~min:1
 

@@ -2,6 +2,7 @@
     at 128/256/512 simulated clients, writing one row per point of
     simulated cost and engine event count to [BENCH_scale.json] (schema
     [ccpfs.scale/1]).  [CCPFS_SCALE_CLIENTS] (comma-separated) overrides
-    the client counts — CI's scale-smoke job runs "128". *)
+    the client counts — the committed document runs "128,256,512,4096",
+    the sanitized smoke in golden/dune "128". *)
 
 val run : scale:float -> unit

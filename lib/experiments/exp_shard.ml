@@ -21,8 +21,9 @@ open Ccpfs
    capacity, the thing sharding buys.  One row per server count goes to
    BENCH_shard.json (schema ccpfs.shard/1). *)
 
-(* CI's shard-smoke job runs a reduced sweep:
-   CCPFS_SHARD_SERVERS="1,2" CCPFS_SHARD_CLIENTS=32 ccpfs_run run shard *)
+(* golden/dune's sanitized shard smoke runs a reduced sweep:
+   CCPFS_SHARD_SERVERS=1,2 CCPFS_SHARD_CLIENTS=32 CCPFS_SHARD_STRIPES=8
+   ccpfs_run run shard *)
 let server_counts () =
   Knob.int_list "CCPFS_SHARD_SERVERS" ~default:[ 1; 2; 4; 8 ] ~min:1
 

@@ -5,6 +5,7 @@
     run.  Writes one row per server count to [BENCH_shard.json]
     (schema [ccpfs.shard/1]).  [CCPFS_SHARD_SERVERS] (comma-separated),
     [CCPFS_SHARD_CLIENTS] and [CCPFS_SHARD_STRIPES] override the sweep
-    — CI's shard-smoke job runs servers "1,2" at 32 clients. *)
+    — the sanitized smoke in golden/dune runs servers "1,2" at 32
+    clients over 8 stripes. *)
 
 val run : scale:float -> unit

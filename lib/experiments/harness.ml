@@ -72,22 +72,23 @@ let result_row cl ~run_id ~servers ~clients r =
     ]
 
 let run ~name create launch =
+  let checked = Check.Sanitize.enabled () in
   let pass () =
     let cl = create () in
     (match Obs.Hub.new_sink () with
     | Some sink -> Dessim.Engine.set_trace_sink (Cluster.engine cl) sink
     | None -> ());
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
+    if checked then Check.Sanitize.attach_cluster cl;
     let finish = launch cl in
     Check.Sanitize.run_cluster cl;
     let x = finish () in
     Cluster.fsync_all cl;
     Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
+    if checked then Check.Sanitize.check_cluster cl;
     (cl, x)
   in
   let cl, x =
-    if Check.Sanitize.determinism_enabled () then begin
+    if checked then begin
       (* The simulator must be a pure function of the scenario: build and
          run the whole world twice and compare event streams.  Only the
          kept (second) pass is a measurement. *)

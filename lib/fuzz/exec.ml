@@ -33,10 +33,7 @@ let config_of (s : Case.shape) =
     dirty_max = s.dirty_max_blocks * page;
     extent_cache_limit = s.extent_cache_limit;
     extent_log = true;
-    (* The case's replication draw wins, and CCPFS_REPL (folded into
-       Config.default.replication) forces backups onto cases that drew
-       0, so `CCPFS_REPL=1 ccpfs_run fuzz` sweeps the corpus replicated. *)
-    replication = (if s.repl > 0 then s.repl else Config.default.replication);
+    replication = s.repl;
   }
 
 let install_inject cl = function
@@ -448,6 +445,6 @@ let catch ?inject case =
       (* Debug escape hatch: let the raw exception (and with
          OCAMLRUNPARAM=b its backtrace) propagate instead of being
          folded into a failure report. *)
-      if Sys.getenv_opt "CCPFS_FUZZ_RERAISE" <> None then
+      if Knob.flag "CCPFS_FUZZ_RERAISE" ~default:false then
         Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ());
       Error (describe_exn e)

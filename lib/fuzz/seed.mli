@@ -7,7 +7,8 @@
 
 val base : unit -> int
 (** [CCPFS_SEED] if set, [0x5eed] otherwise.
-    @raise Invalid_argument if the variable is set but not an integer. *)
+    @raise Invalid_argument if the variable is set but not an integer
+    [>= 0]. *)
 
 val label : string -> string
 (** [label name] is ["name [CCPFS_SEED=<base>]"] — test-case names carry

@@ -23,8 +23,8 @@ val create :
     acquires, control messages and data-server I/O go through the fenced
     retry transport ({!Netsim.Rpc.call_reliable}) — required for online
     failover ({!Ha}); without it the transport behaves exactly as
-    before.  [replication] (default {!Config.t.replication}, i.e. the
-    [CCPFS_REPL] environment knob) gives every lock server that many
+    before.  [replication] (default {!Config.t.replication}, 0 in
+    {!Config.default}) gives every lock server that many
     diskless backup replicas and a grant-log shipping group
     (DESIGN.md §16), enabling the replay-based recovery path. *)
 

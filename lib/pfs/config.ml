@@ -24,10 +24,7 @@ let default =
     cleanup_period = 0.1;
     extent_log = false;
     flush_wire_page_only = false;
-    (* CCPFS_REPL=f replicates every lock server's grant log to f backups
-       (DESIGN.md §16) wherever a Config.default flows; unset or 0 runs
-       unreplicated (recovery falls back to the client gather). *)
-    replication = Knob.int "CCPFS_REPL" ~default:0 ~min:0;
+    replication = 0;
   }
 
 let with_dirty_limits ~dirty_min ~dirty_max t = { t with dirty_min; dirty_max }

@@ -1,4 +1,6 @@
-(** ccPFS tunables, defaulted to the paper's configuration (§IV-C, §V). *)
+(** ccPFS tunables, defaulted to the paper's configuration (§IV-C, §V).
+    {!default} is a constant: no field reads the environment, so a
+    cluster's configuration is exactly what its caller passes. *)
 
 type t = {
   page : int;  (** cache / lock alignment unit, 4 KiB *)
@@ -20,8 +22,8 @@ type t = {
   replication : int;
       (** grant-log replication factor (DESIGN.md §16): 0 = off;
           [f >= 1] gives every lock server [f] backup replicas and the
-          replay-based recovery path.  Defaults to the [CCPFS_REPL]
-          environment variable (unset = off). *)
+          replay-based recovery path.  Off by default: recovery
+          gathers the clients' cached grants (§IV-C2). *)
 }
 
 val default : t
@@ -38,5 +40,5 @@ val with_batching : k:int -> t -> t
     in the next change to the benchmark. *)
 
 val with_replication : int -> t -> t
-(** Set the grant-log replication factor regardless of [CCPFS_REPL];
-    raises [Invalid_argument] on a negative factor. *)
+(** Set the grant-log replication factor; raises [Invalid_argument] on a
+    negative factor. *)

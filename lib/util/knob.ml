@@ -35,10 +35,6 @@ let int_list name ~default ~min =
   read_list name ~default ~want:(Printf.sprintf "integers >= %d" min)
     (int_in ~min)
 
-let float name ~default ~above =
-  read name ~default ~want:(Printf.sprintf "a number > %g" above)
-    (float_in ~above)
-
 let float_list name ~default ~above =
   read_list name ~default ~want:(Printf.sprintf "numbers > %g" above)
     (float_in ~above)

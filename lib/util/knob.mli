@@ -1,4 +1,8 @@
-(** Typed readers for the [CCPFS_*] environment knobs.
+(** Typed readers for the [CCPFS_*] environment knobs, the only reads of
+    the environment in lib/ and bin/.  README's "Knobs" table lists
+    every name, its default and the committed run that sets it; a test
+    holds the table to the ["CCPFS_*"] literals of the code.  A knob is
+    read when a run asks for it, never at module initialisation.
 
     Every reader takes the knob's name, its default and its valid range.
     The value is trimmed first; unset or empty means the default.  A value
@@ -12,9 +16,6 @@ val int : string -> default:int -> min:int -> int
 
 val int_list : string -> default:int list -> min:int -> int list
 (** A non-empty list of integers, each in [\[min, max_int\]]. *)
-
-val float : string -> default:float -> above:float -> float
-(** A finite float strictly greater than [above]. *)
 
 val float_list : string -> default:float list -> above:float -> float list
 (** A non-empty list of finite floats, each strictly greater than [above]. *)

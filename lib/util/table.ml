@@ -50,36 +50,6 @@ let render t =
     (List.rev t.notes);
   Buffer.contents buf
 
-let csv_cell cell =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-  else cell
-
-let render_csv t =
-  let buf = Buffer.create 256 in
-  let line row =
-    Buffer.add_string buf (String.concat "," (List.map csv_cell row));
-    Buffer.add_char buf '\n'
-  in
-  line t.columns;
-  List.iter line (List.rev t.rows);
-  Buffer.contents buf
-
-let slug title =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c
-      | _ -> '_')
-    title
-
 let print t =
   print_string (render t);
-  print_newline ();
-  match Sys.getenv_opt "CCPFS_TABLE_CSV" with
-  | Some dir when Sys.file_exists dir && Sys.is_directory dir ->
-      let path = Filename.concat dir (slug t.title ^ ".csv") in
-      let oc = open_out path in
-      output_string oc (render_csv t);
-      close_out oc
-  | Some _ | None -> ()
+  print_newline ()

@@ -14,12 +14,6 @@ val add_note : t -> string -> unit
 
 val render : t -> string
 
-val render_csv : t -> string
-(** Header row + data rows, comma-separated with minimal quoting (notes
-    are omitted). *)
-
 val print : t -> unit
-(** [render] followed by a newline on stdout.  If the environment
-    variable [CCPFS_TABLE_CSV] names a directory, a CSV copy of the
-    table is also written there (slugified title as the file name) for
-    plotting. *)
+(** [render] followed by a newline on stdout.  The machine-readable copy
+    of a result is the experiment's JSON rows, not the table. *)

@@ -582,8 +582,6 @@ let stats t = t.stats
 let policy t = t.policy
 let node t = t.node
 let name t = t.name
-let set_tracer t f = t.tracer <- Some f
-
 let add_tracer t f =
   match t.tracer with
   | None -> t.tracer <- Some f

@@ -791,7 +791,7 @@ let test_early_label_only_over_canceling_nbw () =
           ranges = Ranges.single (iv 0 8192); sn = 1; state = Lcm.Canceling };
       ];
     let traced = ref [] in
-    Lock_server.set_tracer s (fun _ ev ->
+    Lock_server.add_tracer s (fun _ ev ->
         match ev with
         | Lock_server.T_grant (_, early) -> traced := early :: !traced
         | _ -> ());
@@ -887,7 +887,7 @@ let prop_grant_contract =
          resource, the mode only ever upgrades, and CANCELING grants
          appear only when early revocation is on. *)
       let write_sns = Hashtbl.create 64 in
-      Lock_server.set_tracer w.server (fun _now ev ->
+      Lock_server.add_tracer w.server (fun _now ev ->
           match ev with
           | Lock_server.T_grant (g, _) ->
               if Mode.is_write g.Types.mode then begin
@@ -1078,7 +1078,7 @@ let prop_client_lookup_matches_list =
       let w = make_world ~n:n_clients ~policy:(List.nth policies p) () in
       w.flush_time := 0.002;
       let replaces = Hashtbl.create 64 in
-      Lock_server.set_tracer w.server (fun _ ev ->
+      Lock_server.add_tracer w.server (fun _ ev ->
           match ev with
           | Lock_server.T_grant (g, _) ->
               Hashtbl.replace replaces g.Types.lock_id g.Types.replaces
@@ -1261,7 +1261,7 @@ let indexed_side eng ~policy ~clients =
               st.release_wait ));
       }
   in
-  Lock_server.set_tracer s (fun _ ev ->
+  Lock_server.add_tracer s (fun _ ev ->
       match ev with
       | Lock_server.T_grant (g, early) ->
           observe_grant !side g ~early:(early = `Early)
@@ -1318,7 +1318,7 @@ let reference_side eng ~policy ~clients =
               st.release_wait ));
       }
   in
-  Ref_lock_server.set_tracer s (fun _ ev ->
+  Ref_lock_server.add_tracer s (fun _ ev ->
       match ev with
       | Ref_lock_server.T_grant (g, early) ->
           observe_grant !side g ~early:(early = `Early)

@@ -598,12 +598,9 @@ let test_exp_load_rows_deterministic () =
       {
         s_clients = 8;
         s_requests = 64;
-        s_process = "poisson";
-        s_cap = 32;
         s_churn = true;
         s_slo_s = 5e-3;
         s_rates = [ 400.; 4000. ];
-        s_bisect = 0;
         s_cal = { cap_rps = 1000.; closed_lat = Stats.create () };
       }
   in
@@ -624,12 +621,9 @@ let test_exp_load_row_invariants () =
       {
         s_clients = 8;
         s_requests = 96;
-        s_process = "poisson";
-        s_cap = 32;
         s_churn = false;
         s_slo_s = 5e-3;
         s_rates = [ 500.; 2000.; 8000. ];
-        s_bisect = 0;
         s_cal = { cap_rps = 1000.; closed_lat = Stats.create () };
       }
   in

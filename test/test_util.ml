@@ -1624,21 +1624,7 @@ let test_table_render () =
   let s = Table.render t in
   Alcotest.(check bool) "has title" true (string_contains s "== t ==");
   Alcotest.(check bool) "has note" true (string_contains s "note: n");
-  Alcotest.(check bool) "short row padded" true (string_contains s "333");
-  let csv = Table.render_csv t in
-  Alcotest.(check bool) "csv header" true (string_contains csv "a,bb");
-  Alcotest.(check bool) "csv rows, no notes" true
-    (string_contains csv "1,2" && not (string_contains csv "note"))
-
-let test_csv_quoting () =
-  let t = Table.create ~title:"q" ~columns:[ "x" ] in
-  Table.add_row t [ "has,comma" ];
-  Table.add_row t [ "has\"quote" ];
-  let csv = Table.render_csv t in
-  Alcotest.(check bool) "comma quoted" true
-    (string_contains csv "\"has,comma\"");
-  Alcotest.(check bool) "quote doubled" true
-    (string_contains csv "\"has\"\"quote\"")
+  Alcotest.(check bool) "short row padded" true (string_contains s "333")
 
 let test_det_random () =
   let a = Det_random.create ~seed:42 and b = Det_random.create ~seed:42 in
@@ -1772,15 +1758,6 @@ let test_knob_readers () =
   il "128,,256" None;
   il "128," None;
   il "0,2" None;
-  let fl = knob_case "float" string_of_float (Knob.float ~default:0. ~above:0.) in
-  fl "" (Some 0.);
-  fl " 2.5 " (Some 2.5);
-  fl "3" (Some 3.);
-  fl "0" None;
-  fl "-1" None;
-  fl "nan" None;
-  fl "inf" None;
-  fl "fast" None;
   let fls =
     knob_case "float_list" floats (Knob.float_list ~default:[ 0.5 ] ~above:0.)
   in
@@ -1806,12 +1783,73 @@ let test_knob_readers () =
   ch "constant" (Some "constant");
   ch "bursty" None
 
+(* The knob census: the "CCPFS_*" string literals in lib/ and bin/ are
+   exactly the names of README's Knobs table.  The sources and README
+   are copied into the build root beside the test directory, so they
+   are found from the binary, whatever the working directory. *)
+let build_root = Filename.concat (Filename.dirname Sys.executable_name) ".."
+
+let rec source_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.concat_map (fun name ->
+         let path = Filename.concat dir name in
+         if name.[0] = '.' then []
+         else if Sys.is_directory path then source_files path
+         else if
+           Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+         then [ path ]
+         else [])
+
+let is_knob_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+
+(* Every string literal ["CCPFS_NAME"] in [text], NAME a run of
+   [A-Z0-9_]. *)
+let knob_literals text =
+  let prefix = "\"CCPFS_" in
+  let n = String.length text and p = String.length prefix in
+  let rec scan i acc =
+    if i + p > n then acc
+    else if String.sub text i p <> prefix then scan (i + 1) acc
+    else
+      let j = ref (i + p) in
+      while !j < n && is_knob_char text.[!j] do incr j done;
+      if !j < n && text.[!j] = '"' then
+        scan !j (String.sub text (i + 1) (!j - i - 1) :: acc)
+      else scan !j acc
+  in
+  scan 0 []
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_knob_census () =
+  let in_code =
+    List.concat_map source_files
+      [ Filename.concat build_root "lib"; Filename.concat build_root "bin" ]
+    |> List.concat_map (fun f -> knob_literals (read_file f))
+    |> List.sort_uniq String.compare
+  in
+  let in_readme =
+    read_file (Filename.concat build_root "README.md")
+    |> String.split_on_char '\n'
+    |> List.concat_map (fun line ->
+           match String.split_on_char '`' line with
+           | "| " :: name :: _ when String.starts_with ~prefix:"CCPFS_" name ->
+               [ name ]
+           | _ -> [])
+    |> List.sort_uniq String.compare
+  in
+  Alcotest.(check int) "eight knobs" 8 (List.length in_readme);
+  Alcotest.(check (list string)) "lib/ and bin/ read the README's knobs"
+    in_readme in_code
+
 let suite =
   let q = QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ()) in
   [
     ( "util.knob",
       [ Alcotest.test_case "readers: default, trim, malformed, range" `Quick
-          test_knob_readers ] );
+          test_knob_readers;
+        Alcotest.test_case "census: README's table is what lib/ and bin/ read"
+          `Quick test_knob_census ] );
     ( "util.interval",
       [
         Alcotest.test_case "basic predicates" `Quick test_interval_basic;
@@ -1893,7 +1931,6 @@ let suite =
           test_stats_p999_resolution;
         Alcotest.test_case "units" `Quick test_units;
         Alcotest.test_case "table render" `Quick test_table_render;
-        Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
         Alcotest.test_case "det_random" `Quick test_det_random;
         Alcotest.test_case "det_random state_of_ints" `Quick
           test_det_random_state_of_ints;
